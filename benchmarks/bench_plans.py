@@ -1,14 +1,12 @@
 """Experiment P1 — compiled execution plans vs the unplanned kernels.
 
-Three comparisons the plan layer is built for:
+Two comparisons the plan layer is built for:
 
 * **plan-vs-unplanned**: ``SequentialPlan.apply`` (compiled gemm
   operator) against the bincount scatter kernel that re-derives fused
   weights every call;
 * **batch-vs-loop**: ``apply_batch(X)`` for ``X ∈ R^{n×s}`` against
-  ``s`` independent kernel calls — the multi-vector engine's payoff;
-* **threaded-vs-serial**: the opt-in phase-2 thread pool of
-  :class:`~repro.core.parallel_sttsv.ParallelSTTSV`.
+  ``s`` independent kernel calls — the multi-vector engine's payoff.
 
 ``benchmarks/run_plans_bench.py`` runs the same comparisons standalone
 and records machine-readable numbers in ``BENCH_sttsv.json``.
@@ -17,10 +15,8 @@ and records machine-readable numbers in ``BENCH_sttsv.json``.
 import numpy as np
 import pytest
 
-from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.plans import SequentialPlan
 from repro.core.sttsv_sequential import sttsv_packed, sttsv_packed_bincount
-from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
 
 N = 120
@@ -79,17 +75,3 @@ def test_batched_apply(benchmark, workload, gemm_plan):
         f" strategy={gemm_plan.strategy}"
     )
 
-
-@pytest.mark.parametrize("threads", [None, 4])
-def test_parallel_local_compute(benchmark, partition_q2, threads):
-    """Threaded vs serial phase 2 on the simulated q=2 machine."""
-    n = 90
-    tensor = random_symmetric(n, seed=2)
-    x = np.random.default_rng(3).normal(size=n)
-    machine = Machine(partition_q2.P)
-    algo = ParallelSTTSV(partition_q2, n, local_threads=threads)
-    algo.load(machine, tensor, x)
-    algo.run(machine)  # warm x_full/tensor_blocks state
-
-    benchmark(lambda: algo._local_compute(machine))
-    assert np.allclose(algo.gather_result(machine), sttsv_packed(tensor, x))

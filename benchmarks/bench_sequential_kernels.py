@@ -48,7 +48,7 @@ def test_naive_dense_kernel(benchmark, workload):
 
 
 def test_blocked_kernel(benchmark, workload):
-    """Cache-blocked kernel: dense per-block einsums raise arithmetic
+    """Cache-blocked kernel: dense per-block contractions raise arithmetic
     intensity over the scatter kernels (Agullo et al.'s observation
     applied sequentially)."""
     from repro.core.sttsv_blocked import sttsv_blocked

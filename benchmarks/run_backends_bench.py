@@ -15,7 +15,7 @@ backends — the in-process ``simulated`` transport and the
 * a bitwise-equality check between the two backends' results,
 * fused-vs-unfused accounting: logical vs physical message counts,
   words moved (including fusion headers), the message-reduction
-  factor, and the shm wall-clock saved by fusing + overlapping
+  factor, and the shm wall-clock saved by fusing
   (each shm comparison runs with the fusing scheduler on and off;
   fused results must stay bitwise identical to unfused ones).
 

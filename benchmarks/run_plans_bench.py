@@ -14,9 +14,7 @@ Measured comparisons (median of repeats, warmup excluded):
 * ``batch``: ``apply_batch`` over ``s`` columns vs ``s`` looped kernel
   calls (the acceptance target: >= 2x at n≈200, s=16);
 * ``hopm``: per-iteration sequential HOPM time, plan-backed vs the
-  seed's ``np.add.at`` kernel;
-* ``local_compute``: threaded vs serial phase 2 of the simulated
-  parallel algorithm.
+  seed's ``np.add.at`` kernel.
 """
 
 from __future__ import annotations
@@ -35,13 +33,11 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.parallel_sttsv import ParallelSTTSV  # noqa: E402
 from repro.core.plans import SequentialPlan, sequential_plan  # noqa: E402
 from repro.core.sttsv_sequential import (  # noqa: E402
     sttsv_packed,
     sttsv_packed_bincount,
 )
-from repro.machine.machine import Machine  # noqa: E402
 from repro.tensor.dense import random_symmetric  # noqa: E402
 
 
@@ -116,36 +112,6 @@ def bench_hopm(n: int, iterations: int, repeats: int) -> dict:
     }
 
 
-def bench_local_compute(n: int, threads: int, repeats: int) -> dict:
-    from repro.steiner import spherical_steiner_system
-    from repro.core.partition import TetrahedralPartition
-
-    partition = TetrahedralPartition(spherical_steiner_system(2))
-    tensor = random_symmetric(n, seed=4)
-    x = np.random.default_rng(5).normal(size=n)
-    timings = {}
-    results = {}
-    for label, workers in (("serial", None), ("threaded", threads)):
-        machine = Machine(partition.P)
-        algo = ParallelSTTSV(partition, n, local_threads=workers)
-        algo.load(machine, tensor, x)
-        algo.run(machine)
-        timings[label] = median_seconds(
-            lambda: algo._local_compute(machine), repeats
-        )
-        results[label] = algo.gather_result(machine)
-    assert np.array_equal(results["serial"], results["threaded"])
-    return {
-        "n": n,
-        "P": partition.P,
-        "threads": threads,
-        "serial_seconds": timings["serial"],
-        "threaded_seconds": timings["threaded"],
-        "threaded_speedup": timings["serial"] / timings["threaded"],
-        "bitwise_identical": True,
-    }
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -164,11 +130,9 @@ def main() -> None:
     if args.quick:
         seq = bench_sequential(n=60, s=8, repeats=3)
         hopm = bench_hopm(n=60, iterations=5, repeats=3)
-        local = bench_local_compute(n=60, threads=4, repeats=3)
     else:
         seq = bench_sequential(n=200, s=16, repeats=7)
         hopm = bench_hopm(n=200, iterations=5, repeats=5)
-        local = bench_local_compute(n=120, threads=4, repeats=5)
 
     try:
         commit = subprocess.run(
@@ -188,12 +152,9 @@ def main() -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        # Thread-pool numbers are only meaningful relative to this: on
-        # a single-core host the threaded phase 2 cannot beat serial.
         "cpu_count": os.cpu_count(),
         "sequential": seq,
         "hopm": hopm,
-        "parallel_local_compute": local,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))

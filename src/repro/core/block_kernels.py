@@ -30,8 +30,10 @@ block positions in the full tensor; summed over a processor's block
 inventory these updates reproduce the exact symmetric STTSV (verified
 against :func:`repro.core.sttsv_sequential.sttsv_packed`).
 
-All contractions are einsum calls (BLAS-backed where possible) — no
-Python-level loops over tensor entries.
+Each contraction is two BLAS matrix-vector products on reshaped or
+transposed views of the block — no Python-level loops over tensor
+entries, no copies of a C-contiguous block, and none of the per-call
+contraction-path search ``np.einsum(..., optimize=True)`` would pay.
 """
 
 from __future__ import annotations
@@ -45,17 +47,19 @@ from repro.errors import ConfigurationError
 
 def contract_mode23(block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``(A ×₂ u ×₃ v)_i = Σ_{j,k} A[i,j,k] u_j v_k``."""
-    return np.einsum("ijk,j,k->i", block, u, v, optimize=True)
+    return (block.transpose(0, 2, 1) @ u) @ v
 
 
 def contract_mode13(block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``(A ×₁ u ×₃ v)_j = Σ_{i,k} A[i,j,k] u_i v_k``."""
-    return np.einsum("ijk,i,k->j", block, u, v, optimize=True)
+    b0, b1, b2 = block.shape
+    return (u @ block.reshape(b0, b1 * b2)).reshape(b1, b2) @ v
 
 
 def contract_mode12(block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``(A ×₁ u ×₂ v)_k = Σ_{i,j} A[i,j,k] u_i v_j``."""
-    return np.einsum("ijk,i,j->k", block, u, v, optimize=True)
+    b0, b1, b2 = block.shape
+    return v @ (u @ block.reshape(b0, b1 * b2)).reshape(b1, b2)
 
 
 def apply_block(

@@ -755,31 +755,6 @@ class ExchangePlan:
         self._yp = [np.zeros(r * b) for _ in range(P)]
         self._ys = [np.zeros(r * shard) for _ in range(P)]
 
-        # Readiness tables for the overlap pipeline: after which
-        # schedule round is row block ``i`` complete at processor
-        # ``p``? A row block is complete once every other member of
-        # its ``Q_i`` has delivered its shard, so the answer is the
-        # max round index over the contributing ordered pairs
-        # ``(src, p)``. Pairs the round list somehow misses (never the
-        # case for the repo's schedules, which deliver exactly one
-        # message per ordered pair) conservatively pin readiness to
-        # the final round.
-        last_round = len(schedule.rounds) - 1
-        pair_round: Dict[Tuple[int, int], int] = {}
-        for index, round_map in enumerate(schedule.rounds):
-            for src, dst in round_map.items():
-                pair_round[(src, dst)] = index
-        self.x_ready_round: List[Dict[int, int]] = [{} for _ in range(P)]
-        for (src, dst), common in schedule.shared.items():
-            round_index = pair_round.get((src, dst), last_round)
-            table = self.x_ready_round[dst]
-            for i in common:
-                table[i] = max(table.get(i, -1), round_index)
-        for p in range(P):
-            for i in self.order[p]:
-                # Blocks with no external contributor are ready at once.
-                self.x_ready_round[p].setdefault(i, -1)
-
     # -- x phase ---------------------------------------------------------------
 
     def stage_x(self, p: int, shards: Dict[int, np.ndarray]) -> None:
@@ -797,31 +772,6 @@ class ExchangePlan:
             return None
         return np.take(self._xs[src], idx, out=self._sendbuf[(src, dst)])
 
-    def seed_x(self, p: int) -> None:
-        """Write processor ``p``'s own staged shards into its x-full
-        buffer (the received slots are filled by :meth:`scatter_x`)."""
-        self._xf[p][self.own_span[p]] = self._xs[p]
-
-    def scatter_x(self, p: int, src: int, payload: np.ndarray) -> None:
-        """Place one received x payload into ``p``'s full row blocks.
-
-        Distinct sources write disjoint shard slots, so the overlap
-        pipeline may apply deliveries as they arrive; applying them in
-        round order reproduces :meth:`unpack_x` write-for-write."""
-        idx = self.x_scatter.get((src, p))
-        if idx is None:
-            return  # pure zero-padding from a non-neighbor
-        self._xf[p][idx] = payload[: idx.size]
-
-    def x_block_views(self, p: int) -> Dict[int, np.ndarray]:
-        """Row-block views into ``p``'s x-full staging buffer (the
-        layout Algorithm 5's local kernels consume)."""
-        full = self._xf[p]
-        b = self.b
-        return {
-            i: full[t * b : (t + 1) * b] for t, i in enumerate(self.order[p])
-        }
-
     def unpack_x(
         self, p: int, received: Dict[int, np.ndarray]
     ) -> Dict[int, np.ndarray]:
@@ -830,10 +780,16 @@ class ExchangePlan:
         Returns views into the staging buffer keyed by row block. Every
         slot is overwritten, so no zeroing pass is needed between runs.
         """
-        self.seed_x(p)
+        full = self._xf[p]
+        full[self.own_span[p]] = self._xs[p]
         for src, payload in received.items():
-            self.scatter_x(p, src, payload)
-        return self.x_block_views(p)
+            idx = self.x_scatter.get((src, p))
+            if idx is not None:  # None: zero padding from a non-neighbor
+                full[idx] = payload[: idx.size]
+        b = self.b
+        return {
+            i: full[t * b : (t + 1) * b] for t, i in enumerate(self.order[p])
+        }
 
     # -- y phase ---------------------------------------------------------------
 
@@ -851,37 +807,19 @@ class ExchangePlan:
             return None
         return np.take(self._yp[src], idx, out=self._sendbuf[(src, dst)])
 
-    def seed_y(self, p: int) -> None:
-        """Start ``p``'s y-shard accumulator from its own partials."""
-        np.take(self._yp[p], self.own_span[p], out=self._ys[p])
-
-    def accumulate_y(self, p: int, src: int, payload: np.ndarray) -> None:
-        """Add one received partial-y payload into ``p``'s accumulator.
-
-        Float addition order matters bitwise: the overlap pipeline
-        calls this in schedule-round order, which is exactly the dict
-        insertion order :meth:`reduce_y` sees (each ordered pair
-        appears once per phase), so the sums are bit-identical."""
-        idx = self.y_scatter.get((src, p))
-        if idx is None:
-            return  # pure zero-padding from a non-neighbor
-        self._ys[p][idx] += payload[: idx.size]
-
-    def finish_y(self, p: int) -> Dict[int, np.ndarray]:
-        """Copy out ``p``'s accumulated shards (the algorithm's
-        contract: ``y`` ends distributed exactly like ``x`` started)."""
+    def reduce_y(
+        self, p: int, received: Dict[int, np.ndarray]
+    ) -> Dict[int, np.ndarray]:
+        """Sum own partial slices with received contributions, in
+        ``received``'s order (float addition order fixes the bits)."""
         ys = self._ys[p]
+        np.take(self._yp[p], self.own_span[p], out=ys)
+        for src, payload in received.items():
+            idx = self.y_scatter.get((src, p))
+            if idx is not None:  # None: zero padding from a non-neighbor
+                ys[idx] += payload[: idx.size]
         shard = self.shard
         return {
             i: ys[t * shard : (t + 1) * shard].copy()
             for t, i in enumerate(self.order[p])
         }
-
-    def reduce_y(
-        self, p: int, received: Dict[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """Sum own partial slices with received contributions."""
-        self.seed_y(p)
-        for src, payload in received.items():
-            self.accumulate_y(p, src, payload)
-        return self.finish_y(p)

@@ -43,12 +43,6 @@ class SparseParallelSTTSV(ParallelSTTSV):
     and the local kernel differ.
     """
 
-    # The overlap pipeline needs dense per-block storage to advance
-    # compute block-by-block; the sparse kernel is one pass over local
-    # entries, so this variant runs phased (exchanges still fuse at the
-    # collectives layer).
-    _pipeline_capable = False
-
     def load(
         self, machine: Machine, tensor: SparseSymmetricTensor, x: np.ndarray
     ) -> None:
@@ -87,12 +81,7 @@ class SparseParallelSTTSV(ParallelSTTSV):
             machine[p].store("x_shards", shards[p])
 
     def _compute_processor(self, machine: Machine, p: int) -> None:
-        """Sparse phase-2 work of one simulated processor.
-
-        Overriding the per-processor hook (rather than the phase
-        driver) means the base class's opt-in thread pool applies to
-        the sparse variant unchanged.
-        """
+        """Sparse phase-2 work of one simulated processor."""
         proc = machine[p]
         x_full: Dict[int, np.ndarray] = proc.load("x_full")
         indices, values = proc.load("sparse_entries")

@@ -3,7 +3,7 @@
 Runs Algorithm 5's per-block kernels (lines 24–36) sequentially over
 *all* lower-tetrahedral blocks — the single-processor specialization of
 the paper's blocked computation. Each off-diagonal block becomes three
-dense einsum contractions (BLAS-speed), so arithmetic intensity rises
+dense contractions (BLAS matrix-vector products), so arithmetic intensity rises
 from one multiply-add per packed element (scatter kernel) to dense
 tensor-contraction level — the same effect Agullo et al. (2023) exploit
 for distributed SYMM, here applied to the sequential kernel.
@@ -43,7 +43,7 @@ def sttsv_blocked(
     x: np.ndarray,
     block_size: int = None,
 ) -> np.ndarray:
-    """Blocked STTSV: ``y = A ×₂ x ×₃ x`` via dense per-block einsums.
+    """Blocked STTSV: ``y = A ×₂ x ×₃ x`` via dense per-block contractions.
 
     Parameters
     ----------

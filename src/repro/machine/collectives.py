@@ -420,9 +420,9 @@ def schedule_point_to_point(
     """Validate and materialize a permutation-round schedule.
 
     Shared front half of :func:`point_to_point_rounds`, exposed so
-    pipelined callers (the STTSV overlap pipeline) can build the full
-    labeled schedule once, then execute it in chunks through
-    :func:`execute_rounds_fused` while overlapping compute. Labels are
+    callers (Algorithm 5's exchange phases) can build the full labeled
+    schedule once, then execute it in several contiguous
+    :func:`execute_rounds_fused` batches. Labels are
     exactly the ones unfused execution would use (``{tag}:round{i}``),
     so the ledger fingerprint is identical either way.
     """

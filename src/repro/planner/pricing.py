@@ -16,22 +16,22 @@ Schedule reconstruction mirrors the execution paths byte for byte:
 * **point-to-point** — the §7.2.2 permutation schedule; the payload
   ``src → dst`` in either exchange phase is one shard per shared row
   block, ``|R_src ∩ R_dst| · shard`` words. With fusion on, execution
-  goes through the overlap pipeline, which packs each phase's rounds
-  into :data:`~repro.core.parallel_sttsv.PIPELINE_CHUNKS` contiguous
-  fused exchanges — reproduced here chunk for chunk, fusion headers
+  packs each phase's rounds into
+  :data:`~repro.core.parallel_sttsv.FUSED_BATCHES` contiguous fused
+  exchanges — reproduced here batch for batch, fusion headers
   included.
 * **all-to-all** — ``P − 1`` shift rounds per phase of one uniform
   2-shard slot to every other processor; with fusion on, each phase is
   one fused exchange. This is the paper's α-vs-β tradeoff in ledger
   form: ~2× the point-to-point bandwidth, but 2 fused exchanges per
-  STTSV instead of ``2 · PIPELINE_CHUNKS``.
+  STTSV instead of ``2 · FUSED_BATCHES``.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.core.parallel_sttsv import PIPELINE_CHUNKS, _chunk_bounds
+from repro.core.parallel_sttsv import fused_batch_bounds
 from repro.core.partition import TetrahedralPartition
 from repro.core.schedule import build_exchange_schedule
 from repro.errors import ConfigurationError
@@ -156,9 +156,9 @@ def predicted_ledger(
         if variant == "point-to-point":
             rounds = _p2p_rounds(partition, shard)
             labels = [f"{tag}:round{i}" for i in range(len(rounds))]
-            # The overlap pipeline executes each phase in
-            # PIPELINE_CHUNKS contiguous fused exchanges.
-            batches = _chunk_bounds(len(rounds), PIPELINE_CHUNKS) if fusion else []
+            # ParallelSTTSV executes each phase in FUSED_BATCHES
+            # contiguous fused exchanges.
+            batches = fused_batch_bounds(len(rounds)) if fusion else []
         else:
             rounds = _a2a_rounds(partition.P, shard)
             labels = [f"{tag}:shift{s}" for s in range(1, partition.P)]

@@ -88,7 +88,6 @@ class EngineSession:
         tensor: PackedSymmetricTensor,
         strategy: str = "auto",
         faults: Optional[FaultPolicy] = None,
-        local_threads: Optional[int] = None,
         fusion: bool = True,
         variant: str = "point-to-point",
     ):
@@ -125,12 +124,7 @@ class EngineSession:
             fusion=fusion,
         )
         if key.order == 3:
-            self.algo = ParallelSTTSV(
-                partition,
-                tensor.n,
-                backend=self.variant,
-                local_threads=local_threads,
-            )
+            self.algo = ParallelSTTSV(partition, tensor.n, backend=self.variant)
             self.algo.load_tensor(self.machine, tensor)
             self.plan: SequentialPlan = sequential_plan(
                 tensor, strategy=strategy

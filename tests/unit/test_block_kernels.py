@@ -30,6 +30,24 @@ class TestContractions:
             contract_mode12(block, u3, u4), np.einsum("ijk,i,j->k", block, u3, u4)
         )
 
+    @pytest.mark.parametrize("layout", ["strided-view", "fortran"])
+    def test_non_c_contiguous_blocks_against_einsum(self, rng, layout):
+        if layout == "strided-view":
+            block = rng.normal(size=(6, 8, 10))[::2, 1::2, ::2]
+        else:
+            block = np.asfortranarray(rng.normal(size=(3, 4, 5)))
+        assert block.shape == (3, 4, 5) and not block.flags.c_contiguous
+        u3, u4, u5 = rng.normal(size=3), rng.normal(size=4), rng.normal(size=5)
+        assert np.allclose(
+            contract_mode23(block, u4, u5), np.einsum("ijk,j,k->i", block, u4, u5)
+        )
+        assert np.allclose(
+            contract_mode13(block, u3, u5), np.einsum("ijk,i,k->j", block, u3, u5)
+        )
+        assert np.allclose(
+            contract_mode12(block, u3, u4), np.einsum("ijk,i,j->k", block, u3, u4)
+        )
+
 
 class TestApplyBlock:
     @pytest.mark.parametrize("m,b", [(4, 2), (4, 3), (5, 2), (3, 4)])

@@ -1,5 +1,8 @@
 """Algorithm 5 on the simulated machine: correctness + exact costs."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,34 @@ class TestCorrectness:
         first = algo.gather_result(machine)
         algo.run(machine)
         assert np.allclose(algo.gather_result(machine), first)
+
+    def test_run_starts_no_thread(self, partition_q2, rng, monkeypatch):
+        """All three phases run synchronously on the calling thread: no
+        executor is built and no thread is started."""
+        pools, started = [], []
+        init, start = ThreadPoolExecutor.__init__, threading.Thread.start
+
+        def spy_init(self, *args, **kwargs):
+            pools.append(self)
+            init(self, *args, **kwargs)
+
+        def spy_start(self):
+            started.append(self)
+            start(self)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", spy_init)
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        n = 30
+        tensor = random_symmetric(n, seed=8)
+        x = rng.normal(size=n)
+        machine = Machine(partition_q2.P)
+        algo = ParallelSTTSV(partition_q2, n)
+        algo.load(machine, tensor, x)
+        before = threading.active_count()
+        algo.run(machine)
+        assert threading.active_count() == before
+        assert pools == [] and started == []
+        assert np.allclose(algo.gather_result(machine), sttsv_packed(tensor, x))
 
 
 class TestCommunicationCosts:

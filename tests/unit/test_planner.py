@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.partition import TetrahedralPartition
+from repro.core.sparse_parallel import SparseParallelSTTSV
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.planner import (
@@ -24,6 +25,7 @@ from repro.planner.calibration import (
 )
 from repro.steiner import spherical_steiner_system
 from repro.tensor.dense import random_symmetric
+from repro.tensor.sparse import SparseSymmetricTensor
 
 
 def _partition(q: int) -> TetrahedralPartition:
@@ -104,19 +106,29 @@ class TestPredictedLedger:
     @pytest.mark.parametrize("variant", ["point-to-point", "all-to-all"])
     @pytest.mark.parametrize("fusion", [True, False])
     def test_matches_executed_ledger(self, variant, fusion):
+        """Dense and sparse Algorithm 5 share the exchange path, so one
+        prediction must match both executed ledgers field for field."""
         partition = _partition(2)
         n = 20
         predicted = predicted_ledger(
             partition, n, variant=variant, fusion=fusion
         )
-        tensor = random_symmetric(n, seed=0)
         x = np.random.default_rng(1).normal(size=n)
-        with Machine(partition.P, fusion=fusion) as machine:
-            algo = ParallelSTTSV(partition, n, backend=CommBackend(variant))
-            algo.load_tensor(machine, tensor)
-            algo.load_vector(machine, x)
-            algo.run(machine)
-            actual = machine.ledger
+        engines = [
+            (ParallelSTTSV, random_symmetric(n, seed=0)),
+            (
+                SparseParallelSTTSV,
+                SparseSymmetricTensor.from_hyperedges(
+                    n, [(0, 5, 11), (3, 7, 19), (2, 9, 14)]
+                ),
+            ),
+        ]
+        for engine, tensor in engines:
+            with Machine(partition.P, fusion=fusion) as machine:
+                algo = engine(partition, n, backend=CommBackend(variant))
+                algo.load(machine, tensor, x)
+                algo.run(machine)
+                actual = machine.ledger
             assert predicted.round_count() == actual.round_count()
             assert predicted.words_sent == actual.words_sent
             assert predicted.words_received == actual.words_received
@@ -233,8 +245,8 @@ class TestSymkPlanning:
 
 class TestPlanSelection:
     def test_alpha_inflated_prefers_all_to_all(self):
-        # High latency: All-to-All's 2 fused exchanges beat the
-        # pipeline's 2·PIPELINE_CHUNKS despite ~2× the bandwidth.
+        # High latency: All-to-All's 2 fused exchanges beat
+        # point-to-point's 2·FUSED_BATCHES despite ~2× the bandwidth.
         decision = plan_sttsv(
             30,
             qs=(3,),
