@@ -13,7 +13,7 @@ from repro.core.bounds import (
     processors_for_q,
     schedule_step_count,
 )
-from repro.machine.topology import CostModel
+from repro.machine.cost import CostModel
 
 N = 13_000  # a size where all three q values divide cleanly enough
 

@@ -47,17 +47,6 @@ def test_naive_dense_kernel(benchmark, workload):
     assert np.allclose(y, sttsv_packed(tensor, x))
 
 
-def test_blocked_kernel(benchmark, workload):
-    """Cache-blocked kernel: dense per-block contractions raise arithmetic
-    intensity over the scatter kernels (Agullo et al.'s observation
-    applied sequentially)."""
-    from repro.core.sttsv_blocked import sttsv_blocked
-
-    tensor, dense, x = workload
-    y = benchmark(lambda: sttsv_blocked(tensor, x))
-    assert np.allclose(y, sttsv_dense_reference(dense, x))
-
-
 def test_bincount_kernel(benchmark, workload):
     """The production scatter kernel (bincount beats np.add.at)."""
     from repro.core.sttsv_sequential import sttsv_packed_bincount

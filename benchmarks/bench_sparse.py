@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import optimal_bandwidth_cost
-from repro.core.sparse_parallel import SparseParallelSTTSV
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.machine.machine import Machine
 from repro.tensor.hypergraph import random_hypergraph
@@ -52,7 +52,7 @@ def test_sparse_parallel_cost(benchmark, workload, partition_q2):
 
     def run():
         machine = Machine(partition_q2.P)
-        algo = SparseParallelSTTSV(partition_q2, tensor.n)
+        algo = ParallelSTTSV(partition_q2, tensor.n)
         algo.load(machine, tensor, x)
         algo.run(machine)
         return machine, algo

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.core.parallel_sttsv_ndim import ParallelSTTSVm
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.partition_ndim import QuadruplePartition
 from repro.core.plans import BlockedPlan
 from repro.core.sttsm import sttsm, sttsm_dense_reference
@@ -72,7 +72,7 @@ def part2_parallel_order4() -> None:
     n = 4 * partition.replication  # a convenient multiple of m·c
     tensor = nd_random_symmetric(n, 4, seed=2)
     x = np.random.default_rng(3).normal(size=n)
-    algo = ParallelSTTSVm(partition, n)
+    algo = ParallelSTTSV(partition, n)
     with Machine(
         partition.P, transport=make_transport("simulated", partition.P)
     ) as machine:

@@ -161,7 +161,6 @@ def _command_analyze(args) -> int:
 def _run_analyze_ndim(args, trace_id: str) -> int:
     """Order-4 analysis: run the blocked STTSV over an SQS partition
     and compare measured communication with the generalized bound."""
-    from repro.core.parallel_sttsv_ndim import ParallelSTTSVm
     from repro.core.partition_ndim import QuadruplePartition
     from repro.core.sttsv_ndim import sttsv_ndim
     from repro.tensor.ndpacked import nd_random_symmetric
@@ -175,7 +174,7 @@ def _run_analyze_ndim(args, trace_id: str) -> int:
     n = args.n if args.n else partition.m * partition.replication
     tensor = nd_random_symmetric(n, 4, seed=args.seed)
     x = np.random.default_rng(args.seed + 1).normal(size=n)
-    algo = ParallelSTTSVm(partition, n)
+    algo = ParallelSTTSV(partition, n)
     print(
         f"order-4 blocked STTSV on P = {partition.P} processors, n = {n}"
         f" (padded to {algo.n_padded}, transport {args.backend})"

@@ -29,7 +29,6 @@ from repro.core.partition_ndim import (
     greedy_partial_permutation_rounds,
 )
 from repro.core.parallel_sttsv import ParallelSTTSV, CommBackend
-from repro.core.parallel_sttsv_ndim import ParallelSTTSVm
 from repro.core.sttsm import (
     sttsm,
     sttsm_dense_reference,
@@ -51,9 +50,7 @@ from repro.core.bounds import (
     schedule_step_count,
 )
 from repro.core.schedule import ExchangeSchedule, build_exchange_schedule
-from repro.core.sttsv_blocked import sttsv_blocked
 from repro.core.verification import RunVerdict, verify_sttsv_run
-from repro.core.sparse_parallel import SparseParallelSTTSV
 from repro.core.serialization import save_partition, load_partition
 from repro.core.baselines import (
     sequence_baseline_sttsv,
@@ -66,7 +63,6 @@ __all__ = [
     "BlockedPlan",
     "QuadruplePartition",
     "greedy_partial_permutation_rounds",
-    "ParallelSTTSVm",
     "sttsm",
     "sttsm_dense_reference",
     "sttsm_ndpacked",
@@ -85,10 +81,8 @@ __all__ = [
     "cache_info",
     "configure_cache",
     "sttsv_packed_bincount",
-    "sttsv_blocked",
     "RunVerdict",
     "verify_sttsv_run",
-    "SparseParallelSTTSV",
     "save_partition",
     "load_partition",
     "sttsv_naive",

@@ -63,6 +63,9 @@ class TetrahedralPartition:
         ``D[p]`` — tuple with zero or one central diagonal index.
     Q:
         ``Q[i]`` — sorted tuple of processors requiring row block ``i``.
+    need, consumers:
+        ``R`` and ``Q`` again, under the names Algorithm 5's exchange
+        pairs are built from (:class:`~repro.core.plans.ExchangePlan`).
 
     Examples
     --------
@@ -71,6 +74,8 @@ class TetrahedralPartition:
     >>> (part.P, part.m, part.non_central_per_processor)
     (30, 10, 3)
     """
+
+    order = 3
 
     def __init__(self, steiner: SteinerSystem):
         self.steiner = steiner
@@ -186,6 +191,34 @@ class TetrahedralPartition:
                     )
                 owner[block] = p
         return owner
+
+    @property
+    def need(self) -> Tuple[Tuple[int, ...], ...]:
+        """Row blocks each processor computes on: ``R`` (every owned
+        block lies inside its owner's ``R_p``)."""
+        return self.R
+
+    @property
+    def consumers(self) -> Tuple[Tuple[int, ...], ...]:
+        """Processors consuming each row block: its holders ``Q``."""
+        return self.Q
+
+    def exchange_schedule(self, pairs):
+        """The §7.2.2 :class:`~repro.core.schedule.ExchangeSchedule`
+        (Lemma 7.1 permutation rounds of the regular exchange digraph).
+
+        Both phases of Algorithm 5 run it: the exchange graph is
+        symmetric, so either phase's pair map must have exactly the
+        schedule's ``shared`` pairs.
+        """
+        from repro.core.schedule import build_exchange_schedule
+
+        schedule = build_exchange_schedule(self)
+        if set(pairs) != set(schedule.shared):
+            raise PartitionError(
+                "exchange pairs differ from the §7.2.2 schedule's"
+            )
+        return schedule
 
     # -- validation -----------------------------------------------------------------
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro.core.schedule import ExchangeSchedule
 from repro.errors import PartitionError
 from repro.steiner.system import SteinerSystem
 from repro.tensor.ndpacked import nd_index_arrays
@@ -143,6 +144,16 @@ class QuadruplePartition:
             raise PartitionError(
                 f"processor {p} holds no shard of row block {i}"
             ) from None
+
+    def exchange_schedule(
+        self, pairs: Dict[Tuple[int, int], List[int]]
+    ) -> ExchangeSchedule:
+        """Greedy partial-permutation rounds for one phase's pair map
+        (the graph is irregular, so the two phases schedule apart)."""
+        return ExchangeSchedule(
+            shared={pair: frozenset(blocks) for pair, blocks in pairs.items()},
+            rounds=greedy_partial_permutation_rounds(sorted(pairs)),
+        )
 
     # -- structure queries -------------------------------------------------------
 

@@ -15,11 +15,12 @@ work once and reuses it:
   ``apply(x)`` and the batched ``apply_batch(X)`` for ``X ∈ R^{n×s}``
   — one GEMM-shaped reduction instead of ``s`` independent passes.
 * :class:`ExchangePlan` — compiled once per
-  :class:`~repro.core.parallel_sttsv.ParallelSTTSV`. Replaces the
-  per-call dict lookups, ``sorted(common)`` passes, slicing, and
-  ``np.concatenate`` payload assembly of Algorithm 5's two exchange
-  phases with precomputed flat gather/scatter index arrays and
-  reusable preallocated send buffers. Communication accounting is
+  :class:`~repro.core.parallel_sttsv.ParallelSTTSV` from the
+  partition's holder/consumer pair maps. Replaces the per-call dict
+  lookups, ``sorted(common)`` passes, slicing, and ``np.concatenate``
+  payload assembly of Algorithm 5's two exchange phases with
+  precomputed flat gather/scatter index arrays and reusable
+  preallocated send buffers. Communication accounting is
   unchanged: payload sizes, message counts, and round structure are
   identical to the direct implementation (asserted by tests).
 
@@ -674,22 +675,24 @@ class BlockedPlan:
 class ExchangePlan:
     """Compiled gather/scatter structure for Algorithm 5's exchanges.
 
-    For each ordered neighbor pair of the point-to-point schedule the
-    plan precomputes flat index arrays into per-processor staging
-    buffers, so each per-call payload is one ``np.take`` into a
-    reusable send buffer and each unpack is one fancy-indexed
-    assignment — no ``sorted``, no dict-of-slices walk, no
-    ``np.concatenate``.
+    The pair maps come from the partition alone: :attr:`x_pairs` sends
+    each holder's (``Q_i``) shard of row block ``i`` to every other
+    consumer of ``i``; :attr:`y_pairs` is the reverse, each consumer
+    returning the slice of its partial ``ŷ[i]`` covering the holder's
+    shard. Both map an ordered pair to the sorted row blocks its
+    message carries (at order 3 both equal the §7.2.2 ``shared`` sets).
+    For each pair the plan precomputes flat index arrays into
+    per-processor staging buffers, so each per-call payload is one
+    ``np.take`` into a reusable send buffer and each unpack is one
+    fancy-indexed assignment — no ``sorted``, no dict-of-slices walk,
+    no ``np.concatenate``.
 
-    Buffer layout (per processor ``p``, with ``order = sorted(R_p)``):
-
-    * ``x-shards`` staging: ``order``-concatenated own shards,
-      ``r · shard`` doubles;
-    * ``x-full`` staging: ``order``-concatenated full row blocks,
-      ``r · b`` doubles (every slot is overwritten each run: the own
-      shard plus one shard from every other member of each ``Q_i``);
-    * ``y-partial`` staging mirrors ``x-full``; ``y-shards`` staging
-      mirrors ``x-shards``.
+    Buffer layout (per processor ``p``): ``x-shards`` and ``y-shards``
+    staging concatenate shards over ``held[p] = sorted(R_p)``;
+    ``x-full`` and ``y-partial`` staging concatenate full row blocks
+    over ``order[p] = sorted(need_p)`` (every x-full slot is
+    overwritten each run: the own shard plus one shard from every
+    other holder of each row block).
 
     The plan is purely an execution detail: payload contents, sizes,
     message counts, and round structure are identical to the direct
@@ -697,7 +700,7 @@ class ExchangePlan:
     unchanged (tested).
     """
 
-    def __init__(self, partition, schedule, b: int):
+    def __init__(self, partition, b: int):
         from repro.core import distribution as dist
 
         self.partition = partition
@@ -705,55 +708,71 @@ class ExchangePlan:
         self.shard = partition.shard_size(b)
         P = partition.P
         shard = self.shard
-        self.order: List[List[int]] = [sorted(partition.R[p]) for p in range(P)]
-        position: List[Dict[int, int]] = [
-            {i: t for t, i in enumerate(self.order[p])} for p in range(P)
+        self.held: List[List[int]] = [sorted(partition.R[p]) for p in range(P)]
+        self.order: List[List[int]] = [
+            sorted(partition.need[p]) for p in range(P)
         ]
+        held_at = [{i: t for t, i in enumerate(rows)} for rows in self.held]
+        full_at = [{i: t for t, i in enumerate(rows)} for rows in self.order]
 
-        # Own-shard span: positions of p's own shard of each row block
-        # inside the block-concatenated (r·b) staging buffer, in
-        # ``order``. Used both to seed x-full from x-shards and to
-        # extract y-shards from y-partial.
+        pairs: Dict[Tuple[int, int], List[int]] = {}
+        for i in range(partition.m):
+            for src in partition.Q[i]:
+                for dst in partition.consumers[i]:
+                    if dst != src:
+                        pairs.setdefault((src, dst), []).append(i)
+        self.x_pairs: Dict[Tuple[int, int], List[int]] = pairs
+        self.y_pairs: Dict[Tuple[int, int], List[int]] = {
+            (dst, src): blocks for (src, dst), blocks in pairs.items()
+        }
+
+        # Positions of p's own shards inside its full staging buffer,
+        # in ``held`` order: seeds x-full, extracts y-shards.
         self.own_span: List[np.ndarray] = []
         for p in range(P):
             spans = []
-            for t, i in enumerate(self.order[p]):
+            for i in self.held[p]:
                 lo, hi = dist.shard_bounds(partition, i, p, b)
+                t = full_at[p][i]
                 spans.append(np.arange(t * b + lo, t * b + hi))
             self.own_span.append(np.concatenate(spans))
 
-        # Per-pair index arrays (ordered pairs of the exchange graph).
+        # Per-pair index arrays. x phase: the holder ships its own
+        # shard of block i; the consumer places it at the holder's
+        # slot inside its full block i. The y phase reverses both: the
+        # consumer ships that slot of its partial block i, and the
+        # holder accumulates it into its shard.
         self.x_gather: Dict[Tuple[int, int], np.ndarray] = {}
         self.x_scatter: Dict[Tuple[int, int], np.ndarray] = {}
         self.y_gather: Dict[Tuple[int, int], np.ndarray] = {}
         self.y_scatter: Dict[Tuple[int, int], np.ndarray] = {}
-        self._sendbuf: Dict[Tuple[int, int], np.ndarray] = {}
-        for (src, dst), common in schedule.shared.items():
-            xg, xs, yg, ys = [], [], [], []
-            for i in sorted(common):
-                t_src = position[src][i]
-                t_dst = position[dst][i]
-                # x phase: src ships its own shard of block i; dst
-                # places it at src's slot inside its full block i.
-                src_lo, src_hi = dist.shard_bounds(partition, i, src, b)
-                xg.append(np.arange(t_src * shard, (t_src + 1) * shard))
-                xs.append(np.arange(t_dst * b + src_lo, t_dst * b + src_hi))
-                # y phase: src ships the slice of its partial block i
-                # covering dst's shard; dst accumulates into its shard.
-                dst_lo, dst_hi = dist.shard_bounds(partition, i, dst, b)
-                yg.append(np.arange(t_src * b + dst_lo, t_src * b + dst_hi))
-                ys.append(np.arange(t_dst * shard, (t_dst + 1) * shard))
-            self.x_gather[(src, dst)] = np.concatenate(xg)
-            self.x_scatter[(src, dst)] = np.concatenate(xs)
-            self.y_gather[(src, dst)] = np.concatenate(yg)
-            self.y_scatter[(src, dst)] = np.concatenate(ys)
-            self._sendbuf[(src, dst)] = np.empty(len(common) * shard)
+        for (holder, consumer), blocks in pairs.items():
+            shard_slots, full_slots = [], []
+            for i in blocks:
+                lo, hi = dist.shard_bounds(partition, i, holder, b)
+                t_held = held_at[holder][i]
+                t_full = full_at[consumer][i]
+                shard_slots.append(
+                    np.arange(t_held * shard, (t_held + 1) * shard)
+                )
+                full_slots.append(np.arange(t_full * b + lo, t_full * b + hi))
+            gather = np.concatenate(shard_slots)
+            scatter = np.concatenate(full_slots)
+            self.x_gather[(holder, consumer)] = gather
+            self.x_scatter[(holder, consumer)] = scatter
+            self.y_gather[(consumer, holder)] = scatter
+            self.y_scatter[(consumer, holder)] = gather
+        self._x_sendbuf = {
+            pair: np.empty(idx.size) for pair, idx in self.x_gather.items()
+        }
+        self._y_sendbuf = {
+            pair: np.empty(idx.size) for pair, idx in self.y_gather.items()
+        }
 
-        r = partition.r
-        self._xs = [np.zeros(r * shard) for _ in range(P)]
-        self._xf = [np.zeros(r * b) for _ in range(P)]
-        self._yp = [np.zeros(r * b) for _ in range(P)]
-        self._ys = [np.zeros(r * shard) for _ in range(P)]
+        self._xs = [np.zeros(len(rows) * shard) for rows in self.held]
+        self._xf = [np.zeros(len(rows) * b) for rows in self.order]
+        self._yp = [np.zeros(len(rows) * b) for rows in self.order]
+        self._ys = [np.zeros(len(rows) * shard) for rows in self.held]
 
     # -- x phase ---------------------------------------------------------------
 
@@ -762,7 +781,7 @@ class ExchangePlan:
         buffer (one small copy per owned row block)."""
         buf = self._xs[p]
         shard = self.shard
-        for t, i in enumerate(self.order[p]):
+        for t, i in enumerate(self.held[p]):
             buf[t * shard : (t + 1) * shard] = shards[i]
 
     def x_payload(self, src: int, dst: int) -> Optional[np.ndarray]:
@@ -770,7 +789,7 @@ class ExchangePlan:
         idx = self.x_gather.get((src, dst))
         if idx is None:
             return None
-        return np.take(self._xs[src], idx, out=self._sendbuf[(src, dst)])
+        return np.take(self._xs[src], idx, out=self._x_sendbuf[(src, dst)])
 
     def unpack_x(
         self, p: int, received: Dict[int, np.ndarray]
@@ -805,7 +824,7 @@ class ExchangePlan:
         idx = self.y_gather.get((src, dst))
         if idx is None:
             return None
-        return np.take(self._yp[src], idx, out=self._sendbuf[(src, dst)])
+        return np.take(self._yp[src], idx, out=self._y_sendbuf[(src, dst)])
 
     def reduce_y(
         self, p: int, received: Dict[int, np.ndarray]
@@ -821,5 +840,5 @@ class ExchangePlan:
         shard = self.shard
         return {
             i: ys[t * shard : (t + 1) * shard].copy()
-            for t, i in enumerate(self.order[p])
+            for t, i in enumerate(self.held[p])
         }

@@ -26,7 +26,7 @@ d-regular exchange digraph into ``d`` permutations (Lemma 7.1 /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.partition import TetrahedralPartition
 from repro.errors import PartitionError
@@ -67,18 +67,20 @@ class ExchangeSchedule:
     ----------
     shared:
         ``shared[(p, p')]`` — the row blocks the ordered pair exchanges
-        (symmetric: same set for both orders).
+        (symmetric at order 3: same set for both orders).
     rounds:
-        Permutation rounds (sender -> receiver); executing all rounds
-        delivers exactly one message per ordered neighbor pair.
+        Permutation rounds (sender -> receiver; partial permutations at
+        order 4); executing all rounds delivers exactly one message per
+        ordered neighbor pair.
     degrees:
         The analytic :class:`ExchangeDegrees` (verified against the
-        realized graph at construction).
+        realized graph at construction); ``None`` for the irregular
+        order-4 graphs, which have no closed form.
     """
 
     shared: Dict[Tuple[int, int], FrozenSet[int]]
     rounds: List[Dict[int, int]]
-    degrees: ExchangeDegrees
+    degrees: Optional[ExchangeDegrees] = None
 
     @property
     def step_count(self) -> int:

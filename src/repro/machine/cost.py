@@ -10,8 +10,7 @@ are identical under the simulated and shared-memory backends (asserted
 by the cross-backend equivalence tests).
 
 The same class carries the α-β-γ machine parameters (§3.1) and the
-derived time estimates the benchmarks report; it subsumes the old
-``repro.machine.topology.CostModel``, which now re-exports this class.
+derived time estimates the benchmarks report.
 """
 
 from __future__ import annotations

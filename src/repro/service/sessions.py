@@ -123,25 +123,20 @@ class EngineSession:
             transport=make_transport(key.backend, partition.P, faults=faults),
             fusion=fusion,
         )
+        if key.order == 4 and strategy not in ("auto", "blocked-gemm"):
+            raise ConfigurationError(
+                f"order-4 sessions support only the 'blocked-gemm'"
+                f" plan strategy, got {strategy!r}"
+            )
+        self.algo = ParallelSTTSV(partition, tensor.n, backend=self.variant)
+        self.algo.load_tensor(self.machine, tensor)
         if key.order == 3:
-            self.algo = ParallelSTTSV(partition, tensor.n, backend=self.variant)
-            self.algo.load_tensor(self.machine, tensor)
             self.plan: SequentialPlan = sequential_plan(
                 tensor, strategy=strategy
             )
         else:
-            from repro.core.parallel_sttsv_ndim import ParallelSTTSVm
             from repro.core.plans import BlockedPlan
 
-            if strategy not in ("auto", "blocked-gemm"):
-                raise ConfigurationError(
-                    f"order-4 sessions support only the 'blocked-gemm'"
-                    f" plan strategy, got {strategy!r}"
-                )
-            self.algo = ParallelSTTSVm(
-                partition, tensor.n, backend=self.variant
-            )
-            self.algo.load_tensor(self.machine, tensor)
             self.plan = BlockedPlan(tensor)
         self.metrics = SessionMetrics()
         self.update_epoch = 0

@@ -150,14 +150,22 @@ def sttsv_sparse(tensor: SparseSymmetricTensor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ConfigurationError(f"vector must have shape ({n},)")
-    if tensor.nnz == 0:
+    return sparse_scatter(tensor.indices, tensor.values, x)
+
+
+def sparse_scatter(
+    indices: np.ndarray, values: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """The weighted three-scatter over canonical COO entries; ``y`` has
+    ``x``'s length (Algorithm 5's per-processor sparse kernel too)."""
+    n = x.size
+    if values.size == 0:
         return np.zeros(n)
-    I = tensor.indices[:, 0]
-    J = tensor.indices[:, 1]
-    K = tensor.indices[:, 2]
+    I = indices[:, 0]
+    J = indices[:, 1]
+    K = indices[:, 2]
     w_i, w_j, w_k = contribution_weights(I, J, K)
-    a = tensor.values
-    y = np.bincount(I, weights=w_i * a * x[J] * x[K], minlength=n)
-    y += np.bincount(J, weights=w_j * a * x[I] * x[K], minlength=n)
-    y += np.bincount(K, weights=w_k * a * x[I] * x[J], minlength=n)
+    y = np.bincount(I, weights=w_i * values * x[J] * x[K], minlength=n)
+    y += np.bincount(J, weights=w_j * values * x[I] * x[K], minlength=n)
+    y += np.bincount(K, weights=w_k * values * x[I] * x[J], minlength=n)
     return y

@@ -145,7 +145,7 @@ def test_order4_accounting_matches_ledger(k, n_factor, seed):
     (``words_per_processor``) must equal the machine ledger's measured
     counts for random SQS sizes — the generalized analogue of the
     order-3 closed-form pin."""
-    from repro.core.parallel_sttsv_ndim import ParallelSTTSVm
+    from repro.core.parallel_sttsv import ParallelSTTSV
     from repro.core.partition_ndim import QuadruplePartition
     from repro.steiner import boolean_steiner_system
     from repro.tensor.ndpacked import nd_random_symmetric
@@ -159,7 +159,7 @@ def test_order4_accounting_matches_ledger(k, n_factor, seed):
     machine = Machine(
         partition.P, transport=make_transport("simulated", partition.P)
     )
-    algo = ParallelSTTSVm(partition, n)
+    algo = ParallelSTTSV(partition, n)
     algo.load(machine, tensor, x)
     algo.run(machine)
     expected = algo.words_per_processor()

@@ -8,7 +8,7 @@ from repro.machine.ledger import CommunicationLedger, RoundRecord
 from repro.machine.machine import Machine
 from repro.machine.message import Message, word_count
 from repro.machine.processor import Processor
-from repro.machine.topology import CostModel
+from repro.machine.cost import CostModel
 
 
 class TestMessage:

@@ -6,8 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from repro.core.parallel_sttsv import CommBackend
-from repro.core.parallel_sttsv_ndim import ParallelSTTSVm
+from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.partition_ndim import (
     QuadruplePartition,
     greedy_partial_permutation_rounds,
@@ -20,11 +19,13 @@ from repro.core.sttsv_ndim import (
 from repro.errors import ConfigurationError, MachineError, PartitionError
 from repro.machine.machine import Machine
 from repro.machine.transport import make_transport
+from repro.tensor.dense import random_symmetric
 from repro.tensor.ndpacked import (
     NdPackedSymmetricTensor,
     nd_packed_size,
     nd_random_symmetric,
 )
+from repro.tensor.sparse import SparseSymmetricTensor
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +116,7 @@ class TestParallelSTTSVm:
         n = 26
         tensor = nd_random_symmetric(n, 4, seed=17)
         x = rng.standard_normal(n)
-        algo = ParallelSTTSVm(quad_partition, n)
+        algo = ParallelSTTSV(quad_partition, n)
         with Machine(
             quad_partition.P,
             transport=make_transport("simulated", quad_partition.P),
@@ -133,7 +134,7 @@ class TestParallelSTTSVm:
         data = rng.integers(-3, 4, size=nd_packed_size(n, 4)).astype(float)
         tensor = NdPackedSymmetricTensor(n, 4, data)
         x = rng.integers(-2, 3, size=n).astype(float)
-        algo = ParallelSTTSVm(quad_partition, n)
+        algo = ParallelSTTSV(quad_partition, n)
         with Machine(
             quad_partition.P,
             transport=make_transport("simulated", quad_partition.P),
@@ -148,7 +149,7 @@ class TestParallelSTTSVm:
         n = 26
         tensor = nd_random_symmetric(n, 4, seed=18)
         x = np.random.default_rng(19).standard_normal(n)
-        algo = ParallelSTTSVm(quad_partition, n)
+        algo = ParallelSTTSV(quad_partition, n)
         with Machine(
             quad_partition.P,
             transport=make_transport("simulated", quad_partition.P),
@@ -162,20 +163,25 @@ class TestParallelSTTSVm:
 
     def test_only_point_to_point(self, quad_partition):
         with pytest.raises(ConfigurationError):
-            ParallelSTTSVm(quad_partition, 26, backend=CommBackend.ALL_TO_ALL)
+            ParallelSTTSV(quad_partition, 26, backend=CommBackend.ALL_TO_ALL)
 
-    def test_rejects_wrong_order_tensor(self, quad_partition):
-        algo = ParallelSTTSVm(quad_partition, 8)
-        tensor3 = nd_random_symmetric(8, 3, seed=20)
-        with Machine(
-            quad_partition.P,
-            transport=make_transport("simulated", quad_partition.P),
-        ) as machine:
-            with pytest.raises(ConfigurationError):
-                algo.load_tensor(machine, tensor3)
+    def test_rejects_wrong_order_tensor(self, quad_partition, partition_q2):
+        cases = [
+            (quad_partition, nd_random_symmetric(8, 3, seed=20)),
+            (quad_partition, random_symmetric(8, seed=20)),
+            (partition_q2, nd_random_symmetric(8, 4, seed=20)),
+        ]
+        for partition, tensor in cases:
+            algo = ParallelSTTSV(partition, 8)
+            with Machine(
+                partition.P,
+                transport=make_transport("simulated", partition.P),
+            ) as machine:
+                with pytest.raises(ConfigurationError):
+                    algo.load_tensor(machine, tensor)
 
     def test_rejects_wrong_machine_size(self, quad_partition):
-        algo = ParallelSTTSVm(quad_partition, 8)
+        algo = ParallelSTTSV(quad_partition, 8)
         tensor = nd_random_symmetric(8, 4, seed=21)
         with Machine(
             3, transport=make_transport("simulated", 3)
@@ -183,14 +189,21 @@ class TestParallelSTTSVm:
             with pytest.raises(MachineError):
                 algo.load_tensor(machine, tensor)
 
-    def test_rejects_wrong_vector_shape(self, quad_partition):
-        algo = ParallelSTTSVm(quad_partition, 8)
+    def test_rejects_wrong_vector_shape(self, quad_partition, partition_q2):
+        algo = ParallelSTTSV(quad_partition, 8)
         with Machine(
             quad_partition.P,
             transport=make_transport("simulated", quad_partition.P),
         ) as machine:
             with pytest.raises(ConfigurationError):
                 algo.load_vector(machine, np.ones(9))
+        sparse = SparseSymmetricTensor.from_hyperedges(
+            25, [(0, 5, 11), (3, 7, 19)]
+        )
+        algo = ParallelSTTSV(partition_q2, 25)
+        with Machine(partition_q2.P) as machine:
+            with pytest.raises(ConfigurationError):
+                algo.load(machine, sparse, np.ones(24))
 
     def test_shared_memory_transport_agrees(self, quad_partition, rng):
         n = 16
@@ -198,7 +211,7 @@ class TestParallelSTTSVm:
         x = rng.standard_normal(n)
         results = {}
         for name in ("simulated", "shm"):
-            algo = ParallelSTTSVm(quad_partition, n)
+            algo = ParallelSTTSV(quad_partition, n)
             with Machine(
                 quad_partition.P,
                 transport=make_transport(name, quad_partition.P),

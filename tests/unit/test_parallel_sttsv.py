@@ -172,6 +172,14 @@ class TestCommunicationCosts:
                 algo.expected_words_per_processor()
             )
 
+    @pytest.mark.parametrize("q, n", [(2, 30), (3, 120)])
+    def test_pair_map_words_match_closed_form(self, q, n, request):
+        partition = request.getfixturevalue(f"partition_q{q}")
+        algo = ParallelSTTSV(partition, n)
+        assert algo.words_per_processor() == (
+            [algo.expected_words_per_processor()] * partition.P
+        )
+
     def test_point_to_point_round_count(self, partition_q2):
         """Two exchange phases of q³/2+3q²/2−1 steps each."""
         n = 30

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.partition import TetrahedralPartition
-from repro.core.sparse_parallel import SparseParallelSTTSV
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.planner import (
@@ -117,7 +116,7 @@ class TestPredictedLedger:
         engines = [
             (ParallelSTTSV, random_symmetric(n, seed=0)),
             (
-                SparseParallelSTTSV,
+                ParallelSTTSV,
                 SparseSymmetricTensor.from_hyperedges(
                     n, [(0, 5, 11), (3, 7, 19), (2, 9, 14)]
                 ),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.parallel_sttsv import ParallelSTTSV
-from repro.core.sparse_parallel import SparseParallelSTTSV
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.machine.machine import Machine
 from repro.tensor.hypergraph import random_hypergraph
@@ -24,7 +23,7 @@ class TestCorrectness:
     def test_matches_sparse_sequential(self, partition_q2, hypergraph_problem):
         tensor, x = hypergraph_problem
         machine = Machine(partition_q2.P)
-        algo = SparseParallelSTTSV(partition_q2, tensor.n)
+        algo = ParallelSTTSV(partition_q2, tensor.n)
         algo.load(machine, tensor, x)
         algo.run(machine)
         assert np.allclose(algo.gather_result(machine), sttsv_sparse(tensor, x))
@@ -32,7 +31,7 @@ class TestCorrectness:
     def test_matches_dense_parallel(self, partition_q2, hypergraph_problem):
         tensor, x = hypergraph_problem
         machine_sparse = Machine(partition_q2.P)
-        sparse_algo = SparseParallelSTTSV(partition_q2, tensor.n)
+        sparse_algo = ParallelSTTSV(partition_q2, tensor.n)
         sparse_algo.load(machine_sparse, tensor, x)
         sparse_algo.run(machine_sparse)
 
@@ -59,7 +58,7 @@ class TestCorrectness:
         tensor = SparseSymmetricTensor.from_hyperedges(n, edges)
         x = rng.normal(size=n)
         machine = Machine(partition_sqs8.P)
-        algo = SparseParallelSTTSV(partition_sqs8, n)
+        algo = ParallelSTTSV(partition_sqs8, n)
         algo.load(machine, tensor, x)
         algo.run(machine)
         assert np.allclose(algo.gather_result(machine), sttsv_sparse(tensor, x))
@@ -76,7 +75,7 @@ class TestCorrectness:
         tensor = SparseSymmetricTensor.from_entries(n, entries)
         x = rng.normal(size=n)
         machine = Machine(partition_q2.P)
-        algo = SparseParallelSTTSV(partition_q2, n)
+        algo = ParallelSTTSV(partition_q2, n)
         algo.load(machine, tensor, x)
         algo.run(machine)
         assert np.allclose(
@@ -89,7 +88,7 @@ class TestAccounting:
     def test_load_balance_report(self, partition_q2, hypergraph_problem):
         tensor, x = hypergraph_problem
         machine = Machine(partition_q2.P)
-        algo = SparseParallelSTTSV(partition_q2, tensor.n)
+        algo = ParallelSTTSV(partition_q2, tensor.n)
         algo.load(machine, tensor, x)
         balance = algo.load_balance(machine)
         assert balance["total_nnz"] == tensor.nnz
@@ -100,7 +99,7 @@ class TestAccounting:
         the dense n³/(6P) blocks."""
         tensor, x = hypergraph_problem
         machine = Machine(partition_q2.P)
-        algo = SparseParallelSTTSV(partition_q2, tensor.n)
+        algo = ParallelSTTSV(partition_q2, tensor.n)
         algo.load(machine, tensor, x)
         dense_words = tensor.n**3 / (6 * partition_q2.P)
         for p in range(partition_q2.P):

@@ -118,38 +118,3 @@ class TestValidation:
             sttsv_symmetric(tensor, np.ones(3))
         with pytest.raises(ConfigurationError):
             sttsv_naive(np.zeros((4, 4, 4)), np.ones(2))
-
-
-class TestBlockedKernel:
-    def test_matches_scatter_kernels(self, rng):
-        from repro.core.sttsv_blocked import sttsv_blocked
-
-        for n in (1, 7, 17, 48, 65):
-            tensor = random_symmetric(n, seed=n)
-            x = rng.normal(size=n)
-            assert np.allclose(
-                sttsv_blocked(tensor, x), sttsv_packed(tensor, x)
-            ), n
-
-    def test_explicit_block_sizes(self, rng):
-        from repro.core.sttsv_blocked import sttsv_blocked
-
-        tensor = random_symmetric(30, seed=1)
-        x = rng.normal(size=30)
-        reference = sttsv_packed(tensor, x)
-        for b in (1, 3, 7, 10, 30, 64):
-            assert np.allclose(sttsv_blocked(tensor, x, b), reference), b
-
-    def test_choose_block_size(self):
-        from repro.core.sttsv_blocked import choose_block_size
-
-        assert choose_block_size(30) == 30     # n <= target: one block
-        assert choose_block_size(96) == 48     # exact divisor at target
-        assert choose_block_size(100) == 25    # largest divisor in range
-        assert choose_block_size(97) == 48     # prime: fall back, pad
-
-    def test_invalid_block_size(self):
-        from repro.core.sttsv_blocked import sttsv_blocked
-
-        with pytest.raises(ConfigurationError):
-            sttsv_blocked(random_symmetric(8, seed=0), np.ones(8), 0)
