@@ -186,23 +186,10 @@ class ServiceClient:
         object with ``.n`` and packed ``.data`` works) and ``q`` is the
         SQS parameter ``k`` of ``S(2^k, 4, 3)``.
         """
-        header, body = encode_array(tensor.data)
-        header.update(
-            {
-                "tensor_id": tensor_id,
-                "n": tensor.n,
-                "q": q,
-                "backend": backend,
-                "strategy": strategy,
-                "variant": variant,
-                "order": order,
-            }
+        return self._register(
+            tensor.data, tensor_id=tensor_id, n=tensor.n, q=q,
+            backend=backend, strategy=strategy, variant=variant, order=order,
         )
-        reply_type, reply_header, _ = self._roundtrip(
-            MessageType.REGISTER, header, body
-        )
-        self._expect(reply_type, MessageType.OK)
-        return reply_header
 
     def register_symk(
         self,
@@ -231,27 +218,24 @@ class ServiceClient:
                 np.ascontiguousarray(tensor.V, dtype=np.float64).ravel(),
             ]
         )
-        header, body = encode_array(payload)
-        header.update(
-            {
-                "tensor_id": tensor_id,
-                "kind": "symk",
-                "n": tensor.n,
-                "rank": tensor.r,
-                "order": tensor.m,
-                "q": q,
-                "backend": backend,
-                "strategy": strategy,
-                "variant": variant,
-            }
+        reply_header = self._register(
+            payload, tensor_id=tensor_id, kind="symk", n=tensor.n,
+            rank=tensor.r, order=tensor.m, q=q, backend=backend,
+            strategy=strategy, variant=variant,
+            **({} if P is None else {"P": P}),
         )
-        if P is not None:
-            header["P"] = P
+        self.last_update_epoch = reply_header.get("update_epoch")
+        return reply_header
+
+    def _register(self, payload: np.ndarray, **fields) -> Dict:
+        """Send one REGISTER frame: ``payload`` is the body, ``fields``
+        join the array header."""
+        header, body = encode_array(payload)
+        header.update(fields)
         reply_type, reply_header, _ = self._roundtrip(
             MessageType.REGISTER, header, body
         )
         self._expect(reply_type, MessageType.OK)
-        self.last_update_epoch = reply_header.get("update_epoch")
         return reply_header
 
     def update(

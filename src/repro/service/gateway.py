@@ -73,6 +73,7 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
+from repro.service.representations import Registration, parse_registration
 from repro.service.ring import DEFAULT_VNODES, HashRing, ring_key
 
 #: Replicas (primary included) a registration is placed on.
@@ -178,20 +179,16 @@ class _TensorRecord:
     consistent prefix."""
 
     __slots__ = (
-        "tensor_id", "q", "P", "order", "key", "header", "body", "owners",
-        "updates", "update_lock",
+        "registration", "key", "header", "body", "owners", "updates",
+        "update_lock",
     )
 
     def __init__(
-        self, tensor_id: str, q: int, P: int,
+        self, registration: Registration, key: str,
         header: Dict, body: bytes, owners: Tuple[str, ...],
-        order: int = 3,
     ):
-        self.tensor_id = tensor_id
-        self.q = q
-        self.P = P
-        self.order = order
-        self.key = ring_key(tensor_id, q, P, order=order)
+        self.registration = registration
+        self.key = key
         self.header = header
         self.body = body
         self.owners = owners
@@ -445,40 +442,13 @@ class STTSVGateway(FrameLoopServer):
         )
 
     def _handle_register(self, header: Dict, body: bytes) -> Reply:
-        tensor_id = header.get("tensor_id")
-        if not isinstance(tensor_id, str) or not tensor_id:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, "register needs a tensor_id string"
-            )
-        try:
-            q = int(header["q"])
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, "register needs integer n and q"
-            ) from None
-        try:
-            order = int(header.get("order", 3))
-        except (TypeError, ValueError):
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, "order must be an integer"
-            ) from None
-        if "P" in header:
-            # symk registrations may pin P explicitly (no Steiner
-            # structure constrains it); the routing key must match
-            # whatever the shard will put in its session key.
-            try:
-                P = int(header["P"])
-            except (TypeError, ValueError):
-                raise ServiceError(
-                    ErrorCode.BAD_REQUEST, "P must be an integer"
-                ) from None
-        elif order == 4:
-            # q is the SQS parameter k of S(2^k, 4, 3).
-            points = 2**q
-            P = points * (points - 1) * (points - 2) // 24
-        else:
-            P = q * (q * q + 1)
-        key = ring_key(tensor_id, q, P, order=order)
+        # The shard parses the same header through the same registry,
+        # so the ring key's P is the one in the shard's session key.
+        registration = parse_registration(header)
+        key = ring_key(
+            registration.tensor_id, registration.q, registration.P,
+            order=registration.order,
+        )
         # Like _forward_apply: a dead primary is discovered (and
         # evicted) by the very forward that fails, so re-read the ring
         # and retry on the new primary instead of surfacing the
@@ -522,9 +492,8 @@ class STTSVGateway(FrameLoopServer):
                 self._backend_down(replica)
         with self._state:
             owners = tuple(self._ring.nodes_for(key, self.replication))
-            self._tensors[tensor_id] = _TensorRecord(
-                tensor_id, q, P, dict(header), bytes(body), owners,
-                order=order,
+            self._tensors[registration.tensor_id] = _TensorRecord(
+                registration, key, dict(header), bytes(body), owners
             )
         self.metrics.incr("registrations")
         reply_header = dict(reply_header)
@@ -556,9 +525,8 @@ class STTSVGateway(FrameLoopServer):
                 self._inflight_by_shard[name] -= 1
                 self._drain_cond.notify_all()
 
-    def _forward_apply(
-        self, msg_type: MessageType, header: Dict, body: bytes
-    ) -> Reply:
+    def _record(self, header: Dict) -> _TensorRecord:
+        """The registration a request's ``tensor_id`` names."""
         tensor_id = header.get("tensor_id")
         if not isinstance(tensor_id, str) or not tensor_id:
             raise ServiceError(
@@ -571,6 +539,12 @@ class STTSVGateway(FrameLoopServer):
                 f"tensor {tensor_id!r} is not registered with the"
                 " gateway; REGISTER it first",
             )
+        return record
+
+    def _forward_apply(
+        self, msg_type: MessageType, header: Dict, body: bytes
+    ) -> Reply:
+        record = self._record(header)
         replayed = False
         with self._state:
             attempts = len(self._backends) + 2
@@ -627,24 +601,13 @@ class STTSVGateway(FrameLoopServer):
         mutates session state, so the primary *and* the replicas must
         all apply it — otherwise a failover would silently rewind the
         tensor. The per-record lock serializes updates for one tensor,
-        which is what makes "retained list order == epoch order" hold:
+        which is what keeps the retained list in epoch order:
         frame k in the log produced epoch k on every shard that
         applied the stream. The primary's reply (with its echoed
         ``update_epoch``) is returned to the client; a replica that
         fails is evicted like any other outage and the rebalance
         replays the full log onto its successor."""
-        tensor_id = header.get("tensor_id")
-        if not isinstance(tensor_id, str) or not tensor_id:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, "request needs a tensor_id string"
-            )
-        record = self._tensors.get(tensor_id)
-        if record is None:
-            raise ServiceError(
-                ErrorCode.UNKNOWN_TENSOR,
-                f"tensor {tensor_id!r} is not registered with the"
-                " gateway; REGISTER it first",
-            )
+        record = self._record(header)
         with record.update_lock:
             replayed = False
             with self._state:
@@ -776,7 +739,7 @@ class STTSVGateway(FrameLoopServer):
                     "errors": backend.errors,
                     "inflight": self._inflight_by_shard.get(backend.name, 0),
                     "resident_tensors": sorted(
-                        record.tensor_id
+                        record.registration.tensor_id
                         for record in self._tensors.values()
                         if backend.name in record.owners
                     ),
@@ -784,9 +747,9 @@ class STTSVGateway(FrameLoopServer):
                 for backend in self._backends.values()
             }
             tensors = {
-                record.tensor_id: {
-                    "q": record.q,
-                    "P": record.P,
+                record.registration.tensor_id: {
+                    "q": record.registration.q,
+                    "P": record.registration.P,
                     "owners": list(record.owners),
                 }
                 for record in self._tensors.values()

@@ -22,6 +22,7 @@ import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.service.representations import order_suffix
 
 #: Virtual nodes per backend: enough for ±20-ish% load spread at small
 #: fleet sizes without making membership changes slow.
@@ -168,10 +169,7 @@ def ring_key(tensor_id: str, q: int, P: int, order: int = 3) -> str:
     upgrades); order-m tensors append an ``|order=`` component so the
     same tensor id registered at different orders lands independently.
     """
-    key = f"{tensor_id}|q={q}|P={P}"
-    if order != 3:
-        key += f"|order={order}"
-    return key
+    return f"{tensor_id}|q={q}|P={P}" + order_suffix(order, "|")
 
 
 def placement_moves(

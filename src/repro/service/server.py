@@ -38,7 +38,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from contextlib import nullcontext
 from typing import Dict, Optional, Tuple
 
-from repro.machine.transport import TRANSPORTS, FaultPolicy
+from repro.machine.transport import FaultPolicy
 from repro.obs.export import prometheus_text, spans_to_jsonl
 from repro.obs.metrics import (
     MetricFamily,
@@ -47,8 +47,6 @@ from repro.obs.metrics import (
     default_registry,
 )
 from repro.obs.tracing import get_tracer, new_trace_id, trace_context
-from repro.planner import Calibration, auto_session_config, auto_symk_config
-from repro.planner.pricing import VARIANTS
 from repro.service.batcher import (
     DEFAULT_ADMISSION_CAPACITY,
     DEFAULT_MAX_BATCH,
@@ -67,14 +65,13 @@ from repro.service.protocol import (
     decode_array,
     encode_array,
 )
+from repro.service.representations import parse_registration
 from repro.service.sessions import (
     DEFAULT_MAX_SESSIONS,
     EngineSession,
     SessionKey,
     SessionPool,
 )
-from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_packed_size
-from repro.tensor.packed import PackedSymmetricTensor, packed_size
 
 #: Grace added to a request deadline when waiting on its future: the
 #: batcher enforces expiry at dequeue; this only guards against a
@@ -126,7 +123,8 @@ class STTSVServer(FrameLoopServer):
             name="sttsv",
         )
         self.faults = faults
-        #: Tensor orders this server admits at registration.
+        #: Tensor orders this server admits at registration, for the
+        #: representations that are order-gated (the dense ones).
         self.accepted_orders = tuple(accepted_orders)
         #: Whether sessions created by this server fuse their exchange
         #: rounds into per-destination buffers (default on).
@@ -335,292 +333,67 @@ class STTSVServer(FrameLoopServer):
     # -- request handlers ------------------------------------------------------
 
     def _handle_register(self, header: Dict, body: bytes) -> Reply:
-        tensor_id = header.get("tensor_id")
-        if not isinstance(tensor_id, str) or not tensor_id:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, "register needs a tensor_id string"
-            )
-        kind = header.get("kind", "dense")
-        if kind == "symk":
-            return self._register_symk(tensor_id, header, body)
-        if kind != "dense":
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"kind must be 'dense' or 'symk', got {kind!r}",
-            )
-        try:
-            n = int(header["n"])
-            q = int(header["q"])
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, "register needs integer n and q"
-            ) from None
-        try:
-            order = int(header.get("order", 3))
-        except (TypeError, ValueError):
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST, "order must be an integer"
-            ) from None
-        if order not in (3, 4):
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"serving supports tensor orders 3 and 4, got {order}",
-            )
-        if order not in self.accepted_orders:
+        """Validate the header, decode the body and warm a session. The
+        representation the header selects
+        (:mod:`repro.service.representations`) decides the field rules,
+        ``P``, the body layout, ``auto`` resolution and the engine."""
+        registration = parse_registration(header)
+        representation = registration.representation
+        if (
+            representation.order_gated
+            and registration.order not in self.accepted_orders
+        ):
             raise ServiceError(
                 ErrorCode.BAD_REQUEST,
                 f"this server accepts orders"
                 f" {', '.join(map(str, self.accepted_orders))};"
-                f" got {order}",
+                f" got {registration.order}",
             )
-        backend = header.get("backend", "simulated")
-        if backend != "auto" and backend not in TRANSPORTS:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"unknown backend {backend!r}; available: auto,"
-                f" {', '.join(sorted(TRANSPORTS))}",
-            )
-        variant = header.get("variant", "point-to-point")
-        if variant != "auto" and variant not in VARIANTS:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"unknown variant {variant!r}; available: auto,"
-                f" {', '.join(VARIANTS)}",
-            )
-        strategy = header.get("strategy", "auto")
-        if order == 4:
-            # The planner's cost model prices the order-3 spherical
-            # family only; auto fields have no order-4 meaning yet.
-            if backend == "auto" or variant == "auto":
-                raise ServiceError(
-                    ErrorCode.BAD_REQUEST,
-                    "order-4 registration does not support auto"
-                    " backend/variant (the planner prices order 3 only)",
-                )
-            if variant != "point-to-point":
-                raise ServiceError(
-                    ErrorCode.BAD_REQUEST,
-                    f"order-4 serving supports only the point-to-point"
-                    f" variant, got {variant!r}",
-                )
-        planned = backend == "auto" or variant == "auto"
+        planned = "auto" in (registration.backend, registration.variant)
         if planned:
-            backend, variant, strategy = self._plan_registration(
-                n, q, backend, variant, strategy
+            registration = registration.resolved(
+                self.calibration_path, self.fusion
             )
         data = decode_array(header, body, expected_ndim=1)
-        if order == 4:
-            if q < 2:
-                raise ServiceError(
-                    ErrorCode.BAD_REQUEST,
-                    f"order-4 registration needs SQS parameter q=k >= 2,"
-                    f" got {q}",
-                )
-            if data.shape[0] != nd_packed_size(n, 4):
-                raise ServiceError(
-                    ErrorCode.BAD_REQUEST,
-                    f"packed order-4 body has {data.shape[0]} entries,"
-                    f" n={n} needs {nd_packed_size(n, 4)}",
-                )
-            tensor = NdPackedSymmetricTensor(n, 4, data)
-            points = 2**q
-            P = points * (points - 1) * (points - 2) // 24
-            key = SessionKey(
-                tensor_id=tensor_id, q=q, P=P, backend=backend, order=4
-            )
-        else:
-            if data.shape[0] != packed_size(n):
-                raise ServiceError(
-                    ErrorCode.BAD_REQUEST,
-                    f"packed body has {data.shape[0]} entries, n={n} needs"
-                    f" {packed_size(n)}",
-                )
-            tensor = PackedSymmetricTensor(n, data)
-            key = SessionKey(
-                tensor_id=tensor_id, q=q, P=q * (q * q + 1), backend=backend
-            )
+        tensor = representation.decode(registration, data)
+        key = SessionKey(
+            tensor_id=registration.tensor_id,
+            q=registration.q,
+            P=registration.P,
+            backend=registration.backend,
+            order=registration.order,
+            kind=representation.kind,
+        )
         # Build outside all locks: block extraction + plan compilation
         # is the expensive part registration exists to amortize.
         session = EngineSession(
             key,
             tensor,
-            strategy=strategy,
+            strategy=registration.strategy,
             faults=self.faults,
             fusion=self.fusion,
-            variant=variant,
+            variant=registration.variant,
         )
         with self._routes_lock:
-            self._routes[tensor_id] = key
+            self._routes[key.tensor_id] = key
         self.pool.put(key, session)
         self.metrics.incr("registrations")
         return Reply(
             MessageType.OK,
             {
-                "tensor_id": tensor_id,
-                "n": n,
-                "q": q,
+                "tensor_id": key.tensor_id,
+                "n": registration.n,
+                "q": key.q,
                 "P": key.P,
-                "order": order,
-                "backend": backend,
+                "order": key.order,
+                "backend": key.backend,
                 "variant": session.variant.value,
                 "planned": planned,
                 "plan_strategy": session.plan.strategy,
                 "session_bytes": session.nbytes(),
+                **representation.reply_fields(session),
             },
         )
-
-    def _register_symk(
-        self, tensor_id: str, header: Dict, body: bytes
-    ) -> Reply:
-        """``kind="symk"``: register a low-rank symmetric Kruskal
-        tensor from its factors on the wire.
-
-        The body is the flat float64 concatenation ``[λ (r words), V
-        row-major (n·r words)]``. ``order`` is the tensor order ``m``
-        (any 2..6 — no Steiner structure is involved, so
-        ``accepted_orders`` does not apply) and ``P`` defaults to the
-        dense family's ``q(q²+1)`` so the two representations price
-        side by side.
-        """
-        from repro.tensor.symk import MAX_DENSE_ORDER, SymKTensor
-
-        try:
-            n = int(header["n"])
-            rank = int(header["rank"])
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                "symk register needs integer n and rank",
-            ) from None
-        try:
-            order = int(header.get("order", 3))
-            q = int(header.get("q", 2))
-            P = int(header.get("P", q * (q * q + 1)))
-        except (TypeError, ValueError):
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                "symk order, q, and P must be integers",
-            ) from None
-        if not 2 <= order <= MAX_DENSE_ORDER:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"symk serving supports orders 2..{MAX_DENSE_ORDER},"
-                f" got {order}",
-            )
-        if n < 1 or rank < 1 or P < 1:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"need n >= 1, rank >= 1, P >= 1; got n={n}, rank={rank},"
-                f" P={P}",
-            )
-        backend = header.get("backend", "simulated")
-        if backend != "auto" and backend not in TRANSPORTS:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"unknown backend {backend!r}; available: auto,"
-                f" {', '.join(sorted(TRANSPORTS))}",
-            )
-        variant = header.get("variant", "point-to-point")
-        if variant != "auto" and variant not in VARIANTS:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"unknown variant {variant!r}; available: auto,"
-                f" {', '.join(VARIANTS)}",
-            )
-        strategy = header.get("strategy", "auto")
-        planned = backend == "auto" or variant == "auto"
-        if planned:
-            calibration = Calibration.load_or_default(self.calibration_path)
-            config = auto_symk_config(
-                n,
-                rank,
-                P,
-                backends=(
-                    tuple(sorted(TRANSPORTS))
-                    if backend == "auto"
-                    else (backend,)
-                ),
-                calibration=calibration,
-                fusion_options=(self.fusion,),
-            )
-            if backend == "auto":
-                backend = config["backend"]
-            if variant == "auto":
-                variant = config["variant"]
-        data = decode_array(header, body, expected_ndim=1)
-        if data.shape[0] != rank + n * rank:
-            raise ServiceError(
-                ErrorCode.BAD_REQUEST,
-                f"symk body has {data.shape[0]} entries; rank={rank},"
-                f" n={n} needs {rank + n * rank} (lambda then V"
-                f" row-major)",
-            )
-        tensor = SymKTensor(data[:rank], data[rank:].reshape(n, rank), order)
-        key = SessionKey(
-            tensor_id=tensor_id, q=q, P=P, backend=backend,
-            order=order, kind="symk",
-        )
-        session = EngineSession(
-            key,
-            tensor,
-            strategy=strategy,
-            faults=self.faults,
-            fusion=self.fusion,
-            variant=variant,
-        )
-        with self._routes_lock:
-            self._routes[tensor_id] = key
-        self.pool.put(key, session)
-        self.metrics.incr("registrations")
-        return Reply(
-            MessageType.OK,
-            {
-                "tensor_id": tensor_id,
-                "kind": "symk",
-                "n": n,
-                "rank": rank,
-                "q": q,
-                "P": P,
-                "order": order,
-                "backend": backend,
-                "variant": session.variant.value,
-                "planned": planned,
-                "plan_strategy": session.plan.strategy,
-                "update_epoch": session.update_epoch,
-                "session_bytes": session.nbytes(),
-            },
-        )
-
-    def _plan_registration(
-        self, n: int, q: int, backend: str, variant: str, strategy: str
-    ) -> Tuple[str, str, str]:
-        """Resolve ``auto`` registration fields through the planner.
-
-        Deterministic given the calibration file (or its absence): the
-        planner prices candidates under the loaded constants and ties
-        break in enumeration order, so every shard behind the gateway
-        resolves an identical replayed registration identically. Only
-        the fields the caller left on ``auto`` are overwritten, and
-        fusion candidates are pinned to this server's own ``fusion``
-        setting (sessions inherit it regardless).
-        """
-        calibration = Calibration.load_or_default(self.calibration_path)
-        config = auto_session_config(
-            n,
-            q,
-            backends=(
-                tuple(sorted(TRANSPORTS)) if backend == "auto" else (backend,)
-            ),
-            calibration=calibration,
-            fusion_options=(self.fusion,),
-        )
-        if backend == "auto":
-            backend = config["backend"]
-        if variant == "auto":
-            variant = config["variant"]
-        if strategy == "auto":
-            strategy = config["strategy"]
-        return backend, variant, strategy
 
     def _resolve(self, header: Dict) -> Tuple[SessionKey, EngineSession]:
         tensor_id = header.get("tensor_id")
@@ -670,11 +443,12 @@ class STTSVServer(FrameLoopServer):
         """
         start = time.monotonic()
         key, session = self._resolve(header)
-        if key.kind != "symk":
+        if not session.representation.versioned:
             raise ServiceError(
                 ErrorCode.BAD_REQUEST,
-                f"tensor {key.tensor_id!r} is {key.kind!r}; UPDATE"
-                " applies to kind='symk' registrations only",
+                f"tensor {key.tensor_id!r} is"
+                f" {session.representation.name}; UPDATE applies to"
+                " versioned (kind='symk') registrations only",
             )
         data = decode_array(header, body, expected_ndim=1)
         if data.shape[0] != 1 + session.n:
@@ -724,12 +498,11 @@ class STTSVServer(FrameLoopServer):
                 f" client fenced at {min_epoch}",
             )
 
-    def _apply_symk(
-        self, key: SessionKey, session: EngineSession,
-        mode: str, x, min_epoch: Optional[int],
+    def _apply_versioned(
+        self, session: EngineSession, mode: str, x, min_epoch: Optional[int]
     ):
-        """Low-rank applies bypass the batcher and serve directly
-        under the session lock: the epoch a result reflects must be
+        """Applies to a versioned session bypass the batcher and serve
+        directly under the session lock: the epoch a result reflects must be
         captured atomically with the computation (an UPDATE landing
         between a batched execution and its reply would otherwise
         mis-stamp the result), which is what makes interleaved
@@ -767,42 +540,32 @@ class STTSVServer(FrameLoopServer):
             else:
                 span_cm = None
             with span_cm if span_cm is not None else _NULL_SPAN:
-                if key.kind == "symk":
-                    y, epoch = self._apply_symk(
-                        key, session, mode, x, min_epoch
+                if session.representation.versioned:
+                    y, epoch = self._apply_versioned(
+                        session, mode, x, min_epoch
                     )
-                    session.metrics.incr("requests")
-                    session.metrics.latency.record(time.monotonic() - start)
-                    self.metrics.incr("accepted")
-                    result_header, result_body = encode_array(y)
-                    result_header["trace_id"] = trace_id
-                    result_header["update_epoch"] = epoch
-                    return Reply(
-                        MessageType.RESULT, result_header, result_body
+                else:
+                    future = self.batcher.submit(
+                        key, mode, session, x,
+                        deadline_ms=deadline_ms,
+                        trace_id=trace_id,
                     )
-                future = self.batcher.submit(
-                    key, mode, session, x,
-                    deadline_ms=deadline_ms,
-                    trace_id=trace_id,
-                )
-                timeout = (
-                    deadline_ms / 1e3 + _DEADLINE_GRACE_S
-                    if deadline_ms is not None
-                    else None
-                )
-                try:
-                    y = future.result(timeout=timeout)
-                except FutureTimeout:
-                    raise ServiceError(
-                        ErrorCode.DEADLINE_EXCEEDED,
-                        f"no result within deadline_ms={deadline_ms}",
-                    ) from None
+                    timeout = (
+                        deadline_ms / 1e3 + _DEADLINE_GRACE_S
+                        if deadline_ms is not None
+                        else None
+                    )
+                    try:
+                        y = future.result(timeout=timeout)
+                    except FutureTimeout:
+                        raise ServiceError(
+                            ErrorCode.DEADLINE_EXCEEDED,
+                            f"no result within deadline_ms={deadline_ms}",
+                        ) from None
         session.metrics.incr("requests")
         session.metrics.latency.record(time.monotonic() - start)
         self.metrics.incr("accepted")
-        result_header, result_body = encode_array(y)
-        result_header["trace_id"] = trace_id
-        return Reply(MessageType.RESULT, result_header, result_body)
+        return self._result(y, trace_id, epoch)
 
     def _handle_apply_batch(self, header: Dict, body: bytes) -> Reply:
         start = time.monotonic()
@@ -832,9 +595,9 @@ class STTSVServer(FrameLoopServer):
             else:
                 span_cm = None
             with span_cm if span_cm is not None else _NULL_SPAN:
-                if key.kind == "symk":
-                    Y, epoch = self._apply_symk(
-                        key, session, mode, X, min_epoch
+                if session.representation.versioned:
+                    Y, epoch = self._apply_versioned(
+                        session, mode, X, min_epoch
                     )
                 else:
                     with session.exec_lock:
@@ -844,7 +607,13 @@ class STTSVServer(FrameLoopServer):
         session.metrics.batch_sizes.record(X.shape[1])
         session.metrics.latency.record(time.monotonic() - start)
         self.metrics.incr("accepted", X.shape[1])
-        result_header, result_body = encode_array(Y)
+        return self._result(Y, trace_id, epoch)
+
+    @staticmethod
+    def _result(y, trace_id: str, epoch: Optional[int]) -> Reply:
+        """A ``RESULT`` reply; versioned sessions stamp the epoch the
+        result reflects."""
+        result_header, result_body = encode_array(y)
         result_header["trace_id"] = trace_id
         if epoch is not None:
             result_header["update_epoch"] = epoch

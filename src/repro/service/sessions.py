@@ -2,16 +2,17 @@
 
 A *session* is everything the serving layer keeps hot for one
 registered tensor on one machine configuration, keyed by
-``SessionKey(tensor_id, q, P, backend)``:
+``SessionKey(tensor_id, q, P, backend, order, kind)``, as built by the
+key's representation (:mod:`repro.service.representations`):
 
-* the :class:`~repro.core.plans.SequentialPlan` (compiled through the
-  bounded module cache in :mod:`repro.core.plans`) — the fast batched
-  executor behind ``mode="plan"`` requests;
+* the compiled plan (e.g. a :class:`~repro.core.plans.SequentialPlan`
+  from the bounded module cache) — the fast batched executor behind
+  ``mode="plan"`` requests;
 * a live :class:`~repro.machine.machine.Machine` on the requested
-  transport with the padded tensor blocks already resident in
-  processor memories (``ParallelSTTSV.load_tensor`` runs once at
-  registration), so a ``mode="parallel"`` request pays only shard
-  distribution + Algorithm 5 + gather — never block extraction;
+  transport with the tensor's blocks (or factors) already resident in
+  processor memories (loaded once at registration), so a
+  ``mode="parallel"`` request pays only shard distribution + the
+  parallel run + gather — never block extraction;
 * per-session :class:`~repro.service.metrics.SessionMetrics`.
 
 :class:`SessionPool` bounds the warm set with the same
@@ -28,16 +29,14 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
-from repro.core.partition import TetrahedralPartition
-from repro.core.plans import LRUByteCache, SequentialPlan, sequential_plan
+from repro.core.parallel_sttsv import CommBackend
+from repro.core.plans import LRUByteCache
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.machine.transport import FaultPolicy, make_transport
 from repro.obs.tracing import get_tracer
 from repro.service.metrics import SessionMetrics
-from repro.steiner import spherical_steiner_system
-from repro.tensor.packed import PackedSymmetricTensor
+from repro.service.representations import Representation, representation_for
 
 #: Execution modes an apply request can ask for.
 MODES = ("plan", "parallel")
@@ -49,11 +48,12 @@ DEFAULT_MAX_SESSIONS = 8
 class SessionKey(NamedTuple):
     """Identity of one warm engine: tensor × machine configuration.
 
-    ``order`` defaults to 3 so existing order-3 call sites (and their
-    stats labels) are unchanged; order-m sessions carry it explicitly.
-    For order 4 the ``q`` field holds the SQS parameter ``k`` of
-    ``S(2^k, 4, 3)`` — the family knob, exactly as ``q`` is the
-    spherical knob at order 3.
+    ``kind`` and ``order`` select the tensor's representation
+    (:func:`~repro.service.representations.representation_for`); they
+    default to the paper's dense order 3, so order-3 call sites and
+    their stats labels are unchanged. For order 4 the ``q`` field holds
+    the SQS parameter ``k`` of ``S(2^k, 4, 3)`` — the family knob,
+    exactly as ``q`` is the spherical knob at order 3.
     """
 
     tensor_id: str
@@ -63,11 +63,13 @@ class SessionKey(NamedTuple):
     order: int = 3
     kind: str = "dense"
 
+    @property
+    def representation(self) -> Representation:
+        return representation_for(self.kind, self.order)
+
     def label(self) -> str:
         """Stable string form used as the stats-snapshot key."""
-        suffix = f",order={self.order}" if self.order != 3 else ""
-        if self.kind != "dense":
-            suffix += f",{self.kind}"
+        suffix = self.representation.label_suffix(self.order)
         return (
             f"{self.tensor_id}@q={self.q},P={self.P},{self.backend}{suffix}"
         )
@@ -76,105 +78,24 @@ class SessionKey(NamedTuple):
 class EngineSession:
     """One resident tensor with its compiled plan and warm machine.
 
-    ``execute`` / ``apply_batch`` are *not* re-entrant (the simulated
-    machine and the plan's reusable buffers are single-stream);
-    :attr:`exec_lock` serializes them. The micro-batcher owns the lock
-    for batched work; direct callers must take it too.
+    The key's representation builds the engine, loads the tensor and
+    compiles the plan. ``execute`` / ``apply_batch`` are *not*
+    re-entrant (the simulated machine and the plan's reusable buffers
+    are single-stream); :attr:`exec_lock` serializes them. The
+    micro-batcher owns the lock for batched work; direct callers must
+    take it too.
     """
 
     def __init__(
         self,
         key: SessionKey,
-        tensor: PackedSymmetricTensor,
+        tensor,
         strategy: str = "auto",
         faults: Optional[FaultPolicy] = None,
         fusion: bool = True,
         variant: str = "point-to-point",
     ):
-        if key.kind == "symk":
-            self._init_symk(key, tensor, strategy, faults, fusion, variant)
-            return
-        if key.order == 3:
-            partition = TetrahedralPartition(spherical_steiner_system(key.q))
-            partition.validate()
-        elif key.order == 4:
-            from repro.core.partition_ndim import QuadruplePartition
-            from repro.steiner.boolean import boolean_steiner_system
-
-            partition = QuadruplePartition(boolean_steiner_system(key.q))
-            partition.validate()
-        else:
-            raise ConfigurationError(
-                f"sessions support order 3 and 4, got {key.order}"
-            )
-        if partition.P != key.P:
-            raise ConfigurationError(
-                f"q={key.q} builds P={partition.P} processors, key says"
-                f" {key.P}"
-            )
-        self.key = key
-        self.tensor = tensor
-        self.n = tensor.n
-        self.faults = faults
-        self.fusion = fusion
-        self.variant = CommBackend(variant)
-        self.machine = Machine(
-            partition.P,
-            transport=make_transport(key.backend, partition.P, faults=faults),
-            fusion=fusion,
-        )
-        if key.order == 4 and strategy not in ("auto", "blocked-gemm"):
-            raise ConfigurationError(
-                f"order-4 sessions support only the 'blocked-gemm'"
-                f" plan strategy, got {strategy!r}"
-            )
-        self.algo = ParallelSTTSV(partition, tensor.n, backend=self.variant)
-        self.algo.load_tensor(self.machine, tensor)
-        if key.order == 3:
-            self.plan: SequentialPlan = sequential_plan(
-                tensor, strategy=strategy
-            )
-        else:
-            from repro.core.plans import BlockedPlan
-
-            self.plan = BlockedPlan(tensor)
-        self.metrics = SessionMetrics()
-        self.update_epoch = 0
-        self.exec_lock = threading.Lock()
-        self._closed = False
-
-    def _init_symk(
-        self,
-        key: SessionKey,
-        tensor,
-        strategy: str,
-        faults: Optional[FaultPolicy],
-        fusion: bool,
-        variant: str,
-    ) -> None:
-        """Low-rank session: resident factors, O(nr) plan, and a warm
-        :class:`~repro.core.parallel_symk.ParallelSymKTTSV` machine.
-
-        ``key.order`` is the tensor order ``m`` (any ``m >= 2`` — no
-        Steiner structure is involved) and ``key.P`` is a free knob.
-        """
-        from repro.core.parallel_symk import ParallelSymKTTSV
-        from repro.tensor.symk import SymKPlan, SymKTensor
-
-        if not isinstance(tensor, SymKTensor):
-            raise ConfigurationError(
-                f"kind='symk' sessions need a SymKTensor, got"
-                f" {type(tensor).__name__}"
-            )
-        if strategy not in ("auto", "symk"):
-            raise ConfigurationError(
-                f"symk sessions support only the 'symk' plan strategy,"
-                f" got {strategy!r}"
-            )
-        if key.order != tensor.m:
-            raise ConfigurationError(
-                f"key says order {key.order}, tensor is order {tensor.m}"
-            )
+        self.representation = key.representation
         self.key = key
         self.tensor = tensor
         self.n = tensor.n
@@ -186,15 +107,25 @@ class EngineSession:
             transport=make_transport(key.backend, key.P, faults=faults),
             fusion=fusion,
         )
-        self.algo = ParallelSymKTTSV(
-            key.P, tensor.n, order=tensor.m, backend=self.variant
-        )
-        self.algo.load_factors(self.machine, tensor)
-        self.plan = SymKPlan(tensor)
+        try:
+            self.algo = self.representation.engine(
+                key, tensor, self.variant, self.machine
+            )
+            self.plan = self.representation.plan(tensor, strategy)
+        except BaseException:
+            self.machine.close()
+            raise
         self.metrics = SessionMetrics()
         self.update_epoch = 0
         self.exec_lock = threading.Lock()
         self._closed = False
+        if self.representation.versioned:
+            self._init_symk()
+
+    def _init_symk(self) -> None:
+        """Constructor hook of versioned sessions; sets nothing. The
+        traced pass of ``servebench/harness/layers.py`` wraps it by name
+        to time waits on these sessions' :attr:`exec_lock`."""
 
     # -- execution -------------------------------------------------------------
 
@@ -243,10 +174,10 @@ class EngineSession:
         either path — reflects the update, bitwise identical to a
         rebuild from scratch. Returns the new epoch.
         """
-        if self.key.kind != "symk":
+        if not self.representation.versioned:
             raise ConfigurationError(
-                f"only kind='symk' sessions accept rank-1 updates,"
-                f" this session is {self.key.kind!r}"
+                f"only versioned sessions accept rank-1 updates, this"
+                f" session is {self.representation.name}"
             )
         self.tensor.rank1_update(weight, vector)
         self.algo.rank1_update(weight, vector)
@@ -267,12 +198,9 @@ class EngineSession:
     # -- accounting ------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Resident bytes the pool budgets for: packed tensor data (or
-        low-rank factors) plus compiled plan state (machine buffers are
-        proportional)."""
-        if self.key.kind == "symk":
-            return int(self.tensor.nbytes) + self.plan.nbytes()
-        return int(self.tensor.data.nbytes) + self.plan.nbytes()
+        """Resident bytes the pool budgets for: stored tensor data plus
+        compiled plan state (machine buffers are proportional)."""
+        return self.representation.nbytes(self.tensor) + self.plan.nbytes()
 
     def snapshot(self) -> Dict:
         """Stats-endpoint view: serving counters + machine-layer
@@ -285,9 +213,7 @@ class EngineSession:
             "P": self.key.P,
             "order": self.key.order,
             "kind": self.key.kind,
-            "rank": (
-                self.tensor.r if self.key.kind == "symk" else None
-            ),
+            "rank": self.representation.rank(self.tensor),
             "update_epoch": self.update_epoch,
             "backend": self.key.backend,
             "variant": self.variant.value,

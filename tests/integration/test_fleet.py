@@ -42,9 +42,13 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
+from repro.core.plans import BlockedPlan, sequential_plan
+from repro.service.ring import ring_key
 from repro.service.server import STTSVServer
 from repro.steiner import spherical_steiner_system
 from repro.tensor.dense import random_symmetric
+from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_packed_size
+from repro.tensor.symk import SymKPlan, random_symk
 
 
 def _direct_parallel(q, backend, tensor, x):
@@ -119,6 +123,64 @@ class TestGatewayBitwiseIdentity:
                 )
                 events = client.stats()["gateway"]["events"]
                 assert events["reroutes"] == 1
+
+
+def _order4_tensor(n, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-3, 4, size=nd_packed_size(n, 4)).astype(np.float64)
+    return NdPackedSymmetricTensor(n, 4, data)
+
+
+#: One input per representation: (tensor, register call, direct plan,
+#: the shard's pinned session-label suffix, tensor order).
+_REPRESENTATION_CASES = {
+    "dense-3": (
+        random_symmetric(30, seed=61),
+        lambda client, tid, t: client.register(tid, t, q=2),
+        sequential_plan, "@q=2,P=10,simulated", 3,
+    ),
+    "bcss-4": (
+        _order4_tensor(20, seed=62),
+        lambda client, tid, t: client.register(tid, t, q=3, order=4),
+        BlockedPlan, "@q=3,P=14,simulated,order=4", 4,
+    ),
+    "symk-3": (
+        random_symk(12, 2, seed=63),
+        lambda client, tid, t: client.register_symk(tid, t, q=2),
+        SymKPlan, "@q=2,P=10,simulated,symk", 3,
+    ),
+    "symk-4": (
+        random_symk(12, 2, order=4, seed=1),
+        lambda client, tid, t: client.register_symk(tid, t, q=2),
+        SymKPlan, "@q=2,P=10,simulated,order=4,symk", 4,
+    ),
+}
+
+
+class TestGatewayShardAgreement:
+    @pytest.mark.parametrize("case", sorted(_REPRESENTATION_CASES))
+    def test_gateway_and_shard_agree(self, case):
+        """The gateway's record (P, ring key) matches the shard's
+        session for every representation, and a routed plan apply is
+        bitwise the direct plan. At one time the gateway applied the
+        SQS processor count to every order-4 registration, so an
+        order-4 symk tensor was routed under P=1 while its shard
+        session had P=10."""
+        tensor, register, plan, label, order = _REPRESENTATION_CASES[case]
+        tid = f"agree-{case}"
+        x = np.random.default_rng(64).standard_normal(tensor.n)
+        with _InProcessPair() as pair:
+            with ServiceClient(*pair.gateway.address) as client:
+                info = register(client, tid, tensor)
+                record = client.stats()["gateway"]["tensors"][tid]
+                assert record["P"] == info["P"]
+                assert pair.gateway._tensors[tid].key == ring_key(
+                    tid, info["q"], info["P"], order=order
+                )
+                shard = pair.by_name[info["shard"]].stats()
+                assert tid + label in shard["sessions"]
+                routed = client.apply(tid, x, mode="plan")
+        assert routed.tobytes() == plan(tensor).apply(x).tobytes()
 
 
 @pytest.mark.slow

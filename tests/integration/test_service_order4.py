@@ -1,6 +1,8 @@
 """Order-4 tensors through the full serving stack: registration,
 both execution modes, typed rejections, and CLI gates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,14 @@ class TestTypedRejections:
         with pytest.raises(ServiceError) as err:
             client.register("bad", wrong, q=3, order=4)
         assert err.value.code == ErrorCode.BAD_REQUEST
+
+    def test_bad_q_is_named_in_the_error(self, client):
+        from repro.tensor.dense import random_symmetric
+
+        with pytest.raises(ServiceError) as err:
+            client.register("bad", random_symmetric(4, seed=0), q=0)
+        assert err.value.code == ErrorCode.BAD_REQUEST
+        assert re.search(r"\bq\b", err.value.detail), err.value.detail
 
     def test_accepted_orders_gate(self):
         with STTSVServer(accepted_orders=(3,)) as srv:
