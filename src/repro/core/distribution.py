@@ -77,20 +77,22 @@ def assemble_vector(
     """Reassemble a full vector from per-processor shards (verification).
 
     Inverse of :func:`initial_shards`; checks that every shard slot is
-    populated exactly once.
+    populated exactly once. Filled slots are tracked in a mask, so
+    shards holding NaN or infinities assemble like any other value.
     """
     m = partition.m
-    out = np.full(m * b, np.nan)
+    out = np.zeros(m * b)
+    filled = np.zeros(m * b, dtype=bool)
     for p, owned in enumerate(shards):
         for i, shard in owned.items():
             lo, hi = shard_bounds(partition, i, p, b)
-            segment = out[i * b + lo : i * b + hi]
-            if not np.all(np.isnan(segment)):
+            if filled[i * b + lo : i * b + hi].any():
                 raise PartitionError(
                     f"shard ({i}, {p}) overlaps an already-filled slot"
                 )
             out[i * b + lo : i * b + hi] = shard
-    if np.any(np.isnan(out)):
+            filled[i * b + lo : i * b + hi] = True
+    if not filled.all():
         raise PartitionError("missing shards: assembled vector incomplete")
     if original_length is not None:
         out = out[:original_length]

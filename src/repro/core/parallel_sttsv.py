@@ -37,6 +37,13 @@ Storage and kernel come from the tensor type (:meth:`load_tensor`):
   so communication is identical to the dense run; a skewed hypergraph
   can concentrate nonzeros (:meth:`ParallelSTTSV.load_balance`).
 
+Everything about the exchanges that does not depend on ``x`` — the
+validated rounds, the fused batches with one
+:class:`~repro.machine.transport.fusion.FusionPlan` each, the send
+buffer, the staging and shard maps, and each batch's priced ledger
+records — is built once per engine (:class:`ExchangePhase`); a run
+only stages payloads, executes the prebuilt batches and unpacks.
+
 All data movement goes through the machine's pluggable transport
 (:mod:`repro.machine.transport`): construct the :class:`Machine` with a
 :class:`~repro.machine.transport.shm.SharedMemoryTransport` to execute
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -78,11 +85,12 @@ from repro.core.plans import ExchangePlan
 from repro.core.schedule import ExchangeSchedule
 from repro.errors import ConfigurationError, MachineError
 from repro.machine.collectives import (
-    all_to_all,
+    LabeledRound,
     execute_rounds_fused,
     schedule_point_to_point,
 )
 from repro.machine.machine import Machine
+from repro.machine.transport import FusionPlan, Transfer
 from repro.tensor.bcss import BCSSTensor
 from repro.tensor.blocks import extract_block
 from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
@@ -118,6 +126,25 @@ class CommBackend(enum.Enum):
 
     POINT_TO_POINT = "point-to-point"
     ALL_TO_ALL = "all-to-all"
+
+
+class ExchangePhase(NamedTuple):
+    """One exchange phase, built once per engine.
+
+    ``batches`` are the phase's validated labeled rounds, split into
+    fused batches, each with its :class:`FusionPlan`; every transfer's
+    payload is a fixed slice of ``send``. A run fills ``send`` with one
+    ``np.take`` through ``gather``, executes the batches, and unpacks
+    the delivered stream through ``take``/``put`` (see
+    :meth:`~repro.core.plans.ExchangePlan.phase_maps`).
+    """
+
+    tag: str
+    batches: List[Tuple[List[LabeledRound], FusionPlan]]
+    send: np.ndarray
+    gather: np.ndarray
+    take: np.ndarray
+    put: np.ndarray
 
 
 def pad_tensor(tensor: PackedSymmetricTensor, n_padded: int) -> PackedSymmetricTensor:
@@ -203,6 +230,8 @@ class ParallelSTTSV:
             if symmetric
             else partition.exchange_schedule(self.exchange_plan.y_pairs)
         )
+        self.phase_x = self._build_phase("x", "x-exchange", self.schedule)
+        self.phase_y = self._build_phase("y", "y-exchange", self.schedule_y)
         # Per-block kernel for dense storage; ``None`` means sparse COO
         # storage. Chosen by :meth:`load_tensor` from the tensor type.
         self._apply_block: Optional[Callable] = None
@@ -286,81 +315,98 @@ class ParallelSTTSV:
             raise ConfigurationError(
                 f"vector must have shape ({self.n},), got {x.shape}"
             )
+        plan = self.exchange_plan
         x_padded = dist.pad_vector(x, self.n_padded)
-        shards = dist.initial_shards(self.partition, x_padded, self.b)
+        shards = plan.split_shards(x_padded[plan.load_index])
         for p in range(machine.P):
             machine[p].store("x_shards", shards[p])
 
     # -- exchange phases ---------------------------------------------------------------
 
-    def _pad_uniform(self, payload: Optional[np.ndarray]) -> np.ndarray:
-        """Pad a payload to the uniform 2-shard slot of the All-to-All
-        model (pairs share at most two row blocks)."""
-        slot = 2 * self.shard
-        out = np.zeros(slot)
-        if payload is not None:
-            out[: payload.size] = payload
-        return out
+    def _build_phase(
+        self, phase: str, tag: str, schedule: ExchangeSchedule
+    ) -> ExchangePhase:
+        """Lay out one phase's transfers, batches and fusion plans.
+
+        Point-to-point validates the schedule's permutation rounds
+        (labels ``{tag}:round{i}``) and splits them into
+        :data:`FUSED_BATCHES` contiguous batches. All-to-All is the
+        ``P − 1`` shift rounds (labels ``{tag}:shift{s}``) of one
+        uniform two-shard slot per ordered pair, executed as one batch.
+        Deliveries land in round order, the order the y reduction sums
+        them in.
+        """
+        plan = self.exchange_plan
+        P = self.partition.P
+        if self.backend is CommBackend.ALL_TO_ALL:
+            width: Optional[int] = 2 * self.shard
+            rounds = [
+                (f"{tag}:shift{shift}", [(src, (src + shift) % P) for src in range(P)])
+                for shift in range(1, P)
+            ]
+            bounds = [(0, len(rounds))] if rounds else []
+        else:
+            width = None
+            payload_of = plan.x_payload if phase == "x" else plan.y_payload
+            rounds = [
+                (label, [(t.source, t.dest) for t in transfers])
+                for label, transfers in schedule_point_to_point(
+                    schedule.rounds, payload_of, tag=tag
+                )
+            ]
+            bounds = fused_batch_bounds(len(rounds))
+        members = [pair for _, pairs in rounds for pair in pairs]
+        gather, take, put, words = plan.phase_maps(phase, members, width)
+        send = np.zeros(gather.size)
+        payloads = iter(np.split(send, np.cumsum(words)[:-1]))
+        labeled: List[LabeledRound] = [
+            (label, [Transfer(src, dst, next(payloads)) for src, dst in pairs])
+            for label, pairs in rounds
+        ]
+        batches = []
+        for lo, hi in bounds:
+            batch = labeled[lo:hi]
+            batches.append(
+                (batch, FusionPlan([t for _, ts in batch for t in ts]))
+            )
+        return ExchangePhase(tag, batches, send, gather, take, put)
 
     def _exchange(
-        self,
-        machine: Machine,
-        schedule: ExchangeSchedule,
-        payload_for: Callable[[int, int], Optional[np.ndarray]],
-        tag: str,
-    ) -> List[Dict[int, np.ndarray]]:
-        """Move one phase's payloads; returns ``received[dst][src]``.
-
-        Point-to-point labels the phase's rounds once and runs them as
-        :data:`FUSED_BATCHES` contiguous
-        :func:`~repro.machine.collectives.execute_rounds_fused` batches
-        (plain per-round execution when the machine has fusion off).
-        Deliveries land in schedule-round order, the order
-        :meth:`ExchangePlan.reduce_y` sums them in.
-        """
-        P = machine.P
-        if self.backend is CommBackend.ALL_TO_ALL:
-            sendbufs = [
-                {
-                    dst: self._pad_uniform(payload_for(src, dst))
-                    for dst in range(P)
-                    if dst != src
-                }
-                for src in range(P)
-            ]
-            return all_to_all(machine, sendbufs, tag=tag)
-        labeled = schedule_point_to_point(schedule.rounds, payload_for, tag=tag)
-        received: List[Dict[int, np.ndarray]] = [{} for _ in range(P)]
-        for lo, hi in fused_batch_bounds(len(labeled)):
-            batch = labeled[lo:hi]
-            for (_, transfers), delivered in zip(
-                batch, execute_rounds_fused(machine, batch, tag)
+        self, machine: Machine, phase: ExchangePhase, source: np.ndarray
+    ) -> np.ndarray:
+        """Stage one phase's payloads from ``source`` into its send
+        buffer, move them batch by batch through
+        :func:`~repro.machine.collectives.execute_rounds_fused` (plain
+        per-round execution when the machine has fusion off), and
+        return the delivered payloads concatenated in delivery order."""
+        np.take(source, phase.gather, out=phase.send)
+        delivered: List[np.ndarray] = []
+        for rounds, fusion_plan in phase.batches:
+            for payloads in execute_rounds_fused(
+                machine, rounds, phase.tag, plan=fusion_plan
             ):
-                for transfer, payload in zip(transfers, delivered):
-                    received[transfer.dest][transfer.source] = payload
-        return received
+                delivered.extend(payloads)
+        return np.concatenate(delivered) if delivered else np.empty(0)
 
     def _exchange_x(self, machine: Machine) -> None:
         """Phase 1: gather the full row blocks ``x[need_p]`` everywhere."""
         plan = self.exchange_plan
         for p in range(machine.P):
             plan.stage_x(p, machine[p].load("x_shards"))
-        received = self._exchange(
-            machine, self.schedule, plan.x_payload, "x-exchange"
-        )
+        stream = self._exchange(machine, self.phase_x, plan.xs)
+        x_full = plan.unpack_x(stream, self.phase_x.take, self.phase_x.put)
         for p in range(machine.P):
-            machine[p].store("x_full", plan.unpack_x(p, received[p]))
+            machine[p].store("x_full", x_full[p])
 
     def _exchange_y(self, machine: Machine) -> None:
         """Phase 3: scatter-reduce the partial ``ŷ[need_p]`` into shards."""
         plan = self.exchange_plan
         for p in range(machine.P):
             plan.stage_y(p, machine[p].load("y_partial"))
-        received = self._exchange(
-            machine, self.schedule_y, plan.y_payload, "y-exchange"
-        )
+        stream = self._exchange(machine, self.phase_y, plan.yp)
+        y_shards = plan.reduce_y(stream, self.phase_y.take, self.phase_y.put)
         for p in range(machine.P):
-            machine[p].store("y_shards", plan.reduce_y(p, received[p]))
+            machine[p].store("y_shards", y_shards[p])
 
     # -- phase 2: local compute ----------------------------------------------------------
 
@@ -420,9 +466,7 @@ class ParallelSTTSV:
         the communication model — the algorithm's contract ends with
         ``y`` distributed exactly like ``x`` was)."""
         shards = [machine[p].load("y_shards") for p in range(machine.P)]
-        return dist.assemble_vector(
-            self.partition, shards, self.b, original_length=self.n
-        )
+        return self.exchange_plan.assemble(shards)[: self.n]
 
     # -- accounting ---------------------------------------------------------------------------
 

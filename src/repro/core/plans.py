@@ -18,11 +18,13 @@ work once and reuses it:
   :class:`~repro.core.parallel_sttsv.ParallelSTTSV` from the
   partition's holder/consumer pair maps. Replaces the per-call dict
   lookups, ``sorted(common)`` passes, slicing, and ``np.concatenate``
-  payload assembly of Algorithm 5's two exchange phases with
-  precomputed flat gather/scatter index arrays and reusable
-  preallocated send buffers. Communication accounting is
-  unchanged: payload sizes, message counts, and round structure are
-  identical to the direct implementation (asserted by tests).
+  payload assembly of Algorithm 5's two exchange phases, and its
+  vector scatter and gather, with precomputed flat index arrays over
+  flat staging buffers: one gather stages a whole phase's payloads
+  and one indexed assignment or ``np.add.at`` unpacks it.
+  Communication accounting is unchanged: payload sizes, message
+  counts, and round structure are identical to the direct
+  implementation (asserted by tests).
 
 Strategy semantics
 ------------------
@@ -53,12 +55,13 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
 )
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PartitionError
 from repro.tensor.packed import PackedSymmetricTensor
 
 #: Largest gemm-strategy operator ``auto`` will materialize (bytes).
@@ -682,17 +685,24 @@ class ExchangePlan:
     shard. Both map an ordered pair to the sorted row blocks its
     message carries (at order 3 both equal the §7.2.2 ``shared`` sets).
     For each pair the plan precomputes flat index arrays into
-    per-processor staging buffers, so each per-call payload is one
-    ``np.take`` into a reusable send buffer and each unpack is one
-    fancy-indexed assignment — no ``sorted``, no dict-of-slices walk,
-    no ``np.concatenate``.
+    per-processor staging buffers (:attr:`x_gather` / :attr:`x_scatter`
+    and the y equivalents); :meth:`phase_maps` concatenates them over a
+    whole phase, so a phase stages every payload with one ``np.take``
+    and unpacks every delivery with one indexed assignment (x) or one
+    in-order ``np.add.at`` (y).
 
-    Buffer layout (per processor ``p``): ``x-shards`` and ``y-shards``
-    staging concatenate shards over ``held[p] = sorted(R_p)``;
-    ``x-full`` and ``y-partial`` staging concatenate full row blocks
-    over ``order[p] = sorted(need_p)`` (every x-full slot is
-    overwritten each run: the own shard plus one shard from every
-    other holder of each row block).
+    Buffer layout. *Shard layout* concatenates, over processors ``p``
+    and then ``held[p] = sorted(R_p)``, each owned shard; it is the
+    layout of :attr:`xs` (staged x shards), of the shards
+    :meth:`split_shards` hands out, and of :attr:`load_index` (the
+    padded-vector position of every shard word, checked at build time
+    to cover each position exactly once). *Full layout* concatenates,
+    over ``p`` and then ``order[p] = sorted(need_p)``, full row blocks;
+    it is the layout of :attr:`xf` (assembled x blocks) and :attr:`yp`
+    (staged partial y). :attr:`xs` and :attr:`yp` carry one trailing
+    zero word, the source of the All-to-All's zero padding. Every
+    :attr:`xf` slot is overwritten each run: the own shard plus one
+    shard from every other holder of each row block.
 
     The plan is purely an execution detail: payload contents, sizes,
     message counts, and round structure are identical to the direct
@@ -714,6 +724,10 @@ class ExchangePlan:
         ]
         held_at = [{i: t for t, i in enumerate(rows)} for rows in self.held]
         full_at = [{i: t for t, i in enumerate(rows)} for rows in self.order]
+        self.shard_offset = np.cumsum(
+            [0] + [len(rows) * shard for rows in self.held]
+        )
+        self.full_offset = np.cumsum([0] + [len(rows) * b for rows in self.order])
 
         pairs: Dict[Tuple[int, int], List[int]] = {}
         for i in range(partition.m):
@@ -726,16 +740,25 @@ class ExchangePlan:
             (dst, src): blocks for (src, dst), blocks in pairs.items()
         }
 
-        # Positions of p's own shards inside its full staging buffer,
-        # in ``held`` order: seeds x-full, extracts y-shards.
-        self.own_span: List[np.ndarray] = []
+        # For every shard-layout word: its position in the full layout
+        # (each processor's own shards inside its full blocks — seeds
+        # x-full, extracts y-shards) and in the padded vector.
+        own, load = [], []
         for p in range(P):
-            spans = []
             for i in self.held[p]:
                 lo, hi = dist.shard_bounds(partition, i, p, b)
-                t = full_at[p][i]
-                spans.append(np.arange(t * b + lo, t * b + hi))
-            self.own_span.append(np.concatenate(spans))
+                base = self.full_offset[p] + full_at[p][i] * b
+                own.append(np.arange(base + lo, base + hi))
+                load.append(np.arange(i * b + lo, i * b + hi))
+        self.own_full = np.concatenate(own)
+        self.load_index = np.concatenate(load)
+        if not np.array_equal(
+            np.bincount(self.load_index, minlength=partition.m * b),
+            np.ones(partition.m * b, dtype=np.int64),
+        ):
+            raise PartitionError(
+                "shards do not cover every vector position exactly once"
+            )
 
         # Per-pair index arrays. x phase: the holder ships its own
         # shard of block i; the consumer places it at the holder's
@@ -762,83 +785,161 @@ class ExchangePlan:
             self.x_scatter[(holder, consumer)] = scatter
             self.y_gather[(consumer, holder)] = scatter
             self.y_scatter[(consumer, holder)] = gather
-        self._x_sendbuf = {
-            pair: np.empty(idx.size) for pair, idx in self.x_gather.items()
-        }
-        self._y_sendbuf = {
-            pair: np.empty(idx.size) for pair, idx in self.y_gather.items()
-        }
 
-        self._xs = [np.zeros(len(rows) * shard) for rows in self.held]
-        self._xf = [np.zeros(len(rows) * b) for rows in self.order]
-        self._yp = [np.zeros(len(rows) * b) for rows in self.order]
-        self._ys = [np.zeros(len(rows) * shard) for rows in self.held]
+        self.xs = np.zeros(self.shard_offset[-1] + 1)
+        self.xf = np.zeros(self.full_offset[-1])
+        self.yp = np.zeros(self.full_offset[-1] + 1)
+        self._xs = self._split(self.xs, self.shard_offset)
+        self._yp = self._split(self.yp, self.full_offset)
+        xf = self._split(self.xf, self.full_offset)
+        #: Per-processor x-full row blocks: views into :attr:`xf`.
+        self.x_full: List[Dict[int, np.ndarray]] = [
+            {i: xf[p][t * b : (t + 1) * b] for t, i in enumerate(rows)}
+            for p, rows in enumerate(self.order)
+        ]
+
+    @staticmethod
+    def _split(flat: np.ndarray, offsets: np.ndarray) -> List[np.ndarray]:
+        return [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    # -- vector distribution ------------------------------------------------------
+
+    def split_shards(self, flat: np.ndarray) -> List[Dict[int, np.ndarray]]:
+        """Per-processor shard dicts (``shards[p][i]``) as views into a
+        shard-layout array."""
+        shard = self.shard
+        out = []
+        for p, rows in enumerate(self.held):
+            base = self.shard_offset[p]
+            out.append(
+                {
+                    i: flat[base + t * shard : base + (t + 1) * shard]
+                    for t, i in enumerate(rows)
+                }
+            )
+        return out
+
+    def assemble(self, shards: List[Dict[int, np.ndarray]]) -> np.ndarray:
+        """The padded vector whose shards are ``shards[p][i]``: the
+        inverse of ``split_shards(x[load_index])``. Every processor
+        must hold exactly its row blocks' shards."""
+        pieces = []
+        for p, (rows, owned) in enumerate(zip(self.held, shards)):
+            if len(owned) != len(rows) or any(i not in owned for i in rows):
+                raise PartitionError(
+                    f"missing shards: processor {p} holds row blocks"
+                    f" {sorted(owned)}, expected {rows}"
+                )
+            pieces.extend(owned[i] for i in rows)
+        flat = np.concatenate(pieces)
+        if flat.shape != self.load_index.shape:
+            raise PartitionError(
+                f"shards hold {flat.size} words, expected {self.load_index.size}"
+            )
+        out = np.empty(self.partition.m * self.b)
+        out[self.load_index] = flat
+        return out
+
+    # -- phase maps ---------------------------------------------------------------
+
+    def phase_maps(
+        self,
+        phase: str,
+        members: Sequence[Tuple[int, int]],
+        width: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+        """Flat index maps of one exchange phase (``"x"`` or ``"y"``).
+
+        The phase's transfers carry the payloads of ``members`` —
+        ordered ``(src, dst)`` pairs in delivery order — back to back
+        in one send buffer, each ``width`` words if given (the
+        All-to-All's uniform slot: zero padding after the payload, and
+        only padding for a pair with nothing to send).
+
+        Returns ``(gather, take, put, words)``: ``np.take(source,
+        gather)`` fills the send buffer from the phase's source staging
+        (:attr:`xs` or :attr:`yp`); ``take`` picks every payload word
+        out of the delivered stream (the delivered payloads
+        concatenated in member order) and ``put`` is that word's
+        position in the destination (:attr:`xf`, or the shard-layout y
+        shards); ``words`` is each member's length in the send buffer.
+        """
+        if phase == "x":
+            gathers, scatters = self.x_gather, self.x_scatter
+            src_offset, dst_offset = self.shard_offset, self.full_offset
+            zero = self.xs.size - 1
+        else:
+            gathers, scatters = self.y_gather, self.y_scatter
+            src_offset, dst_offset = self.full_offset, self.shard_offset
+            zero = self.yp.size - 1
+        empty = np.zeros(0, dtype=np.intp)
+        gather, take, put = [empty], [empty], [empty]
+        words: List[int] = []
+        cursor = 0
+        for src, dst in members:
+            idx = gathers.get((src, dst))
+            size = 0 if idx is None else idx.size
+            words.append(size if width is None else width)
+            if idx is not None:
+                gather.append(src_offset[src] + idx)
+                take.append(np.arange(cursor, cursor + size))
+                put.append(dst_offset[dst] + scatters[(src, dst)])
+            gather.append(np.full(words[-1] - size, zero))
+            cursor += words[-1]
+        gather, take, put = (
+            np.concatenate(maps).astype(np.intp) for maps in (gather, take, put)
+        )
+        return gather, take, put, words
 
     # -- x phase ---------------------------------------------------------------
 
     def stage_x(self, p: int, shards: Dict[int, np.ndarray]) -> None:
-        """Flatten processor ``p``'s own shard dict into its staging
-        buffer (one small copy per owned row block)."""
-        buf = self._xs[p]
-        shard = self.shard
-        for t, i in enumerate(self.held[p]):
-            buf[t * shard : (t + 1) * shard] = shards[i]
+        """Flatten processor ``p``'s own shard dict into its slice of
+        :attr:`xs`."""
+        np.concatenate([shards[i] for i in self.held[p]], out=self._xs[p])
 
     def x_payload(self, src: int, dst: int) -> Optional[np.ndarray]:
-        """Gathered x payload for ``src -> dst`` (reusable buffer)."""
+        """The x payload ``src`` sends ``dst`` (a new array), or
+        ``None`` for a pair with nothing to send: one pair's slice of
+        the phase gather."""
         idx = self.x_gather.get((src, dst))
         if idx is None:
             return None
-        return np.take(self._xs[src], idx, out=self._x_sendbuf[(src, dst)])
+        return np.take(self._xs[src], idx)
 
     def unpack_x(
-        self, p: int, received: Dict[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """Assemble full row blocks from own shards + received payloads.
-
-        Returns views into the staging buffer keyed by row block. Every
-        slot is overwritten, so no zeroing pass is needed between runs.
-        """
-        full = self._xf[p]
-        full[self.own_span[p]] = self._xs[p]
-        for src, payload in received.items():
-            idx = self.x_scatter.get((src, p))
-            if idx is not None:  # None: zero padding from a non-neighbor
-                full[idx] = payload[: idx.size]
-        b = self.b
-        return {
-            i: full[t * b : (t + 1) * b] for t, i in enumerate(self.order[p])
-        }
+        self, stream: np.ndarray, take: np.ndarray, put: np.ndarray
+    ) -> List[Dict[int, np.ndarray]]:
+        """Assemble every processor's full row blocks from its own
+        shards plus the delivered stream (maps from :meth:`phase_maps`);
+        returns :attr:`x_full`."""
+        self.xf[self.own_full] = self.xs[:-1]
+        self.xf[put] = stream[take]
+        return self.x_full
 
     # -- y phase ---------------------------------------------------------------
 
     def stage_y(self, p: int, partial: Dict[int, np.ndarray]) -> None:
-        """Flatten processor ``p``'s partial row blocks into staging."""
-        buf = self._yp[p]
-        b = self.b
-        for t, i in enumerate(self.order[p]):
-            buf[t * b : (t + 1) * b] = partial[i]
+        """Flatten processor ``p``'s partial row blocks into its slice
+        of :attr:`yp`."""
+        np.concatenate([partial[i] for i in self.order[p]], out=self._yp[p])
 
     def y_payload(self, src: int, dst: int) -> Optional[np.ndarray]:
-        """Gathered partial-y payload for ``src -> dst``."""
+        """The partial-y payload ``src`` sends ``dst`` (a new array),
+        or ``None``."""
         idx = self.y_gather.get((src, dst))
         if idx is None:
             return None
-        return np.take(self._yp[src], idx, out=self._y_sendbuf[(src, dst)])
+        return np.take(self._yp[src], idx)
 
     def reduce_y(
-        self, p: int, received: Dict[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """Sum own partial slices with received contributions, in
-        ``received``'s order (float addition order fixes the bits)."""
-        ys = self._ys[p]
-        np.take(self._yp[p], self.own_span[p], out=ys)
-        for src, payload in received.items():
-            idx = self.y_scatter.get((src, p))
-            if idx is not None:  # None: zero padding from a non-neighbor
-                ys[idx] += payload[: idx.size]
-        shard = self.shard
-        return {
-            i: ys[t * shard : (t + 1) * shard].copy()
-            for t, i in enumerate(self.held[p])
-        }
+        self, stream: np.ndarray, take: np.ndarray, put: np.ndarray
+    ) -> List[Dict[int, np.ndarray]]:
+        """Every processor's final y shards: own partial slices plus
+        the delivered contributions, summed into fresh storage in
+        stream order (``np.add.at`` is unbuffered and in index order,
+        so each word's additions happen in delivery order, as a
+        per-payload loop would do them)."""
+        ys = self.yp[self.own_full]
+        np.add.at(ys, put, stream[take])
+        return self.split_shards(ys)

@@ -56,6 +56,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.machine.message import word_count
 from repro.machine.transport import Transfer, payload_checksum
@@ -220,6 +221,7 @@ def execute_rounds_fused(
     rounds: Sequence[LabeledRound],
     tag: str,
     record_empty: bool = False,
+    plan: Optional[FusionPlan] = None,
 ) -> List[List[np.ndarray]]:
     """Execute a batch of logical rounds as one fused physical exchange.
 
@@ -231,6 +233,17 @@ def execute_rounds_fused(
     physical counts land in the ledger's ``fused_*`` side-channel, so
     fused and unfused runs have byte-for-byte identical algorithmic
     fingerprints.
+
+    ``plan`` is an optional prebuilt :class:`FusionPlan` over exactly
+    this batch's transfers, flattened in round order. Without one, a
+    plan is built for this call. A caller that runs the same batch
+    many times — same labels, ranks and word counts, payload contents
+    restaged in the same arrays — builds the plan once and passes it
+    every time. The plan's pricing is then done once per cost model:
+    ``machine.cost`` prices the batch into a template ledger kept in
+    ``plan.priced``, and every call merges that template into
+    ``machine.ledger`` (the merged round records are shared, and
+    nothing writes to them).
 
     Deliveries are returned per round, in transfer order, as views
     into the fused buffers (bitwise identical to unfused delivery). A
@@ -246,8 +259,14 @@ def execute_rounds_fused(
     valid (not reused) for the whole batch.
     """
     rounds = [(label, list(transfers)) for label, transfers in rounds]
-    flat = [t for _, transfers in rounds for t in transfers]
-    plan = FusionPlan(flat)
+    if plan is None:
+        plan = FusionPlan([t for _, transfers in rounds for t in transfers])
+    elif len(plan.transfers) != sum(len(transfers) for _, transfers in rounds):
+        raise MachineError(
+            f"{tag}: the prebuilt fusion plan has {len(plan.transfers)}"
+            " transfers, not this batch's"
+        )
+    flat = plan.transfers
     if not machine.fusion or not plan.fusible or not flat:
         return [
             execute_round(machine, label, tag, transfers, record_empty)
@@ -271,9 +290,15 @@ def execute_rounds_fused(
     else:
         span_cm = None
     with span_cm if span_cm is not None else _NULL_SPAN as round_span:
-        machine.cost.price_fused_batch(
-            machine.ledger, rounds, tag, plan, record_empty=record_empty
-        )
+        key = (machine.cost, tag, record_empty)
+        priced = plan.priced.get(key)
+        if priced is None:
+            priced = CommunicationLedger(machine.P)
+            machine.cost.price_fused_batch(
+                priced, rounds, tag, plan, record_empty=record_empty
+            )
+            plan.priced[key] = priced
+        machine.ledger.merge(priced)
         verify = machine.verification_required
         expected: List[Optional[int]] = [
             payload_checksum(t.payload) if verify else None for t in flat

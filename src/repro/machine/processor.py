@@ -23,12 +23,19 @@ class Processor:
             raise MachineError(f"rank must be >= 0, got {rank}")
         self.rank = rank
         self.memory: Dict[str, Any] = {}
+        # Words of each stored value and their running total, so a
+        # store costs O(stored value), not a walk of all memory.
+        self._words: Dict[str, int] = {}
+        self._resident = 0
         self._peak_words = 0
 
     def store(self, key: str, value: Any) -> None:
         """Bind ``key`` to ``value`` in private memory."""
         self.memory[key] = value
-        self._update_peak()
+        words = _value_words(value)
+        self._resident += words - self._words.get(key, 0)
+        self._words[key] = words
+        self._peak_words = max(self._peak_words, self._resident)
 
     def load(self, key: str) -> Any:
         """Read a private value; raises if absent."""
@@ -42,25 +49,26 @@ class Processor:
     def discard(self, key: str) -> None:
         """Drop a value if present."""
         self.memory.pop(key, None)
+        self._resident -= self._words.pop(key, 0)
 
     def resident_words(self) -> int:
-        """Current float64 words resident in private memory (arrays only)."""
-        total = 0
-        for value in self.memory.values():
-            if isinstance(value, np.ndarray):
-                total += value.size
-            elif isinstance(value, dict):
-                total += sum(
-                    v.size for v in value.values() if isinstance(v, np.ndarray)
-                )
-        return total
+        """Current float64 words resident in private memory (arrays,
+        and arrays one level down in dicts), walked from scratch."""
+        return sum(_value_words(value) for value in self.memory.values())
 
     def peak_words(self) -> int:
         """High-water mark of :meth:`resident_words` across stores."""
         return self._peak_words
 
-    def _update_peak(self) -> None:
-        self._peak_words = max(self._peak_words, self.resident_words())
-
     def __repr__(self) -> str:
         return f"Processor(rank={self.rank}, keys={sorted(self.memory)})"
+
+
+def _value_words(value: Any) -> int:
+    """Words one stored value occupies: an array's size, or the summed
+    sizes of the arrays in a dict; anything else counts zero."""
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, dict):
+        return sum(v.size for v in value.values() if isinstance(v, np.ndarray))
+    return 0

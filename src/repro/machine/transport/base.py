@@ -24,9 +24,10 @@ after ``exchange`` returns must never be observable at the receiver.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence, runtime_checkable
+from typing import List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -93,10 +94,21 @@ def payload_checksum(array: np.ndarray) -> int:
     (flipped bits), or duplication (doubled bytes, hence a different
     shape) all change the digest, so a mismatch is sufficient evidence
     to re-execute the transfer.
+
+    The digest is ``crc32(tobytes, crc32(repr(shape), crc32(dtype.str)))``;
+    the dtype/shape prefix is memoised, and a C-contiguous array is
+    read straight from its buffer instead of through a copy.
     """
-    digest = zlib.crc32(array.dtype.str.encode())
-    digest = zlib.crc32(repr(array.shape).encode(), digest)
+    digest = _prefix_checksum(array.dtype, array.shape)
+    if array.flags.c_contiguous:
+        return zlib.crc32(array, digest)
     return zlib.crc32(array.tobytes(), digest)
+
+
+@functools.lru_cache(maxsize=1024)
+def _prefix_checksum(dtype: np.dtype, shape: Tuple[int, ...]) -> int:
+    """CRC-32 of a payload's dtype string followed by its shape repr."""
+    return zlib.crc32(repr(shape).encode(), zlib.crc32(dtype.str.encode()))
 
 
 def check_transfers(P: int, transfers: Sequence[Transfer]) -> None:

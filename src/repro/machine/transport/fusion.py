@@ -25,9 +25,10 @@ Wire format (one fused buffer, all ``float64`` words)::
       src_0, words_0, ..., src_{k-1}, words_{k-1},
       payload_0 words..., ..., payload_{k-1} words... ]
 
-The header is validated structurally on unpack — magic word, member
-count, per-member sources and word counts, total length — against the
-*plan* (derived from the schedule before any bytes moved), so a
+The header is validated structurally on unpack — total length, then
+magic word, member count, per-member sources and word counts bit for
+bit — against the *plan*, which builds every group's header once from
+the schedule before any bytes move, so a
 dropped (zeroed), corrupted (bit-flipped), or duplicated (doubled)
 fused buffer is detected even before per-member checksums run, and
 every member of a failed group is handed back to the caller for
@@ -43,7 +44,7 @@ side-channel, mirroring the ``retry_*`` recovery pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +87,14 @@ class FusedGroup:
     source: int
     #: Indices into the flat member list, in batch order.
     members: List[int] = field(default_factory=list)
+    #: Header words (preamble + member table), built once by the plan:
+    #: :meth:`FusionPlan.pack` stamps them, :meth:`FusionPlan.unpack`
+    #: requires them bit for bit.
+    header: Optional[np.ndarray] = None
+    #: ``(lo, hi)`` word range of each member's payload in the buffer.
+    bounds: List[Tuple[int, int]] = field(default_factory=list)
+    #: Total buffer length, header included.
+    words: int = 0
 
 
 @dataclass
@@ -110,69 +119,85 @@ class FusionPlan:
     ----------
     transfers:
         The flattened logical schedule (a batch of rounds' transfers,
-        in round order). Group membership, buffer layout, and the
-        validation fingerprint are all derived here — before any bytes
-        move — so unpack can verify deliveries against the schedule.
+        in round order). Group membership, each group's header and
+        member offsets, and the batch's :class:`FusionStats` are all
+        derived here — before any bytes move — so unpack can verify
+        deliveries against the schedule.
+
+    A plan depends only on the transfers' ranks and word counts, never
+    on payload contents: each :meth:`pack` copies the payloads' current
+    contents into the plan's fused buffers. A caller that restages the
+    *same* payload arrays for every execution (Algorithm 5's reusable
+    send buffers) therefore builds its plans once and hands them to
+    every :func:`~repro.machine.collectives.execute_rounds_fused` call,
+    which also keeps the batch's priced ledger records in
+    :attr:`priced`.
     """
 
     def __init__(self, transfers: Sequence[Transfer]):
         self.transfers: List[Transfer] = list(transfers)
         self.fusible = all(fusible_payload(t.payload) for t in self.transfers)
         self.groups: List[FusedGroup] = []
-        self._group_of_dest: Dict[int, FusedGroup] = {}
+        #: Ledger records of this batch priced once per
+        #: ``(cost model, tag, record_empty)`` and replayed on every
+        #: execution (filled by ``execute_rounds_fused``).
+        self.priced: Dict[Tuple, Any] = {}
+        self._stats: Optional[FusionStats] = None
+        # Per group: the arrays its buffer concatenates (header, then
+        # member payloads), and the physical transfer carrying it.
+        self._parts: List[List[np.ndarray]] = []
+        self._physical: List[Transfer] = []
         if not self.fusible:
             return
+        group_of_dest: Dict[int, FusedGroup] = {}
         for index, transfer in enumerate(self.transfers):
-            group = self._group_of_dest.get(transfer.dest)
+            group = group_of_dest.get(transfer.dest)
             if group is None:
                 group = FusedGroup(dest=transfer.dest, source=transfer.source)
-                self._group_of_dest[transfer.dest] = group
+                group_of_dest[transfer.dest] = group
                 self.groups.append(group)
             group.members.append(index)
+        for group in self.groups:
+            members = [self.transfers[m] for m in group.members]
+            header = np.empty(_PREAMBLE_WORDS + _MEMBER_HEADER_WORDS * len(members))
+            header[0] = MAGIC
+            header[1] = float(len(members))
+            header[_PREAMBLE_WORDS::2] = [t.source for t in members]
+            header[_PREAMBLE_WORDS + 1 :: 2] = [t.payload.size for t in members]
+            cursor = header.size
+            for transfer in members:
+                group.bounds.append((cursor, cursor + transfer.payload.size))
+                cursor += transfer.payload.size
+            group.header = header
+            group.words = cursor
+            self._parts.append([header] + [t.payload for t in members])
+            self._physical.append(
+                Transfer(group.source, group.dest, np.empty(cursor))
+            )
 
     # -- accounting ------------------------------------------------------------
 
     def stats(self) -> FusionStats:
-        """Logical vs physical message/word counts of this batch."""
-        words_logical = sum(t.payload.size for t in self.transfers)
-        words_fused = sum(self._buffer_words(g) for g in self.groups)
-        return FusionStats(
-            messages_logical=len(self.transfers),
-            messages_fused=len(self.groups),
-            words_logical=words_logical,
-            words_fused=words_fused,
-        )
-
-    def _buffer_words(self, group: FusedGroup) -> int:
-        payload_words = sum(
-            self.transfers[m].payload.size for m in group.members
-        )
-        return (
-            _PREAMBLE_WORDS
-            + _MEMBER_HEADER_WORDS * len(group.members)
-            + payload_words
-        )
+        """Logical vs physical message/word counts of this batch
+        (computed on first use, then kept)."""
+        if self._stats is None:
+            self._stats = FusionStats(
+                messages_logical=len(self.transfers),
+                messages_fused=len(self.groups),
+                words_logical=sum(t.payload.size for t in self.transfers),
+                words_fused=sum(g.words for g in self.groups),
+            )
+        return self._stats
 
     # -- packing ---------------------------------------------------------------
 
     def pack(self) -> List[Transfer]:
-        """Build the physical schedule: one header-framed buffer per group."""
-        physical: List[Transfer] = []
-        for group in self.groups:
-            members = group.members
-            buf = np.empty(self._buffer_words(group))
-            buf[0] = MAGIC
-            buf[1] = float(len(members))
-            cursor = _PREAMBLE_WORDS + _MEMBER_HEADER_WORDS * len(members)
-            for slot, m in enumerate(members):
-                transfer = self.transfers[m]
-                words = transfer.payload.size
-                buf[_PREAMBLE_WORDS + 2 * slot] = float(transfer.source)
-                buf[_PREAMBLE_WORDS + 2 * slot + 1] = float(words)
-                buf[cursor : cursor + words] = transfer.payload
-                cursor += words
-            physical.append(Transfer(group.source, group.dest, buf))
-        return physical
+        """Build the physical schedule: one header-framed buffer per
+        group, refilled with the members' current payload contents
+        (the buffers are the plan's own, reused by every pack)."""
+        for parts, physical in zip(self._parts, self._physical):
+            np.concatenate(parts, out=physical.payload)
+        return list(self._physical)
 
     # -- unpacking -------------------------------------------------------------
 
@@ -184,9 +209,10 @@ class FusionPlan:
         Returns ``(payloads, failed)``: one array per logical transfer
         (views into the delivered buffers — bitwise identical to the
         packed payloads), and the indices of every member whose group
-        buffer failed structural validation (wrong magic, member table,
-        or length). Failed members get ``None`` payloads; the caller
-        redelivers them individually through the recovery path.
+        buffer failed structural validation (wrong length, or a header
+        that differs from the plan's in any bit). Failed members get
+        ``None`` payloads; the caller redelivers them individually
+        through the recovery path.
         """
         payloads: List[Optional[np.ndarray]] = [None] * len(self.transfers)
         failed: List[int] = []
@@ -194,38 +220,20 @@ class FusionPlan:
             if not self._validate(group, buf):
                 failed.extend(group.members)
                 continue
-            members = group.members
-            cursor = _PREAMBLE_WORDS + _MEMBER_HEADER_WORDS * len(members)
-            for m in members:
-                words = self.transfers[m].payload.size
-                payloads[m] = buf[cursor : cursor + words]
-                cursor += words
+            for m, (lo, hi) in zip(group.members, group.bounds):
+                payloads[m] = buf[lo:hi]
         return payloads, failed
 
-    def _validate(self, group: FusedGroup, buf: np.ndarray) -> bool:
+    @staticmethod
+    def _validate(group: FusedGroup, buf: np.ndarray) -> bool:
         """Structural check of one delivered buffer against the plan."""
-        members = group.members
-        expected_words = self._buffer_words(group)
-        if (
-            not isinstance(buf, np.ndarray)
-            or buf.dtype != np.float64
-            or buf.ndim != 1
-            or buf.size != expected_words
-        ):
-            return False
-        if buf[:1].tobytes() != _MAGIC_BYTES:
-            return False
-        if buf[1] != float(len(members)):
-            return False
-        for slot, m in enumerate(members):
-            transfer = self.transfers[m]
-            if buf[_PREAMBLE_WORDS + 2 * slot] != float(transfer.source):
-                return False
-            if buf[_PREAMBLE_WORDS + 2 * slot + 1] != float(
-                transfer.payload.size
-            ):
-                return False
-        return True
+        return (
+            isinstance(buf, np.ndarray)
+            and buf.dtype == np.float64
+            and buf.ndim == 1
+            and buf.size == group.words
+            and buf[: group.header.size].tobytes() == group.header.tobytes()
+        )
 
 
 __all__ = ["MAGIC", "FusedGroup", "FusionPlan", "FusionStats", "fusible_payload"]

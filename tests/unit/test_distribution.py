@@ -80,6 +80,31 @@ class TestAssembleValidation:
         with pytest.raises(PartitionError):
             assemble_vector(partition_q2, shards, b)
 
+    def test_non_finite_values_assemble(self, partition_q2, rng):
+        b = 6
+        x = rng.normal(size=partition_q2.m * b)
+        x[[0, 4, 11]] = [np.nan, np.inf, -np.inf]
+        shards = initial_shards(partition_q2, x, b)
+        out = assemble_vector(partition_q2, shards, b)
+        assert np.array_equal(out, x, equal_nan=True)
+
+    def test_overlap_with_all_nan_shard_detected(self):
+        class Overlapping:
+            """Row block 0 of length 4 in halves; holders 0 and 1 both
+            claim the first half."""
+
+            m = 1
+
+            def shard_size(self, b):
+                return b // 2
+
+            def shard_owner_position(self, i, p):
+                return {0: 0, 1: 0, 2: 1}[p]
+
+        shards = [{0: np.full(2, np.nan)}, {0: np.ones(2)}, {0: np.full(2, 2.0)}]
+        with pytest.raises(PartitionError, match="overlaps"):
+            assemble_vector(Overlapping(), shards, 4)
+
     def test_truncation_to_original_length(self, partition_q2, rng):
         b = 6
         n_padded = partition_q2.m * b

@@ -1,5 +1,6 @@
 """Fusing scheduler unit tests: packing, structural validation, the
-verification fast path, and the deprecation shim.
+verification fast path, prebuilt plans reused across executions, and
+the deprecation shim.
 
 The contract under test (DESIGN.md §11): fusion is an execution detail
 of the *physical* layer — packed buffers unpack to bitwise-identical
@@ -274,6 +275,58 @@ class TestExecuteRoundsFused:
         assert machine.ledger.retry_rounds > 0
         # Retries never leak into the algorithmic counters.
         assert machine.ledger.round_count() == 20
+
+    def test_prebuilt_plan_carries_restaged_payloads(self):
+        """A reused plan packs the payload arrays' current contents, and
+        its replayed pricing equals pricing a one-shot plan."""
+        rounds = self._rounds()
+        plan = FusionPlan([t for _, transfers in rounds for t in transfers])
+        reused, one_shot = self._machine(), self._machine()
+        for seed in range(3):
+            for index, (_, transfers) in enumerate(rounds):
+                for slot, transfer in enumerate(transfers):
+                    transfer.payload[:] = _payload(10 * seed + 2 * index + slot)
+            delivered = execute_rounds_fused(reused, rounds, "t", plan=plan)
+            execute_rounds_fused(one_shot, rounds, "t")
+            for (_, transfers), got in zip(rounds, delivered):
+                for sent, arr in zip(transfers, got):
+                    assert np.array_equal(
+                        sent.payload.view(np.uint64), arr.view(np.uint64)
+                    )
+        assert len(plan.priced) == 1
+        for field in ("words_sent", "messages_sent", "messages_received"):
+            assert getattr(reused.ledger, field) == getattr(one_shot.ledger, field)
+        assert [(r.label, r.fused) for r in reused.ledger.rounds] == [
+            (r.label, r.fused) for r in one_shot.ledger.rounds
+        ]
+        assert reused.ledger.fusion_summary() == one_shot.ledger.fusion_summary()
+
+    def test_another_cost_model_reprices(self):
+        from dataclasses import dataclass
+
+        from repro.machine.cost import CostModel
+
+        @dataclass(frozen=True)
+        class MarkedCost(CostModel):
+            def price_round(self, ledger, label, transfers, tag, record_empty=False):
+                super().price_round(ledger, f"{label}!", transfers, tag, record_empty)
+
+        rounds = self._rounds()
+        plan = FusionPlan([t for _, transfers in rounds for t in transfers])
+        machine = self._machine()
+        execute_rounds_fused(machine, rounds, "t", plan=plan)
+        machine.cost = MarkedCost()
+        execute_rounds_fused(machine, rounds, "t", plan=plan)
+        assert [r.label for r in machine.ledger.rounds] == [
+            "t:round0", "t:round1", "t:round0!", "t:round1!",
+        ]
+        assert len(plan.priced) == 2
+
+    def test_plan_for_another_batch_is_rejected(self):
+        rounds = self._rounds()
+        plan = FusionPlan(rounds[0][1])
+        with pytest.raises(MachineError, match="prebuilt fusion plan"):
+            execute_rounds_fused(self._machine(), rounds, "t", plan=plan)
 
 
 class TestMachineFusionToggle:

@@ -130,6 +130,47 @@ class TestProcessor:
         with pytest.raises(MachineError):
             Processor(-1)
 
+    def test_replacing_a_value_updates_resident_words(self):
+        proc = Processor(0)
+        proc.store("a", np.zeros(10))
+        proc.store("a", np.zeros(4))
+        proc.store("b", (np.zeros(3), np.zeros(3)))  # not an array: 0 words
+        proc.store("c", np.zeros(5))
+        assert proc.peak_words() == 10
+        proc.discard("c")
+        proc.discard("missing")
+        proc.store("d", {"x": np.zeros(7), "y": "label"})
+        assert proc.resident_words() == 11
+        assert proc.peak_words() == 11
+
+    @pytest.mark.parametrize("q,n", [(2, 30), (3, 60)])
+    def test_peak_equals_full_walk_after_every_store(self, q, n, monkeypatch):
+        """The incremental peak is the high-water mark of a full walk of
+        memory taken after each store, through load, run and gather."""
+        from repro.core.parallel_sttsv import ParallelSTTSV
+        from repro.core.partition import TetrahedralPartition
+        from repro.steiner import spherical_steiner_system
+        from repro.tensor.dense import random_symmetric
+
+        walked = {}
+        store = Processor.store
+
+        def checked_store(self, key, value):
+            store(self, key, value)
+            walked[self.rank] = max(walked.get(self.rank, 0), self.resident_words())
+            assert self.peak_words() == walked[self.rank]
+
+        monkeypatch.setattr(Processor, "store", checked_store)
+        partition = TetrahedralPartition(spherical_steiner_system(q))
+        machine = Machine(partition.P)
+        algo = ParallelSTTSV(partition, n)
+        algo.load(machine, random_symmetric(n, seed=q), np.ones(n))
+        for _ in range(2):
+            algo.run(machine)
+            algo.gather_result(machine)
+            algo.load_vector(machine, np.arange(n, dtype=float))
+        assert sorted(walked) == list(range(partition.P))
+
 
 class TestMachine:
     def test_iteration_and_indexing(self):

@@ -221,6 +221,23 @@ class TestExchangePlan:
         assert plan.x_payload(src, dst) is None
         assert plan.y_payload(src, dst) is None
 
+    @pytest.mark.parametrize("fixture,n", [("partition_q2", 61), ("partition_q3", 60)])
+    def test_shard_map_matches_initial_shards(self, fixture, n, request, rng):
+        """The prebuilt scatter of ``x`` into shards is §6.1's
+        ``initial_shards``, and ``assemble`` inverts it."""
+        from repro.core.distribution import initial_shards
+
+        partition = request.getfixturevalue(fixture)
+        plan = ParallelSTTSV(partition, n).exchange_plan
+        x = rng.normal(size=partition.m * plan.b)
+        shards = plan.split_shards(x[plan.load_index])
+        reference = initial_shards(partition, x, plan.b)
+        assert [sorted(s) for s in shards] == [sorted(s) for s in reference]
+        for mine, theirs in zip(shards, reference):
+            for i in theirs:
+                assert np.array_equal(mine[i], theirs[i])
+        assert np.array_equal(plan.assemble(shards), x)
+
     def test_plan_compiled_per_instance_dimensions(self, partition_q2):
         """Different n (hence different b) compile different plans."""
         small = ParallelSTTSV(partition_q2, 30).exchange_plan

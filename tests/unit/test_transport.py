@@ -18,6 +18,7 @@ from repro.machine.transport import (
     Transport,
     check_transfers,
     make_transport,
+    payload_checksum,
 )
 
 
@@ -35,6 +36,42 @@ def _round_trip(transport, payloads):
         for src, arr in enumerate(payloads)
     ]
     return transport.exchange(transfers)
+
+
+class TestPayloadChecksum:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(7.0),
+            np.arange(12.0).reshape(3, 4),
+            np.arange(20.0)[::3],
+            np.arange(12.0).reshape(3, 4).T,
+            np.array(2.5),
+            np.empty(0),
+            np.empty((0, 3)),
+            np.arange(6, dtype=np.int32),
+            np.arange(6, dtype=np.float32)[::-1],
+            np.array([1 + 2j, -3j]),
+            np.array([True, False, True]),
+        ],
+        ids=[
+            "1d", "2d", "strided", "fortran", "0d", "empty", "empty-2d",
+            "int32", "float32-reversed", "complex", "bool",
+        ],
+    )
+    def test_digest_is_crc_of_dtype_shape_bytes(self, array):
+        import zlib
+
+        reference = zlib.crc32(array.dtype.str.encode())
+        reference = zlib.crc32(repr(array.shape).encode(), reference)
+        reference = zlib.crc32(array.tobytes(), reference)
+        assert payload_checksum(array) == reference
+        assert payload_checksum(array) == reference  # memoised prefix
+
+    def test_same_bytes_different_shape_or_dtype_differ(self):
+        flat = np.arange(6.0)
+        assert payload_checksum(flat) != payload_checksum(flat.reshape(2, 3))
+        assert payload_checksum(flat) != payload_checksum(flat.view(np.int64))
 
 
 class TestCheckTransfers:
