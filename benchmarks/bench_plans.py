@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core.plans import SequentialPlan
-from repro.core.sttsv_sequential import sttsv_packed, sttsv_packed_bincount
+from repro.core.sttsv_ndim import sttsv_ndim
+from repro.core.sttsv_sequential import sttsv_packed
 from repro.tensor.dense import random_symmetric
 
 N = 120
@@ -39,7 +40,7 @@ def gemm_plan(workload):
 def test_unplanned_bincount_kernel(benchmark, workload):
     """Baseline: the seed's fastest kernel, weights recomputed every call."""
     tensor, x, _ = workload
-    y = benchmark(lambda: sttsv_packed_bincount(tensor, x))
+    y = benchmark(lambda: sttsv_ndim(tensor, x))
     assert np.allclose(y, sttsv_packed(tensor, x))
 
 
@@ -55,7 +56,7 @@ def test_looped_batch(benchmark, workload):
     tensor, _, X = workload
     Y = benchmark(
         lambda: np.column_stack(
-            [sttsv_packed_bincount(tensor, X[:, c]) for c in range(S)]
+            [sttsv_ndim(tensor, X[:, c]) for c in range(S)]
         )
     )
     assert Y.shape == (N, S)

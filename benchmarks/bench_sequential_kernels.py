@@ -48,9 +48,9 @@ def test_naive_dense_kernel(benchmark, workload):
 
 
 def test_bincount_kernel(benchmark, workload):
-    """The production scatter kernel (bincount beats np.add.at)."""
-    from repro.core.sttsv_sequential import sttsv_packed_bincount
+    """The bincount scatter kernel (bincount beats np.add.at)."""
+    from repro.core.sttsv_ndim import sttsv_ndim
 
     tensor, dense, x = workload
-    y = benchmark(lambda: sttsv_packed_bincount(tensor, x))
+    y = benchmark(lambda: sttsv_ndim(tensor, x))
     assert np.allclose(y, sttsv_dense_reference(dense, x))

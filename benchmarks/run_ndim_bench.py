@@ -16,12 +16,14 @@ Measured comparisons per order (median of repeats, warmup excluded):
 * ``scalar``: the per-canonical-entry Python loop
   (``sttsv_ndim_scalar``, the pre-vectorization kernel);
 * ``vectorized``: the bincount-scatter kernel (``sttsv_ndim``);
-* ``blocked_gemm``: the compiled :class:`BlockedPlan` over BCSS blocks,
-  single apply and ``s``-column batch.
+* ``plan``: the compiled :class:`SequentialPlan` (its symmetric
+  unfolding under the default ``auto`` strategy), single apply and
+  ``s``-column batch.
 
-Storage fields record the exact BCSS block count ``C(n̄+m−1, m)`` and
-its word ratio against packed and dense storage. The acceptance target
-for this benchmark: ``blocked_vs_scalar_speedup >= 5`` at n=60, m=4.
+Storage fields record the exact BCSS block count ``C(n̄+m−1, m)`` at
+block size ``min(n, 16)`` and its word ratio against packed and dense
+storage. The acceptance target for this benchmark:
+``plan_vs_scalar_speedup >= 5`` at n=60, m=4.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.plans import BlockedPlan  # noqa: E402
+from repro.core.plans import SequentialPlan  # noqa: E402
 from repro.core.sttsv_ndim import (  # noqa: E402
     sttsv_ndim,
     sttsv_ndim_dense_reference,
@@ -78,10 +80,10 @@ def bench_order(
     X = rng.normal(size=(n, s))
 
     compile_start = time.perf_counter()
-    plan = BlockedPlan(tensor)
+    plan = SequentialPlan(tensor)
     compile_seconds = time.perf_counter() - compile_start
-    b = plan.block_size
-    nbar = plan.n_padded // b
+    b = min(n, 16)
+    nbar = -(-n // b)
 
     reference = sttsv_ndim(tensor, x)
     assert np.allclose(plan.apply(x), reference)
@@ -91,7 +93,7 @@ def bench_order(
         lambda: sttsv_ndim_scalar(tensor, x), scalar_repeats, warmup=0
     )
     vectorized = median_seconds(lambda: sttsv_ndim(tensor, x), repeats)
-    blocked = median_seconds(lambda: plan.apply(x), repeats)
+    planned = median_seconds(lambda: plan.apply(x), repeats)
     batched = median_seconds(lambda: plan.apply_batch(X), repeats)
 
     # Dense oracle at its own (possibly reduced) size, checked against
@@ -107,31 +109,33 @@ def bench_order(
     )
 
     packed_words = nd_packed_size(n, m)
-    bcss_words = plan.bcss.storage_words
-    dense_words = plan.n_padded**m
+    num_blocks = bcss_block_count(nbar, m)
+    bcss_words = num_blocks * b**m
+    dense_words = (nbar * b) ** m
     return {
         "m": m,
         "n": n,
         "s": s,
         "block_size": b,
-        "n_padded": plan.n_padded,
-        "num_blocks": bcss_block_count(nbar, m),
+        "n_padded": nbar * b,
+        "num_blocks": num_blocks,
         "packed_words": packed_words,
         "bcss_words": bcss_words,
         "dense_words": dense_words,
         "storage_ratio_bcss_over_packed": bcss_words / packed_words,
         "storage_ratio_bcss_over_dense": bcss_words / dense_words,
+        "plan_strategy": plan.strategy,
         "plan_bytes": plan.nbytes(),
         "plan_compile_seconds": compile_seconds,
         "dense_oracle": {"n": n_dense, "seconds": dense_seconds},
         "scalar_seconds": scalar,
         "vectorized_seconds": vectorized,
-        "blocked_seconds": blocked,
+        "plan_seconds": planned,
         "batch_seconds": batched,
         "batch_seconds_per_column": batched / s,
         "vectorized_vs_scalar_speedup": scalar / vectorized,
-        "blocked_vs_scalar_speedup": scalar / blocked,
-        "blocked_vs_vectorized_speedup": vectorized / blocked,
+        "plan_vs_scalar_speedup": scalar / planned,
+        "plan_vs_vectorized_speedup": vectorized / planned,
     }
 
 

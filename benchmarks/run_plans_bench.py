@@ -34,10 +34,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.plans import SequentialPlan, sequential_plan  # noqa: E402
-from repro.core.sttsv_sequential import (  # noqa: E402
-    sttsv_packed,
-    sttsv_packed_bincount,
-)
+from repro.core.sttsv_ndim import sttsv_ndim  # noqa: E402
+from repro.core.sttsv_sequential import sttsv_packed  # noqa: E402
 from repro.tensor.dense import random_symmetric  # noqa: E402
 
 
@@ -62,11 +60,11 @@ def bench_sequential(n: int, s: int, repeats: int) -> dict:
     plan = SequentialPlan(tensor, strategy="gemm")
     compile_seconds = time.perf_counter() - compile_start
 
-    unplanned = median_seconds(lambda: sttsv_packed_bincount(tensor, x), repeats)
+    unplanned = median_seconds(lambda: sttsv_ndim(tensor, x), repeats)
     planned = median_seconds(lambda: plan.apply(x), repeats)
     looped = median_seconds(
         lambda: np.column_stack(
-            [sttsv_packed_bincount(tensor, X[:, c]) for c in range(s)]
+            [sttsv_ndim(tensor, X[:, c]) for c in range(s)]
         ),
         repeats,
     )

@@ -4,8 +4,8 @@ parallel STTSV over a Steiner quadruple system.
 Part 1 — storage and kernels: pack an order-4 tensor into blocked
 compact symmetric storage (only the C(n̄+m−1, m) canonical dense
 blocks), compute the symmetric Tucker core ``A ×₁ Xᵀ ··· ×₄ Xᵀ`` via
-``sttsm``, and time the compiled blocked-gemm plan against the scalar
-packed loop.
+``sttsm``, and time the compiled plan (the symmetric unfolding)
+against the scalar packed loop.
 
 Part 2 — order-4 parallel STTSV: partition the BCSS blocks over the
 quadruples of the Boolean SQS(8) (P = 14 processors) and run the
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.partition_ndim import QuadruplePartition
-from repro.core.plans import BlockedPlan
+from repro.core.plans import SequentialPlan
 from repro.core.sttsm import sttsm, sttsm_dense_reference
 from repro.core.sttsv_ndim import (
     sttsv_ndim,
@@ -36,7 +36,7 @@ from repro.tensor.ndpacked import nd_packed_size, nd_random_symmetric
 
 
 def part1_storage_and_kernels() -> None:
-    print("Part 1: BCSS storage, sttsm, and the blocked-gemm plan")
+    print("Part 1: BCSS storage, sttsm, and the compiled plan")
     n, m, b, r = 24, 4, 4, 3
     tensor = nd_random_symmetric(n, m, seed=0)
     bcss = BCSSTensor.from_ndpacked(tensor, b)
@@ -51,7 +51,7 @@ def part1_storage_and_kernels() -> None:
     assert np.allclose(core.to_dense(), want)
     print(f"  sttsm core: order-{m} packed over r={r}, matches dense cascade")
 
-    plan = BlockedPlan(tensor)
+    plan = SequentialPlan(tensor)
     x = rng.normal(size=n)
     assert np.allclose(plan.apply(x), sttsv_ndim(tensor, x))
     start = time.perf_counter()
@@ -60,8 +60,8 @@ def part1_storage_and_kernels() -> None:
     start = time.perf_counter()
     for _ in range(20):
         plan.apply(x)
-    blocked = (time.perf_counter() - start) / 20
-    print(f"  blocked-gemm plan: {scalar / blocked:.0f}x over the scalar "
+    planned = (time.perf_counter() - start) / 20
+    print(f"  {plan.strategy} plan: {scalar / planned:.0f}x over the scalar "
           f"packed loop (see BENCH_ndim.json for the committed sweep)")
 
 

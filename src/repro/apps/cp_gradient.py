@@ -76,10 +76,11 @@ def cp_objective(tensor: PackedSymmetricTensor, X: np.ndarray) -> float:
     suite), which the faster batched paths do not guarantee.
     """
     X = _check_factor(tensor, X)
-    from repro.core.sttsv_sequential import _scatter_plan, sttsv_packed
+    from repro.core.sttsv_ndim import _ndim_scatter_plan
+    from repro.core.sttsv_sequential import sttsv_packed
 
-    w_i, w_j, w_k = _scatter_plan(tensor.n)[3:]
-    norm_a_sq = float(np.sum((w_i + w_j + w_k) * tensor.data**2))
+    weights = _ndim_scatter_plan(tensor.n, 3)[1]
+    norm_a_sq = float(np.sum(weights.sum(axis=1) * tensor.data**2))
     inner = sum(
         float(X[:, col] @ sttsv_packed(tensor, X[:, col]))
         for col in range(X.shape[1])

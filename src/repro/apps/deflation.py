@@ -43,11 +43,11 @@ def _subtract_rank_one(
     """Packed ``A − weight · v∘v∘v`` without densifying.
 
     Index arrays come from the shared cached scatter plan, so repeated
-    deflation stages skip the O(n²) Python index-construction loop.
+    deflation stages skip rebuilding them.
     """
-    from repro.core.sttsv_sequential import _scatter_plan
+    from repro.core.sttsv_ndim import _ndim_scatter_plan
 
-    I, J, K = _scatter_plan(tensor.n)[:3]
+    I, J, K = _ndim_scatter_plan(tensor.n, 3)[0].T
     update = weight * vector[I] * vector[J] * vector[K]
     return PackedSymmetricTensor(tensor.n, tensor.data - update)
 

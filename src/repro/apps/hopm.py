@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.partition import TetrahedralPartition
-from repro.core.sttsv_sequential import sttsv, sttsv_packed_bincount
+from repro.core.sttsv_ndim import sttsv_ndim
+from repro.core.sttsv_sequential import sttsv
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.machine.collectives import all_reduce_scalar
 from repro.machine.recovery import RecoveryPolicy
@@ -95,7 +96,7 @@ def suggested_shift(tensor: PackedSymmetricTensor) -> float:
     # — exactly |A| ×₂ 1 ×₃ 1, so the shared scatter kernel (with its
     # cached index/weight arrays) computes it directly.
     magnitude = PackedSymmetricTensor(tensor.n, np.abs(tensor.data))
-    rows = sttsv_packed_bincount(magnitude, np.ones(tensor.n))
+    rows = sttsv_ndim(magnitude, np.ones(tensor.n))
     return 2.0 * float(rows.max())
 
 

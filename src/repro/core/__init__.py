@@ -4,7 +4,6 @@ bounds, and baselines."""
 
 from repro.core.sttsv_sequential import (
     sttsv,
-    sttsv_packed_bincount,
     sttsv_naive,
     sttsv_symmetric,
     sttsv_packed,
@@ -12,7 +11,6 @@ from repro.core.sttsv_sequential import (
     ttv_all_modes,
 )
 from repro.core.plans import (
-    BlockedPlan,
     CacheInfo,
     ExchangePlan,
     LRUByteCache,
@@ -60,7 +58,6 @@ from repro.core.baselines import (
 __all__ = [
     "sttsv",
     "ttv_all_modes",
-    "BlockedPlan",
     "QuadruplePartition",
     "greedy_partial_permutation_rounds",
     "sttsm",
@@ -80,7 +77,6 @@ __all__ = [
     "cache_clear",
     "cache_info",
     "configure_cache",
-    "sttsv_packed_bincount",
     "RunVerdict",
     "verify_sttsv_run",
     "save_partition",

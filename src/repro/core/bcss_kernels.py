@@ -65,23 +65,3 @@ def apply_block_ndim(
         contribution = contract_all_but(block, position, mode_vectors)
         y_blocks[value] += weights[value] * contribution
 
-
-def kron_vector(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of 1-D vectors, leading factor slowest-varying."""
-    out = np.asarray(vectors[0])
-    for vector in vectors[1:]:
-        out = (out[:, None] * np.asarray(vector)[None, :]).ravel()
-    return out
-
-
-def khatri_rao_columns(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Column-wise Kronecker (Khatri–Rao) product of ``(b, s)`` factors:
-    column ``c`` of the result is ``kron_vector`` of the factors'
-    ``c``-th columns."""
-    out = np.asarray(factors[0])
-    for factor in factors[1:]:
-        factor = np.asarray(factor)
-        out = (out[:, None, :] * factor[None, :, :]).reshape(
-            -1, out.shape[1]
-        )
-    return out

@@ -6,9 +6,11 @@ much of each evaluation depends only on the tensor data and the
 partition — not on ``x``. This module compiles that ``x``-independent
 work once and reuses it:
 
-* :class:`SequentialPlan` — bound to one
-  :class:`~repro.tensor.packed.PackedSymmetricTensor`. Precomputes
-  either a symmetry-reduced mode-1 unfolding (``gemm`` strategy: one
+* :class:`SequentialPlan` — bound to one packed symmetric tensor of
+  any order ``m`` (:class:`~repro.tensor.packed.PackedSymmetricTensor`
+  or :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor`).
+  Precomputes either the symmetric unfolding (``gemm`` strategy: each
+  distinct entry's contribution stored once per output row, then one
   BLAS matrix-vector / matrix-matrix product per STTSV) or the fused
   weight-times-data scatter arrays (``bincount`` strategy: the packed
   scatter kernel minus all per-call weight recomputation). Exposes
@@ -29,17 +31,17 @@ work once and reuses it:
 Strategy semantics
 ------------------
 
-``bincount`` reproduces :func:`~repro.core.sttsv_sequential.
-sttsv_packed_bincount` bit for bit (same scatter order, with the
-``w·a`` products hoisted to compile time), and its ``apply_batch``
-columns are bitwise equal to a column-by-column ``apply`` loop.
-``gemm`` evaluates the same exact sum in BLAS summation order —
-results agree with the scatter kernels to machine-precision rounding
-(``~1e-13`` relative) but are not bitwise identical, and individual
-batch columns may differ from single-vector products in the last ulp
-(BLAS kernels for GEMV and multi-column GEMM block differently).
-``auto`` picks ``gemm`` when the operator fits the memory budget
-(``n²(n+1)/2`` doubles; 32 MB at n = 200) and ``bincount`` otherwise.
+``bincount`` reproduces :func:`~repro.core.sttsv_ndim.sttsv_ndim` bit
+for bit (same scatter order, with the ``w·a`` products hoisted to
+compile time), and its ``apply_batch`` columns are bitwise equal to a
+column-by-column ``apply`` loop. ``gemm`` evaluates the same exact sum
+in BLAS summation order — results agree with the scatter kernels to
+machine-precision rounding (``~1e-13`` relative) but are not bitwise
+identical, and individual batch columns may differ from single-vector
+products in the last ulp (BLAS kernels for GEMV and multi-column GEMM
+block differently). ``auto`` picks ``gemm`` when the operator fits the
+memory budget (``n·C(n+m−2, m−1)`` doubles; 32 MB at n = 200, m = 3)
+and ``bincount`` otherwise.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
+from math import comb
 from typing import (
     Any,
     Callable,
@@ -57,12 +60,17 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
+from repro.core.sttsv_ndim import _ndim_scatter_plan, _weighted_scatter
 from repro.errors import ConfigurationError, PartitionError
+from repro.tensor.ndpacked import NdPackedSymmetricTensor
 from repro.tensor.packed import PackedSymmetricTensor
+
+Tensor = Union[PackedSymmetricTensor, NdPackedSymmetricTensor]
 
 #: Largest gemm-strategy operator ``auto`` will materialize (bytes).
 DEFAULT_GEMM_BUDGET_BYTES = 256 * 1024 * 1024
@@ -263,7 +271,9 @@ class SequentialPlan:
     Parameters
     ----------
     tensor:
-        The bound tensor. The plan snapshots nothing — it references
+        The bound tensor: a :class:`PackedSymmetricTensor` or an
+        :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` of any
+        order ``m >= 2``. The plan snapshots nothing — it references
         ``tensor.data`` directly — but precomputed products bake the
         *current* values in, so the plan is only valid while the data
         is unmodified (see :func:`sequential_plan` for the cache that
@@ -286,7 +296,7 @@ class SequentialPlan:
 
     def __init__(
         self,
-        tensor: PackedSymmetricTensor,
+        tensor: Tensor,
         strategy: str = "auto",
         gemm_budget_bytes: int = DEFAULT_GEMM_BUDGET_BYTES,
     ):
@@ -294,14 +304,23 @@ class SequentialPlan:
             raise ConfigurationError(
                 f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
             )
+        if not isinstance(
+            tensor, (PackedSymmetricTensor, NdPackedSymmetricTensor)
+        ) or tensor.d < 2:
+            raise ConfigurationError(
+                f"{type(self).__name__} needs a PackedSymmetricTensor or"
+                f" NdPackedSymmetricTensor of order >= 2, got"
+                f" {type(tensor).__name__}"
+            )
         self.n = tensor.n
+        self.m = tensor.d
         self._data = tensor.data
-        self._mutations = getattr(tensor, "_mutations", 0)
+        self._mutations = tensor._mutations
         self.requested_strategy = strategy
         if strategy == "auto":
             strategy = (
                 "gemm"
-                if self._gemm_bytes(self.n) <= gemm_budget_bytes
+                if self._gemm_bytes(self.n, self.m) <= gemm_budget_bytes
                 else "bincount"
             )
         self.strategy = strategy
@@ -312,53 +331,62 @@ class SequentialPlan:
             self._compile_bincount()
 
     @staticmethod
-    def _gemm_bytes(n: int) -> int:
-        """Bytes of the symmetry-reduced unfolding for dimension ``n``."""
-        return n * (n * (n + 1) // 2) * 8
+    def _gemm_bytes(n: int, m: int) -> int:
+        """Bytes of the symmetric unfolding of an order-``m`` tensor."""
+        return n * comb(n + m - 2, m - 1) * 8
 
     # -- compilation -----------------------------------------------------------
 
     def _compile_gemm(self) -> None:
-        """Build the symmetry-reduced mode-1 unfolding ``B``.
+        """Build the symmetric unfolding ``B``.
 
-        ``B[i, t] = a_{i,j_t,k_t} · (2 − [j_t = k_t])`` over canonical
-        pairs ``j_t >= k_t``, so that ``y = B (x ⊙ x)|_pairs`` — a
-        single ``n × n(n+1)/2`` GEMV per product, and a GEMM for a
-        batch. ``n(n+1)/2 · n`` doubles ≈ half the dense cube.
+        Over the canonical ``(m−1)``-multisets ``M_t`` in packed order,
+        ``B[i, t] = a[canon(i ∪ M_t)] · mult(M_t)``, with ``mult(M_t)``
+        the distinct arrangements of ``M_t``, so that
+        ``y = B · Π_s x[M_t,s]``: one ``n × C(n+m−2, m−1)`` GEMV per
+        product, and a GEMM for a batch. At order 3 the columns are the
+        pairs ``j >= k``, ``mult`` is ``2 − [j = k]``, and ``B`` holds
+        about half the dense cube.
+
+        Row ``i`` is built without the order-``m`` index table: column
+        ``c`` of ``canon(i ∪ M_t)`` is ``i`` clamped to
+        ``[M_t,c, M_t,c−1]``, and the packed offset sums one binomial
+        per column.
         """
-        n = self.n
-        Jp, Kp = np.tril_indices(n)
-        gi = np.arange(n)[:, None]
-        # Canonicalize (i, j_t, k_t) descending; j_t >= k_t already.
-        hi = np.maximum(gi, Jp)
-        lo = np.minimum(gi, Kp)
-        mid = gi + Jp + Kp
-        mid -= hi
-        mid += -lo
-        offsets = hi * (hi + 1) * (hi + 2) // 6
-        offsets += mid * (mid + 1) // 2
-        offsets += lo
-        B = self._data[offsets]
-        B *= np.where(Jp == Kp, 1.0, 2.0)[None, :]
-        self._pair_j = Jp
-        self._pair_k = Kp
+        n, m = self.n, self.m
+        M, weights = _ndim_scatter_plan(n, m - 1)
+        binomials = [
+            np.array([comb(v + m - 1 - c, m - c) for v in range(n)])
+            for c in range(m)
+        ]
+        bounds = [n - 1, *M.T, 0]
+        B = np.empty((n, M.shape[0]))
+        for i in range(n):
+            offsets = sum(
+                binomials[c][np.clip(i, bounds[c + 1], bounds[c])]
+                for c in range(m)
+            )
+            np.take(self._data, offsets, out=B[i])
+        # Each weight row sums to the multiplicity of its multiset.
+        B *= weights.sum(axis=1)
+        self._columns = list(M.T)
         self._operator = B
 
     def _compile_bincount(self) -> None:
-        """Hoist the fused ``weight · a`` scatter arrays (Algorithm 4)."""
-        from repro.core.sttsv_sequential import _scatter_plan
-
-        I, J, K, w_i, w_j, w_k = _scatter_plan(self.n)
-        self._idx = (I, J, K)
-        self._wa = (w_i * self._data, w_j * self._data, w_k * self._data)
+        """Hoist :func:`~repro.core.sttsv_ndim.sttsv_ndim`'s per-column
+        ``weight · a`` products."""
+        indices, weights = _ndim_scatter_plan(self.n, self.m)
+        self._columns = list(indices.T)
+        self._wa = [w * self._data for w in weights.T]
 
     # -- validation ------------------------------------------------------------
 
-    def matches(self, tensor: PackedSymmetricTensor) -> bool:
+    def matches(self, tensor: Tensor) -> bool:
         """True iff the plan was compiled against this tensor's current
         data (same array object, no element writes since)."""
-        return self._data is tensor.data and self._mutations == getattr(
-            tensor, "_mutations", 0
+        return (
+            self._data is tensor.data
+            and self._mutations == tensor._mutations
         )
 
     def _check_vector(self, x: np.ndarray) -> np.ndarray:
@@ -379,21 +407,22 @@ class SequentialPlan:
 
     # -- execution -------------------------------------------------------------
 
+    def _monomials(self, X: np.ndarray) -> np.ndarray:
+        """``Π_s X[M_t,s]`` over the operator's columns (rows of ``X``)."""
+        Z = X[self._columns[0]]
+        for column in self._columns[1:]:
+            Z *= X[column]
+        return Z
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``y = A ×₂ x ×₃ x`` through the compiled structures."""
+        """``y = A ×₂ x ··· ×ₘ x`` through the compiled structures."""
         x = self._check_vector(x)
         if self.strategy == "gemm":
-            return self._operator @ (x[self._pair_j] * x[self._pair_k])
-        I, J, K = self._idx
-        wa_i, wa_j, wa_k = self._wa
-        n = self.n
-        y = np.bincount(I, weights=wa_i * x[J] * x[K], minlength=n)
-        y += np.bincount(J, weights=wa_j * x[I] * x[K], minlength=n)
-        y += np.bincount(K, weights=wa_k * x[I] * x[J], minlength=n)
-        return y
+            return self._operator @ self._monomials(x)
+        return _weighted_scatter(self._columns, self._wa, x, self.n)
 
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
-        """``Y[:, ℓ] = A ×₂ X[:, ℓ] ×₃ X[:, ℓ]`` for all columns at once.
+        """``Y[:, ℓ] = A ×₂ X[:, ℓ] ··· ×ₘ X[:, ℓ]`` for all columns at once.
 
         The gemm strategy evaluates one multi-column GEMM — a single
         pass over the operator regardless of ``s`` — which is how a
@@ -406,9 +435,7 @@ class SequentialPlan:
         if X.shape[1] == 0:
             return np.zeros((self.n, 0))
         if self.strategy == "gemm":
-            Z = X[self._pair_j]
-            Z *= X[self._pair_k]
-            return self._operator @ Z
+            return self._operator @ self._monomials(X)
         return np.column_stack(
             [self.apply(X[:, col]) for col in range(X.shape[1])]
         )
@@ -416,35 +443,41 @@ class SequentialPlan:
     # -- derived quantities ----------------------------------------------------
 
     def frobenius_norm_sq(self) -> float:
-        """``||A||²`` over the full cube, from packed storage.
+        """``||A||²`` over the full hypercube, from packed storage.
 
         Each canonical entry counts with its permutation multiplicity,
-        which equals ``w_i + w_j + w_k`` of the Algorithm-4 weights.
+        which equals the sum of its scatter weights.
         """
         if self._norm_sq is None:
-            from repro.core.sttsv_sequential import _scatter_plan
-
-            I, J, K, w_i, w_j, w_k = _scatter_plan(self.n)
+            weights = _ndim_scatter_plan(self.n, self.m)[1]
             self._norm_sq = float(
-                np.sum((w_i + w_j + w_k) * self._data**2)
+                np.sum(weights.sum(axis=1) * self._data**2)
             )
         return self._norm_sq
 
     def nbytes(self) -> int:
         """Bytes of compiled plan state (excluding the tensor itself)."""
         if self.strategy == "gemm":
-            return (
-                self._operator.nbytes
-                + self._pair_j.nbytes
-                + self._pair_k.nbytes
+            return self._operator.nbytes + sum(
+                column.nbytes for column in self._columns
             )
         return sum(a.nbytes for a in self._wa)
 
     def __repr__(self) -> str:
         return (
-            f"SequentialPlan(n={self.n}, strategy={self.strategy!r},"
-            f" nbytes={self.nbytes()})"
+            f"SequentialPlan(n={self.n}, m={self.m},"
+            f" strategy={self.strategy!r}, nbytes={self.nbytes()})"
         )
+
+
+class BlockedPlan(SequentialPlan):
+    """The name of the former order-m plan over BCSS blocks, kept for
+    code that imports it. :class:`SequentialPlan`'s symmetric unfolding
+    serves every order with less memory, so this class adds nothing. It
+    is a subclass rather than an alias so that tooling wrapping the
+    methods of both names (``servebench``'s layer tracer) wraps each
+    class once.
+    """
 
 
 def _drop_plan_attribute(key: Hashable, ref: "weakref.ref") -> None:
@@ -468,14 +501,14 @@ _PLAN_CACHE = LRUByteCache(
 _UNSET = object()
 
 
-def _register_plan(tensor: PackedSymmetricTensor, plan: SequentialPlan) -> None:
+def _register_plan(tensor: Tensor, plan: SequentialPlan) -> None:
     key = id(tensor)
     ref = weakref.ref(tensor, lambda _ref, key=key: _PLAN_CACHE.discard(key))
     _PLAN_CACHE.put(key, ref, plan.nbytes())
 
 
 def sequential_plan(
-    tensor: PackedSymmetricTensor,
+    tensor: Tensor,
     strategy: str = "auto",
     gemm_budget_bytes: int = DEFAULT_GEMM_BUDGET_BYTES,
 ) -> SequentialPlan:
@@ -514,7 +547,7 @@ def sequential_plan(
     return plan
 
 
-def invalidate_plan(tensor: PackedSymmetricTensor) -> None:
+def invalidate_plan(tensor: Tensor) -> None:
     """Drop any cached plan (after direct ``tensor.data`` mutation)."""
     tensor._plan = None
     _PLAN_CACHE.discard(id(tensor))
@@ -540,139 +573,6 @@ def configure_cache(
         _PLAN_CACHE.maxsize if maxsize is _UNSET else maxsize,
         _PLAN_CACHE.byte_budget if byte_budget is _UNSET else byte_budget,
     )
-
-
-class BlockedPlan:
-    """Compiled order-m blocked-gemm STTSV executor over BCSS storage.
-
-    The order-m sibling of :class:`SequentialPlan`'s gemm strategy: for
-    every stored BCSS block and every *distinct* row block ``t`` of its
-    canonical tuple, compilation bakes the multiplicity weight into a
-    contiguous mode-``t`` unfolding matrix ``(b, b^{m-1})``; each apply
-    is then one GEMV per (block, output) pair against the Kronecker
-    product of the other modes' ``x`` row blocks — and
-    :meth:`apply_batch` turns those GEMVs into GEMMs via the
-    column-wise Khatri–Rao product, amortizing tensor traffic exactly
-    like the order-3 batched path.
-
-    Accepts an :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor`
-    (padded to a block multiple internally; zero padding is exact) or a
-    prebuilt :class:`~repro.tensor.bcss.BCSSTensor`.
-    """
-
-    def __init__(self, tensor, block_size: int = None):
-        from repro.core.bcss_kernels import kron_vector  # noqa: F401 (API anchor)
-        from repro.tensor.bcss import BCSSTensor
-        from repro.tensor.multiplicity import nd_contribution_weights
-        from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
-
-        if isinstance(tensor, BCSSTensor):
-            bcss = tensor
-            self.n = bcss.n
-        elif isinstance(tensor, NdPackedSymmetricTensor):
-            self.n = tensor.n
-            if block_size is None:
-                block_size = max(1, min(tensor.n, 16))
-            n_padded = -(-tensor.n // block_size) * block_size
-            bcss = BCSSTensor.from_ndpacked(
-                pad_ndpacked(tensor, n_padded), block_size
-            )
-        else:
-            raise ConfigurationError(
-                f"BlockedPlan needs an NdPackedSymmetricTensor or"
-                f" BCSSTensor, got {type(tensor).__name__}"
-            )
-        self.bcss = bcss
-        self.m = bcss.m
-        self.n_padded = bcss.n
-        self.block_size = bcss.block_size
-        self.requested_strategy = "blocked-gemm"
-        self.strategy = "blocked-gemm"
-        # One (output row block, other-mode row blocks, weighted unfold)
-        # triple per (stored block, distinct tuple value).
-        self._unfolds = []
-        b = self.block_size
-        for offset in range(bcss.num_blocks):
-            block_tuple = tuple(int(v) for v in bcss.block_indices[offset])
-            weights = nd_contribution_weights(block_tuple)
-            block = bcss.blocks[offset]
-            seen = set()
-            for position, value in enumerate(block_tuple):
-                if value in seen:
-                    continue
-                seen.add(value)
-                others = tuple(
-                    block_tuple[mode]
-                    for mode in range(self.m)
-                    if mode != position
-                )
-                # The multiply must allocate: at position 0 the reshape
-                # is a *view* of the stored block, and scaling it in
-                # place would corrupt the block for later unfolds.
-                operator = np.ascontiguousarray(
-                    np.moveaxis(block, position, 0).reshape(b, -1)
-                    * float(weights[value])
-                )
-                self._unfolds.append((value, others, operator))
-
-    def _pad_columns(self, X: np.ndarray) -> np.ndarray:
-        if self.n_padded == self.n:
-            return X
-        padded = np.zeros((self.n_padded,) + X.shape[1:])
-        padded[: self.n] = X
-        return padded
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``y = A ×₂ x ··· ×ₘ x`` through the compiled unfoldings."""
-        from repro.core.bcss_kernels import kron_vector
-
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ConfigurationError(
-                f"vector must have shape ({self.n},), got {x.shape}"
-            )
-        x = self._pad_columns(x)
-        b = self.block_size
-        x_blocks = [
-            x[i * b : (i + 1) * b] for i in range(self.bcss.nbar)
-        ]
-        y = np.zeros(self.n_padded)
-        for target, others, operator in self._unfolds:
-            v = kron_vector([x_blocks[i] for i in others])
-            y[target * b : (target + 1) * b] += operator @ v
-        return y[: self.n]
-
-    def apply_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batched STTSV: one GEMM per (block, output) pair."""
-        from repro.core.bcss_kernels import khatri_rao_columns
-
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.n:
-            raise ConfigurationError(
-                f"batch must have shape ({self.n}, s), got {X.shape}"
-            )
-        if X.shape[1] == 0:
-            return np.zeros((self.n, 0))
-        X = self._pad_columns(X)
-        b = self.block_size
-        X_blocks = [
-            X[i * b : (i + 1) * b] for i in range(self.bcss.nbar)
-        ]
-        Y = np.zeros((self.n_padded, X.shape[1]))
-        for target, others, operator in self._unfolds:
-            V = khatri_rao_columns([X_blocks[i] for i in others])
-            Y[target * b : (target + 1) * b] += operator @ V
-        return Y[: self.n]
-
-    def nbytes(self) -> int:
-        """Bytes of compiled plan state (the weighted unfoldings)."""
-        return sum(operator.nbytes for _, _, operator in self._unfolds)
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockedPlan(n={self.n}, m={self.m}, b={self.block_size},"
-            f" unfolds={len(self._unfolds)}, nbytes={self.nbytes()})"
-        )
 
 
 class ExchangePlan:

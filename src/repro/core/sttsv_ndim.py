@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -99,19 +99,25 @@ def _ndim_scatter_plan(n: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
     :func:`repro.tensor.multiplicity.contribution_weights`).
     """
     indices = nd_index_arrays(n, d)
+    columns = indices.T  # contiguous: the table is column-major
     facts = np.array([factorial(i) for i in range(d + 1)], dtype=np.float64)
-    # counts[:, c] = multiplicity of indices[:, c] within its own row.
-    counts = (indices[:, :, None] == indices[:, None, :]).sum(axis=2)
-    first = np.ones(indices.shape, dtype=bool)
-    first[:, 1:] = indices[:, 1:] != indices[:, :-1]  # rows are non-increasing
+    # counts[c] = multiplicity of column c's value within its own row;
+    # first[c] marks its first column (rows are non-increasing).
+    counts = [(columns == column).sum(axis=0, dtype=np.int8) for column in columns]
+    first = [column != previous for previous, column in zip(columns, columns[1:])]
+    first.insert(0, np.ones(columns.shape[1], dtype=bool))
     # Π over distinct values of count!  (one factor per first occurrence).
-    denominator = np.where(first, facts[counts], 1.0).prod(axis=1)
+    denominator = np.ones(columns.shape[1])
+    for c in range(d):
+        denominator *= np.where(first[c], facts[counts[c]], 1.0)
     # (d-1)! · count_c / denominator is the exact integer
     # _remaining_arrangements(counts, value_c); all terms are small
     # integers so the float arithmetic is exact.
-    weights = np.where(
-        first, facts[d - 1] * counts / denominator[:, None], 0.0
-    )
+    weights = np.empty(indices.shape, order="F")
+    for c in range(d):
+        weights[:, c] = np.where(
+            first[c], facts[d - 1] * counts[c] / denominator, 0.0
+        )
     return indices, weights
 
 
@@ -120,25 +126,39 @@ def sttsv_ndim(tensor: NdPackedSymmetricTensor, x: np.ndarray) -> np.ndarray:
 
     One weighted ``bincount`` scatter-add per index column: column ``c``
     contributes ``w_c · a · Π_{c' ≠ c} x[i_{c'}]`` to ``y[i_c]``, with
-    ``w_c`` zero on repeated columns. At ``d = 3`` this performs the
-    *bitwise-identical* sequence of float operations as
-    :func:`repro.core.sttsv_sequential.sttsv_packed_bincount` — same
-    weights, same left-associated products, same accumulation order —
-    which the property suite pins.
+    ``w_c`` zero on repeated columns. At ``d = 3`` this is Algorithm 4's
+    bincount scatter: the weights equal
+    :func:`repro.tensor.multiplicity.contribution_weights`, products
+    associate left to right and the scatters accumulate in column order,
+    which the property suite pins bitwise. It accepts a
+    :class:`~repro.tensor.packed.PackedSymmetricTensor` as well (the
+    layouts coincide at ``d = 3``).
     """
     n, d = tensor.n, tensor.d
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ConfigurationError(f"vector must have shape ({n},)")
     indices, weights = _ndim_scatter_plan(n, d)
-    a = tensor.data
+    return _weighted_scatter(
+        indices.T, (w * tensor.data for w in weights.T), x, n
+    )
+
+
+def _weighted_scatter(
+    columns: Sequence[np.ndarray],
+    weighted: Iterable[np.ndarray],
+    x: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """The scatter of :func:`sttsv_ndim` given its index ``columns`` and
+    the per-column ``weight · a`` products (any iterable, consumed in
+    column order)."""
     y = None
-    for c in range(d):
-        contribution = weights[:, c] * a
-        for other in range(d):
+    for c, (column, contribution) in enumerate(zip(columns, weighted)):
+        for other, index in enumerate(columns):
             if other != c:
-                contribution = contribution * x[indices[:, other]]
-        partial = np.bincount(indices[:, c], weights=contribution, minlength=n)
+                contribution = contribution * x[index]
+        partial = np.bincount(column, weights=contribution, minlength=n)
         y = partial if y is None else y + partial
     return y
 

@@ -9,8 +9,12 @@ implementations with identical results:
   tetrahedron with the paper's four-way case split
   (``n²(n+1)/2`` ternary multiplications).
 * :func:`sttsv_packed` — vectorized Algorithm 4: three weighted
-  scatter-adds over the packed entry list; this is the production
-  kernel (NumPy-speed, no Python-level inner loop).
+  ``np.add.at`` scatter-adds over the packed entry list (the test
+  reference; :func:`repro.core.sttsv_ndim.sttsv_ndim` is the
+  ``bincount`` form at any order).
+
+:func:`sttsv`, the production entry point, runs a compiled
+:class:`~repro.core.plans.SequentialPlan`.
 
 Plus :func:`sttsv_dense_reference`, a one-line einsum used as the
 independent oracle in tests.
@@ -18,13 +22,10 @@ independent oracle in tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Tuple
-
 import numpy as np
 
+from repro.core.sttsv_ndim import _ndim_scatter_plan
 from repro.errors import ConfigurationError
-from repro.tensor.multiplicity import contribution_weights
 from repro.tensor.packed import PackedSymmetricTensor
 
 
@@ -85,14 +86,6 @@ def sttsv_symmetric(tensor: PackedSymmetricTensor, x: np.ndarray) -> np.ndarray:
     return y
 
 
-@lru_cache(maxsize=32)
-def _scatter_plan(n: int) -> Tuple[np.ndarray, ...]:
-    """Cached index arrays + Algorithm-4 weights for dimension ``n``."""
-    I, J, K = PackedSymmetricTensor.index_arrays(n)
-    w_i, w_j, w_k = contribution_weights(I, J, K)
-    return I, J, K, w_i, w_j, w_k
-
-
 def sttsv_packed(tensor: PackedSymmetricTensor, x: np.ndarray) -> np.ndarray:
     """Vectorized Algorithm 4 over packed storage.
 
@@ -105,32 +98,14 @@ def sttsv_packed(tensor: PackedSymmetricTensor, x: np.ndarray) -> np.ndarray:
     """
     n = tensor.n
     x = _check_vector(x, n)
-    I, J, K, w_i, w_j, w_k = _scatter_plan(n)
+    indices, weights = _ndim_scatter_plan(n, 3)
+    I, J, K = indices.T
+    w_i, w_j, w_k = weights.T
     a = tensor.data
     y = np.zeros(n)
     np.add.at(y, I, w_i * a * x[J] * x[K])
     np.add.at(y, J, w_j * a * x[I] * x[K])
     np.add.at(y, K, w_k * a * x[I] * x[J])
-    return y
-
-
-def sttsv_packed_bincount(
-    tensor: PackedSymmetricTensor, x: np.ndarray
-) -> np.ndarray:
-    """Vectorized Algorithm 4 using ``np.bincount`` scatter-reduction.
-
-    Mathematically identical to :func:`sttsv_packed`; ``bincount`` with
-    float weights is typically several times faster than ``np.add.at``
-    on large entry lists because it avoids the generalized-ufunc
-    dispatch per index (see ``benchmarks/bench_sequential_kernels.py``).
-    """
-    n = tensor.n
-    x = _check_vector(x, n)
-    I, J, K, w_i, w_j, w_k = _scatter_plan(n)
-    a = tensor.data
-    y = np.bincount(I, weights=w_i * a * x[J] * x[K], minlength=n)
-    y += np.bincount(J, weights=w_j * a * x[I] * x[K], minlength=n)
-    y += np.bincount(K, weights=w_k * a * x[I] * x[J], minlength=n)
     return y
 
 

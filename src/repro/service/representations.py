@@ -24,7 +24,7 @@ from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.parallel_symk import ParallelSymKTTSV
 from repro.core.partition import TetrahedralPartition
 from repro.core.partition_ndim import QuadruplePartition
-from repro.core.plans import BlockedPlan, sequential_plan
+from repro.core.plans import SequentialPlan, sequential_plan
 from repro.errors import ConfigurationError
 from repro.machine.transport import TRANSPORTS
 from repro.planner import Calibration, auto_session_config, auto_symk_config
@@ -182,6 +182,9 @@ class _SteinerRepresentation(Representation):
         engine.load_tensor(machine, tensor)
         return engine
 
+    def plan(self, tensor, strategy: str) -> SequentialPlan:
+        return sequential_plan(tensor, strategy=strategy)
+
     def nbytes(self, tensor) -> int:
         return int(tensor.data.nbytes)
 
@@ -206,9 +209,6 @@ class Dense3(_SteinerRepresentation):
 
     def auto_config(self, registration, **options) -> Dict:
         return auto_session_config(registration.n, registration.q, **options)
-
-    def plan(self, tensor, strategy: str):
-        return sequential_plan(tensor, strategy=strategy)
 
 
 class BCSS4(_SteinerRepresentation):
@@ -239,10 +239,6 @@ class BCSS4(_SteinerRepresentation):
             "order-4 registration does not support auto backend/variant"
             " (the planner prices order 3 only)"
         )
-
-    def plan(self, tensor, strategy: str) -> BlockedPlan:
-        _only_strategy(strategy, "blocked-gemm", self.name)
-        return BlockedPlan(tensor)
 
 
 class SymK(Representation):

@@ -78,17 +78,31 @@ def nd_packed_index_array(canonical: np.ndarray) -> np.ndarray:
 def nd_index_arrays(n: int, d: int) -> np.ndarray:
     """All canonical (non-increasing) tuples of an ``(n, d)`` packed
     layout as a ``(size, d)`` int64 array, row ``o`` holding the tuple
-    whose packed offset is ``o``."""
-    size = nd_packed_size(n, d)
-    combos = np.fromiter(
-        (i for combo in combinations_with_replacement(range(n), d) for i in combo),
-        dtype=np.int64,
-        count=size * d,
-    ).reshape(size, d)
-    canonical = combos[:, ::-1]
-    out = np.empty_like(canonical)
-    out[nd_packed_index_array(canonical)] = canonical
-    return out
+    whose packed offset is ``o``.
+
+    Built one order at a time: the tuples led by ``i`` take the next
+    ``C(i + e - 1, e - 1)`` offsets and are ``i`` followed by that many
+    leading rows of the order ``e - 1`` table (its tuples with largest
+    value ``<= i``). Column-major, so each column is a contiguous index
+    array.
+    """
+    n = check_positive_int(n, "n")
+    d = check_positive_int(d, "d")
+    table = np.arange(n, dtype=np.int64)[:, None]
+    for e in range(2, d + 1):
+        counts = np.array(
+            [comb(i + e - 1, e - 1) for i in range(n)], dtype=np.int64
+        )
+        local = np.arange(int(counts.sum()), dtype=np.int64)
+        local -= np.repeat(np.cumsum(counts) - counts, counts)
+        out = np.empty((local.size, e), dtype=np.int64, order="F")
+        out[:, 0] = np.repeat(np.arange(n, dtype=np.int64), counts)
+        for c in range(1, e):
+            # ``local`` is in range by construction; "clip" lets take
+            # write straight into the column without a bounds buffer.
+            np.take(table[:, c - 1], local, out=out[:, c], mode="clip")
+        table = out
+    return table
 
 
 def nd_unpacked(offset: int, d: int) -> Tuple[int, ...]:
@@ -152,6 +166,9 @@ class NdPackedSymmetricTensor:
                     f"data must have shape ({size},), got {data.shape}"
                 )
         self.data = data
+        # Element-write counter consumed by the compiled-plan cache
+        # (see repro.core.plans), as on PackedSymmetricTensor.
+        self._mutations = 0
 
     def _offset(self, indices: Tuple[int, ...]) -> int:
         if len(indices) != self.d:
@@ -170,6 +187,7 @@ class NdPackedSymmetricTensor:
 
     def __setitem__(self, indices, value: float) -> None:
         self.data[self._offset(tuple(indices))] = value
+        self._mutations += 1
 
     def canonical_entries(self) -> Iterator[Tuple[Tuple[int, ...], float]]:
         """Yield every ``(canonical_tuple, value)`` pair exactly once."""

@@ -20,6 +20,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.tensor.ndpacked import nd_index_arrays
 from repro.util.combinatorics import tetrahedral_number
 from repro.util.validation import check_positive_int
 
@@ -92,6 +93,10 @@ class PackedSymmetricTensor:
     7.0
     """
 
+    #: Tensor order, as on :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor`
+    #: (the layouts coincide at order 3).
+    d = 3
+
     def __init__(self, n: int, data: np.ndarray = None):
         self.n = check_positive_int(n, "n")
         size = packed_size(self.n)
@@ -147,23 +152,10 @@ class PackedSymmetricTensor:
 
         Returns ``(I, J, K)`` arrays of length ``packed_size(n)`` such
         that packed entry ``t`` corresponds to indices
-        ``(I[t], J[t], K[t])``. These drive the vectorized sequential
-        STTSV kernel.
+        ``(I[t], J[t], K[t])``: the columns of the order-3
+        :func:`~repro.tensor.ndpacked.nd_index_arrays` table.
         """
-        size = packed_size(n)
-        I = np.empty(size, dtype=np.int64)
-        J = np.empty(size, dtype=np.int64)
-        K = np.empty(size, dtype=np.int64)
-        offset = 0
-        for i in range(n):
-            layer = (i + 1) * (i + 2) // 2
-            I[offset : offset + layer] = i
-            inner = 0
-            for j in range(i + 1):
-                J[offset + inner : offset + inner + j + 1] = j
-                K[offset + inner : offset + inner + j + 1] = np.arange(j + 1)
-                inner += j + 1
-            offset += layer
+        I, J, K = nd_index_arrays(n, 3).T
         return I, J, K
 
     # -- conversions ------------------------------------------------------------------

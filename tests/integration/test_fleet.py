@@ -42,7 +42,7 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
-from repro.core.plans import BlockedPlan, sequential_plan
+from repro.core.plans import sequential_plan
 from repro.service.ring import ring_key
 from repro.service.server import STTSVServer
 from repro.steiner import spherical_steiner_system
@@ -142,7 +142,7 @@ _REPRESENTATION_CASES = {
     "bcss-4": (
         _order4_tensor(20, seed=62),
         lambda client, tid, t: client.register(tid, t, q=3, order=4),
-        BlockedPlan, "@q=3,P=14,simulated,order=4", 4,
+        sequential_plan, "@q=3,P=14,simulated,order=4", 4,
     ),
     "symk-3": (
         random_symk(12, 2, seed=63),

@@ -44,7 +44,7 @@ class TestOrder4Serving:
         info = client.register("o4", tensor, q=3, order=4)
         assert info["order"] == 4
         assert info["P"] == 14  # SQS(8): 8·7·6/24
-        assert info["plan_strategy"] == "blocked-gemm"
+        assert info["plan_strategy"] == "gemm"
 
     def test_both_modes_bitwise_match_dense_oracle(self, client):
         tensor = _integer_tensor(20, seed=1)
@@ -55,6 +55,19 @@ class TestOrder4Serving:
         for mode in ("plan", "parallel"):
             y = client.apply("o4-exact", x, mode=mode)
             assert y.tobytes() == oracle.tobytes(), mode
+
+    @pytest.mark.parametrize("strategy", ["gemm", "bincount"])
+    def test_plan_strategy_bitwise_matches_dense_oracle(
+        self, client, strategy
+    ):
+        tensor = _integer_tensor(14, seed=6)
+        tid = f"o4-{strategy}"
+        info = client.register(tid, tensor, q=3, order=4, strategy=strategy)
+        assert info["plan_strategy"] == strategy
+        x = np.random.default_rng(7).integers(-2, 3, size=14).astype(float)
+        oracle = sttsv_ndim_dense_reference(tensor.to_dense(), x)
+        y = client.apply(tid, x, mode="plan")
+        assert y.tobytes() == oracle.tobytes()
 
     def test_batched_applies_agree_with_single(self, client):
         tensor = _integer_tensor(16, seed=3)
@@ -101,6 +114,16 @@ class TestTypedRejections:
                 "bad", tensor, q=3, order=4, variant="all-to-all"
             )
         assert err.value.code == ErrorCode.BAD_REQUEST
+
+    def test_order4_rejects_removed_blocked_gemm_strategy(self, client):
+        tensor = _integer_tensor(8)
+        with pytest.raises(ServiceError) as err:
+            client.register(
+                "bad", tensor, q=3, order=4, strategy="blocked-gemm"
+            )
+        assert err.value.code == ErrorCode.BAD_REQUEST
+        for name in ("auto", "gemm", "bincount"):
+            assert name in err.value.detail
 
     def test_order4_body_size_validated(self, client):
         wrong = NdPackedSymmetricTensor(9, 4, np.zeros(nd_packed_size(9, 4)))

@@ -1,18 +1,13 @@
 """Blocked compact symmetric storage (BCSS), its kernels, and the
-compiled order-m blocked-gemm plan."""
+``BlockedPlan`` name of the order-generic compiled plan."""
 
 from math import comb
 
 import numpy as np
 import pytest
 
-from repro.core.bcss_kernels import (
-    apply_block_ndim,
-    contract_all_but,
-    khatri_rao_columns,
-    kron_vector,
-)
-from repro.core.plans import BlockedPlan
+from repro.core.bcss_kernels import apply_block_ndim, contract_all_but
+from repro.core.plans import BlockedPlan, SequentialPlan
 from repro.core.sttsm import (
     sttsm,
     sttsm_dense_reference,
@@ -95,17 +90,6 @@ class TestKernels:
         )
         assert np.allclose(got, want)
 
-    def test_kron_vector(self, rng):
-        u, v, w = (rng.standard_normal(3) for _ in range(3))
-        assert np.allclose(kron_vector([u, v, w]), np.kron(np.kron(u, v), w))
-
-    def test_khatri_rao_columns(self, rng):
-        U = rng.standard_normal((3, 4))
-        V = rng.standard_normal((2, 4))
-        got = khatri_rao_columns([U, V])
-        for s in range(4):
-            assert np.allclose(got[:, s], np.kron(U[:, s], V[:, s]))
-
     def test_apply_block_accumulates_symmetric_contributions(self, rng):
         """One off-diagonal block applied through the weights equals the
         dense symmetric tensor restricted to that block's rows."""
@@ -157,49 +141,39 @@ class TestSttsm:
 
 
 class TestBlockedPlan:
-    @pytest.mark.parametrize("n,m,b", [(6, 3, 2), (8, 4, 4), (20, 4, None)])
-    def test_apply_matches_ndim_kernel(self, n, m, b, rng):
+    @pytest.mark.parametrize("n,m", [(6, 3), (8, 4), (20, 4)])
+    def test_apply_matches_ndim_kernel(self, n, m, rng):
         tensor = nd_random_symmetric(n, m, seed=10)
-        plan = (
-            BlockedPlan(tensor) if b is None else BlockedPlan(tensor, block_size=b)
-        )
+        plan = BlockedPlan(tensor)
         x = rng.standard_normal(n)
         assert np.allclose(plan.apply(x), sttsv_ndim(tensor, x))
 
     def test_apply_batch_columns_match_apply(self, rng):
         tensor = nd_random_symmetric(9, 4, seed=11)
-        plan = BlockedPlan(tensor, block_size=4)  # forces padding to 12
+        plan = BlockedPlan(tensor)
         X = rng.standard_normal((9, 5))
         Y = plan.apply_batch(X)
         for s in range(5):
             assert np.allclose(Y[:, s], plan.apply(X[:, s]))
 
     def test_compilation_does_not_mutate_blocks(self, rng):
-        """Regression: the mode-0 unfolding is a view of the stored
-        block; baking weights in place would corrupt later unfolds and
-        the shared BCSS tensor."""
+        """Regression: baking multiplicities into the operator must
+        not scale the tensor's own data in place."""
         tensor = nd_random_symmetric(8, 4, seed=12)
-        bcss = BCSSTensor.from_ndpacked(tensor, 2)
-        before = bcss.blocks.copy()
-        plan = BlockedPlan(bcss)
-        assert np.array_equal(bcss.blocks, before)
+        before = tensor.data.copy()
+        plan = BlockedPlan(tensor)
+        assert np.array_equal(tensor.data, before)
         x = rng.standard_normal(8)
         first = plan.apply(x)
         assert np.array_equal(plan.apply(x), first)
         assert np.allclose(first, sttsv_ndim(tensor, x))
-
-    def test_accepts_prebuilt_bcss(self, rng):
-        tensor = nd_random_symmetric(6, 3, seed=13)
-        plan = BlockedPlan(BCSSTensor.from_ndpacked(tensor, 3))
-        x = rng.standard_normal(6)
-        assert np.allclose(plan.apply(x), sttsv_ndim(tensor, x))
 
     def test_rejects_other_inputs(self):
         with pytest.raises(ConfigurationError):
             BlockedPlan(np.zeros((3, 3, 3)))
 
     def test_nbytes_and_strategy(self):
-        plan = BlockedPlan(nd_random_symmetric(6, 3, seed=14), block_size=3)
-        assert plan.strategy == "blocked-gemm"
+        plan = BlockedPlan(nd_random_symmetric(6, 3, seed=14))
+        assert isinstance(plan, SequentialPlan)
+        assert plan.strategy == "gemm"
         assert plan.nbytes() > 0
-        assert "BlockedPlan" in repr(plan)

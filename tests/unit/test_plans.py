@@ -18,14 +18,12 @@ from repro.core.plans import (
     invalidate_plan,
     sequential_plan,
 )
-from repro.core.sttsv_sequential import (
-    sttsv,
-    sttsv_packed,
-    sttsv_packed_bincount,
-)
+from repro.core.sttsv_ndim import sttsv_ndim
+from repro.core.sttsv_sequential import sttsv, sttsv_packed
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
+from repro.tensor.ndpacked import nd_random_symmetric
 from repro.tensor.packed import PackedSymmetricTensor
 
 
@@ -46,7 +44,49 @@ class TestSequentialPlanCorrectness:
         tensor = random_symmetric(23, seed=1)
         x = rng.normal(size=23)
         plan = SequentialPlan(tensor, strategy="bincount")
-        assert np.array_equal(plan.apply(x), sttsv_packed_bincount(tensor, x))
+        assert np.array_equal(plan.apply(x), sttsv_ndim(tensor, x))
+
+    def test_order3_operator_is_the_closed_form_unfolding(self):
+        """At order 3 the unfolding is ``a[T3(hi) + T2(mid) + lo]``
+        over the canonicalized ``(i, j, k)``, doubled off the pair
+        diagonal ``j = k``."""
+        n = 11
+        tensor = random_symmetric(n, seed=4)
+        Jp, Kp = np.tril_indices(n)
+        gi = np.arange(n)[:, None]
+        hi = np.maximum(gi, Jp)
+        lo = np.minimum(gi, Kp)
+        mid = gi + Jp + Kp - hi - lo
+        offsets = hi * (hi + 1) * (hi + 2) // 6 + mid * (mid + 1) // 2 + lo
+        want = tensor.data[offsets] * np.where(Jp == Kp, 1.0, 2.0)
+        plan = SequentialPlan(tensor, strategy="gemm")
+        assert np.array_equal(plan._operator, want)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("strategy", ["auto", "gemm", "bincount"])
+    def test_any_order_matches_ndim_kernel(self, order, strategy, rng):
+        """The plan follows the tensor's order (an order-4 tensor once
+        got an order-3 plan and a silently wrong result)."""
+        n = 10
+        tensor = nd_random_symmetric(n, order, seed=order)
+        x = rng.normal(size=n)
+        X = rng.normal(size=(n, 3))
+        plan = sequential_plan(tensor, strategy=strategy)
+        assert plan.m == order
+        assert np.allclose(plan.apply(x), sttsv_ndim(tensor, x))
+        want = np.column_stack([sttsv_ndim(tensor, X[:, c]) for c in range(3)])
+        assert np.allclose(plan.apply_batch(X), want)
+        if strategy == "bincount":
+            assert plan.apply(x).tobytes() == sttsv_ndim(tensor, x).tobytes()
+
+    def test_order4_frobenius_norm(self):
+        tensor = nd_random_symmetric(6, 4, seed=9)
+        plan = SequentialPlan(tensor)
+        assert np.isclose(plan.frobenius_norm_sq(), np.sum(tensor.to_dense() ** 2))
+
+    def test_rejects_order_one(self):
+        with pytest.raises(ConfigurationError):
+            SequentialPlan(nd_random_symmetric(4, 1, seed=0))
 
     @pytest.mark.parametrize("strategy", ["gemm", "bincount"])
     def test_apply_batch_vs_column_loop(self, strategy, rng):
@@ -119,7 +159,8 @@ class TestStrategySelection:
         assert plan.strategy == "bincount"
 
     def test_gemm_bytes_formula(self):
-        assert SequentialPlan._gemm_bytes(200) == 200 * (200 * 201 // 2) * 8
+        assert SequentialPlan._gemm_bytes(200, 3) == 200 * (200 * 201 // 2) * 8
+        assert SequentialPlan._gemm_bytes(40, 4) == 40 * (40 * 41 * 42 // 6) * 8
 
 
 class TestPlanCache:
@@ -153,6 +194,16 @@ class TestPlanCache:
         assert sequential_plan(tensor) is not stale
         assert not np.allclose(before, after)
         assert np.allclose(after, sttsv_packed(tensor, x))
+
+    def test_order4_element_write_invalidates(self, rng):
+        tensor = nd_random_symmetric(6, 4, seed=10)
+        stale = sequential_plan(tensor)
+        tensor[3, 2, 1, 0] = 99.0
+        assert not stale.matches(tensor)
+        fresh = sequential_plan(tensor)
+        assert fresh is not stale
+        x = rng.normal(size=6)
+        assert np.allclose(fresh.apply(x), sttsv_ndim(tensor, x))
 
     def test_data_replacement_invalidates(self, rng):
         tensor = random_symmetric(10, seed=11)

@@ -11,7 +11,8 @@ from repro.core.sttsv_ndim import (
     sttsv_ndim_scalar,
     sttsv_ndim_ternary_count,
 )
-from repro.core.sttsv_sequential import sttsv_packed, sttsv_packed_bincount
+from repro.core.plans import SequentialPlan
+from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
 from repro.tensor.dense import random_symmetric
 from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_random_symmetric
@@ -70,9 +71,10 @@ class TestVectorizedKernel:
         )
 
     def test_d3_bitwise_matches_bincount_kernel(self, rng):
-        """The vectorized kernel performs Algorithm 4's exact op
-        sequence at d = 3 — per-column products left to right, bincount
-        scatter in column order — so agreement is bitwise."""
+        """The order-3 bincount plan over ``PackedSymmetricTensor``
+        storage performs the kernel's exact op sequence — per-column
+        products left to right, bincount scatter in column order — so
+        agreement is bitwise."""
         from repro.tensor.packed import PackedSymmetricTensor
 
         n = 9
@@ -83,7 +85,7 @@ class TestVectorizedKernel:
         x = rng.normal(size=n)
         assert (
             sttsv_ndim(tensor, x).tobytes()
-            == sttsv_packed_bincount(packed, x).tobytes()
+            == SequentialPlan(packed, "bincount").apply(x).tobytes()
         )
 
     def test_exact_on_integer_data(self):

@@ -40,12 +40,10 @@ class TestKernelAgreement:
         assert np.allclose(sttsv(tensor, x), sttsv_packed(tensor, x))
 
     def test_bincount_kernel_agrees(self, problem):
-        from repro.core.sttsv_sequential import sttsv_packed_bincount
+        from repro.core.sttsv_ndim import sttsv_ndim
 
         tensor, x = problem
-        assert np.allclose(
-            sttsv_packed_bincount(tensor, x), sttsv_packed(tensor, x)
-        )
+        assert np.allclose(sttsv_ndim(tensor, x), sttsv_packed(tensor, x))
 
     def test_symmetric_and_packed_bit_identical_on_integers(self):
         """With integer-valued data every contribution is exact, so the
