@@ -452,8 +452,8 @@ def _command_plan(args) -> int:
     if args.measure and decision.best_parallel is not None:
         measured = measure_candidate(decision.best_parallel, n)
         print(
-            f"\nmeasured (best parallel, median of 3):"
-            f" {measured.measured_seconds * 1e3:.4f} ms vs"
+            f"\nmeasured {measured.candidate.label()} (best parallel,"
+            f" median of 3): {measured.measured_seconds * 1e3:.4f} ms vs"
             f" {measured.total_time * 1e3:.4f} ms predicted"
             f" (ratio {measured.prediction_error:.3f})"
         )

@@ -89,6 +89,8 @@ from repro.machine.collectives import (
     execute_rounds_fused,
     schedule_point_to_point,
 )
+from repro.machine.cost import CostModel
+from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.machine.transport import FusionPlan, Transfer
 from repro.tensor.bcss import BCSSTensor
@@ -99,9 +101,10 @@ from repro.tensor.sparse import SparseSymmetricTensor, sparse_scatter
 
 #: Fused batches each point-to-point exchange phase is split into:
 #: contiguous runs of permutation rounds, each executed as one fused
-#: physical exchange. Four batches per phase give the 80 physical
-#: messages per q=2 run that the planner's exact ledger and its
-#: α→all-to-all decision flip are calibrated against.
+#: physical exchange. Four batches per phase give 80 physical messages
+#: per q=2 run; the planner prices whatever batches the engine builds
+#: (:meth:`ParallelSTTSV.predicted_ledger`), so its α→all-to-all
+#: decision flip moves with this constant.
 FUSED_BATCHES = 4
 
 
@@ -126,6 +129,13 @@ class CommBackend(enum.Enum):
 
     POINT_TO_POINT = "point-to-point"
     ALL_TO_ALL = "all-to-all"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigurationError(
+            f"variant must be one of {tuple(b.value for b in cls)},"
+            f" got {value!r}"
+        )
 
 
 class ExchangePhase(NamedTuple):
@@ -204,7 +214,7 @@ class ParallelSTTSV:
         backend: CommBackend = CommBackend.POINT_TO_POINT,
     ):
         self.partition = partition
-        self.backend = backend
+        self.backend = CommBackend(backend)
         self.n = n
         replication = partition.steiner.point_replication()
         m = partition.m
@@ -218,7 +228,7 @@ class ParallelSTTSV:
         self.exchange_plan = ExchangePlan(partition, self.b)
         x_pairs = self.exchange_plan.x_pairs
         symmetric = self.exchange_plan.y_pairs == x_pairs
-        if backend is CommBackend.ALL_TO_ALL and not symmetric:
+        if self.backend is CommBackend.ALL_TO_ALL and not symmetric:
             raise ConfigurationError(
                 "the all-to-all variant needs a symmetric exchange graph"
                 " (irregular graphs have no uniform All-to-All slot);"
@@ -483,6 +493,28 @@ class ParallelSTTSV:
             for (src, _), blocks in pairs.items():
                 words[src] += len(blocks) * self.shard
         return words
+
+    def predicted_ledger(self, fusion: bool = True) -> CommunicationLedger:
+        """The exact ledger one :meth:`run` records on a machine with
+        this ``fusion`` setting, without moving a byte.
+
+        Prices the prebuilt batches of both phases through the same
+        :class:`~repro.machine.cost.CostModel` calls execution makes: a
+        batch :func:`~repro.machine.collectives.execute_rounds_fused`
+        fuses goes through ``price_fused_batch``, any other round
+        through ``price_round``. Labels, per-round words, ``fused``
+        tags and the ``fused_*`` side-channel all match the run's.
+        """
+        cost = CostModel()
+        ledger = CommunicationLedger(self.partition.P)
+        for phase in (self.phase_x, self.phase_y):
+            for rounds, plan in phase.batches:
+                if plan.fuses(fusion):
+                    cost.price_fused_batch(ledger, rounds, phase.tag, plan)
+                    continue
+                for label, transfers in rounds:
+                    cost.price_round(ledger, label, transfers, phase.tag)
+        return ledger
 
     def expected_words_per_processor(self) -> int:
         """The paper's order-3 closed-form per-processor send volume

@@ -50,6 +50,7 @@ import numpy as np
 from repro.core.parallel_sttsv import CommBackend
 from repro.errors import ConfigurationError
 from repro.machine.collectives import all_gather, all_to_all
+from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.tensor.symk import SymKTensor
 
@@ -263,6 +264,19 @@ class ParallelSymKTTSV:
         return np.concatenate(
             [self._V_blocks[p] @ w for p in range(self.P)]
         )[: self.n]
+
+    def predicted_ledger(
+        self, rank: int, fusion: bool = True
+    ) -> CommunicationLedger:
+        """The exact ledger one :meth:`run` at ``rank`` records on a
+        machine with this ``fusion`` setting: the engine's own exchange,
+        run on a fresh simulated machine with zero ``rank``-word
+        partials (the ledger depends only on their length)."""
+        if rank < 1:
+            raise ConfigurationError(f"need rank >= 1, got {rank}")
+        with Machine(self.P, fusion=fusion) as machine:
+            self._exchange(machine, [np.zeros(rank)] * self.P)
+        return machine.ledger
 
     def expected_words_per_processor(self) -> int:
         """The closed form the executed ledger must match exactly:

@@ -267,7 +267,7 @@ def execute_rounds_fused(
             " transfers, not this batch's"
         )
     flat = plan.transfers
-    if not machine.fusion or not plan.fusible or not flat:
+    if not plan.fuses(machine.fusion):
         return [
             execute_round(machine, label, tag, transfers, record_empty)
             for label, transfers in rounds

@@ -177,6 +177,12 @@ class FusionPlan:
 
     # -- accounting ------------------------------------------------------------
 
+    def fuses(self, enabled: bool) -> bool:
+        """Whether executing this batch on a machine with fusion
+        ``enabled`` packs it: only a non-empty batch of fusible
+        payloads is fused; any other runs round by round."""
+        return enabled and self.fusible and bool(self.transfers)
+
     def stats(self) -> FusionStats:
         """Logical vs physical message/word counts of this batch
         (computed on first use, then kept)."""

@@ -1,11 +1,14 @@
 """Cost-model-driven autotuning planner (``repro plan`` / auto mode).
 
-Three layers:
+Four layers:
 
 * :mod:`repro.planner.calibration` — measure α-β-γ constants from
   microbenchmarks, persist them as versioned JSON.
-* :mod:`repro.planner.pricing` — reconstruct the exact communication
-  ledger a configuration would produce, without executing it.
+* :mod:`repro.planner.pricing` — the per-vector work counts of the
+  sequential plan strategies and the low-rank paths; communication
+  ledgers come from the engines themselves
+  (``ParallelSTTSV.predicted_ledger`` /
+  ``ParallelSymKTTSV.predicted_ledger``).
 * :mod:`repro.planner.planner` — enumerate candidates, price them,
   return the argmin (:class:`PlanDecision`) plus measured cross-checks.
 * :mod:`repro.planner.report` — render a decision as a human-readable
@@ -30,13 +33,7 @@ from repro.planner.planner import (
     measure_candidate,
     plan_sttsv,
 )
-from repro.planner.pricing import (
-    STRATEGIES,
-    VARIANTS,
-    parallel_flops,
-    predicted_ledger,
-    predicted_symk_ledger,
-)
+from repro.planner.pricing import STRATEGIES, VARIANTS
 from repro.planner.report import render_decision_table
 
 __all__ = [
@@ -55,9 +52,6 @@ __all__ = [
     "calibrate_compute",
     "calibrate_transport",
     "measure_candidate",
-    "parallel_flops",
     "plan_sttsv",
-    "predicted_ledger",
-    "predicted_symk_ledger",
     "render_decision_table",
 ]

@@ -3,10 +3,11 @@
 ``plan_sttsv`` is the autotuning entry point: enumerate every valid
 configuration for a tensor — communication variant (point-to-point vs
 All-to-All), fused vs unfused execution, transport backend, plan
-strategy, batch width — price each one from its exact predicted ledger
-(:mod:`repro.planner.pricing`) under calibrated α-β-γ constants
-(:mod:`repro.planner.calibration`), and return the argmin with the
-full priced table.
+strategy, batch width — price each one from the exact ledger its own
+engine predicts (``ParallelSTTSV.predicted_ledger`` /
+``ParallelSymKTTSV.predicted_ledger``) under calibrated α-β-γ
+constants (:mod:`repro.planner.calibration`), and return the argmin
+with the full priced table.
 
 The interesting selection is the paper's own tradeoff: the All-to-All
 variant moves ~2× the point-to-point bandwidth but fuses each phase
@@ -26,26 +27,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.core.parallel_symk import ParallelSymKTTSV
 from repro.core.partition import TetrahedralPartition
 from repro.errors import ConfigurationError
 from repro.machine.ledger import CommunicationLedger
+from repro.machine.machine import Machine
+from repro.machine.transport import make_transport
 from repro.planner.calibration import Calibration
 from repro.planner.pricing import (
     STRATEGIES,
     VARIANTS,
     gemm_plan_flops,
-    parallel_flops,
-    predicted_ledger,
-    predicted_symk_ledger,
     scatter_plan_ops,
     symk_parallel_flops,
     symk_plan_flops,
 )
 from repro.steiner import spherical_steiner_system
+from repro.tensor.dense import random_symmetric
+from repro.tensor.symk import random_symk
 
 #: Modes a candidate prices: the warm machine (Algorithm 5) or the
 #: compiled sequential plan.
@@ -167,31 +172,39 @@ class PlanDecision:
         return config
 
 
+def _engine(
+    candidate: Candidate,
+    n: int,
+    partition: Optional[TetrahedralPartition] = None,
+) -> Union[ParallelSTTSV, ParallelSymKTTSV]:
+    """The engine a parallel candidate runs: the one whose ledger
+    prices it and the one :func:`measure_candidate` times."""
+    if candidate.representation == "symk":
+        return ParallelSymKTTSV(candidate.P, n, backend=candidate.variant)
+    if partition is None:
+        partition = TetrahedralPartition(spherical_steiner_system(candidate.q))
+    return ParallelSTTSV(partition, n, backend=candidate.variant)
+
+
 def _price_parallel(
     candidate: Candidate,
-    partition: TetrahedralPartition,
-    n: int,
     ledger: CommunicationLedger,
+    flops: float,
+    gamma: float,
     calibration: Calibration,
 ) -> PricedCandidate:
-    gamma = calibration.compute.gemm_flop_s
     model = calibration.cost_model(candidate.backend, gamma=gamma)
-    if candidate.fusion:
-        comm = model.fused_communication_time(ledger)
-        physical_rounds = ledger.fused_rounds + sum(
-            1 for r in ledger.rounds if not r.fused
-        )
-    else:
-        comm = model.communication_time(ledger)
-        physical_rounds = ledger.round_count()
-    flops = _FLOPS_PER_TERNARY * parallel_flops(partition, n)
+    # On an unfused ledger (no fused rounds) this is exactly
+    # ``communication_time``: α · rounds + β · Σ per-round max words.
+    comm = model.fused_communication_time(ledger)
     compute = model.computation_time(flops)
     return PricedCandidate(
         candidate=candidate,
         comm_time=comm,
         compute_time=compute,
         total_time=comm + compute,
-        physical_rounds=physical_rounds,
+        physical_rounds=ledger.fused_rounds
+        + sum(1 for r in ledger.rounds if not r.fused),
         words_per_processor=ledger.max_words_sent(),
         alpha=model.alpha,
         beta=model.beta,
@@ -200,20 +213,8 @@ def _price_parallel(
 
 
 def _price_plan(
-    candidate: Candidate, n: int, calibration: Calibration
+    candidate: Candidate, work: float, rate: float
 ) -> PricedCandidate:
-    compute_constants = calibration.compute
-    if candidate.strategy == "gemm":
-        work = gemm_plan_flops(n)
-        rate = (
-            compute_constants.gemm_flop_s
-            if (candidate.batch_width or 1) > 1
-            else compute_constants.gemv_flop_s
-        )
-    else:
-        # bincount batches column by column: width buys nothing.
-        work = scatter_plan_ops(n)
-        rate = compute_constants.scatter_op_s
     compute = work * rate
     return PricedCandidate(
         candidate=candidate,
@@ -228,54 +229,60 @@ def _price_plan(
     )
 
 
-def _price_symk_parallel(
-    candidate: Candidate,
+def _price_engines(
+    template: Candidate,
     n: int,
-    ledger: CommunicationLedger,
+    backends: Sequence[str],
+    variants: Sequence[str],
+    fusion_options: Sequence[bool],
     calibration: Calibration,
-) -> PricedCandidate:
-    gamma = calibration.compute.gemv_flop_s
-    model = calibration.cost_model(candidate.backend, gamma=gamma)
-    if candidate.fusion:
-        comm = model.fused_communication_time(ledger)
-        physical_rounds = ledger.fused_rounds + sum(
-            1 for r in ledger.rounds if not r.fused
+    partition: Optional[TetrahedralPartition] = None,
+) -> List[PricedCandidate]:
+    """Price every ``(backend, variant, fusion)`` of one parallel
+    family — ``template`` fixes the representation, ``q``/``P`` and
+    rank — in that enumeration order.
+
+    One engine is built per variant; both fusion ledgers are read from
+    it, and every backend prices the same ledger under its own α-β.
+    """
+    symk = template.representation == "symk"
+    gamma = (
+        calibration.compute.gemv_flop_s
+        if symk
+        else calibration.compute.gemm_flop_s
+    )
+    costs: Dict[Tuple[str, bool], Tuple[CommunicationLedger, float]] = {}
+    for variant in variants:
+        engine = _engine(replace(template, variant=variant), n, partition)
+        if symk:
+            flops = symk_parallel_flops(template.P, n, template.rank)
+            ledger_of = partial(engine.predicted_ledger, template.rank)
+        else:
+            flops = _FLOPS_PER_TERNARY * max(
+                map(engine.flops_per_processor, range(template.P))
+            )
+            ledger_of = engine.predicted_ledger
+        for fusion in fusion_options:
+            costs[variant, fusion] = (ledger_of(fusion), flops)
+    return [
+        _price_parallel(
+            replace(template, backend=backend, variant=variant, fusion=fusion),
+            *costs[variant, fusion],
+            gamma,
+            calibration,
         )
-    else:
-        comm = model.communication_time(ledger)
-        physical_rounds = ledger.round_count()
-    compute = model.computation_time(
-        symk_parallel_flops(candidate.P, n, candidate.rank)
-    )
-    return PricedCandidate(
-        candidate=candidate,
-        comm_time=comm,
-        compute_time=compute,
-        total_time=comm + compute,
-        physical_rounds=physical_rounds,
-        words_per_processor=ledger.max_words_sent(),
-        alpha=model.alpha,
-        beta=model.beta,
-        gamma=gamma,
-    )
+        for backend in backends
+        for variant in variants
+        for fusion in fusion_options
+    ]
 
 
-def _price_symk_plan(
-    candidate: Candidate, n: int, calibration: Calibration
-) -> PricedCandidate:
-    rate = calibration.compute.gemv_flop_s
-    compute = symk_plan_flops(n, candidate.rank) * rate
-    return PricedCandidate(
-        candidate=candidate,
-        comm_time=0.0,
-        compute_time=compute,
-        total_time=compute,
-        physical_rounds=0,
-        words_per_processor=0,
-        alpha=0.0,
-        beta=0.0,
-        gamma=rate,
-    )
+def _check_choices(name: str, given: Sequence, valid: Sequence) -> None:
+    for value in given:
+        if value not in valid:
+            raise ConfigurationError(
+                f"{name} must be one of {valid}, got {value!r}"
+            )
 
 
 def plan_sttsv(
@@ -315,14 +322,17 @@ def plan_sttsv(
         raise ConfigurationError(f"tensor dimension must be >= 1, got {n}")
     if not qs:
         raise ConfigurationError("planner needs at least one q")
-    for variant in variants:
-        if variant not in VARIANTS:
+    _check_choices("variant", variants, VARIANTS)
+    _check_choices("strategy", strategies, STRATEGIES)
+    for width in batch_widths:
+        if width < 1:
             raise ConfigurationError(
-                f"variant must be one of {VARIANTS}, got {variant!r}"
+                f"plan batch widths must be >= 1, got {width}"
             )
     calibration = (
         calibration if calibration is not None else Calibration.default()
     )
+    compute = calibration.compute
     wanted_P = set(Ps) if Ps else None
     priced: List[PricedCandidate] = []
     seen_P: List[int] = []
@@ -332,76 +342,41 @@ def plan_sttsv(
         seen_P.append(partition.P)
         if wanted_P is not None and partition.P not in wanted_P:
             continue
-        ledgers: Dict[Tuple[str, bool], CommunicationLedger] = {}
-        for backend in backends:
-            for variant in variants:
-                for fusion in fusion_options:
-                    ledger = ledgers.get((variant, fusion))
-                    if ledger is None:
-                        ledger = predicted_ledger(
-                            partition, n, variant=variant, fusion=fusion
-                        )
-                        ledgers[(variant, fusion)] = ledger
-                    candidate = Candidate(
-                        mode="parallel",
-                        q=q,
-                        P=partition.P,
-                        backend=backend,
-                        variant=variant,
-                        fusion=fusion,
-                    )
-                    priced.append(
-                        _price_parallel(
-                            candidate, partition, n, ledger, calibration
-                        )
-                    )
+        families = [Candidate(mode="parallel", q=q, P=partition.P)]
         if rank is not None:
-            symk_ledgers: Dict[Tuple[str, bool], CommunicationLedger] = {}
-            for backend in backends:
-                for variant in variants:
-                    for fusion in fusion_options:
-                        ledger = symk_ledgers.get((variant, fusion))
-                        if ledger is None:
-                            ledger = predicted_symk_ledger(
-                                partition.P, rank,
-                                variant=variant, fusion=fusion,
-                            )
-                            symk_ledgers[(variant, fusion)] = ledger
-                        candidate = Candidate(
-                            mode="parallel",
-                            q=q,
-                            P=partition.P,
-                            backend=backend,
-                            variant=variant,
-                            fusion=fusion,
-                            representation="symk",
-                            rank=rank,
-                        )
-                        priced.append(
-                            _price_symk_parallel(
-                                candidate, n, ledger, calibration
-                            )
-                        )
-    if rank is not None:
-        priced.append(
-            _price_symk_plan(
-                Candidate(
-                    mode="plan",
-                    strategy="symk",
-                    batch_width=1,
-                    representation="symk",
-                    rank=rank,
-                ),
-                n,
-                calibration,
+            families.append(
+                replace(families[0], representation="symk", rank=rank)
             )
+        for template in families:
+            priced.extend(
+                _price_engines(
+                    template, n, backends, variants, fusion_options,
+                    calibration, partition,
+                )
+            )
+    if rank is not None:
+        symk_plan = Candidate(
+            mode="plan",
+            strategy="symk",
+            batch_width=1,
+            representation="symk",
+            rank=rank,
+        )
+        priced.append(
+            _price_plan(symk_plan, symk_plan_flops(n, rank), compute.gemv_flop_s)
         )
     for strategy in strategies:
         for width in batch_widths:
             candidate = Candidate(
                 mode="plan", strategy=strategy, batch_width=width
             )
-            priced.append(_price_plan(candidate, n, calibration))
+            if strategy == "gemm":
+                work = gemm_plan_flops(n)
+                rate = compute.gemm_flop_s if width > 1 else compute.gemv_flop_s
+            else:
+                # bincount batches column by column: width buys nothing.
+                work, rate = scatter_plan_ops(n), compute.scatter_op_s
+            priced.append(_price_plan(candidate, work, rate))
     if wanted_P is not None and not any(
         c.candidate.mode == "parallel" for c in priced
     ):
@@ -455,30 +430,11 @@ def auto_symk_config(
     calibration = (
         calibration if calibration is not None else Calibration.default()
     )
-    priced: List[PricedCandidate] = []
-    for backend in backends:
-        for variant in VARIANTS:
-            for fusion in fusion_options:
-                candidate = Candidate(
-                    mode="parallel",
-                    P=P,
-                    backend=backend,
-                    variant=variant,
-                    fusion=fusion,
-                    representation="symk",
-                    rank=rank,
-                )
-                priced.append(
-                    _price_symk_parallel(
-                        candidate,
-                        n,
-                        predicted_symk_ledger(
-                            P, rank, variant=variant, fusion=fusion
-                        ),
-                        calibration,
-                    )
-                )
-    best = sorted(priced, key=lambda c: c.total_time)[0].candidate
+    priced = _price_engines(
+        Candidate(mode="parallel", P=P, representation="symk", rank=rank),
+        n, backends, VARIANTS, fusion_options, calibration,
+    )
+    best = min(priced, key=lambda c: c.total_time).candidate
     return {
         "n": n,
         "P": P,
@@ -501,41 +457,39 @@ def measure_candidate(
     """Execute a parallel candidate once per repeat and attach the
     median measured wall time (obs phase spans) to a copy.
 
-    The returned candidate's ``measured_seconds`` is the median
-    ``sttsv:run`` span; callers compare it against ``total_time`` to
-    track the cost model's prediction error (the benchmarks hook
-    records exactly that).
+    The candidate runs on its own engine — Algorithm 5 on a random
+    dense tensor, or the low-rank engine on a random rank-``r``
+    Kruskal tensor for ``representation="symk"`` — and
+    ``measured_seconds`` is the median ``sttsv:run`` / ``symk:run``
+    span; callers compare it against ``total_time`` to track the cost
+    model's prediction error (the benchmarks hook records exactly
+    that).
     """
-    from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
-    from repro.machine.machine import Machine
-    from repro.machine.transport import make_transport
-    from repro.tensor.dense import random_symmetric
-
     candidate = priced.candidate
     if candidate.mode != "parallel":
         raise ConfigurationError(
             "measure_candidate only measures parallel candidates"
         )
-    partition = TetrahedralPartition(spherical_steiner_system(candidate.q))
-    tensor = random_symmetric(n, seed=seed)
+    engine = _engine(candidate, n)
+    if candidate.representation == "symk":
+        load_resident, span = engine.load_factors, "symk:run"
+        tensor = random_symk(n, candidate.rank, seed=seed)
+    else:
+        load_resident, span = engine.load_tensor, "sttsv:run"
+        tensor = random_symmetric(n, seed=seed)
     x = np.random.default_rng(seed + 1).normal(size=n)
     samples: List[float] = []
     with Machine(
-        partition.P,
-        transport=make_transport(candidate.backend, partition.P),
+        candidate.P,
+        transport=make_transport(candidate.backend, candidate.P),
         fusion=bool(candidate.fusion),
     ) as machine:
-        algo = ParallelSTTSV(
-            partition, n, backend=CommBackend(candidate.variant)
-        )
-        algo.load_tensor(machine, tensor)
+        load_resident(machine, tensor)
         for _ in range(repeats):
             machine.instrument.reset()
-            algo.load_vector(machine, x)
-            algo.run(machine)
+            engine.load_vector(machine, x)
+            engine.run(machine)
             machine.reset_ledger()
-            samples.append(
-                machine.instrument.total_seconds("sttsv:run")
-            )
+            samples.append(machine.instrument.total_seconds(span))
     measured = float(np.median(samples)) if samples else math.nan
     return replace(priced, measured_seconds=measured)

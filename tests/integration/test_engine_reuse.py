@@ -8,8 +8,9 @@ into the run's ledger. These tests run several vectors through one
 engine and machine and require each run to be exactly a freshly built
 engine's run: ``y`` bitwise, and every ledger field (per-processor
 counters, round labels, messages, ``fused`` flags, ``retry_*`` and
-``fused_*``). Any state that leaked through the reused buffers, plans
-or priced ledgers would break one of them.
+``fused_*``), and that ledger must equal the engine's own
+``predicted_ledger``. Any state that leaked through the reused
+buffers, plans or priced ledgers would break one of them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core.partition_ndim import QuadruplePartition
 from repro.errors import PartitionError
 from repro.machine.machine import Machine
 from repro.machine.transport import FaultPolicy, make_transport
-from repro.planner import predicted_ledger
 from repro.service.client import ServiceClient
 from repro.service.server import STTSVServer
 from repro.steiner import boolean_steiner_system, spherical_steiner_system
@@ -133,13 +133,9 @@ class TestReusedEngineMatchesFresh:
         rng = np.random.default_rng([q, n, int(fusion)])
         tensor = _tensor(kind, n, rng)
         partition = _partition(kind, q)
-        predicted = (
-            predicted_ledger(partition, n, variant=backend.value, fusion=fusion)
-            if kind != "order4"
-            else None
-        )
         with _machine(partition.P, transport, fusion) as machine:
             algo = ParallelSTTSV(partition, n, backend)
+            predicted = _fingerprint(algo.predicted_ledger(fusion))
             algo.load_tensor(machine, tensor)
             for _ in range(RUNS):
                 x = _vector(kind, n, rng)
@@ -155,8 +151,7 @@ class TestReusedEngineMatchesFresh:
                 )
                 assert _fingerprint(machine.ledger) == fresh_ledger
                 assert machine.ledger.words_sent == algo.words_per_processor()
-                if predicted is not None:
-                    assert _fingerprint(predicted) == fresh_ledger
+                assert predicted == fresh_ledger
 
     def test_stored_shards_are_not_overwritten_by_later_runs(self):
         """A run's ``y_shards`` stay valid after the next run."""

@@ -1,20 +1,24 @@
 """Planner: calibration persistence, exact predicted ledgers, argmin."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
+from repro.core.parallel_symk import ParallelSymKTTSV
 from repro.core.partition import TetrahedralPartition
+from repro.core.partition_ndim import QuadruplePartition
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.planner import (
+    STRATEGIES,
     Calibration,
     TransportConstants,
     auto_session_config,
     calibrate,
     measure_candidate,
     plan_sttsv,
-    predicted_ledger,
     render_decision_table,
 )
 from repro.planner.calibration import (
@@ -22,15 +26,37 @@ from repro.planner.calibration import (
     DEFAULT_COMPUTE,
     ComputeConstants,
 )
-from repro.steiner import spherical_steiner_system
+from repro.steiner import boolean_steiner_system, spherical_steiner_system
 from repro.tensor.dense import random_symmetric
+from repro.tensor.ndpacked import nd_random_symmetric
 from repro.tensor.sparse import SparseSymmetricTensor
+from repro.tensor.symk import random_symk
 
 
 def _partition(q: int) -> TetrahedralPartition:
     partition = TetrahedralPartition(spherical_steiner_system(q))
     partition.validate()
     return partition
+
+
+def _fields(ledger) -> dict:
+    """Every ledger field a prediction must reproduce."""
+    return {
+        "words_sent": list(ledger.words_sent),
+        "words_received": list(ledger.words_received),
+        "messages_sent": list(ledger.messages_sent),
+        "messages_received": list(ledger.messages_received),
+        "rounds": [
+            (
+                record.label,
+                record.fused,
+                record.max_words(),
+                [(m.source, m.dest, m.words, m.tag) for m in record.messages],
+            )
+            for record in ledger.rounds
+        ],
+        "fusion": ledger.fusion_summary(),
+    }
 
 
 def _calibration(alpha: float, beta: float) -> Calibration:
@@ -105,104 +131,78 @@ class TestPredictedLedger:
     @pytest.mark.parametrize("variant", ["point-to-point", "all-to-all"])
     @pytest.mark.parametrize("fusion", [True, False])
     def test_matches_executed_ledger(self, variant, fusion):
-        """Dense and sparse Algorithm 5 share the exchange path, so one
-        prediction must match both executed ledgers field for field."""
-        partition = _partition(2)
-        n = 20
-        predicted = predicted_ledger(
-            partition, n, variant=variant, fusion=fusion
-        )
-        x = np.random.default_rng(1).normal(size=n)
-        engines = [
-            (ParallelSTTSV, random_symmetric(n, seed=0)),
-            (
-                ParallelSTTSV,
-                SparseSymmetricTensor.from_hyperedges(
-                    n, [(0, 5, 11), (3, 7, 19), (2, 9, 14)]
-                ),
-            ),
-        ]
-        for engine, tensor in engines:
+        """Each engine's predicted ledger matches its executed one field
+        for field: dense and sparse order 3 at q=2 and q=3, and (point
+        to point only) the irregular order-4 SQS(8) partition."""
+        cases = []
+        for q, n in ((2, 20), (3, 30)):
+            cases.append((_partition(q), random_symmetric(n, seed=0)))
+            cases.append(
+                (
+                    _partition(q),
+                    SparseSymmetricTensor.from_hyperedges(
+                        n, [(0, 5, 11), (3, 7, 19), (2, 9, 14)]
+                    ),
+                )
+            )
+        if variant == "point-to-point":
+            cases.append(
+                (
+                    QuadruplePartition(boolean_steiner_system(3)),
+                    nd_random_symmetric(24, 4, seed=0),
+                )
+            )
+        for partition, tensor in cases:
+            x = np.random.default_rng(1).normal(size=tensor.n)
+            algo = ParallelSTTSV(
+                partition, tensor.n, backend=CommBackend(variant)
+            )
+            predicted = algo.predicted_ledger(fusion)
             with Machine(partition.P, fusion=fusion) as machine:
-                algo = engine(partition, n, backend=CommBackend(variant))
                 algo.load(machine, tensor, x)
                 algo.run(machine)
                 actual = machine.ledger
-            assert predicted.round_count() == actual.round_count()
-            assert predicted.words_sent == actual.words_sent
-            assert predicted.words_received == actual.words_received
-            assert predicted.messages_sent == actual.messages_sent
-            assert [r.label for r in predicted.rounds] == [
-                r.label for r in actual.rounds
-            ]
-            assert [r.max_words() for r in predicted.rounds] == [
-                r.max_words() for r in actual.rounds
-            ]
-            assert [r.fused for r in predicted.rounds] == [
-                r.fused for r in actual.rounds
-            ]
-            assert predicted.fusion_summary() == actual.fusion_summary()
+            assert _fields(predicted) == _fields(actual)
+            assert predicted.words_sent == algo.words_per_processor()
 
     def test_rejects_unknown_variant(self):
-        with pytest.raises(ConfigurationError):
-            predicted_ledger(_partition(2), 20, variant="carrier-pigeon")
+        with pytest.raises(ConfigurationError, match="point-to-point"):
+            ParallelSTTSV(_partition(2), 20, backend="carrier-pigeon")
 
 
 class TestPredictedSymkLedger:
     @pytest.mark.parametrize("variant", ["point-to-point", "all-to-all"])
     @pytest.mark.parametrize("fusion", [True, False])
     def test_matches_executed_ledger(self, variant, fusion):
-        """The symk pricing ledger is field-for-field the ledger a real
-        ParallelSymKTTSV run produces — labels, per-round volumes, and
-        fusion flags included, so the (P−1)·r closed form the planner
-        prices is exactly what execution pays."""
-        from repro.core.parallel_symk import ParallelSymKTTSV
-        from repro.planner.pricing import predicted_symk_ledger
-        from repro.tensor.symk import random_symk
-
-        P, n, rank = 6, 25, 4
-        predicted = predicted_symk_ledger(
-            P, rank, variant=variant, fusion=fusion
-        )
+        """The low-rank engine's predicted ledger is field-for-field the
+        ledger its run records — labels, per-round volumes, and fusion
+        flags included, so the (P−1)·r closed form the planner prices
+        is exactly what execution pays."""
+        n, rank = 25, 4
         tensor = random_symk(n, rank, seed=0)
         x = np.random.default_rng(1).normal(size=n)
-        with Machine(P, fusion=fusion) as machine:
+        for P in (1, 6, 10):
             algo = ParallelSymKTTSV(P, n, backend=CommBackend(variant))
-            algo.load(machine, tensor, x)
-            algo.run(machine)
-            actual = machine.ledger
-            assert predicted.round_count() == actual.round_count()
-            assert predicted.words_sent == actual.words_sent
-            assert predicted.words_received == actual.words_received
-            assert predicted.messages_sent == actual.messages_sent
-            assert [r.label for r in predicted.rounds] == [
-                r.label for r in actual.rounds
-            ]
-            assert [r.max_words() for r in predicted.rounds] == [
-                r.max_words() for r in actual.rounds
-            ]
-            assert [r.fused for r in predicted.rounds] == [
-                r.fused for r in actual.rounds
-            ]
-            assert predicted.fusion_summary() == actual.fusion_summary()
+            predicted = algo.predicted_ledger(rank, fusion)
+            with Machine(P, fusion=fusion) as machine:
+                algo.load(machine, tensor, x)
+                algo.run(machine)
+                actual = machine.ledger
+            assert _fields(predicted) == _fields(actual)
             assert actual.max_words_sent() == (P - 1) * rank
 
     def test_single_processor_prices_empty(self):
-        from repro.planner.pricing import predicted_symk_ledger
-
-        predicted = predicted_symk_ledger(1, 5)
+        predicted = ParallelSymKTTSV(1, 8).predicted_ledger(5)
         assert predicted.round_count() == 0
         assert predicted.max_words_sent() == 0
 
     def test_rejects_bad_inputs(self):
-        from repro.planner.pricing import predicted_symk_ledger
-
         with pytest.raises(ConfigurationError):
-            predicted_symk_ledger(4, 3, variant="carrier-pigeon")
+            ParallelSymKTTSV(4, 8, backend="carrier-pigeon")
         with pytest.raises(ConfigurationError):
-            predicted_symk_ledger(0, 3)
+            ParallelSymKTTSV(0, 8)
         with pytest.raises(ConfigurationError):
-            predicted_symk_ledger(4, 0)
+            ParallelSymKTTSV(4, 8).predicted_ledger(0)
 
 
 class TestSymkPlanning:
@@ -304,6 +304,10 @@ class TestPlanSelection:
             plan_sttsv(30, qs=(2,), variants=("carrier-pigeon",))
         with pytest.raises(ConfigurationError):
             plan_sttsv(30, qs=(2,), Ps=(999,))
+        with pytest.raises(ConfigurationError, match=re.escape(str(STRATEGIES))):
+            plan_sttsv(30, qs=(2,), strategies=("blocked-gemm",))
+        with pytest.raises(ConfigurationError):
+            plan_sttsv(30, qs=(2,), batch_widths=(0,))
 
     def test_session_config_carries_both_sides(self):
         config = plan_sttsv(30, qs=(3,)).session_config()
@@ -338,6 +342,20 @@ class TestReportAndMeasure:
         assert measured.prediction_error is not None
         # The original priced candidate is untouched.
         assert decision.best_parallel.measured_seconds is None
+
+    def test_measure_symk_candidate_runs_the_low_rank_engine(
+        self, monkeypatch
+    ):
+        decision = plan_sttsv(60, qs=(2,), rank=4)
+        best = decision.best_parallel
+        assert best.candidate.representation == "symk"
+
+        def dense_run(*_args, **_kwargs):
+            raise AssertionError("measured dense Algorithm 5")
+
+        monkeypatch.setattr(ParallelSTTSV, "run", dense_run)
+        measured = measure_candidate(best, 60, repeats=1)
+        assert measured.measured_seconds > 0
 
     def test_measure_rejects_plan_candidates(self):
         decision = plan_sttsv(20, qs=(2,))
