@@ -30,10 +30,30 @@ block positions in the full tensor; summed over a processor's block
 inventory these updates reproduce the exact symmetric STTSV (verified
 against :func:`repro.core.sttsv_sequential.sttsv_packed`).
 
-Each contraction is two BLAS matrix-vector products on reshaped or
-transposed views of the block — no Python-level loops over tensor
-entries, no copies of a C-contiguous block, and none of the per-call
-contraction-path search ``np.einsum(..., optimize=True)`` would pay.
+:func:`apply_block` reads each block the fewest times the case allows
+and lets one partial product feed every output it can. With the
+mode-3 partial ``M = A ×₃ x[K]`` and the mode-1 partial
+``N = A ×₁ x[I]`` (each one BLAS matrix-vector product over the
+block, viewed as ``b² × b`` or ``b × b²``):
+
+* ``I > J > K`` reads the block twice: ``y[I] += 2·M x[J]``,
+  ``y[J] += 2·x[I] M`` and ``y[K] += 2·x[J] N``;
+* ``I == J > K`` reads it once: ``y[I] += 2·N x[K]``,
+  ``y[K] += x[I] N``;
+* ``I > J == K`` reads it once: ``y[I] += M x[K]``,
+  ``y[K] += 2·x[I] M``;
+* the central block reads it once, as before.
+
+The two single-read diagonal cases use the block's symmetry in its
+repeated modes (``A[i,j,k] == A[j,i,k]`` when ``I == J``, and
+``A[i,j,k] == A[i,k,j]`` when ``J == K``). That symmetry is exact,
+not approximate, for blocks cut from packed symmetric storage
+(:func:`repro.tensor.blocks.extract_block`): mirrored entries are the
+same stored word. A diagonal block that is not symmetric in its
+repeated modes gets a wrong answer.
+
+No Python-level loops over tensor entries and no ``np.einsum``
+contraction-path search per call.
 """
 
 from __future__ import annotations
@@ -50,18 +70,6 @@ def contract_mode23(block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarr
     return (block.transpose(0, 2, 1) @ u) @ v
 
 
-def contract_mode13(block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(A ×₁ u ×₃ v)_j = Σ_{i,k} A[i,j,k] u_i v_k``."""
-    b0, b1, b2 = block.shape
-    return (u @ block.reshape(b0, b1 * b2)).reshape(b1, b2) @ v
-
-
-def contract_mode12(block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(A ×₁ u ×₂ v)_k = Σ_{i,j} A[i,j,k] u_i v_j``."""
-    b0, b1, b2 = block.shape
-    return v @ (u @ block.reshape(b0, b1 * b2)).reshape(b1, b2)
-
-
 def apply_block(
     block_index: Tuple[int, int, int],
     block: np.ndarray,
@@ -75,7 +83,10 @@ def apply_block(
     block_index:
         Canonical ``(I, J, K)`` with ``I >= J >= K``.
     block:
-        The dense ``b × b × b`` sub-cube at that position.
+        The dense ``b × b × b`` sub-cube at that position, symmetric in
+        its repeated modes when the index repeats (true of every block
+        :func:`~repro.tensor.blocks.extract_block` cuts from packed
+        storage; see the module docstring).
     x_blocks:
         Row blocks of the input vector, keyed by row-block index; must
         contain ``I``, ``J`` and ``K``.
@@ -85,16 +96,21 @@ def apply_block(
     I, J, K = block_index
     if not I >= J >= K:
         raise ConfigurationError(f"block index {block_index} not canonical")
+    b = block.shape[0]
     if I > J > K:
-        y_blocks[I] += 2.0 * contract_mode23(block, x_blocks[J], x_blocks[K])
-        y_blocks[J] += 2.0 * contract_mode13(block, x_blocks[I], x_blocks[K])
-        y_blocks[K] += 2.0 * contract_mode12(block, x_blocks[I], x_blocks[J])
+        M = (block.reshape(b * b, b) @ x_blocks[K]).reshape(b, b)
+        N = (x_blocks[I] @ block.reshape(b, b * b)).reshape(b, b)
+        y_blocks[I] += 2.0 * (M @ x_blocks[J])
+        y_blocks[J] += 2.0 * (x_blocks[I] @ M)
+        y_blocks[K] += 2.0 * (x_blocks[J] @ N)
     elif I == J and J > K:
-        y_blocks[I] += 2.0 * contract_mode23(block, x_blocks[I], x_blocks[K])
-        y_blocks[K] += contract_mode12(block, x_blocks[I], x_blocks[I])
+        N = (x_blocks[I] @ block.reshape(b, b * b)).reshape(b, b)
+        y_blocks[I] += 2.0 * (N @ x_blocks[K])
+        y_blocks[K] += x_blocks[I] @ N
     elif I > J and J == K:
-        y_blocks[I] += contract_mode23(block, x_blocks[K], x_blocks[K])
-        y_blocks[K] += 2.0 * contract_mode13(block, x_blocks[I], x_blocks[K])
+        M = (block.reshape(b * b, b) @ x_blocks[K]).reshape(b, b)
+        y_blocks[I] += M @ x_blocks[K]
+        y_blocks[K] += 2.0 * (x_blocks[I] @ M)
     else:  # I == J == K
         y_blocks[I] += contract_mode23(block, x_blocks[I], x_blocks[I])
 
@@ -104,8 +120,10 @@ def block_flop_count(block_index: Tuple[int, int, int], b: int) -> int:
 
     Off-diagonal blocks do ``3 b³``; non-central diagonal blocks
     ``3 b²(b-1)/2 + 2 b²``; central ``3 b(b-1)(b-2)/6 + 2 b(b-1) + b``.
-    (The dense kernels above perform more *elementary* multiplications
-    — they do not exploit symmetry inside diagonal blocks — but the
+    (:func:`apply_block` performs a different number of *elementary*
+    multiplications: it uses the symmetry of the repeated modes of a
+    non-central diagonal block to read it once, but still multiplies
+    every stored entry of the dense block, mirrored ones included. The
     paper's cost metric counts the canonical ternary multiplications,
     which is what this function returns.)
     """

@@ -42,8 +42,10 @@ transfers are packed into one buffer per destination
 (:mod:`repro.machine.transport.fusion`) so the transport moves
 O(active destinations) physical messages, while the ledger is still
 priced round-by-round from the unfused schedule (fusion savings land
-in the ``fused_*`` side-channel, DESIGN.md §11). Ring and tree
-collectives have cross-round data dependencies and always run
+in the ``fused_*`` side-channel, DESIGN.md §11). Verification there
+checksums each physical buffer, not each member, and falls back to
+member checksums only inside a buffer whose checksum fails. Ring and
+tree collectives have cross-round data dependencies and always run
 unfused.
 """
 
@@ -77,9 +79,22 @@ def _exchange_with_failover(
     machine: Machine, transfers: Sequence[Transfer]
 ) -> List[np.ndarray]:
     """One transport exchange, failing over to the in-process transport
-    when an unrecoverable transport error allows it."""
+    when an unrecoverable transport error allows it.
+
+    A transport that hands back a different number of arrays than it
+    was given transfers has failed like any other: the deliveries
+    cannot be matched to the schedule, so the miscount is a
+    :class:`~repro.errors.MachineError` (failover, else raised) rather
+    than a silently shortened round.
+    """
     try:
-        return machine.transport.exchange(transfers)
+        delivered = machine.transport.exchange(transfers)
+        if len(delivered) != len(transfers):
+            raise MachineError(
+                f"transport {machine.transport.name!r} delivered"
+                f" {len(delivered)} arrays for {len(transfers)} transfers"
+            )
+        return delivered
     except MachineError as error:
         replacement = machine.fail_over(str(error))
         if replacement is None:
@@ -104,9 +119,10 @@ def _recover_failed(
     through the transport *individually unfused* (a failed fused group
     degrades to plain per-transfer redelivery). ``expected`` entries of
     ``None`` are computed lazily from the schedule payload — the
-    checksum fast path skips them up front, but a redelivery must still
-    be verified against the schedule. Returns the number of retry
-    attempts; mutates ``delivered`` and ``expected`` in place.
+    checksum fast path and the fused path's per-buffer check skip them
+    up front, but a redelivery must still be verified against the
+    schedule. Returns the number of retry attempts; mutates
+    ``delivered`` and ``expected`` in place.
     """
     attempt = 0
     recovery = machine.recovery
@@ -246,10 +262,13 @@ def execute_rounds_fused(
     nothing writes to them).
 
     Deliveries are returned per round, in transfer order, as views
-    into the fused buffers (bitwise identical to unfused delivery). A
-    group that fails structural validation or any member that fails
-    its checksum degrades to individual unfused redelivery through the
-    shared recovery path. Batches containing non-1-D/non-float64
+    into the fused buffers (bitwise identical to unfused delivery).
+    Verification checksums each physical buffer once after packing and
+    once on delivery. Every member of a group that fails structural
+    validation, and each member whose own checksum fails inside a group
+    whose buffer checksum differs, degrades to individual unfused
+    redelivery through the shared recovery path; clean groups cost no
+    per-member checksums. Batches containing non-1-D/non-float64
     payloads, and machines with fusion disabled, fall back to plain
     per-round :func:`execute_round` execution (same pricing, no fusion
     side-channel).
@@ -300,20 +319,22 @@ def execute_rounds_fused(
             plan.priced[key] = priced
         machine.ledger.merge(priced)
         verify = machine.verification_required
-        expected: List[Optional[int]] = [
-            payload_checksum(t.payload) if verify else None for t in flat
-        ]
         physical = plan.pack()
+        # One checksum per physical buffer; none on the fast path.
+        sent = [payload_checksum(t.payload) for t in physical] if verify else []
         delivered_fused = _exchange_with_failover(machine, physical)
         payloads, failed = plan.unpack(delivered_fused)
-        if verify:
-            failed_set = set(failed)
-            for index, payload in enumerate(payloads):
-                if index in failed_set or payload is None:
-                    continue
-                if payload_checksum(payload) != expected[index]:
+        expected: List[Optional[int]] = [None] * len(flat)
+        for group, buffer, digest in zip(plan.groups, delivered_fused, sent):
+            # Skip a group that failed structural validation (its
+            # members are already in ``failed``) or arrived intact.
+            if payloads[group.members[0]] is None or payload_checksum(buffer) == digest:
+                continue
+            for index in group.members:
+                expected[index] = payload_checksum(flat[index].payload)
+                if payload_checksum(payloads[index]) != expected[index]:
                     failed.append(index)
-        failed = sorted(set(failed))
+        failed.sort()
         label = f"{tag}:fused{len(rounds)}"
         attempt = _recover_failed(
             machine, label, tag, flat, expected, payloads, failed, tracer

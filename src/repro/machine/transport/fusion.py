@@ -28,11 +28,15 @@ Wire format (one fused buffer, all ``float64`` words)::
 The header is validated structurally on unpack — total length, then
 magic word, member count, per-member sources and word counts bit for
 bit — against the *plan*, which builds every group's header once from
-the schedule before any bytes move, so a
-dropped (zeroed), corrupted (bit-flipped), or duplicated (doubled)
-fused buffer is detected even before per-member checksums run, and
-every member of a failed group is handed back to the caller for
-individual unfused redelivery through the normal recovery path.
+the schedule before any bytes move, so a dropped (zeroed) or
+duplicated (doubled) fused buffer, or one with a corrupted header, is
+detected before any checksum runs, and every member of a failed group
+is handed back to the caller for individual unfused redelivery through
+the normal recovery path. The caller then checksums each structurally
+valid buffer as a whole against its checksum at :meth:`FusionPlan.pack`
+time; a corrupted member changes its buffer's checksum, and only then
+are that buffer's members checksummed one by one, so exactly the
+corrupted members are redelivered.
 
 Fusion is an execution detail of the *physical* layer: the algorithmic
 ledger is priced from the unfused logical schedule (labels, counts,

@@ -105,6 +105,40 @@ class TestKernels:
         assert np.allclose(y, sttsv_ndim(tensor, x))
 
 
+class TestApplyBlockPatterns:
+    #: Every multiplicity pattern of a canonical 4-tuple (a > b > c > d).
+    PATTERNS = {
+        "abcd": (3, 2, 1, 0),
+        "aabc": (2, 2, 1, 0),
+        "abbc": (2, 1, 1, 0),
+        "abcc": (2, 1, 0, 0),
+        "aabb": (1, 1, 0, 0),
+        "aaab": (1, 1, 1, 0),
+        "abbb": (1, 0, 0, 0),
+        "aaaa": (0, 0, 0, 0),
+    }
+
+    @pytest.mark.parametrize("pattern", list(PATTERNS))
+    def test_matches_contract_all_but(self, pattern, rng):
+        """The reshape/mat-vec chains equal the weighted ``einsum``
+        contraction at each distinct value's first position, for a BCSS
+        block of every multiplicity pattern."""
+        b, nbar = 3, 4
+        index = self.PATTERNS[pattern]
+        tensor = nd_random_symmetric(nbar * b, 4, seed=rng.integers(1 << 30))
+        block = BCSSTensor.from_ndpacked(tensor, b).block(index)
+        x_blocks = [rng.standard_normal(b) for _ in range(nbar)]
+        y_blocks = [np.zeros(b) for _ in range(nbar)]
+        apply_block_ndim(index, block, x_blocks, y_blocks)
+        vectors = [x_blocks[value] for value in index]
+        expected = [np.zeros(b) for _ in range(nbar)]
+        for value, weight in nd_contribution_weights(index).items():
+            keep = index.index(value)
+            expected[value] += weight * contract_all_but(block, keep, vectors)
+        for got, want in zip(y_blocks, expected):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestSttsm:
     @pytest.mark.parametrize("n,m,b", [(6, 3, 2), (8, 4, 2), (8, 4, 4)])
     def test_sttsv_bcss_matches_ndim_kernel(self, n, m, b, rng):

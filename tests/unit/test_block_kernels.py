@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.block_kernels import (
-    apply_block,
-    block_flop_count,
-    contract_mode12,
-    contract_mode13,
-    contract_mode23,
-)
+from repro.core.block_kernels import apply_block, block_flop_count, contract_mode23
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
 from repro.tensor.blocks import extract_block, lower_tetrahedral_blocks
@@ -19,34 +13,29 @@ from repro.tensor.dense import random_symmetric
 class TestContractions:
     def test_mode_contractions_against_einsum(self, rng):
         block = rng.normal(size=(3, 4, 5))
-        u3, u4, u5 = rng.normal(size=3), rng.normal(size=4), rng.normal(size=5)
+        u4, u5 = rng.normal(size=4), rng.normal(size=5)
         assert np.allclose(
             contract_mode23(block, u4, u5), np.einsum("ijk,j,k->i", block, u4, u5)
-        )
-        assert np.allclose(
-            contract_mode13(block, u3, u5), np.einsum("ijk,i,k->j", block, u3, u5)
-        )
-        assert np.allclose(
-            contract_mode12(block, u3, u4), np.einsum("ijk,i,j->k", block, u3, u4)
         )
 
     @pytest.mark.parametrize("layout", ["strided-view", "fortran"])
     def test_non_c_contiguous_blocks_against_einsum(self, rng, layout):
         if layout == "strided-view":
-            block = rng.normal(size=(6, 8, 10))[::2, 1::2, ::2]
+            block = rng.normal(size=(8, 8, 8))[::2, 1::2, ::2]
         else:
-            block = np.asfortranarray(rng.normal(size=(3, 4, 5)))
-        assert block.shape == (3, 4, 5) and not block.flags.c_contiguous
-        u3, u4, u5 = rng.normal(size=3), rng.normal(size=4), rng.normal(size=5)
+            block = np.asfortranarray(rng.normal(size=(4, 4, 4)))
+        assert block.shape == (4, 4, 4) and not block.flags.c_contiguous
+        x = [rng.normal(size=4) for _ in range(3)]
         assert np.allclose(
-            contract_mode23(block, u4, u5), np.einsum("ijk,j,k->i", block, u4, u5)
+            contract_mode23(block, x[1], x[2]),
+            np.einsum("ijk,j,k->i", block, x[1], x[2]),
         )
-        assert np.allclose(
-            contract_mode13(block, u3, u5), np.einsum("ijk,i,k->j", block, u3, u5)
-        )
-        assert np.allclose(
-            contract_mode12(block, u3, u4), np.einsum("ijk,i,j->k", block, u3, u4)
-        )
+        # An off-diagonal block needs no symmetry, so any block will do.
+        y = {i: np.zeros(4) for i in range(3)}
+        apply_block((2, 1, 0), block, dict(enumerate(x)), y)
+        assert np.allclose(y[2], 2 * np.einsum("ijk,j,k->i", block, x[1], x[0]))
+        assert np.allclose(y[1], 2 * np.einsum("ijk,i,k->j", block, x[2], x[0]))
+        assert np.allclose(y[0], 2 * np.einsum("ijk,i,j->k", block, x[2], x[1]))
 
 
 class TestApplyBlock:
@@ -88,6 +77,36 @@ class TestApplyBlock:
                 y_blocks[block_id],
                 y_expected[block_id * b : (block_id + 1) * b],
             )
+
+    @pytest.mark.parametrize(
+        "index,weights",
+        [
+            ((3, 2, 0), {0: 2, 1: 2, 2: 2}),  # I > J > K
+            ((2, 2, 0), {0: 2, 2: 1}),  # I == J > K
+            ((2, 0, 0), {0: 1, 1: 2}),  # I > J == K
+            ((1, 1, 1), {0: 1}),  # I == J == K
+        ],
+        ids=["off-diagonal", "i=j>k", "i>j=k", "central"],
+    )
+    def test_each_case_matches_weighted_einsum(self, index, weights, rng):
+        """One block of each canonical case, cut from packed storage,
+        adds the paper's weighted contractions and touches nothing else.
+        ``weights`` maps the kept mode to its multiplicity."""
+        b, m = 4, 4
+        tensor = random_symmetric(m * b, seed=rng.integers(1 << 30))
+        block = extract_block(tensor, index, b)
+        x_blocks = {i: rng.normal(size=b) for i in range(m)}
+        y_blocks = {i: np.zeros(b) for i in range(m)}
+        apply_block(index, block, x_blocks, y_blocks)
+        specs = {0: "ijk,j,k->i", 1: "ijk,i,k->j", 2: "ijk,i,j->k"}
+        expected = {i: np.zeros(b) for i in range(m)}
+        for mode, weight in weights.items():
+            others = [x_blocks[index[o]] for o in range(3) if o != mode]
+            expected[index[mode]] += weight * np.einsum(
+                specs[mode], block, *others
+            )
+        for i in range(m):
+            assert np.allclose(y_blocks[i], expected[i], rtol=1e-12, atol=1e-12)
 
     def test_non_canonical_index_rejected(self):
         with pytest.raises(ConfigurationError):

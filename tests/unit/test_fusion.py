@@ -329,6 +329,92 @@ class TestExecuteRoundsFused:
             execute_rounds_fused(self._machine(), rounds, "t", plan=plan)
 
 
+class _TamperFirstExchange(SimulatedTransport):
+    """Applies ``tamper`` to the delivered buffers of the first exchange
+    only, so every redelivery arrives clean."""
+
+    def __init__(self, P, tamper):
+        super().__init__(P)
+        self.tamper = tamper
+        self.exchanges = 0
+
+    def exchange(self, transfers):
+        delivered = super().exchange(transfers)
+        self.exchanges += 1
+        if self.exchanges == 1:
+            self.tamper(delivered)
+        return delivered
+
+
+class TestPerBufferChecksum:
+    """A verifying fused batch checksums each physical buffer once when
+    packed and once when delivered; member checksums run only inside a
+    buffer whose checksum fails, and exactly the failing members are
+    redelivered."""
+
+    def _rounds(self):
+        return TestExecuteRoundsFused()._rounds()
+
+    def _run(self, tamper=None):
+        """Run the batch with ``tamper(plan, delivered)`` applied to the
+        first delivery; check the result is bitwise the schedule's."""
+        rounds = self._rounds()
+        plan = FusionPlan([t for _, transfers in rounds for t in transfers])
+        transport = _TamperFirstExchange(
+            6, lambda delivered: tamper and tamper(plan, delivered)
+        )
+        machine = Machine(6, transport=transport)
+        assert machine.verification_required
+        delivered = execute_rounds_fused(machine, rounds, "t", plan=plan)
+        for (_, transfers), got in zip(rounds, delivered):
+            for sent, arr in zip(transfers, got):
+                assert np.array_equal(
+                    sent.payload.view(np.uint64), arr.view(np.uint64)
+                )
+        return machine.ledger, plan
+
+    def test_clean_batch_checksums_each_buffer_twice(self, monkeypatch):
+        from repro.machine import collectives
+
+        calls = []
+        real = collectives.payload_checksum
+        monkeypatch.setattr(
+            collectives,
+            "payload_checksum",
+            lambda array: calls.append(array.size) or real(array),
+        )
+        ledger, plan = self._run()
+        assert len(plan.groups) == 2 and len(plan.transfers) == 4
+        assert len(calls) == 2 * len(plan.groups)
+        assert ledger.retry_rounds == 0
+
+    def test_corrupt_member_alone_is_redelivered(self):
+        def flip_one_word(plan, delivered):
+            lo, _ = plan.groups[0].bounds[1]
+            delivered[0].view(np.uint64)[lo] ^= np.uint64(1)
+
+        ledger, plan = self._run(flip_one_word)
+        member = plan.transfers[plan.groups[0].members[1]]
+        assert ledger.retry_rounds == 1
+        assert ledger.retry_messages == 1
+        assert ledger.retry_words == member.payload.size
+
+    @pytest.mark.parametrize("span", ["whole-buffer", "payload-words"])
+    def test_zeroed_group_redelivers_every_member(self, span):
+        def zero_group(plan, delivered):
+            if span == "whole-buffer":
+                delivered[1][:] = 0.0  # header too: fails structurally
+            else:
+                header_words = plan.groups[1].header.size
+                delivered[1][header_words:] = 0.0  # fails its checksum
+
+        ledger, plan = self._run(zero_group)
+        members = [plan.transfers[m] for m in plan.groups[1].members]
+        assert ledger.retry_rounds == 1
+        assert ledger.retry_messages == len(members) == 2
+        assert ledger.retry_words == sum(t.payload.size for t in members)
+
+
 class TestMachineFusionToggle:
     def test_fusion_off_leaves_side_channel_empty(self, partition_q2):
         n = 30

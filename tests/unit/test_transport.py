@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, MachineError
+from repro.machine.collectives import execute_rounds_fused
 from repro.machine.machine import Machine
 from repro.machine.transport import (
     TRANSPORTS,
@@ -360,3 +361,59 @@ class TestMachineTransportWiring:
     def test_machine_close_closes_transport(self):
         with Machine(2, transport=SimulatedTransport(2)) as machine:
             assert machine.transport.name == "simulated"
+
+
+class _ShortSimulated(SimulatedTransport):
+    """An in-process transport that loses the last delivered array."""
+
+    def exchange(self, transfers):
+        return super().exchange(transfers)[:-1]
+
+
+class _ShortRemote:
+    """A non-simulated transport that loses the last delivered array,
+    so a machine with failover on replaces it."""
+
+    name = "short-remote"
+
+    def __init__(self, P):
+        self.P = P
+        self.inner = SimulatedTransport(P)
+
+    def exchange(self, transfers):
+        return self.inner.exchange(transfers)[:-1]
+
+    def close(self):
+        pass
+
+
+class TestShortDelivery:
+    """A transport that returns fewer arrays than it was given transfers
+    has failed: the round raises (or fails over) instead of returning
+    short per-round lists or ``None`` payloads."""
+
+    def _rounds(self):
+        return [
+            ("t:round0", [Transfer(0, 1, np.arange(3.0)), Transfer(2, 3, np.ones(2))]),
+            ("t:round1", [Transfer(1, 0, np.full(4, 7.0))]),
+        ]
+
+    @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+    def test_short_delivery_raises(self, fusion):
+        machine = Machine(4, transport=_ShortSimulated(4), fusion=fusion)
+        assert machine.verification_required
+        with pytest.raises(MachineError, match="delivered .* arrays for"):
+            execute_rounds_fused(machine, self._rounds(), "t")
+
+    @pytest.mark.parametrize("fusion", [True, False], ids=["fused", "unfused"])
+    def test_short_delivery_fails_over(self, fusion):
+        machine = Machine(4, transport=_ShortRemote(4), fusion=fusion)
+        rounds = self._rounds()
+        delivered = execute_rounds_fused(machine, rounds, "t")
+        assert machine.failed_over
+        assert machine.transport.name == "simulated"
+        assert machine.ledger.retry_rounds == 0
+        assert [len(got) for got in delivered] == [2, 1]
+        for (_, transfers), got in zip(rounds, delivered):
+            for transfer, array in zip(transfers, got):
+                assert np.array_equal(transfer.payload, array)
