@@ -43,11 +43,11 @@ import numpy as np
 
 from repro._version import __version__
 from repro.core import bounds
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.partition import TetrahedralPartition
+from repro.core.representations import select
 from repro.core.schedule import build_exchange_schedule
 from repro.core.sttsv_ndim import sttsv_ndim_lower_bound
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.machine.machine import Machine
 from repro.machine.transport import TRANSPORTS, FaultPolicy, make_transport
 from repro.planner.pricing import VARIANTS
@@ -57,22 +57,16 @@ from repro.reporting.tables import (
     render_schedule,
     summary_statistics,
 )
-from repro.steiner import (
-    admissible_processor_counts,
-    boolean_steiner_system,
-    spherical_steiner_system,
-)
-from repro.tensor.dense import random_symmetric
+from repro.steiner import admissible_processor_counts
+
+
+def _knob(args) -> int:
+    """The partition knob ``--q`` / ``--sqs K`` name."""
+    return args.q if args.sqs is None else args.sqs
 
 
 def _partition_from_args(args) -> TetrahedralPartition:
-    if args.sqs is not None:
-        system = boolean_steiner_system(args.sqs)
-    else:
-        system = spherical_steiner_system(args.q)
-    partition = TetrahedralPartition(system)
-    partition.validate()
-    return partition
+    return select(3, sqs=args.sqs is not None).partition(_knob(args))
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -133,14 +127,10 @@ def _command_bound(args) -> int:
     return 0
 
 
-class _RetryView:
-    """Duck-typed ledger view carrying only the retry side-channel,
-    for rendering a verdict through :func:`fault_summary`."""
-
-    def __init__(self, retry_rounds: int, retry_words: int, retry_messages: int):
-        self.retry_rounds = retry_rounds
-        self.retry_words = retry_words
-        self.retry_messages = retry_messages
+#: How ``analyze`` reports a run's serial replay (``None``: it has none).
+_REPLAY = {
+    None: "", True: ", serial replay bitwise", False: ", serial replay MISMATCH"
+}
 
 
 def _command_analyze(args) -> int:
@@ -158,162 +148,51 @@ def _command_analyze(args) -> int:
             tracer.disable()
 
 
-def _run_analyze_ndim(args, trace_id: str) -> int:
-    """Order-4 analysis: run the blocked STTSV over an SQS partition
-    and compare measured communication with the generalized bound."""
-    from repro.core.partition_ndim import QuadruplePartition
-    from repro.core.sttsv_ndim import sttsv_ndim
-    from repro.tensor.ndpacked import nd_random_symmetric
-
-    if args.sqs is None:
-        raise ConfigurationError(
-            "order-4 analysis partitions with SQS(2^k); pass --sqs K"
-        )
-    partition = QuadruplePartition(boolean_steiner_system(args.sqs))
-    partition.validate()
-    n = args.n if args.n else partition.m * partition.replication
-    tensor = nd_random_symmetric(n, 4, seed=args.seed)
-    x = np.random.default_rng(args.seed + 1).normal(size=n)
-    algo = ParallelSTTSV(partition, n)
-    print(
-        f"order-4 blocked STTSV on P = {partition.P} processors, n = {n}"
-        f" (padded to {algo.n_padded}, transport {args.backend})"
-    )
-    print(f"trace id: {trace_id}")
-    with Machine(
-        partition.P,
-        transport=make_transport(args.backend, partition.P),
-        fusion=args.fused,
-    ) as machine:
-        algo.load(machine, tensor, x)
-        algo.run(machine)
-        y = algo.gather_result(machine)
-        words = machine.ledger.max_words_sent()
-        rounds = machine.ledger.round_count()
-    error = float(np.max(np.abs(y - sttsv_ndim(tensor, x))))
-    bound = sttsv_ndim_lower_bound(n, partition.P, 4)
-    print(
-        f"  {'point-to-point':>16}: {words:>8} words/proc,"
-        f" {rounds:>4} rounds, max error {error:.2e}"
-    )
-    print(
-        f"  {'lower bound':>16}: {bound:>8.1f} words/proc"
-        f" (order-4 generalization)"
-    )
-    return 0
-
-
-def _run_analyze_symk(args, trace_id: str) -> int:
-    """Low-rank analysis: run the symk TTSV under both communication
-    variants and compare the measured ledger with the closed form
-    ``(P-1)·r`` words per processor."""
-    from repro.core.parallel_symk import (
-        ParallelSymKTTSV,
-        symk_words_per_processor,
-    )
-    from repro.tensor.symk import random_symk
-
-    P = args.q * (args.q * args.q + 1)
-    n = args.n if args.n else 4 * P
-    tensor = random_symk(n, args.rank, order=args.order, seed=args.seed)
-    x = np.random.default_rng(args.seed + 1).normal(size=n)
-    fault_policy = (
-        FaultPolicy.parse(args.faults) if args.faults is not None else None
-    )
-    print(
-        f"low-rank STTSV (rank {args.rank}, order {args.order}) on"
-        f" P = {P} processors, n = {n} (transport {args.backend}"
-        + (f", faults {args.faults}" if fault_policy else "")
-        + ")"
-    )
-    print(f"trace id: {trace_id}")
-    closed_form = symk_words_per_processor(P, args.rank)
-    all_ok = True
-    for variant in CommBackend:
-        algo = ParallelSymKTTSV(P, n, order=args.order, backend=variant)
-        with Machine(
-            P,
-            transport=make_transport(args.backend, P, faults=fault_policy),
-            fusion=args.fused,
-        ) as machine:
-            algo.load(machine, tensor, x)
-            algo.run(machine)
-            y = algo.gather_result(machine)
-            words = machine.ledger.max_words_sent()
-            rounds = machine.ledger.round_count()
-        bitwise = bool(np.array_equal(y, algo.serial_reference(x)))
-        error = float(np.max(np.abs(y - tensor.ttsv(x))))
-        ok = bitwise and words == closed_form
-        all_ok = all_ok and ok
-        print(
-            f"  {variant.value:>16}: {words:>8} words/proc,"
-            f" {rounds:>4} rounds, max error {error:.2e},"
-            f" serial replay {'bitwise' if bitwise else 'MISMATCH'}"
-        )
-    print(
-        f"  {'closed form':>16}: {closed_form:>8} words/proc"
-        f" ((P-1)*r = {P - 1}*{args.rank})"
-    )
-    dense_words = 2 * (n * (args.q + 1) / (args.q**2 + 1) - n / P)
-    print(
-        f"  {'dense (order 3)':>16}: {dense_words:>8.1f} words/proc"
-        f" (2(n(q+1)/(q²+1) - n/P))"
-    )
-    return 0 if all_ok else 1
-
-
 def _run_analyze(args, trace_id: str) -> int:
     from repro.core.verification import verify_sttsv_run
     from repro.obs.export import spans_to_jsonl
     from repro.obs.tracing import get_tracer
     from repro.reporting.trace import fault_summary
 
-    if args.rank is not None:
-        if args.sqs is not None:
-            raise ConfigurationError(
-                "--rank analyzes the low-rank symk path, which places"
-                " any P = q(q²+1); it does not combine with --sqs"
-            )
-        return _run_analyze_symk(args, trace_id)
-    if args.order == 4:
-        return _run_analyze_ndim(args, trace_id)
-    if args.order != 3:
-        raise ConfigurationError(
-            f"analyze supports tensor orders 3 and 4, got {args.order}"
-        )
-    partition = _partition_from_args(args)
-    replication = partition.steiner.point_replication()
-    n = args.n if args.n else partition.m * replication
-    tensor = random_symmetric(n, seed=args.seed)
+    representation = select(args.order, args.rank, args.sqs is not None)
+    q = _knob(args)
+    P = representation.processor_count(q)
+    n = args.n if args.n else representation.default_n(q)
+    tensor = representation.random_tensor(n, args.order, args.rank, args.seed)
     x = np.random.default_rng(args.seed + 1).normal(size=n)
+    engines = [
+        representation.engine(q, P, n, args.order, variant)
+        for variant in representation.variants
+    ]
     fault_policy = (
         FaultPolicy.parse(args.faults) if args.faults is not None else None
     )
+    title = representation.title.format(order=args.order, rank=args.rank)
+    faults = f", faults {args.faults}" if fault_policy else ""
     print(
-        f"Algorithm 5 on P = {partition.P} processors, n = {n}"
-        f" (padded to {ParallelSTTSV(partition, n).n_padded},"
-        f" transport {args.backend}"
-        + (f", faults {args.faults}" if fault_policy else "")
-        + ")"
+        f"{title} on P = {P} processors, n = {n} (padded to"
+        f" {engines[0].n_padded}, transport {args.backend}{faults})"
     )
     print(f"trace id: {trace_id}")
     all_ok = True
-    for backend in CommBackend:
-        # One transport per comm backend: exchange() may close a broken
-        # transport mid-run (worker death), and per-backend stats must
+    for engine in engines:
+        # One transport per comm variant: exchange() may close a broken
+        # transport mid-run (worker death), and per-variant stats must
         # not accumulate across iterations.
-        transport = make_transport(
-            args.backend, partition.P, faults=fault_policy
-        )
+        transport = make_transport(args.backend, P, faults=fault_policy)
         try:
             verdict = verify_sttsv_run(
-                partition, tensor, x, backend,
+                engine, tensor, x, representation.oracle,
+                representation.expected_words(engine, args.rank),
+                representation.lower_bound(engine.n_padded, P),
+                replay=representation.replay(engine),
                 transport=transport, fusion=args.fused,
             )
             print(
-                f"  {backend.value:>16}: {verdict.words_per_processor:>8}"
+                f"  {verdict.backend:>16}: {verdict.words_per_processor:>8}"
                 f" words/proc, {verdict.rounds:>4} rounds,"
                 f" max error {verdict.max_error:.2e}"
+                + _REPLAY[verdict.bitwise]
                 + (
                     f" [{verdict.retry_rounds} retry rounds,"
                     f" {verdict.retry_words} retry words]"
@@ -335,13 +214,11 @@ def _run_analyze(args, trace_id: str) -> int:
                 for name, seconds in verdict.phase_seconds.items():
                     print(f"      {name:<24} {seconds * 1e3:8.2f} ms")
             if fault_policy:
-                ledger = _RetryView(
-                    verdict.retry_rounds,
-                    verdict.retry_words,
-                    verdict.retry_messages,
-                )
-                for line in fault_summary(ledger, transport).splitlines():
+                # The verdict carries the ledger's retry side-channel.
+                for line in fault_summary(verdict, transport).splitlines():
                     print(f"      {line}")
+            for problem in verdict.problems:
+                print(f"      problem: {problem}")
             if args.audit:
                 print("   ", verdict.summary())
                 if not verdict.audit.ok:
@@ -349,10 +226,8 @@ def _run_analyze(args, trace_id: str) -> int:
             all_ok &= verdict.ok
         finally:
             transport.close()
-    print(
-        f"  {'lower bound':>16}: {bounds.sttsv_lower_bound(n, partition.P):>8.1f}"
-        f" words/proc (Theorem 5.2)"
-    )
+    for line in representation.bound_lines(n, P, q, args.rank):
+        print(line)
     if args.trace_out is not None:
         spans = get_tracer().spans(trace_id=trace_id)
         with open(args.trace_out, "w", encoding="utf-8") as handle:
@@ -363,8 +238,7 @@ def _run_analyze(args, trace_id: str) -> int:
         )
     if args.audit:
         print("audit:", "all runs PASS" if all_ok else "FAILURES detected")
-        return 0 if all_ok else 1
-    return 0
+    return 0 if all_ok else 1
 
 
 def _command_admissible(args) -> int:
@@ -384,19 +258,8 @@ def _command_plan(args) -> int:
         plan_sttsv,
         render_decision_table,
     )
-    from repro.planner.calibration import (
-        DEFAULT_CALIBRATION_FILE,
-        ComputeConstants,
-        TransportConstants,
-    )
+    from repro.planner.calibration import DEFAULT_CALIBRATION_FILE
 
-    if args.order != 3:
-        raise ConfigurationError(
-            f"the planner prices order 3 only (got --order"
-            f" {args.order}); use --order 3, or skip the planner and"
-            f" register the tensor explicitly with --backend/--variant"
-            f" ('repro load --order {args.order} --backend ...')"
-        )
     backends = tuple(args.backend) if args.backend else ("simulated",)
     if args.calibrate:
         calibration = calibrate(backends=backends)
@@ -404,35 +267,23 @@ def _command_plan(args) -> int:
         print(f"calibrated {', '.join(backends)}; wrote {saved}")
     else:
         calibration = Calibration.load_or_default(args.calibration)
-    if args.alpha is not None or args.beta is not None:
-        overridden = {
-            name: TransportConstants(
-                alpha=(
-                    args.alpha
-                    if args.alpha is not None
-                    else calibration.constants_for(name).alpha
-                ),
-                beta=(
-                    args.beta
-                    if args.beta is not None
-                    else calibration.constants_for(name).beta
-                ),
-            )
-            for name in backends
-        }
-        calibration = replace(
-            calibration,
-            backends={**calibration.backends, **overridden},
-        )
+    overrides = {
+        name: value
+        for name, value in (("alpha", args.alpha), ("beta", args.beta))
+        if value is not None
+    }
+    if overrides:
+        calibration = replace(calibration, backends={
+            **calibration.backends,
+            **{
+                name: replace(calibration.constants_for(name), **overrides)
+                for name in backends
+            },
+        })
     if args.gamma is not None:
-        calibration = replace(
-            calibration,
-            compute=ComputeConstants(
-                gemm_flop_s=args.gamma,
-                gemv_flop_s=args.gamma,
-                scatter_op_s=calibration.compute.scatter_op_s,
-            ),
-        )
+        calibration = replace(calibration, compute=replace(
+            calibration.compute, gemm_flop_s=args.gamma, gemv_flop_s=args.gamma
+        ))
     qs = tuple(args.q) if args.q else (2, 3)
     n = args.n if args.n else 4 * max(qs) * (max(qs) ** 2 + 1)
     if args.fused is None:
@@ -447,6 +298,7 @@ def _command_plan(args) -> int:
         calibration=calibration,
         Ps=args.P if args.P else None,
         rank=args.rank,
+        order=args.order,
     )
     print(render_decision_table(decision))
     if args.measure and decision.best_parallel is not None:
@@ -608,47 +460,28 @@ def _command_gateway(args) -> int:
 def _command_load(args) -> int:
     from repro.reporting.trace import gateway_table, service_table
     from repro.service.client import ServiceClient, run_load
-    from repro.tensor.dense import random_symmetric
+    from repro.service.representations import order_suffix
 
-    if args.rank is not None:
-        from repro.tensor.symk import random_symk
-
-        n = args.n if args.n else 4 * args.q * (args.q * args.q + 1)
-        tensor = random_symk(n, args.rank, order=args.order, seed=args.seed)
-        with ServiceClient(args.host, args.port) as client:
-            info = client.register_symk(
-                args.tensor_id,
-                tensor,
-                q=args.q,
-                backend=args.backend,
-                variant=args.variant,
-            )
-    elif args.order == 4:
-        from repro.tensor.ndpacked import nd_random_symmetric
-
-        # q is the SQS parameter k of S(2^k, 4, 3) at order 4.
-        n = args.n if args.n else 4 * 2**args.q
-        tensor = nd_random_symmetric(n, 4, seed=args.seed)
-    else:
-        n = args.n if args.n else 4 * args.q * (args.q * args.q + 1)
-        tensor = random_symmetric(n, seed=args.seed)
-    if args.rank is None:
-        with ServiceClient(args.host, args.port) as client:
-            info = client.register(
-                args.tensor_id,
-                tensor,
-                q=args.q,
-                backend=args.backend,
-                variant=args.variant,
-                order=args.order,
-            )
+    # q is the SQS parameter k of S(2^k, 4, 3) at order 4.
+    representation = select(args.order, args.rank)
+    n = args.n if args.n else representation.default_n(args.q)
+    tensor = representation.random_tensor(n, args.order, args.rank, args.seed)
+    with ServiceClient(args.host, args.port) as client:
+        info = client.register(
+            args.tensor_id,
+            tensor,
+            q=args.q,
+            backend=args.backend,
+            variant=args.variant,
+            order=args.order,
+        )
     print(
         f"registered {args.tensor_id!r}: n={info['n']}, q={info['q']},"
         f" P={info['P']}, backend={info['backend']},"
         f" variant={info.get('variant', 'point-to-point')},"
         f" plan={info['plan_strategy']}"
-        + (f", rank={args.rank}" if args.rank is not None else "")
-        + (f", order={args.order}" if args.order != 3 else "")
+        + (f", rank={info['rank']}" if "rank" in info else "")
+        + order_suffix(info["order"], ", ")
         + (" [planner-resolved]" if info.get("planned") else "")
     )
     summary = run_load(

@@ -516,15 +516,26 @@ class ParallelSTTSV:
                     cost.price_round(ledger, label, transfers, phase.tag)
         return ledger
 
+    def _order3_only(self, what: str, instead: str) -> None:
+        if self.partition.order != 3:
+            raise ConfigurationError(
+                f"{what} is an order-3 count; order"
+                f" {self.partition.order} has none — {instead}"
+            )
+
     def expected_words_per_processor(self) -> int:
         """The paper's order-3 closed-form per-processor send volume
-        over both phases (use :meth:`words_per_processor` at order 4).
+        over both phases; raises at other orders (their pair maps are
+        irregular — :meth:`words_per_processor` is exact there).
 
         Point-to-point: ``2 · r · (λ₁ − 1) · shard`` — equals
         ``2 (n(q+1)/(q²+1) − n/P)`` for the spherical family (§7.2.2).
         All-to-All: ``2 · (P − 1) · 2 · shard`` — equals
         ``4n/(q+1) (1 − 1/P)``.
         """
+        self._order3_only(
+            "expected_words_per_processor", "words_per_processor() is exact"
+        )
         if self.backend is CommBackend.POINT_TO_POINT:
             lambda_point = self.partition.steiner.point_replication()
             per_phase = self.partition.r * (lambda_point - 1) * self.shard
@@ -533,7 +544,11 @@ class ParallelSTTSV:
         return 2 * per_phase
 
     def flops_per_processor(self, p: int) -> int:
-        """Ternary multiplications processor ``p`` performs (§7.1)."""
+        """Ternary multiplications processor ``p`` performs (§7.1);
+        order 3 only."""
+        self._order3_only(
+            "flops_per_processor", "the order-4 block cases are uncounted"
+        )
         return self.partition.ternary_multiplications(p, self.b)
 
     def load_balance(self, machine: Machine) -> Dict[str, float]:

@@ -54,7 +54,11 @@ from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.tensor.symk import SymKTensor
 
-__all__ = ["ParallelSymKTTSV", "symk_words_per_processor"]
+__all__ = [
+    "ParallelSymKTTSV",
+    "symk_parallel_flops",
+    "symk_words_per_processor",
+]
 
 
 def symk_words_per_processor(P: int, r: int) -> int:
@@ -67,6 +71,14 @@ def symk_words_per_processor(P: int, r: int) -> int:
     if P < 1 or r < 1:
         raise ConfigurationError(f"need P >= 1 and r >= 1, got P={P}, r={r}")
     return (P - 1) * r
+
+
+def symk_parallel_flops(P: int, n: int, rank: int) -> float:
+    """Critical-path per-processor flops of one low-rank TTSV: the two
+    GEMVs on one ``⌈n/P⌉``-row block plus the rank-order reduction of
+    ``P`` ``r``-word partials."""
+    b = -(-n // P)
+    return 4.0 * b * rank + float(P * rank)
 
 
 class ParallelSymKTTSV:
@@ -104,9 +116,9 @@ class ParallelSymKTTSV:
         self._x_blocks: Optional[List[np.ndarray]] = None
         self._y_blocks: Optional[List[np.ndarray]] = None
 
-    # -- loading (out of the communication model, like load_tensor) --------------
+    # -- loading (out of the communication model) ---------------------------------
 
-    def load_factors(self, machine: Machine, tensor: SymKTensor) -> None:
+    def load_tensor(self, machine: Machine, tensor: SymKTensor) -> None:
         """Distribute ``V``'s row blocks and replicate ``λ``."""
         self._check_machine(machine)
         if tensor.n != self.n or tensor.m != self.m:
@@ -138,7 +150,7 @@ class ParallelSymKTTSV:
         ]
 
     def load(self, machine: Machine, tensor: SymKTensor, x: np.ndarray) -> None:
-        self.load_factors(machine, tensor)
+        self.load_tensor(machine, tensor)
         self.load_vector(machine, x)
 
     @property
@@ -156,7 +168,7 @@ class ParallelSymKTTSV:
         Appends one column to every row block (and one weight), exactly
         mirroring :meth:`SymKTensor.rank1_update` — so the resident
         state after ``k`` streamed updates is byte-identical to a fresh
-        :meth:`load_factors` of the rebuilt tensor, and the next TTSV
+        :meth:`load_tensor` of the rebuilt tensor, and the next TTSV
         is bitwise the rebuild's. Returns the new rank.
         """
         if self._lambda is None or self._V_blocks is None:

@@ -1,28 +1,25 @@
 """Structured end-to-end verification of a parallel STTSV run.
 
-Bundles the three checks every experiment repeats — numerical
-correctness against the sequential kernel, ledger-vs-closed-form
-equality, and lower-bound consistency plus a model audit — into one
-:class:`RunVerdict` consumed by the CLI (``analyze --audit``) and by
-integration tests.
+Bundles the checks every experiment repeats — numerical correctness
+against a sequential oracle, ledger-vs-formula equality, an optional
+bitwise serial replay, lower-bound consistency and a model audit —
+into one :class:`RunVerdict` consumed by ``repro analyze`` and by
+tests. Any engine with ``load / run / gather_result`` verifies alike;
+:mod:`repro.core.representations` supplies each one's oracle, words
+and bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.bounds import sttsv_lower_bound
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
-from repro.core.partition import TetrahedralPartition
-from repro.core.sttsv_sequential import sttsv_packed
 from repro.machine.auditing import AuditReport, audit_ledger
 from repro.machine.machine import Machine
 from repro.machine.recovery import RecoveryPolicy
 from repro.machine.transport import Transport
-from repro.tensor.packed import PackedSymmetricTensor
 
 
 @dataclass
@@ -36,7 +33,7 @@ class RunVerdict:
     max_error: float
     words_per_processor: int
     expected_words: int
-    lower_bound: float
+    lower_bound: Optional[float]
     rounds: int
     audit: AuditReport
     problems: List[str] = field(default_factory=list)
@@ -54,6 +51,8 @@ class RunVerdict:
     # algorithmic counts above always describe the unfused schedule.
     fusion: bool = True
     fusion_summary: Dict[str, int] = field(default_factory=dict)
+    #: Result == serial replay, bitwise (``None``: no replay given).
+    bitwise: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
@@ -63,76 +62,81 @@ class RunVerdict:
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
+        bound = "-" if self.lower_bound is None else f"{self.lower_bound:.1f}"
         return (
             f"[{status}] {self.backend}: n={self.n} P={self.P}"
             f" words={self.words_per_processor}"
-            f" (formula {self.expected_words}, bound {self.lower_bound:.1f})"
+            f" (formula {self.expected_words}, bound {bound})"
             f" rounds={self.rounds} err={self.max_error:.2e}"
         )
 
 
 def verify_sttsv_run(
-    partition: TetrahedralPartition,
-    tensor: PackedSymmetricTensor,
+    engine,
+    tensor,
     x: np.ndarray,
-    backend: CommBackend = CommBackend.POINT_TO_POINT,
+    oracle: Callable[[object, np.ndarray], np.ndarray],
+    expected_words: Sequence[int],
+    lower_bound: Optional[float] = None,
     *,
+    replay: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     tolerance: float = 1e-9,
     transport: Optional[Transport] = None,
     recovery: Optional[RecoveryPolicy] = None,
     fusion: bool = True,
 ) -> RunVerdict:
-    """Execute Algorithm 5 and return the full verdict.
+    """Run ``engine`` once on ``tensor`` and ``x`` and return the full
+    verdict: the result must match ``oracle(tensor, x)`` within
+    ``tolerance`` (relative) and, if given, ``replay(x)`` bitwise; the
+    ledger's ``words_sent`` must equal ``expected_words`` exactly, which
+    may not undercut ``lower_bound``.
 
-    ``transport`` selects who moves the bytes (default: in-process
-    simulation); the ledger checks are transport-independent — in
-    particular the ledger-vs-formula equality holds even under an
-    injected-fault transport, because redelivery cost is accounted in
-    the verdict's ``retry_*`` fields, never in ``words_sent``.
-    ``recovery`` bounds the retry loop (defaults to the machine's
-    default policy). ``fusion`` toggles the fusing scheduler (default
-    on); the algorithmic ledger checks hold identically either way —
-    fusion only changes the ``fusion_summary`` side-channel. The
-    caller owns the transport's lifecycle (``close()``).
+    The ledger checks are transport-independent: under an
+    injected-fault ``transport`` redelivery is accounted in the
+    ``retry_*`` fields, never in ``words_sent``, and ``fusion`` only
+    changes the ``fusion_summary`` side-channel. ``recovery`` bounds
+    the retry loop. The caller owns the transport (``close()``).
     """
-    machine = Machine(
-        partition.P, transport=transport, recovery=recovery, fusion=fusion
-    )
-    algo = ParallelSTTSV(partition, tensor.n, backend)
-    algo.load(machine, tensor, x)
-    algo.run(machine)
-    result = algo.gather_result(machine)
-    reference = sttsv_packed(tensor, x)
+    expected_words = list(expected_words)
+    P = len(expected_words)
+    machine = Machine(P, transport=transport, recovery=recovery, fusion=fusion)
+    engine.load(machine, tensor, x)
+    engine.run(machine)
+    result = engine.gather_result(machine)
+    reference = oracle(tensor, x)
     scale = float(np.max(np.abs(reference))) or 1.0
     max_error = float(np.max(np.abs(result - reference)))
-
-    expected = algo.expected_words_per_processor()
-    lower = sttsv_lower_bound(algo.n_padded, partition.P)
-    audit = audit_ledger(machine.ledger)
+    bitwise = None if replay is None else bool(np.array_equal(result, replay(x)))
+    expected = max(expected_words)
 
     problems: List[str] = []
     if max_error > tolerance * scale:
         problems.append(f"numerical error {max_error:.2e} above tolerance")
-    if machine.ledger.words_sent != [expected] * partition.P:
+    if bitwise is False:
+        problems.append("result differs from the serial replay")
+    if machine.ledger.words_sent != expected_words:
         problems.append(
             f"ledger {machine.ledger.max_words_sent()} != formula {expected}"
         )
-    if expected + 1e-9 < lower:
+    if lower_bound is not None and expected + 1e-9 < lower_bound:
         problems.append(
-            f"cost {expected} below the Theorem 5.2 bound {lower:.1f}"
+            f"cost {expected} below the lower bound {lower_bound:.1f}"
             " — accounting bug"
         )
     return RunVerdict(
-        backend=backend.value,
+        backend=engine.backend.value,
         n=tensor.n,
-        n_padded=algo.n_padded,
-        P=partition.P,
+        n_padded=engine.n_padded,
+        P=P,
         max_error=max_error,
         words_per_processor=machine.ledger.max_words_sent(),
         expected_words=expected,
-        lower_bound=lower,
+        lower_bound=lower_bound,
         rounds=machine.ledger.round_count(),
-        audit=audit,
+        # Uniform volumes are an invariant only where the formula is.
+        audit=audit_ledger(
+            machine.ledger, expect_uniform=len(set(expected_words)) == 1
+        ),
         problems=problems,
         transport=machine.transport.name,
         phase_seconds={
@@ -146,4 +150,5 @@ def verify_sttsv_run(
         warnings=list(machine.instrument.warnings),
         fusion=machine.fusion,
         fusion_summary=machine.ledger.fusion_summary(),
+        bitwise=bitwise,
     )

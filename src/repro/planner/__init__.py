@@ -5,10 +5,9 @@ Four layers:
 * :mod:`repro.planner.calibration` — measure α-β-γ constants from
   microbenchmarks, persist them as versioned JSON.
 * :mod:`repro.planner.pricing` — the per-vector work counts of the
-  sequential plan strategies and the low-rank paths; communication
-  ledgers come from the engines themselves
-  (``ParallelSTTSV.predicted_ledger`` /
-  ``ParallelSymKTTSV.predicted_ledger``).
+  sequential plan strategies; communication ledgers and parallel flops
+  come from each representation's engine
+  (:mod:`repro.core.representations`).
 * :mod:`repro.planner.planner` — enumerate candidates, price them,
   return the argmin (:class:`PlanDecision`) plus measured cross-checks.
 * :mod:`repro.planner.report` — render a decision as a human-readable
@@ -28,8 +27,7 @@ from repro.planner.planner import (
     Candidate,
     PlanDecision,
     PricedCandidate,
-    auto_session_config,
-    auto_symk_config,
+    auto_config,
     measure_candidate,
     plan_sttsv,
 )
@@ -46,8 +44,7 @@ __all__ = [
     "STRATEGIES",
     "TransportConstants",
     "VARIANTS",
-    "auto_session_config",
-    "auto_symk_config",
+    "auto_config",
     "calibrate",
     "calibrate_compute",
     "calibrate_transport",

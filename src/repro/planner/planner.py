@@ -1,13 +1,15 @@
 """Candidate enumeration, argmin selection, and measured cross-checks.
 
 ``plan_sttsv`` is the autotuning entry point: enumerate every valid
-configuration for a tensor — communication variant (point-to-point vs
-All-to-All), fused vs unfused execution, transport backend, plan
-strategy, batch width — price each one from the exact ledger its own
-engine predicts (``ParallelSTTSV.predicted_ledger`` /
-``ParallelSymKTTSV.predicted_ledger``) under calibrated α-β-γ
-constants (:mod:`repro.planner.calibration`), and return the argmin
-with the full priced table.
+configuration for a tensor — representation, communication variant
+(point-to-point vs All-to-All), fused vs unfused execution, transport
+backend, plan strategy, batch width — price each one from the exact
+ledger its own engine predicts under calibrated α-β-γ constants
+(:mod:`repro.planner.calibration`), and return the argmin with the
+full priced table. The representation registry
+(:mod:`repro.core.representations`) supplies each candidate's engine,
+flops, compute rate, ledger and run span, so no representation is
+special-cased here.
 
 The interesting selection is the paper's own tradeoff: the All-to-All
 variant moves ~2× the point-to-point bandwidth but fuses each phase
@@ -27,40 +29,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.parallel_sttsv import ParallelSTTSV
-from repro.core.parallel_symk import ParallelSymKTTSV
-from repro.core.partition import TetrahedralPartition
+from repro.core.parallel_sttsv import CommBackend
+from repro.core.representations import (
+    Representation,
+    priced_representations,
+    representation_named,
+)
 from repro.errors import ConfigurationError
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.machine.transport import make_transport
 from repro.planner.calibration import Calibration
-from repro.planner.pricing import (
-    STRATEGIES,
-    VARIANTS,
-    gemm_plan_flops,
-    scatter_plan_ops,
-    symk_parallel_flops,
-    symk_plan_flops,
-)
-from repro.steiner import spherical_steiner_system
-from repro.tensor.dense import random_symmetric
-from repro.tensor.symk import random_symk
-
-#: Modes a candidate prices: the warm machine (Algorithm 5) or the
-#: compiled sequential plan.
-MODES = ("parallel", "plan")
+from repro.planner.pricing import STRATEGIES, VARIANTS, plan_cost
 
 #: Default batch widths enumerated for the plan path.
 DEFAULT_BATCH_WIDTHS = (1, 8, 32)
-
-#: Flops per ternary multiplication (one multiply-accumulate).
-_FLOPS_PER_TERNARY = 2
 
 
 @dataclass(frozen=True)
@@ -71,9 +58,10 @@ class Candidate:
     fusion)`` and serve through Algorithm 5 on the warm machine;
     ``mode="plan"`` candidates carry ``(strategy, batch_width)`` and
     serve through the compiled sequential plan (no communication).
-    ``representation="symk"`` candidates (enumerated when the caller
-    knows the tensor's rank) price the low-rank factored paths instead:
-    the parallel ``r``-word all-gather or the O(nr) sequential kernel.
+    ``representation`` is the registry name; ``"symk"`` candidates
+    (enumerated when the caller knows the tensor's rank) price the
+    low-rank factored paths: the parallel ``r``-word all-gather or the
+    O(nr) sequential kernel.
     """
 
     mode: str
@@ -84,19 +72,21 @@ class Candidate:
     fusion: Optional[bool] = None
     strategy: Optional[str] = None
     batch_width: Optional[int] = None
-    representation: str = "dense"
+    representation: str = "dense-3"
     rank: Optional[int] = None
 
     def label(self) -> str:
-        prefix = "symk " if self.representation == "symk" else ""
+        representation = representation_named(self.representation)
         if self.mode == "parallel":
-            return (
-                f"{prefix}parallel q={self.q} {self.backend} {self.variant}"
+            body = (
+                f"parallel q={self.q} {self.backend} {self.variant}"
                 f" {'fused' if self.fusion else 'unfused'}"
             )
-        if self.representation == "symk":
-            return f"symk plan r={self.rank}"
-        return f"plan {self.strategy} s={self.batch_width}"
+        else:
+            body = representation.plan_label(
+                self.strategy, self.batch_width, self.rank
+            )
+        return representation.label_prefix + body
 
 
 @dataclass
@@ -172,20 +162,6 @@ class PlanDecision:
         return config
 
 
-def _engine(
-    candidate: Candidate,
-    n: int,
-    partition: Optional[TetrahedralPartition] = None,
-) -> Union[ParallelSTTSV, ParallelSymKTTSV]:
-    """The engine a parallel candidate runs: the one whose ledger
-    prices it and the one :func:`measure_candidate` times."""
-    if candidate.representation == "symk":
-        return ParallelSymKTTSV(candidate.P, n, backend=candidate.variant)
-    if partition is None:
-        partition = TetrahedralPartition(spherical_steiner_system(candidate.q))
-    return ParallelSTTSV(partition, n, backend=candidate.variant)
-
-
 def _price_parallel(
     candidate: Candidate,
     ledger: CommunicationLedger,
@@ -212,58 +188,37 @@ def _price_parallel(
     )
 
 
-def _price_plan(
-    candidate: Candidate, work: float, rate: float
-) -> PricedCandidate:
-    compute = work * rate
-    return PricedCandidate(
-        candidate=candidate,
-        comm_time=0.0,
-        compute_time=compute,
-        total_time=compute,
-        physical_rounds=0,
-        words_per_processor=0,
-        alpha=0.0,
-        beta=0.0,
-        gamma=rate,
-    )
-
-
 def _price_engines(
-    template: Candidate,
+    representation: Representation,
+    q: int,
+    P: int,
     n: int,
+    rank: Optional[int],
+    order: int,
     backends: Sequence[str],
     variants: Sequence[str],
     fusion_options: Sequence[bool],
     calibration: Calibration,
-    partition: Optional[TetrahedralPartition] = None,
 ) -> List[PricedCandidate]:
-    """Price every ``(backend, variant, fusion)`` of one parallel
-    family — ``template`` fixes the representation, ``q``/``P`` and
-    rank — in that enumeration order.
-
-    One engine is built per variant; both fusion ledgers are read from
-    it, and every backend prices the same ledger under its own α-β.
+    """Price every ``(backend, variant, fusion)`` one representation
+    runs at ``(q, P)``, in that enumeration order. One engine is built
+    per variant; every backend prices its ledgers under its own α-β.
     """
-    symk = template.representation == "symk"
-    gamma = (
-        calibration.compute.gemv_flop_s
-        if symk
-        else calibration.compute.gemm_flop_s
-    )
+    gamma = getattr(calibration.compute, representation.rate)
+    variants = [
+        v for v in variants if CommBackend(v) in representation.variants
+    ]
     costs: Dict[Tuple[str, bool], Tuple[CommunicationLedger, float]] = {}
     for variant in variants:
-        engine = _engine(replace(template, variant=variant), n, partition)
-        if symk:
-            flops = symk_parallel_flops(template.P, n, template.rank)
-            ledger_of = partial(engine.predicted_ledger, template.rank)
-        else:
-            flops = _FLOPS_PER_TERNARY * max(
-                map(engine.flops_per_processor, range(template.P))
-            )
-            ledger_of = engine.predicted_ledger
+        engine = representation.engine(q, P, n, order, variant)
+        flops = representation.flops(engine, rank)
         for fusion in fusion_options:
-            costs[variant, fusion] = (ledger_of(fusion), flops)
+            ledger = representation.ledger(engine, rank, fusion)
+            costs[variant, fusion] = (ledger, flops)
+    template = Candidate(
+        mode="parallel", q=q, P=P, representation=representation.name,
+        rank=rank,
+    )
     return [
         _price_parallel(
             replace(template, backend=backend, variant=variant, fusion=fusion),
@@ -275,6 +230,30 @@ def _price_engines(
         for variant in variants
         for fusion in fusion_options
     ]
+
+
+def _price_plans(
+    representation: Representation,
+    n: int,
+    rank: Optional[int],
+    strategies: Sequence[str],
+    batch_widths: Sequence[int],
+    calibration: Calibration,
+) -> List[PricedCandidate]:
+    """Price the plan-mode candidates of one representation."""
+    priced = []
+    for strategy, width in representation.plan_modes(strategies, batch_widths):
+        work, rate = plan_cost(strategy, width, n, rank, calibration.compute)
+        priced.append(PricedCandidate(
+            Candidate(
+                mode="plan", strategy=strategy, batch_width=width,
+                representation=representation.name, rank=rank,
+            ),
+            comm_time=0.0, compute_time=work * rate,
+            total_time=work * rate, physical_rounds=0,
+            words_per_processor=0, alpha=0.0, beta=0.0, gamma=rate,
+        ))
+    return priced
 
 
 def _check_choices(name: str, given: Sequence, valid: Sequence) -> None:
@@ -296,6 +275,7 @@ def plan_sttsv(
     calibration: Optional[Calibration] = None,
     Ps: Optional[Sequence[int]] = None,
     rank: Optional[int] = None,
+    order: int = 3,
 ) -> PlanDecision:
     """Enumerate, price, and rank every candidate configuration.
 
@@ -304,8 +284,8 @@ def plan_sttsv(
     n:
         Tensor dimension the plan is for.
     qs:
-        Prime powers to consider (each builds ``P = q(q²+1)``
-        processors).
+        Partition knobs to consider (at order 3, prime powers building
+        ``P = q(q²+1)`` processors).
     Ps:
         Optional processor-count filter: keep only the ``qs`` whose
         ``P`` appears here (a ``(q, P)`` consistency check when both
@@ -317,6 +297,8 @@ def plan_sttsv(
         ``(P − 1) · r``-word predicted ledger) and the O(nr)
         sequential kernel — alongside the dense ones, so the decision
         table shows the dense-vs-factored crossover directly.
+    order:
+        Tensor order; a representation without a flop count raises.
     """
     if n < 1:
         raise ConfigurationError(f"tensor dimension must be >= 1, got {n}")
@@ -332,51 +314,31 @@ def plan_sttsv(
     calibration = (
         calibration if calibration is not None else Calibration.default()
     )
-    compute = calibration.compute
+    representations = priced_representations(order, rank)
     wanted_P = set(Ps) if Ps else None
     priced: List[PricedCandidate] = []
     seen_P: List[int] = []
     for q in qs:
-        partition = TetrahedralPartition(spherical_steiner_system(q))
-        partition.validate()
-        seen_P.append(partition.P)
-        if wanted_P is not None and partition.P not in wanted_P:
+        # Every representation runs on the dense family's P, so the
+        # table compares them on the same machine.
+        P = representations[0].processor_count(q)
+        seen_P.append(P)
+        if wanted_P is not None and P not in wanted_P:
             continue
-        families = [Candidate(mode="parallel", q=q, P=partition.P)]
-        if rank is not None:
-            families.append(
-                replace(families[0], representation="symk", rank=rank)
-            )
-        for template in families:
+        for representation in representations:
             priced.extend(
                 _price_engines(
-                    template, n, backends, variants, fusion_options,
-                    calibration, partition,
+                    representation, q, P, n, rank, order, backends,
+                    variants, fusion_options, calibration,
                 )
             )
-    if rank is not None:
-        symk_plan = Candidate(
-            mode="plan",
-            strategy="symk",
-            batch_width=1,
-            representation="symk",
-            rank=rank,
-        )
-        priced.append(
-            _price_plan(symk_plan, symk_plan_flops(n, rank), compute.gemv_flop_s)
-        )
-    for strategy in strategies:
-        for width in batch_widths:
-            candidate = Candidate(
-                mode="plan", strategy=strategy, batch_width=width
+    for representation in representations:
+        priced.extend(
+            _price_plans(
+                representation, n, rank, strategies, batch_widths,
+                calibration,
             )
-            if strategy == "gemm":
-                work = gemm_plan_flops(n)
-                rate = compute.gemm_flop_s if width > 1 else compute.gemv_flop_s
-            else:
-                # bincount batches column by column: width buys nothing.
-                work, rate = scatter_plan_ops(n), compute.scatter_op_s
-            priced.append(_price_plan(candidate, work, rate))
+        )
     if wanted_P is not None and not any(
         c.candidate.mode == "parallel" for c in priced
     ):
@@ -387,62 +349,35 @@ def plan_sttsv(
     return PlanDecision(n, priced, calibration)
 
 
-def auto_session_config(
+def auto_config(
+    representation: Representation,
     n: int,
     q: int,
+    P: int,
+    rank: Optional[int] = None,
+    order: int = 3,
     backends: Sequence[str] = ("simulated",),
     calibration: Optional[Calibration] = None,
     fusion_options: Sequence[bool] = (True,),
 ) -> Dict:
     """The serving layer's auto-mode hook: the best configuration for
-    one registered tensor at a fixed ``q``.
+    one registered tensor of ``representation`` at a fixed ``(q, P)``.
 
-    ``fusion_options`` defaults to fused-only because the session pool
-    owner (the server) controls fusion globally; pass both options to
-    let the planner decide that too.
-    """
-    decision = plan_sttsv(
-        n,
-        qs=(q,),
-        backends=backends,
-        fusion_options=fusion_options,
-        calibration=calibration,
-    )
-    return decision.session_config()
-
-
-def auto_symk_config(
-    n: int,
-    rank: int,
-    P: int,
-    backends: Sequence[str] = ("simulated",),
-    calibration: Optional[Calibration] = None,
-    fusion_options: Sequence[bool] = (True,),
-) -> Dict:
-    """Auto-mode hook for low-rank registrations at a fixed ``P``.
-
-    Prices only ``representation="symk"`` parallel candidates (the
-    registration payload already fixed the representation) and returns
-    the machine-side fields plus the one valid plan strategy. Same
-    determinism contract as :func:`auto_session_config`: stable sort,
-    enumeration-order ties, identical resolution on every shard.
+    ``fusion_options`` defaults to fused-only because the server
+    controls fusion globally. Stable sort and enumeration-order ties
+    resolve a replayed registration identically on every shard.
     """
     calibration = (
         calibration if calibration is not None else Calibration.default()
     )
     priced = _price_engines(
-        Candidate(mode="parallel", P=P, representation="symk", rank=rank),
-        n, backends, VARIANTS, fusion_options, calibration,
+        representation, q, P, n, rank, order, backends, VARIANTS,
+        fusion_options, calibration,
+    ) + _price_plans(
+        representation, n, rank, STRATEGIES, DEFAULT_BATCH_WIDTHS,
+        calibration,
     )
-    best = min(priced, key=lambda c: c.total_time).candidate
-    return {
-        "n": n,
-        "P": P,
-        "backend": best.backend,
-        "variant": best.variant,
-        "fusion": best.fusion,
-        "strategy": "symk",
-    }
+    return PlanDecision(n, priced, calibration).session_config()
 
 
 # -- measured cross-check --------------------------------------------------------
@@ -457,26 +392,24 @@ def measure_candidate(
     """Execute a parallel candidate once per repeat and attach the
     median measured wall time (obs phase spans) to a copy.
 
-    The candidate runs on its own engine — Algorithm 5 on a random
-    dense tensor, or the low-rank engine on a random rank-``r``
-    Kruskal tensor for ``representation="symk"`` — and
-    ``measured_seconds`` is the median ``sttsv:run`` / ``symk:run``
-    span; callers compare it against ``total_time`` to track the cost
-    model's prediction error (the benchmarks hook records exactly
-    that).
+    The candidate runs on its own representation's engine and a random
+    tensor of it — Algorithm 5 on a dense tensor, or the low-rank
+    engine on a rank-``r`` Kruskal tensor — and ``measured_seconds``
+    is the median run span (``sttsv:run`` / ``symk:run``); callers
+    compare it against ``total_time`` to track the cost model's
+    prediction error (the benchmarks hook records exactly that).
     """
     candidate = priced.candidate
     if candidate.mode != "parallel":
         raise ConfigurationError(
             "measure_candidate only measures parallel candidates"
         )
-    engine = _engine(candidate, n)
-    if candidate.representation == "symk":
-        load_resident, span = engine.load_factors, "symk:run"
-        tensor = random_symk(n, candidate.rank, seed=seed)
-    else:
-        load_resident, span = engine.load_tensor, "sttsv:run"
-        tensor = random_symmetric(n, seed=seed)
+    representation = representation_named(candidate.representation)
+    order = 3  # every priced candidate is order 3 (BCSS-4 has no flops)
+    engine = representation.engine(
+        candidate.q, candidate.P, n, order, candidate.variant
+    )
+    tensor = representation.random_tensor(n, order, candidate.rank, seed)
     x = np.random.default_rng(seed + 1).normal(size=n)
     samples: List[float] = []
     with Machine(
@@ -484,12 +417,14 @@ def measure_candidate(
         transport=make_transport(candidate.backend, candidate.P),
         fusion=bool(candidate.fusion),
     ) as machine:
-        load_resident(machine, tensor)
+        engine.load_tensor(machine, tensor)
         for _ in range(repeats):
             machine.instrument.reset()
             engine.load_vector(machine, x)
             engine.run(machine)
             machine.reset_ledger()
-            samples.append(machine.instrument.total_seconds(span))
+            samples.append(
+                machine.instrument.total_seconds(representation.span)
+            )
     measured = float(np.median(samples)) if samples else math.nan
     return replace(priced, measured_seconds=measured)

@@ -5,12 +5,14 @@ comes from the engine that would run it
 (:meth:`~repro.core.parallel_sttsv.ParallelSTTSV.predicted_ledger`,
 :meth:`~repro.core.parallel_symk.ParallelSymKTTSV.predicted_ledger`),
 so the planner prices exactly the rounds, batches and fusion framing a
-run records. This module holds what the engines do not know: the
-per-vector work of the sequential plan strategies and of the low-rank
-paths.
+run records, and parallel flops come from the representation
+(:mod:`repro.core.representations`). This module holds the per-vector
+work of the sequential plan strategies.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Tuple
 
 from repro.core.parallel_sttsv import CommBackend
 
@@ -39,9 +41,15 @@ def symk_plan_flops(n: int, rank: int) -> float:
     return 4.0 * n * rank
 
 
-def symk_parallel_flops(P: int, n: int, rank: int) -> float:
-    """Critical-path per-processor flops of the distributed low-rank
-    path: the two GEMVs on one ``⌈n/P⌉``-row block plus the rank-order
-    reduction of ``P`` ``r``-word partials."""
-    b = -(-n // P)
-    return 4.0 * b * rank + float(P * rank)
+def plan_cost(
+    strategy: str, batch_width: int, n: int, rank: Optional[int], compute
+) -> Tuple[float, float]:
+    """Per-vector work of one plan-mode candidate and the calibrated
+    rate (seconds per unit of work) it runs at."""
+    if strategy == "symk":
+        return symk_plan_flops(n, rank), compute.gemv_flop_s
+    if strategy == "gemm":
+        rate = compute.gemm_flop_s if batch_width > 1 else compute.gemv_flop_s
+        return gemm_plan_flops(n), rate
+    # bincount batches column by column: width buys nothing.
+    return scatter_plan_ops(n), compute.scatter_op_s

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.core.representations import representation_named
 from repro.planner.planner import PlanDecision, PricedCandidate
 
 _COLUMNS = (
@@ -34,7 +35,7 @@ def _row(rank: int, priced: PricedCandidate, best: bool) -> List[str]:
     return [
         f"{'>' if best else ' '}{rank}",
         c.mode,
-        c.representation,
+        representation_named(c.representation).kind,
         str(c.q) if c.q is not None else "-",
         str(c.P) if c.P is not None else "-",
         c.backend or "-",

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.representations import representation_of
 from repro.service.protocol import (
     ErrorCode,
     MessageType,
@@ -45,7 +46,6 @@ from repro.service.protocol import (
     read_frame,
     write_frame,
 )
-from repro.tensor.packed import PackedSymmetricTensor
 
 
 #: Reconnect attempts after the first transport failure.
@@ -169,14 +169,16 @@ class ServiceClient:
     def register(
         self,
         tensor_id: str,
-        tensor: PackedSymmetricTensor,
+        tensor,
         q: int,
         backend: str = "simulated",
         strategy: str = "auto",
         variant: str = "point-to-point",
         order: int = 3,
+        P: Optional[int] = None,
     ) -> Dict:
-        """Upload a tensor and warm an engine session for it.
+        """Upload a tensor and warm an engine session for it; its
+        representation encodes the body and the fields it adds.
 
         Pass ``backend="auto"`` and/or ``variant="auto"`` to let the
         server's planner pick the cheapest configuration under its
@@ -184,11 +186,14 @@ class ServiceClient:
         (``planned: true``). For ``order=4`` pass an
         :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` (any
         object with ``.n`` and packed ``.data`` works) and ``q`` is the
-        SQS parameter ``k`` of ``S(2^k, 4, 3)``.
+        SQS parameter ``k`` of ``S(2^k, 4, 3)``. ``P`` pins a symk
+        tensor's processor count.
         """
+        payload, fields = representation_of(tensor).encode(tensor, order)
         return self._register(
-            tensor.data, tensor_id=tensor_id, n=tensor.n, q=q,
+            payload, tensor_id=tensor_id, **fields, n=tensor.n, q=q,
             backend=backend, strategy=strategy, variant=variant, order=order,
+            **({} if P is None else {"P": P}),
         )
 
     def register_symk(
@@ -212,17 +217,9 @@ class ServiceClient:
         ``variant="auto"`` to let the server's planner choose using
         the symk communication formula ``(P−1)·r``.
         """
-        payload = np.concatenate(
-            [
-                np.ascontiguousarray(tensor.lambda_, dtype=np.float64),
-                np.ascontiguousarray(tensor.V, dtype=np.float64).ravel(),
-            ]
-        )
-        reply_header = self._register(
-            payload, tensor_id=tensor_id, kind="symk", n=tensor.n,
-            rank=tensor.r, order=tensor.m, q=q, backend=backend,
-            strategy=strategy, variant=variant,
-            **({} if P is None else {"P": P}),
+        reply_header = self.register(
+            tensor_id, tensor, q, backend=backend, strategy=strategy,
+            variant=variant, order=tensor.m, P=P,
         )
         self.last_update_epoch = reply_header.get("update_epoch")
         return reply_header

@@ -36,7 +36,11 @@ from repro.machine.machine import Machine
 from repro.machine.transport import FaultPolicy, make_transport
 from repro.obs.tracing import get_tracer
 from repro.service.metrics import SessionMetrics
-from repro.service.representations import Representation, representation_for
+from repro.service.representations import (
+    Representation,
+    order_suffix,
+    representation_for,
+)
 
 #: Execution modes an apply request can ask for.
 MODES = ("plan", "parallel")
@@ -69,7 +73,7 @@ class SessionKey(NamedTuple):
 
     def label(self) -> str:
         """Stable string form used as the stats-snapshot key."""
-        suffix = self.representation.label_suffix(self.order)
+        suffix = order_suffix(self.order, ",") + self.representation.label_tag
         return (
             f"{self.tensor_id}@q={self.q},P={self.P},{self.backend}{suffix}"
         )
@@ -109,8 +113,9 @@ class EngineSession:
         )
         try:
             self.algo = self.representation.engine(
-                key, tensor, self.variant, self.machine
+                key.q, key.P, tensor.n, key.order, self.variant
             )
+            self.algo.load_tensor(self.machine, tensor)
             self.plan = self.representation.plan(tensor, strategy)
         except BaseException:
             self.machine.close()

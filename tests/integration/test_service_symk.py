@@ -76,7 +76,7 @@ class TestServedSymk:
             10, 24, backend=CommBackend(variant)
         )
         with Machine(10, transport=make_transport("simulated", 10)) as m:
-            algo.load_factors(m, tensor)
+            algo.load_tensor(m, tensor)
         expected = algo.serial_reference(x)
         with STTSVServer(port=0) as server:
             with ServiceClient(*server.address) as client:

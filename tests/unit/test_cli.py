@@ -1,7 +1,13 @@
 """CLI commands exercised in process."""
 
+import json
+
+import numpy as np
+import pytest
+
 from repro._version import __version__
 from repro.cli import main
+from repro.core.representations import BCSS4, Dense3, SymK
 
 
 class TestTables:
@@ -187,3 +193,92 @@ class TestLowRank:
         assert err.startswith("error:")
         assert "prices order 3 only" in err
         assert "repro load --order 4 --backend" in err
+
+
+class TestAnalyzeEveryRepresentation:
+    """One analyze path: faults, audit, timings and the trace dump work
+    at every order and rank."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--order", "4", "--sqs", "3"],
+            ["--q", "2", "--rank", "4", "--n", "50"],
+        ],
+        ids=["bcss4", "symk"],
+    )
+    def test_faults_audit_and_trace_out(self, args, tmp_path, capsys):
+        path = tmp_path / "spans.jsonl"
+        assert main(
+            [
+                "analyze", *args,
+                "--faults", "drop=0.1,corrupt=0.05,seed=7",
+                "--audit", "--trace-out", str(path),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "retry rounds" in out
+        assert "[PASS]" in out
+        assert "all runs PASS" in out
+        trace_id = out.split("trace id: ")[1].split()[0]
+        spans = [json.loads(line) for line in path.read_text().splitlines()]
+        assert spans
+        assert all(trace_id in span["trace_ids"] for span in spans)
+
+    def test_rank_audit_without_faults(self, tmp_path, capsys):
+        path = tmp_path / "spans.jsonl"
+        assert main(
+            [
+                "analyze", "--q", "2", "--rank", "4", "--n", "50",
+                "--audit", "--trace-out", str(path),
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "all runs PASS" in out
+        assert "36 words/proc" in out and "bitwise" in out
+        assert path.read_text().count("symk:run") == 2  # both variants
+
+    def test_order4_timings(self, capsys):
+        assert main(
+            ["analyze", "--order", "4", "--sqs", "2", "--n", "6", "--timings"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "sttsv:run" in out and " ms" in out
+
+    def test_order3_on_sqs8(self, capsys):
+        assert main(["analyze", "--sqs", "3", "--audit"]) == 0
+        out = capsys.readouterr().out
+        assert "Algorithm 5 on P = 14" in out
+        assert "all runs PASS" in out
+
+
+class TestAnalyzeExitCode:
+    """A run that fails its oracle or ledger check exits 1 at every
+    order and rank, with or without --audit."""
+
+    @pytest.mark.parametrize(
+        "representation, args",
+        [
+            (Dense3, ["--q", "2"]),
+            (BCSS4, ["--order", "4", "--sqs", "2", "--n", "6"]),
+            (SymK, ["--q", "2", "--rank", "4", "--n", "50"]),
+        ],
+        ids=["dense3", "bcss4", "symk"],
+    )
+    @pytest.mark.parametrize("audit", [[], ["--audit"]], ids=["", "audit"])
+    def test_wrong_oracle_exits_1(
+        self, representation, args, audit, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            representation, "oracle", lambda self, tensor, x: np.ones(tensor.n)
+        )
+        assert main(["analyze", *args, *audit]) == 1
+        assert "numerical error" in capsys.readouterr().out
+
+    def test_wrong_ledger_formula_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            Dense3, "expected_words",
+            lambda self, engine, rank: [0] * engine.partition.P,
+        )
+        assert main(["analyze", "--q", "2"]) == 1
+        assert "problem: ledger" in capsys.readouterr().out

@@ -161,6 +161,23 @@ class TestParallelSTTSVm:
         assert max(algo.words_per_processor()) == ledger_max
         assert ledger_max >= bound > 0
 
+    def test_expected_words_is_order3_only(self, quad_partition):
+        """The order-3 closed form would say 48 words at SQS(8), n=56;
+        the run moves 66..97 per processor. It must refuse, naming the
+        exact alternative."""
+        algo = ParallelSTTSV(quad_partition, 56)
+        with pytest.raises(ConfigurationError, match="words_per_processor"):
+            algo.expected_words_per_processor()
+        with Machine(quad_partition.P) as machine:
+            algo.load(machine, nd_random_symmetric(56, 4, seed=30), np.ones(56))
+            algo.run(machine)
+            assert machine.ledger.words_sent == algo.words_per_processor()
+
+    def test_flops_is_order3_only(self, quad_partition):
+        algo = ParallelSTTSV(quad_partition, 56)
+        with pytest.raises(ConfigurationError, match="order-4 block cases"):
+            algo.flops_per_processor(0)
+
     def test_only_point_to_point(self, quad_partition):
         with pytest.raises(ConfigurationError):
             ParallelSTTSV(quad_partition, 26, backend=CommBackend.ALL_TO_ALL)

@@ -40,7 +40,7 @@ class TestClosedForm:
         algo = ParallelSymKTTSV(5, 12)
         tensor = random_symk(12, 3, seed=0)
         with _machine(5) as machine:
-            algo.load_factors(machine, tensor)
+            algo.load_tensor(machine, tensor)
             assert algo.expected_words_per_processor() == 4 * 3
             assert algo.expected_rounds() == 4
             algo.rank1_update(1.0, np.ones(12))
@@ -64,9 +64,9 @@ class TestConstruction:
         algo = ParallelSymKTTSV(3, 9)
         with _machine(3) as machine:
             with pytest.raises(ConfigurationError, match="built for"):
-                algo.load_factors(machine, random_symk(8, 2, seed=0))
+                algo.load_tensor(machine, random_symk(8, 2, seed=0))
             with pytest.raises(ConfigurationError, match="built for"):
-                algo.load_factors(
+                algo.load_tensor(
                     machine, random_symk(9, 2, order=4, seed=0)
                 )
         with _machine(4) as machine:
@@ -78,7 +78,7 @@ class TestConstruction:
         with _machine(2) as machine:
             with pytest.raises(ConfigurationError, match="no factors"):
                 algo.run(machine)
-            algo.load_factors(machine, random_symk(6, 2, seed=1))
+            algo.load_tensor(machine, random_symk(6, 2, seed=1))
             with pytest.raises(ConfigurationError, match="no vector"):
                 algo.run(machine)
             with pytest.raises(
@@ -126,10 +126,10 @@ class TestStreamingUpdates:
         streamed = ParallelSymKTTSV(3, 11)
         rebuilt = ParallelSymKTTSV(3, 11)
         with _machine(3) as machine:
-            streamed.load_factors(machine, tensor)
+            streamed.load_tensor(machine, tensor)
             assert streamed.rank1_update(0.5, vector) == 3
             tensor.rank1_update(0.5, vector)
-            rebuilt.load_factors(machine, tensor)
+            rebuilt.load_tensor(machine, tensor)
         for p in range(3):
             assert (
                 streamed._V_blocks[p].tobytes()
@@ -142,6 +142,6 @@ class TestStreamingUpdates:
         with pytest.raises(ConfigurationError, match="no factors"):
             algo.rank1_update(1.0, np.ones(5))
         with _machine(2) as machine:
-            algo.load_factors(machine, random_symk(5, 2, seed=8))
+            algo.load_tensor(machine, random_symk(5, 2, seed=8))
         with pytest.raises(ConfigurationError, match="shape"):
             algo.rank1_update(1.0, np.ones(4))

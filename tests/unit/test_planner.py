@@ -9,13 +9,14 @@ from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.parallel_symk import ParallelSymKTTSV
 from repro.core.partition import TetrahedralPartition
 from repro.core.partition_ndim import QuadruplePartition
+from repro.core.representations import select
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.planner import (
     STRATEGIES,
     Calibration,
     TransportConstants,
-    auto_session_config,
+    auto_config,
     calibrate,
     measure_candidate,
     plan_sttsv,
@@ -212,7 +213,7 @@ class TestSymkPlanning:
             priced.candidate.representation
             for priced in decision.candidates
         }
-        assert representations == {"dense", "symk"}
+        assert representations == {"dense-3", "symk"}
         symk_parallel = [
             priced for priced in decision.candidates
             if priced.candidate.representation == "symk"
@@ -232,9 +233,7 @@ class TestSymkPlanning:
         assert best_parallel.representation == "symk"
 
     def test_auto_symk_config_is_complete(self):
-        from repro.planner import auto_symk_config
-
-        config = auto_symk_config(60, 4, 10)
+        config = auto_config(select(3, rank=4), 60, q=2, P=10, rank=4)
         assert config["strategy"] == "symk"
         assert config["P"] == 10
         assert config["variant"] in ("point-to-point", "all-to-all")
@@ -317,7 +316,7 @@ class TestPlanSelection:
         assert isinstance(config["fusion"], bool)
 
     def test_auto_session_config_fixed_q(self):
-        config = auto_session_config(20, 2)
+        config = auto_config(select(3), 20, q=2, P=10)
         assert config["q"] == 2 and config["P"] == 10
         assert config["fusion"] is True  # default restricts to fused
         assert config["backend"] == "simulated"
