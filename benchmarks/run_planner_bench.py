@@ -52,9 +52,7 @@ from repro.planner import (  # noqa: E402
 
 def bench_prediction(n: int, qs, repeats: int) -> dict:
     calibration = calibrate(backends=("simulated",), repeats=repeats)
-    decision = plan_sttsv(
-        n, qs=qs, calibration=calibration, fusion_options=(True, False)
-    )
+    decision = plan_sttsv(n, qs=qs, calibration=calibration)
     print(render_decision_table(decision))
     rows = []
     for priced in decision.candidates:
@@ -65,7 +63,6 @@ def bench_prediction(n: int, qs, repeats: int) -> dict:
             {
                 "candidate": measured.candidate.label(),
                 "variant": measured.candidate.variant,
-                "fusion": measured.candidate.fusion,
                 "q": measured.candidate.q,
                 "predicted_s": measured.total_time,
                 "measured_s": measured.measured_seconds,
@@ -109,9 +106,7 @@ def bench_decision_flip(n: int, q: int) -> dict:
         calibration = Calibration(
             backends={"simulated": TransportConstants(alpha, beta)}
         )
-        decision = plan_sttsv(
-            n, qs=(q,), calibration=calibration, fusion_options=(True,)
-        )
+        decision = plan_sttsv(n, qs=(q,), calibration=calibration)
         return decision.best_parallel.candidate.variant
 
     alpha_heavy = chosen(1e-2, 1e-9)

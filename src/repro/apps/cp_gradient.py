@@ -98,7 +98,6 @@ def parallel_cp_gradient(
     backend: CommBackend = CommBackend.POINT_TO_POINT,
     transport: Optional[Transport] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    fusion: bool = True,
 ) -> tuple:
     """Algorithm 2 with the r STTSVs executed in parallel on the simulator.
 
@@ -123,9 +122,7 @@ def parallel_cp_gradient(
         )
         gram = X.T @ X
         return X @ (gram * gram) - Y, ledger
-    machine = Machine(
-        partition.P, transport=transport, recovery=recovery, fusion=fusion
-    )
+    machine = Machine(partition.P, transport=transport, recovery=recovery)
     algo = ParallelSTTSV(partition, tensor.n, backend)
     columns = []
     total = CommunicationLedger(partition.P)

@@ -63,7 +63,6 @@ def deflated_eigenpairs(
     seed: SeedLike = 0,
     transport: Optional[Transport] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    fusion: bool = True,
 ) -> DeflationResult:
     """Find ``count`` Z-eigenpairs by HOPM + deflation.
 
@@ -117,7 +116,6 @@ def deflated_eigenpairs(
                     max_iterations=max_iterations,
                     transport=transport,
                     recovery=recovery,
-                    fusion=fusion,
                 )
             if best is None or abs(candidate.eigenvalue) > abs(best.eigenvalue):
                 best = candidate

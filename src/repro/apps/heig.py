@@ -123,7 +123,6 @@ def parallel_nqz_h_eigenpair(
     seed: SeedLike = 0,
     transport: Optional[Transport] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    fusion: bool = True,
 ) -> HEigenResult:
     """Parallel NQZ: one Algorithm-5 exchange plus two scalar
     allreduces (Collatz bounds) and one (norm) per iteration.
@@ -145,9 +144,7 @@ def parallel_nqz_h_eigenpair(
     rng = as_generator(seed)
     x = np.abs(rng.uniform(0.5, 1.5, size=n))
     x /= np.linalg.norm(x)
-    machine = Machine(
-        partition.P, transport=transport, recovery=recovery, fusion=fusion
-    )
+    machine = Machine(partition.P, transport=transport, recovery=recovery)
     algo = algo_probe
     algo.load(machine, tensor, x)
     total = CommunicationLedger(partition.P)

@@ -174,7 +174,6 @@ def parallel_hopm(
     seed: SeedLike = 0,
     transport: Optional["Transport"] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    fusion: bool = True,
 ) -> HOPMResult:
     """Parallel Algorithm 1 on the simulated machine.
 
@@ -188,9 +187,7 @@ def parallel_hopm(
     end-of-round integrity verification (DESIGN.md §8).
     """
     n = tensor.n
-    machine = Machine(
-        partition.P, transport=transport, recovery=recovery, fusion=fusion
-    )
+    machine = Machine(partition.P, transport=transport, recovery=recovery)
     algo = ParallelSTTSV(partition, n, backend)
     x = _initial_vector(n, x0, seed)
     algo.load(machine, tensor, x)

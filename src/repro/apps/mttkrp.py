@@ -68,7 +68,6 @@ def parallel_symmetric_mttkrp(
     backend: CommBackend = CommBackend.POINT_TO_POINT,
     transport: Optional[Transport] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    fusion: bool = True,
 ) -> Tuple[np.ndarray, CommunicationLedger]:
     """Parallel MTTKRP: ``r`` Algorithm-5 executions on the simulator.
 
@@ -79,9 +78,7 @@ def parallel_symmetric_mttkrp(
     bytes (caller-owned lifecycle).
     """
     X = _check_factor(tensor, X)
-    machine = Machine(
-        partition.P, transport=transport, recovery=recovery, fusion=fusion
-    )
+    machine = Machine(partition.P, transport=transport, recovery=recovery)
     algo = ParallelSTTSV(partition, tensor.n, backend)
     total = CommunicationLedger(partition.P)
     columns = []
@@ -100,7 +97,6 @@ def parallel_symmetric_mttkrp_batched(
     *,
     transport: Optional[Transport] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    fusion: bool = True,
 ) -> Tuple[np.ndarray, CommunicationLedger]:
     """Column-batched parallel MTTKRP: one exchange for all ``r`` columns.
 
@@ -113,9 +109,7 @@ def parallel_symmetric_mttkrp_batched(
     """
     X = _check_factor(tensor, X)
     n, r = X.shape
-    machine = Machine(
-        partition.P, transport=transport, recovery=recovery, fusion=fusion
-    )
+    machine = Machine(partition.P, transport=transport, recovery=recovery)
     algo = ParallelSTTSV(partition, n)
     b, shard = algo.b, algo.shard
     from repro.core.distribution import shard_bounds

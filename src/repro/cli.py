@@ -9,8 +9,8 @@ Commands
 ``analyze``     run Algorithm 5 on the simulator and compare measured
                 communication with the closed forms
 ``admissible``  list constructible processor counts
-``plan``        price every candidate configuration (variant × fusion ×
-                backend × plan strategy) under calibrated α-β-γ
+``plan``        price every candidate configuration (q × backend ×
+                variant × plan strategy) under calibrated α-β-γ
                 constants and print the decision table;
                 ``--calibrate`` refreshes the constants from
                 microbenchmarks first
@@ -186,7 +186,7 @@ def _run_analyze(args, trace_id: str) -> int:
                 representation.expected_words(engine, args.rank),
                 representation.lower_bound(engine.n_padded, P),
                 replay=representation.replay(engine),
-                transport=transport, fusion=args.fused,
+                transport=transport,
             )
             print(
                 f"  {verdict.backend:>16}: {verdict.words_per_processor:>8}"
@@ -200,13 +200,13 @@ def _run_analyze(args, trace_id: str) -> int:
                     else ""
                 )
             )
-            fusion = verdict.fusion_summary
-            if fusion.get("fused_rounds"):
+            fused = verdict.fusion_summary
+            if fused.get("fused_rounds"):
                 print(
-                    f"      fusion: {fusion['messages_fused']} physical"
-                    f" messages for {fusion['messages_logical']} scheduled"
-                    f" ({fusion['words_fused']} words incl. headers,"
-                    f" {fusion['fused_rounds']} fused exchanges)"
+                    f"      fusion: {fused['messages_fused']} physical"
+                    f" messages for {fused['messages_logical']} scheduled"
+                    f" ({fused['words_fused']} words incl. headers,"
+                    f" {fused['fused_rounds']} fused exchanges)"
                 )
             for warning in verdict.warnings:
                 print(f"      warning: {warning}")
@@ -286,15 +286,10 @@ def _command_plan(args) -> int:
         ))
     qs = tuple(args.q) if args.q else (2, 3)
     n = args.n if args.n else 4 * max(qs) * (max(qs) ** 2 + 1)
-    if args.fused is None:
-        fusion_options = (True, False)
-    else:
-        fusion_options = (args.fused,)
     decision = plan_sttsv(
         n,
         qs=qs,
         backends=backends,
-        fusion_options=fusion_options,
         calibration=calibration,
         Ps=args.P if args.P else None,
         rank=args.rank,
@@ -334,7 +329,6 @@ def _command_serve(args) -> int:
         max_wait_ms=args.max_wait_ms,
         admission_capacity=args.admission_capacity,
         faults=fault_policy,
-        fusion=args.fused,
         tracing=not args.no_tracing,
         calibration_path=args.calibration,
         accepted_orders=accepted_orders,
@@ -380,8 +374,6 @@ def _fleet_shard_args(args) -> list:
             shard_args += ["--order", str(order)]
     if args.calibration is not None:
         shard_args += ["--calibration", args.calibration]
-    if not args.fused:
-        shard_args.append("--no-fused")
     if args.no_tracing:
         shard_args.append("--no-tracing")
     return shard_args
@@ -631,15 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
         " algorithmic ledger counts are unchanged; recovery cost shows"
         " up in the retry counters",
     )
-    analyze.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="pack each exchange phase's transfers into per-destination"
-        " fused buffers (--no-fused moves every scheduled transfer as"
-        " its own message); algorithmic ledger counts are identical"
-        " either way",
-    )
     _add_backend_argument(analyze)
     analyze.set_defaults(func=_command_analyze)
 
@@ -708,13 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the per-flop compute rate (s) for gemm and gemv",
     )
     plan.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="restrict candidates to fused (--fused) or unfused"
-        " (--no-fused) execution; default considers both",
-    )
-    plan.add_argument(
         "--measure", action="store_true",
         help="execute the best parallel candidate and print measured vs"
         " predicted time",
@@ -762,13 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", type=str, default=None, metavar="SPEC",
         help="inject seeded transport faults into every session, e.g."
         " 'drop=0.05,seed=7' (recovery shows up in the retry counters)",
-    )
-    serve.add_argument(
-        "--fused",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="fuse each session's exchange rounds into per-destination"
-        " buffers (--no-fused disables; default fused)",
     )
     serve.add_argument(
         "--calibration", type=str, default=None, metavar="PATH",

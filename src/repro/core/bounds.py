@@ -49,11 +49,12 @@ def initial_ownership(n: int, P: int) -> float:
 
 def sttsv_lower_bound(n: int, P: int) -> float:
     """Theorem 5.2: some processor communicates at least
-    ``2 (n(n-1)(n-2)/P)^{1/3} − 2n/P`` words."""
+    ``2 (n(n-1)(n-2)/P)^{1/3} − 2n/P`` words, clamped at 0 (for tiny
+    ``n`` or ``P = 1`` the formula goes negative and bounds nothing)."""
     n = check_positive_int(n, "n")
     P = check_positive_int(P, "P")
     volume = n * (n - 1) * (n - 2)
-    return 2.0 * (volume / P) ** (1.0 / 3.0) - 2.0 * n / P
+    return max(0.0, 2.0 * (volume / P) ** (1.0 / 3.0) - 2.0 * n / P)
 
 
 def sttsv_lower_bound_leading(n: int, P: int) -> float:
@@ -137,6 +138,12 @@ def sequence_approach_bandwidth(n: int, P: int) -> float:
 
 def bound_tightness_ratio(n: int, q: int) -> float:
     """Optimal-algorithm cost divided by the lower bound — approaches 1
-    from above as n, q grow (exactly matching leading terms)."""
+    from above as n, q grow (exactly matching leading terms). Raises
+    where the bound is vacuous (0), since no ratio exists there."""
     P = processors_for_q(q)
-    return optimal_bandwidth_cost(n, q) / sttsv_lower_bound(n, P)
+    bound = sttsv_lower_bound(n, P)
+    if bound == 0.0:
+        raise ConfigurationError(
+            f"the lower bound is 0 at n={n}, P={P}; no tightness ratio"
+        )
+    return optimal_bandwidth_cost(n, q) / bound

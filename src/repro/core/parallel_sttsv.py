@@ -494,9 +494,9 @@ class ParallelSTTSV:
                 words[src] += len(blocks) * self.shard
         return words
 
-    def predicted_ledger(self, fusion: bool = True) -> CommunicationLedger:
-        """The exact ledger one :meth:`run` records on a machine with
-        this ``fusion`` setting, without moving a byte.
+    def predicted_ledger(self) -> CommunicationLedger:
+        """The exact ledger one :meth:`run` records, without moving a
+        byte.
 
         Prices the prebuilt batches of both phases through the same
         :class:`~repro.machine.cost.CostModel` calls execution makes: a
@@ -509,7 +509,7 @@ class ParallelSTTSV:
         ledger = CommunicationLedger(self.partition.P)
         for phase in (self.phase_x, self.phase_y):
             for rounds, plan in phase.batches:
-                if plan.fuses(fusion):
+                if plan.fuses(True):
                     cost.price_fused_batch(ledger, rounds, phase.tag, plan)
                     continue
                 for label, transfers in rounds:

@@ -24,7 +24,7 @@ path, so the algorithmic ledger is exact and transport-independent:
   words per step, so ``words/proc = (P − 1) · r`` in ``P − 1`` rounds.
 * ``all-to-all`` — every processor sends its own ``z_p`` directly to
   each of the ``P − 1`` others: the same ``(P − 1) · r`` words, in one
-  logical shift-round family (one fused exchange when fusion is on).
+  logical shift-round family, moved as one fused exchange.
 
 :func:`symk_words_per_processor` is that closed form; fault injection
 can add ``retry_*`` side-channel rounds and fusion adds ``fused_*``
@@ -43,15 +43,21 @@ answer the property suite asserts against.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.core.parallel_sttsv import CommBackend
 from repro.errors import ConfigurationError
-from repro.machine.collectives import all_gather, all_to_all
+from repro.machine.collectives import (
+    LabeledRound,
+    all_gather,
+    execute_rounds_fused,
+    schedule_all_to_all,
+)
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
+from repro.machine.transport import FusionPlan
 from repro.tensor.symk import SymKTensor
 
 __all__ = [
@@ -79,6 +85,19 @@ def symk_parallel_flops(P: int, n: int, rank: int) -> float:
     ``P`` ``r``-word partials."""
     b = -(-n // P)
     return 4.0 * b * rank + float(P * rank)
+
+
+class ZExchange(NamedTuple):
+    """The all-to-all exchange of ``rank``-word partials, built once
+    per engine and rank: one staging array per processor, the
+    ``P − 1`` shift rounds that send it to every other processor, and
+    their :class:`FusionPlan`. A run copies its partials into
+    ``partials`` and executes the prebuilt rounds."""
+
+    rank: int
+    partials: List[np.ndarray]
+    rounds: List[LabeledRound]
+    plan: FusionPlan
 
 
 class ParallelSymKTTSV:
@@ -115,6 +134,7 @@ class ParallelSymKTTSV:
         self._V_blocks: Optional[List[np.ndarray]] = None
         self._x_blocks: Optional[List[np.ndarray]] = None
         self._y_blocks: Optional[List[np.ndarray]] = None
+        self._z_exchange: Optional[ZExchange] = None
 
     # -- loading (out of the communication model) ---------------------------------
 
@@ -226,14 +246,33 @@ class ParallelSymKTTSV:
             return [[partials[0].copy()]]
         if self.backend is CommBackend.POINT_TO_POINT:
             return all_gather(machine, partials, tag="symk-z")
-        sendbufs = [
-            {dst: partials[src] for dst in range(self.P)}
-            for src in range(self.P)
-        ]
-        recv = all_to_all(machine, sendbufs, tag="symk-z")
-        return [
-            [recv[p][src] for src in range(self.P)] for p in range(self.P)
-        ]
+        exchange = self._all_to_all(partials[0].size)
+        for staged, partial in zip(exchange.partials, partials):
+            staged[...] = partial
+        delivered = execute_rounds_fused(
+            machine, exchange.rounds, "symk-z", plan=exchange.plan
+        )
+        gathered = [list(partials) for _ in range(self.P)]
+        # Shift round s carries p -> (p + s) mod P, in sender order.
+        for shift, arrays in enumerate(delivered, start=1):
+            for src, array in enumerate(arrays):
+                gathered[(src + shift) % self.P][src] = array
+        return gathered
+
+    def _all_to_all(self, rank: int) -> ZExchange:
+        """The prebuilt exchange at ``rank``, rebuilt only when the
+        rank changes (a streamed update or a new tensor)."""
+        exchange = self._z_exchange
+        if exchange is None or exchange.rank != rank:
+            partials = [np.zeros(rank) for _ in range(self.P)]
+            rounds = schedule_all_to_all(
+                [dict.fromkeys(range(self.P), z) for z in partials], "symk-z"
+            )
+            plan = FusionPlan([t for _, ts in rounds for t in ts])
+            exchange = self._z_exchange = ZExchange(
+                rank, partials, rounds, plan
+            )
+        return exchange
 
     @staticmethod
     def _reduce(pieces: List[np.ndarray]) -> np.ndarray:
@@ -277,16 +316,14 @@ class ParallelSymKTTSV:
             [self._V_blocks[p] @ w for p in range(self.P)]
         )[: self.n]
 
-    def predicted_ledger(
-        self, rank: int, fusion: bool = True
-    ) -> CommunicationLedger:
-        """The exact ledger one :meth:`run` at ``rank`` records on a
-        machine with this ``fusion`` setting: the engine's own exchange,
-        run on a fresh simulated machine with zero ``rank``-word
-        partials (the ledger depends only on their length)."""
+    def predicted_ledger(self, rank: int) -> CommunicationLedger:
+        """The exact ledger one :meth:`run` at ``rank`` records: the
+        engine's own exchange, run on a fresh simulated machine with
+        zero ``rank``-word partials (the ledger depends only on their
+        length)."""
         if rank < 1:
             raise ConfigurationError(f"need rank >= 1, got {rank}")
-        with Machine(self.P, fusion=fusion) as machine:
+        with Machine(self.P) as machine:
             self._exchange(machine, [np.zeros(rank)] * self.P)
         return machine.ledger
 

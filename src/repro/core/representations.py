@@ -171,8 +171,8 @@ class _SteinerRepresentation(Representation):
         bound = f"{self.lower_bound(n, P):>8.1f} words/proc"
         return [_line("lower bound", f"{bound} ({self.bound_note})")]
 
-    def ledger(self, engine, rank, fusion: bool):
-        return engine.predicted_ledger(fusion)
+    def ledger(self, engine, rank):
+        return engine.predicted_ledger()
 
     def flops(self, engine, rank) -> float:
         return _FLOPS_PER_TERNARY * max(
@@ -340,8 +340,8 @@ class SymK(Representation):
             _line("dense (order 3)", f"{dense:>8.1f} words/proc (2(n(q+1)/(q²+1) - n/P))"),
         ]
 
-    def ledger(self, engine, rank, fusion: bool):
-        return engine.predicted_ledger(rank, fusion)
+    def ledger(self, engine, rank):
+        return engine.predicted_ledger(rank)
 
     def flops(self, engine, rank) -> float:
         return symk_parallel_flops(engine.P, engine.n, rank)

@@ -182,7 +182,8 @@ def sttsv_ndim_ternary_count(n: int, d: int) -> int:
 
 def sttsv_ndim_lower_bound(n: int, P: int, d: int) -> float:
     """Generalized Theorem 5.2 (paper §8):
-    ``2 (n(n−1)···(n−d+1)/P)^{1/d} − 2n/P``.
+    ``2 (n(n−1)···(n−d+1)/P)^{1/d} − 2n/P``, clamped at 0 like
+    :func:`~repro.core.bounds.sttsv_lower_bound`.
 
     Derivation mirrors the 3-D case: the symmetrized Loomis–Whitney
     inequality becomes ``d!|V| <= |∪ φ|^d``, the load-balance constraint
@@ -195,4 +196,4 @@ def sttsv_ndim_lower_bound(n: int, P: int, d: int) -> float:
     if d > n:
         raise ConfigurationError(f"order d={d} exceeds dimension n={n}")
     volume = falling_factorial(n, d)
-    return 2.0 * (volume / P) ** (1.0 / d) - 2.0 * n / P
+    return max(0.0, 2.0 * (volume / P) ** (1.0 / d) - 2.0 * n / P)

@@ -49,7 +49,6 @@ class RunVerdict:
     # Fusion side-channel (DESIGN.md §11): what the transport
     # physically moved when batches of rounds were fused — the
     # algorithmic counts above always describe the unfused schedule.
-    fusion: bool = True
     fusion_summary: Dict[str, int] = field(default_factory=dict)
     #: Result == serial replay, bitwise (``None``: no replay given).
     bitwise: Optional[bool] = None
@@ -83,7 +82,6 @@ def verify_sttsv_run(
     tolerance: float = 1e-9,
     transport: Optional[Transport] = None,
     recovery: Optional[RecoveryPolicy] = None,
-    fusion: bool = True,
 ) -> RunVerdict:
     """Run ``engine`` once on ``tensor`` and ``x`` and return the full
     verdict: the result must match ``oracle(tensor, x)`` within
@@ -93,13 +91,13 @@ def verify_sttsv_run(
 
     The ledger checks are transport-independent: under an
     injected-fault ``transport`` redelivery is accounted in the
-    ``retry_*`` fields, never in ``words_sent``, and ``fusion`` only
-    changes the ``fusion_summary`` side-channel. ``recovery`` bounds
+    ``retry_*`` fields, never in ``words_sent``, and fused batches
+    show only in the ``fusion_summary`` side-channel. ``recovery`` bounds
     the retry loop. The caller owns the transport (``close()``).
     """
     expected_words = list(expected_words)
     P = len(expected_words)
-    machine = Machine(P, transport=transport, recovery=recovery, fusion=fusion)
+    machine = Machine(P, transport=transport, recovery=recovery)
     engine.load(machine, tensor, x)
     engine.run(machine)
     result = engine.gather_result(machine)
@@ -148,7 +146,6 @@ def verify_sttsv_run(
         retry_messages=machine.ledger.retry_messages,
         failed_over=machine.failed_over,
         warnings=list(machine.instrument.warnings),
-        fusion=machine.fusion,
         fusion_summary=machine.ledger.fusion_summary(),
         bitwise=bitwise,
     )

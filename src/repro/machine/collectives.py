@@ -35,9 +35,10 @@ If the transport itself dies mid-round — e.g. the shared-memory worker
 pool loses a process — and the machine allows failover, the round is
 re-executed on a fresh in-process transport (DESIGN.md §8).
 
-When ``machine.fusion`` is on (the default), batchable schedules —
-the point-to-point permutation rounds and the All-to-All shifts — are
-executed through :func:`execute_rounds_fused`: the whole batch's
+Batchable schedules — the point-to-point permutation rounds and the
+All-to-All shifts — are executed through :func:`execute_rounds_fused`
+(per round only on a ``Machine(fusion=False)``, the per-round
+reference the fusion tests compare against): the whole batch's
 transfers are packed into one buffer per destination
 (:mod:`repro.machine.transport.fusion`) so the transport moves
 O(active destinations) physical messages, while the ledger is still
@@ -386,6 +387,23 @@ def all_to_all(
     for src in range(P):
         if src in sendbufs[src]:
             recv[src][src] = np.array(sendbufs[src][src], copy=True)
+    labeled = schedule_all_to_all(sendbufs, tag)
+    _deliver(recv, labeled, execute_rounds_fused(machine, labeled, tag))
+    return recv
+
+
+def schedule_all_to_all(
+    sendbufs: SendBuffers, tag: str = "all-to-all"
+) -> List[LabeledRound]:
+    """The ``P − 1`` shift rounds of an All-to-All (labels
+    ``{tag}:shift{s}``; round ``s`` sends ``sendbufs[p][(p + s) mod P]``
+    for every ``p``, skipping missing and empty buffers).
+
+    Shared front half of :func:`all_to_all`, exposed so a caller that
+    exchanges the same buffers many times (the low-rank engine's
+    partial sums) builds the schedule and its :class:`FusionPlan` once.
+    """
+    P = len(sendbufs)
     labeled: List[LabeledRound] = []
     for shift in range(1, P):
         transfers: List[Transfer] = []
@@ -396,17 +414,18 @@ def all_to_all(
                 continue
             transfers.append(Transfer(src, dst, payload))
         labeled.append((f"{tag}:shift{shift}", transfers))
-    if machine.fusion:
-        delivered_rounds = execute_rounds_fused(machine, labeled, tag)
-    else:
-        delivered_rounds = [
-            execute_round(machine, label, tag, transfers)
-            for label, transfers in labeled
-        ]
+    return labeled
+
+
+def _deliver(
+    recv: List[Dict[int, np.ndarray]],
+    labeled: Sequence[LabeledRound],
+    delivered_rounds: Sequence[List[np.ndarray]],
+) -> None:
+    """File each round's deliveries as ``recv[dst][src]``."""
     for (_, transfers), delivered in zip(labeled, delivered_rounds):
         for transfer, array in zip(transfers, delivered):
             recv[transfer.dest][transfer.source] = array
-    return recv
 
 
 def all_to_all_words(sendbufs: SendBuffers) -> List[int]:
@@ -445,16 +464,7 @@ def point_to_point_rounds(
     P = machine.P
     recv: List[Dict[int, np.ndarray]] = [{} for _ in range(P)]
     labeled = schedule_point_to_point(rounds, payload_for, tag=tag)
-    if machine.fusion:
-        delivered_rounds = execute_rounds_fused(machine, labeled, tag)
-    else:
-        delivered_rounds = [
-            execute_round(machine, label, tag, transfers)
-            for label, transfers in labeled
-        ]
-    for (_, transfers), delivered in zip(labeled, delivered_rounds):
-        for transfer, array in zip(transfers, delivered):
-            recv[transfer.dest][transfer.source] = array
+    _deliver(recv, labeled, execute_rounds_fused(machine, labeled, tag))
     return recv
 
 

@@ -2,9 +2,9 @@
 
 ``plan_sttsv`` is the autotuning entry point: enumerate every valid
 configuration for a tensor — representation, communication variant
-(point-to-point vs All-to-All), fused vs unfused execution, transport
-backend, plan strategy, batch width — price each one from the exact
-ledger its own engine predicts under calibrated α-β-γ constants
+(point-to-point vs All-to-All), transport backend, plan strategy,
+batch width — price each one from the exact fused ledger its own
+engine predicts under calibrated α-β-γ constants
 (:mod:`repro.planner.calibration`), and return the argmin with the
 full priced table. The representation registry
 (:mod:`repro.core.representations`) supplies each candidate's engine,
@@ -21,8 +21,8 @@ back. Both flips are pinned by tests.
 Ties are broken deterministically: candidates are priced in a fixed
 enumeration order and sorting is stable, so equal-cost configurations
 resolve to the earliest-enumerated one (simulated before shm,
-point-to-point before All-to-All, fused before unfused, smaller batch
-widths first) — the planner never dithers between equivalent choices.
+point-to-point before All-to-All, smaller batch widths first) — the
+planner never dithers between equivalent choices.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ DEFAULT_BATCH_WIDTHS = (1, 8, 32)
 class Candidate:
     """One runnable configuration.
 
-    ``mode="parallel"`` candidates carry ``(q, P, backend, variant,
-    fusion)`` and serve through Algorithm 5 on the warm machine;
+    ``mode="parallel"`` candidates carry ``(q, P, backend, variant)``
+    and serve through Algorithm 5 on the warm machine;
     ``mode="plan"`` candidates carry ``(strategy, batch_width)`` and
     serve through the compiled sequential plan (no communication).
     ``representation`` is the registry name; ``"symk"`` candidates
@@ -69,7 +69,6 @@ class Candidate:
     P: Optional[int] = None
     backend: Optional[str] = None
     variant: Optional[str] = None
-    fusion: Optional[bool] = None
     strategy: Optional[str] = None
     batch_width: Optional[int] = None
     representation: str = "dense-3"
@@ -78,10 +77,7 @@ class Candidate:
     def label(self) -> str:
         representation = representation_named(self.representation)
         if self.mode == "parallel":
-            body = (
-                f"parallel q={self.q} {self.backend} {self.variant}"
-                f" {'fused' if self.fusion else 'unfused'}"
-            )
+            body = f"parallel q={self.q} {self.backend} {self.variant}"
         else:
             body = representation.plan_label(
                 self.strategy, self.batch_width, self.rank
@@ -152,7 +148,6 @@ class PlanDecision:
                 P=parallel.P,
                 backend=parallel.backend,
                 variant=parallel.variant,
-                fusion=parallel.fusion,
             )
         if self.best_plan is not None:
             plan = self.best_plan.candidate
@@ -170,8 +165,6 @@ def _price_parallel(
     calibration: Calibration,
 ) -> PricedCandidate:
     model = calibration.cost_model(candidate.backend, gamma=gamma)
-    # On an unfused ledger (no fused rounds) this is exactly
-    # ``communication_time``: α · rounds + β · Σ per-round max words.
     comm = model.fused_communication_time(ledger)
     compute = model.computation_time(flops)
     return PricedCandidate(
@@ -197,38 +190,36 @@ def _price_engines(
     order: int,
     backends: Sequence[str],
     variants: Sequence[str],
-    fusion_options: Sequence[bool],
     calibration: Calibration,
 ) -> List[PricedCandidate]:
-    """Price every ``(backend, variant, fusion)`` one representation
-    runs at ``(q, P)``, in that enumeration order. One engine is built
-    per variant; every backend prices its ledgers under its own α-β.
+    """Price every ``(backend, variant)`` one representation runs at
+    ``(q, P)``, in that enumeration order. One engine is built per
+    variant; every backend prices its ledger under its own α-β.
     """
     gamma = getattr(calibration.compute, representation.rate)
     variants = [
         v for v in variants if CommBackend(v) in representation.variants
     ]
-    costs: Dict[Tuple[str, bool], Tuple[CommunicationLedger, float]] = {}
+    costs: Dict[str, Tuple[CommunicationLedger, float]] = {}
     for variant in variants:
         engine = representation.engine(q, P, n, order, variant)
-        flops = representation.flops(engine, rank)
-        for fusion in fusion_options:
-            ledger = representation.ledger(engine, rank, fusion)
-            costs[variant, fusion] = (ledger, flops)
+        costs[variant] = (
+            representation.ledger(engine, rank),
+            representation.flops(engine, rank),
+        )
     template = Candidate(
         mode="parallel", q=q, P=P, representation=representation.name,
         rank=rank,
     )
     return [
         _price_parallel(
-            replace(template, backend=backend, variant=variant, fusion=fusion),
-            *costs[variant, fusion],
+            replace(template, backend=backend, variant=variant),
+            *costs[variant],
             gamma,
             calibration,
         )
         for backend in backends
         for variant in variants
-        for fusion in fusion_options
     ]
 
 
@@ -269,7 +260,6 @@ def plan_sttsv(
     qs: Sequence[int],
     backends: Sequence[str] = ("simulated",),
     variants: Sequence[str] = VARIANTS,
-    fusion_options: Sequence[bool] = (True, False),
     strategies: Sequence[str] = STRATEGIES,
     batch_widths: Sequence[int] = DEFAULT_BATCH_WIDTHS,
     calibration: Optional[Calibration] = None,
@@ -329,7 +319,7 @@ def plan_sttsv(
             priced.extend(
                 _price_engines(
                     representation, q, P, n, rank, order, backends,
-                    variants, fusion_options, calibration,
+                    variants, calibration,
                 )
             )
     for representation in representations:
@@ -358,21 +348,19 @@ def auto_config(
     order: int = 3,
     backends: Sequence[str] = ("simulated",),
     calibration: Optional[Calibration] = None,
-    fusion_options: Sequence[bool] = (True,),
 ) -> Dict:
     """The serving layer's auto-mode hook: the best configuration for
     one registered tensor of ``representation`` at a fixed ``(q, P)``.
 
-    ``fusion_options`` defaults to fused-only because the server
-    controls fusion globally. Stable sort and enumeration-order ties
-    resolve a replayed registration identically on every shard.
+    Stable sort and enumeration-order ties resolve a replayed
+    registration identically on every shard.
     """
     calibration = (
         calibration if calibration is not None else Calibration.default()
     )
     priced = _price_engines(
         representation, q, P, n, rank, order, backends, VARIANTS,
-        fusion_options, calibration,
+        calibration,
     ) + _price_plans(
         representation, n, rank, STRATEGIES, DEFAULT_BATCH_WIDTHS,
         calibration,
@@ -415,7 +403,6 @@ def measure_candidate(
     with Machine(
         candidate.P,
         transport=make_transport(candidate.backend, candidate.P),
-        fusion=bool(candidate.fusion),
     ) as machine:
         engine.load_tensor(machine, tensor)
         for _ in range(repeats):

@@ -15,7 +15,6 @@ _COLUMNS = (
     "P",
     "backend",
     "variant",
-    "fused",
     "strategy",
     "batch",
     "rounds",
@@ -40,7 +39,6 @@ def _row(rank: int, priced: PricedCandidate, best: bool) -> List[str]:
         str(c.P) if c.P is not None else "-",
         c.backend or "-",
         c.variant or "-",
-        ("yes" if c.fusion else "no") if c.fusion is not None else "-",
         c.strategy or "-",
         str(c.batch_width) if c.batch_width is not None else "-",
         str(priced.physical_rounds),

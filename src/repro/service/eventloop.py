@@ -24,7 +24,8 @@ discipline the batcher applies one layer down.
 
 :class:`STTSVServer` (engine work) and :class:`STTSVGateway`
 (shard routing) are both fronts over this class; the only part they
-implement is ``handle_request``.
+implement is ``handle_request``. The loop counts connections, bad
+frames and typed errors itself, in :attr:`FrameLoopServer.metrics`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.service.metrics import ServerMetrics
 from repro.service.protocol import (
     ErrorCode,
     FrameReader,
@@ -102,8 +104,9 @@ class FrameLoopServer:
     """Selector-driven TCP server speaking the length-prefixed protocol.
 
     Subclasses implement :meth:`handle_request` (runs on an executor
-    thread; may block) and the ``note_*`` / ``on_*`` hooks for their
-    own metrics and lifecycle. The public surface — ``start`` /
+    thread; may block) and the ``on_*`` lifecycle hooks; the ``note_*``
+    hooks count into :attr:`metrics`, which subclasses share for their
+    own counters. The public surface — ``start`` /
     ``stop`` / ``wait`` / ``address`` / context manager — matches the
     old thread-per-connection server exactly.
     """
@@ -145,6 +148,7 @@ class FrameLoopServer:
         self._running = False
         self._stop_lock = threading.Lock()
         self._stop_event = threading.Event()
+        self.metrics = ServerMetrics()
 
     # -- subclass hooks --------------------------------------------------------
 
@@ -168,12 +172,22 @@ class FrameLoopServer:
 
     def note_connection(self) -> None:
         """A connection was accepted."""
+        self.metrics.incr("connections_opened")
 
     def note_bad_frame(self) -> None:
         """A connection sent an unparseable frame."""
+        self.metrics.incr("bad_requests")
 
     def note_error(self, code: ErrorCode) -> None:
         """A request produced a typed ``ERROR`` reply."""
+        if code == ErrorCode.OVERLOADED:
+            self.metrics.incr("rejected_overload")
+        elif code == ErrorCode.DEADLINE_EXCEEDED:
+            self.metrics.incr("deadline_exceeded")
+        elif code == ErrorCode.INTERNAL:
+            self.metrics.incr("internal_errors")
+        else:
+            self.metrics.incr("bad_requests")
 
     def on_start(self) -> None:
         """Runs inside :meth:`start`, after the socket is listening."""

@@ -65,7 +65,6 @@ from repro.service.eventloop import (
     FrameLoopServer,
     Reply,
 )
-from repro.service.metrics import ServerMetrics
 from repro.service.protocol import (
     ErrorCode,
     MessageType,
@@ -230,7 +229,6 @@ class STTSVGateway(FrameLoopServer):
         self.replication = replication
         self.backend_timeout_s = backend_timeout_s
         self.registry = registry if registry is not None else default_registry()
-        self.metrics = ServerMetrics()
         self._ring = HashRing(vnodes=vnodes)
         self._backends: Dict[str, _Backend] = {}
         self._tensors: Dict[str, _TensorRecord] = {}
@@ -280,24 +278,6 @@ class STTSVGateway(FrameLoopServer):
     def __enter__(self) -> "STTSVGateway":
         self.start()
         return self
-
-    # -- loop hooks ------------------------------------------------------------
-
-    def note_connection(self) -> None:
-        self.metrics.incr("connections_opened")
-
-    def note_bad_frame(self) -> None:
-        self.metrics.incr("bad_requests")
-
-    def note_error(self, code: ErrorCode) -> None:
-        if code == ErrorCode.OVERLOADED:
-            self.metrics.incr("rejected_overload")
-        elif code == ErrorCode.DEADLINE_EXCEEDED:
-            self.metrics.incr("deadline_exceeded")
-        elif code == ErrorCode.INTERNAL:
-            self.metrics.incr("internal_errors")
-        else:
-            self.metrics.incr("bad_requests")
 
     # -- membership ------------------------------------------------------------
 

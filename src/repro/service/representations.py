@@ -48,15 +48,12 @@ class Registration(NamedTuple):
     variant: str
     strategy: str
 
-    def resolved(
-        self, calibration_path: Optional[str], fusion: bool
-    ) -> "Registration":
+    def resolved(self, calibration_path: Optional[str]) -> "Registration":
         """Fill the fields left on ``auto`` from the planner.
 
         Deterministic given the calibration file (or its absence): ties
         break in enumeration order, so every shard behind the gateway
-        resolves a replayed registration identically. Fusion candidates
-        are pinned to the server's own ``fusion`` setting.
+        resolves a replayed registration identically.
         """
         config = auto_config(
             self.representation, self.n, self.q, self.P, self.rank,
@@ -67,7 +64,6 @@ class Registration(NamedTuple):
                 else (self.backend,)
             ),
             calibration=Calibration.load_or_default(calibration_path),
-            fusion_options=(fusion,),
         )
         return self._replace(**{
             field: config[field]

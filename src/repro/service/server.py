@@ -57,7 +57,6 @@ from repro.service.eventloop import (
     FrameLoopServer,
     Reply,
 )
-from repro.service.metrics import ServerMetrics
 from repro.service.protocol import (
     ErrorCode,
     MessageType,
@@ -107,7 +106,6 @@ class STTSVServer(FrameLoopServer):
         max_wait_ms: float = 0.0,
         admission_capacity: int = DEFAULT_ADMISSION_CAPACITY,
         faults: Optional[FaultPolicy] = None,
-        fusion: bool = True,
         tracing: bool = True,
         registry: Optional[MetricsRegistry] = None,
         executor_workers: int = DEFAULT_EXECUTOR_WORKERS,
@@ -126,9 +124,6 @@ class STTSVServer(FrameLoopServer):
         #: Tensor orders this server admits at registration, for the
         #: representations that are order-gated (the dense ones).
         self.accepted_orders = tuple(accepted_orders)
-        #: Whether sessions created by this server fuse their exchange
-        #: rounds into per-destination buffers (default on).
-        self.fusion = fusion
         #: Calibration file auto-mode registrations price with (None =
         #: the default path, falling back to documented constants).
         self.calibration_path = calibration_path
@@ -137,7 +132,6 @@ class STTSVServer(FrameLoopServer):
         self.tracing = tracing
         self.registry = registry if registry is not None else default_registry()
         self._tracer_was_enabled = False
-        self.metrics = ServerMetrics()
         self.pool = SessionPool(
             max_sessions=max_sessions,
             byte_budget=session_byte_budget,
@@ -176,24 +170,6 @@ class STTSVServer(FrameLoopServer):
     def __enter__(self) -> "STTSVServer":
         self.start()
         return self
-
-    # -- loop hooks ------------------------------------------------------------
-
-    def note_connection(self) -> None:
-        self.metrics.incr("connections_opened")
-
-    def note_bad_frame(self) -> None:
-        self.metrics.incr("bad_requests")
-
-    def note_error(self, code: ErrorCode) -> None:
-        if code == ErrorCode.OVERLOADED:
-            self.metrics.incr("rejected_overload")
-        elif code == ErrorCode.DEADLINE_EXCEEDED:
-            self.metrics.incr("deadline_exceeded")
-        elif code == ErrorCode.INTERNAL:
-            self.metrics.incr("internal_errors")
-        else:
-            self.metrics.incr("bad_requests")
 
     # -- callbacks -------------------------------------------------------------
 
@@ -351,9 +327,7 @@ class STTSVServer(FrameLoopServer):
             )
         planned = "auto" in (registration.backend, registration.variant)
         if planned:
-            registration = registration.resolved(
-                self.calibration_path, self.fusion
-            )
+            registration = registration.resolved(self.calibration_path)
         data = decode_array(header, body, expected_ndim=1)
         tensor = representation.decode(registration, data)
         key = SessionKey(
@@ -371,7 +345,6 @@ class STTSVServer(FrameLoopServer):
             tensor,
             strategy=registration.strategy,
             faults=self.faults,
-            fusion=self.fusion,
             variant=registration.variant,
         )
         with self._routes_lock:
@@ -682,7 +655,6 @@ class STTSVServer(FrameLoopServer):
                 "executor_workers": self.executor_workers,
                 "max_inflight": self.max_inflight,
                 "faults": self.faults is not None and self.faults.enabled,
-                "fusion": self.fusion,
                 "accepted_orders": list(self.accepted_orders),
                 "tracing": get_tracer().enabled,
             },

@@ -96,7 +96,6 @@ class EngineSession:
         tensor,
         strategy: str = "auto",
         faults: Optional[FaultPolicy] = None,
-        fusion: bool = True,
         variant: str = "point-to-point",
     ):
         self.representation = key.representation
@@ -104,12 +103,10 @@ class EngineSession:
         self.tensor = tensor
         self.n = tensor.n
         self.faults = faults
-        self.fusion = fusion
         self.variant = CommBackend(variant)
         self.machine = Machine(
             key.P,
             transport=make_transport(key.backend, key.P, faults=faults),
-            fusion=fusion,
         )
         try:
             self.algo = self.representation.engine(
@@ -223,7 +220,6 @@ class EngineSession:
             "backend": self.key.backend,
             "variant": self.variant.value,
             "plan_strategy": self.plan.strategy,
-            "fusion": self.fusion,
             "session_bytes": self.nbytes(),
             **self.metrics.snapshot(),
             "phases": self.machine.instrument.as_dict(),

@@ -9,8 +9,11 @@ engine and machine and require each run to be exactly a freshly built
 engine's run: ``y`` bitwise, and every ledger field (per-processor
 counters, round labels, messages, ``fused`` flags, ``retry_*`` and
 ``fused_*``), and that ledger must equal the engine's own
-``predicted_ledger``. Any state that leaked through the reused
-buffers, plans or priced ledgers would break one of them.
+``predicted_ledger`` (its algorithmic fields, on a per-round
+``Machine(fusion=False)`` reference). Any state that leaked through
+the reused buffers, plans or priced ledgers would break one of them.
+The low-rank engine's prebuilt all-to-all exchange is held to the same
+standard, across rank-1 updates that rebuild it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import pytest
 
 from repro.core.distribution import assemble_vector
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
+from repro.core.parallel_symk import ParallelSymKTTSV
 from repro.core.partition import TetrahedralPartition
 from repro.core.partition_ndim import QuadruplePartition
 from repro.errors import PartitionError
@@ -31,6 +35,7 @@ from repro.steiner import boolean_steiner_system, spherical_steiner_system
 from repro.tensor.dense import random_symmetric
 from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_packed_size
 from repro.tensor.sparse import SparseSymmetricTensor
+from repro.tensor.symk import random_symk
 
 RUNS = 3
 
@@ -86,6 +91,16 @@ def _fingerprint(ledger):
     }
 
 
+def _algorithmic(fingerprint):
+    """A fingerprint without the ``fused`` tags and side-channel: what a
+    fused run and its per-round reference run share."""
+    return {
+        **fingerprint,
+        "rounds": [(label, msgs) for label, _, msgs in fingerprint["rounds"]],
+        "fused": None,
+    }
+
+
 def _machine(P, transport, fusion, faults=None):
     return Machine(
         P, transport=make_transport(transport, P, faults=faults), fusion=fusion
@@ -133,9 +148,10 @@ class TestReusedEngineMatchesFresh:
         rng = np.random.default_rng([q, n, int(fusion)])
         tensor = _tensor(kind, n, rng)
         partition = _partition(kind, q)
+        view = (lambda fingerprint: fingerprint) if fusion else _algorithmic
         with _machine(partition.P, transport, fusion) as machine:
             algo = ParallelSTTSV(partition, n, backend)
-            predicted = _fingerprint(algo.predicted_ledger(fusion))
+            predicted = view(_fingerprint(algo.predicted_ledger()))
             algo.load_tensor(machine, tensor)
             for _ in range(RUNS):
                 x = _vector(kind, n, rng)
@@ -151,7 +167,7 @@ class TestReusedEngineMatchesFresh:
                 )
                 assert _fingerprint(machine.ledger) == fresh_ledger
                 assert machine.ledger.words_sent == algo.words_per_processor()
-                assert predicted == fresh_ledger
+                assert predicted == view(fresh_ledger)
 
     def test_stored_shards_are_not_overwritten_by_later_runs(self):
         """A run's ``y_shards`` stay valid after the next run."""
@@ -170,6 +186,49 @@ class TestReusedEngineMatchesFresh:
             algo.run(machine)
             rebuilt = assemble_vector(partition, first, algo.b, original_length=n)
         assert np.array_equal(rebuilt, y_first)
+
+
+class TestReusedSymkEngineMatchesFresh:
+    """The low-rank engine builds its all-to-all schedule and fusion
+    plan once per rank and restages its partials into them every run."""
+
+    P, N = 10, 40
+
+    def _fresh_run(self, tensor, x):
+        algo = ParallelSymKTTSV(self.P, self.N, backend=CommBackend.ALL_TO_ALL)
+        with Machine(self.P) as machine:
+            algo.load(machine, tensor, x)
+            algo.run(machine)
+            return algo.gather_result(machine), _fingerprint(machine.ledger)
+
+    def test_runs_and_rank1_updates_equal_fresh_engine_runs(self):
+        rng = np.random.default_rng(21)
+        tensor = random_symk(self.N, 4, seed=22)
+        algo = ParallelSymKTTSV(self.P, self.N, backend=CommBackend.ALL_TO_ALL)
+        with Machine(self.P) as machine:
+            algo.load_tensor(machine, tensor)
+            for update in range(3):
+                for _ in range(RUNS):
+                    x = rng.standard_normal(self.N)
+                    machine.reset_ledger()
+                    algo.load_vector(machine, x)
+                    algo.run(machine)
+                    y = algo.gather_result(machine)
+                    fresh_y, fresh_ledger = self._fresh_run(tensor, x)
+                    assert np.array_equal(
+                        y.view(np.uint64), fresh_y.view(np.uint64)
+                    )
+                    assert _fingerprint(machine.ledger) == fresh_ledger
+                    assert fresh_ledger == _fingerprint(
+                        algo.predicted_ledger(algo.r)
+                    )
+                    assert machine.ledger.max_words_sent() == (
+                        (self.P - 1) * tensor.r
+                    )
+                weight, vector = rng.standard_normal(), rng.standard_normal(self.N)
+                assert algo.rank1_update(weight, vector) == (
+                    tensor.rank1_update(weight, vector)
+                )
 
 
 class TestFaultInjectedReuse:

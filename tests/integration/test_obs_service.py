@@ -4,13 +4,18 @@ demonstrated in both exporter formats (Prometheus text and JSON-lines
 spans), which is the PR's headline acceptance criterion.
 """
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.obs.export import spans_from_jsonl
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import get_tracer
 from repro.reporting.trace import service_table, trace_table
 from repro.service.client import ServiceClient
+from repro.service.gateway import STTSVGateway
+from repro.service.protocol import ServiceError
 from repro.service.server import STTSVServer
 from repro.tensor.dense import random_symmetric
 
@@ -176,3 +181,61 @@ def test_session_eviction_emits_event_span(server):
         ]
         assert evictions
         assert any("one@" in s.name for s in evictions)
+
+
+#: The loop-hook counters both endpoints report, under STATS ``server``.
+_LOOP_COUNTERS = [
+    "accepted", "bad_requests", "connections_opened", "deadline_exceeded",
+    "internal_errors", "registrations", "rejected_overload", "updates",
+]
+
+#: Each endpoint's Prometheus families, in exposition order.
+_FAMILIES = {
+    "server": [
+        "sttsv_server_events_total", "sttsv_queue_depth",
+        "sttsv_open_connections", "sttsv_pool_sessions", "sttsv_pool_bytes",
+        "sttsv_pool_evictions_total", "sttsv_session_requests_total",
+        "sttsv_session_batch_requests_total",
+        "sttsv_session_parallel_runs_total",
+        "sttsv_session_comm_rounds_total", "sttsv_session_comm_words_total",
+        "sttsv_session_retry_rounds_total", "sttsv_session_retry_words_total",
+        "sttsv_session_retry_messages_total", "sttsv_session_latency_ms",
+    ],
+    "gateway": [
+        "sttsv_ring_backends", "sttsv_gateway_shard_state",
+        "sttsv_gateway_shard_requests_total",
+        "sttsv_gateway_resident_tensors", "sttsv_gateway_events_total",
+        "sttsv_gateway_server_events_total",
+    ],
+}
+
+
+def test_loop_counters_keep_their_stats_keys_and_families():
+    """Server and gateway count connections, bad frames and typed
+    errors through the one ``FrameLoopServer.metrics``; the STATS keys
+    and Prometheus families they export are unchanged by that."""
+    with STTSVServer(registry=MetricsRegistry()) as srv:
+        _register(srv)  # session families appear with a session
+        with STTSVGateway(
+            [srv.address], replication=1, registry=MetricsRegistry()
+        ) as gateway:
+            for name, endpoint in (("server", srv), ("gateway", gateway)):
+                with ServiceClient(*endpoint.address) as client:
+                    with pytest.raises(ServiceError):
+                        client.apply("missing", np.ones(N))
+                    stats = client.stats()
+                    text = client.metrics_text()
+                counters = (
+                    stats["server"] if name == "server"
+                    else stats["gateway"]["server"]
+                )
+                counters.pop("queue_depth", None)
+                assert sorted(counters) == _LOOP_COUNTERS
+                assert counters["connections_opened"] >= 1
+                assert counters["bad_requests"] >= 1
+                families = re.findall(r"^# TYPE (\S+) ", text, re.M)
+                assert families == _FAMILIES[name]
+                events = _FAMILIES[name][-1 if name == "gateway" else 0]
+                assert sorted(
+                    re.findall(rf'^{events}{{event="(\w+)"}}', text, re.M)
+                ) == _LOOP_COUNTERS

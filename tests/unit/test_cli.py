@@ -49,6 +49,13 @@ class TestBound:
         out = capsys.readouterr().out
         assert "lower bound" in out
 
+    @pytest.mark.parametrize("d", ["3", "4"])
+    def test_vacuous_bound_is_zero_not_negative(self, d, capsys):
+        # At P=1 the formula is 2(n!/(n-d)!)^(1/d) - 2n < 0.
+        assert main(["bound", "--n", "8", "--p", "1", "--d", d]) == 0
+        out = capsys.readouterr().out
+        assert f"P=1, d={d}): 0.00 words per processor" in out
+
 
 class TestAnalyze:
     def test_q2_defaults(self, capsys):
@@ -78,18 +85,13 @@ class TestPlan:
         assert "session config:" in out
 
     def test_alpha_override_flips_to_all_to_all(self, capsys):
-        assert main(
-            ["plan", "--q", "3", "--alpha", "1e-2", "--fused"]
-        ) == 0
+        assert main(["plan", "--q", "3", "--alpha", "1e-2"]) == 0
         out = capsys.readouterr().out
         assert "variant=all-to-all" in out
 
     def test_beta_override_flips_to_point_to_point(self, capsys):
         assert main(
-            [
-                "plan", "--q", "3",
-                "--alpha", "1e-9", "--beta", "1e-3", "--fused",
-            ]
+            ["plan", "--q", "3", "--alpha", "1e-9", "--beta", "1e-3"]
         ) == 0
         out = capsys.readouterr().out
         assert "variant=point-to-point" in out
@@ -105,6 +107,42 @@ class TestPlan:
         # A second run loads the same file instead of re-measuring.
         assert main(["plan", "--q", "2", "--calibration", path]) == 0
         assert "measured constants" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args,best,config",
+        [
+            (
+                ["--q", "2"],
+                "best: parallel q=2 simulated all-to-all",
+                "session config: P=10, backend=simulated, batch_width=8,"
+                " n=40, q=2, strategy=gemm, variant=all-to-all",
+            ),
+            (
+                ["--q", "3", "--P", "30"],
+                "best: parallel q=3 simulated all-to-all",
+                "session config: P=30, backend=simulated, batch_width=8,"
+                " n=120, q=3, strategy=gemm, variant=all-to-all",
+            ),
+            (
+                ["--q", "2", "--rank", "4", "--n", "60"],
+                "best: symk plan r=4",
+                "session config: P=10, backend=simulated, batch_width=1,"
+                " n=60, q=2, strategy=symk, variant=all-to-all",
+            ),
+        ],
+        ids=["q2", "q3-P30", "q2-rank4"],
+    )
+    def test_decision_unchanged_without_fusion_axis(
+        self, args, best, config, capsys
+    ):
+        """The argmin and session config are the ones the planner chose
+        while it still priced unfused candidates too, minus the
+        ``fused`` label suffix and the ``fusion=True`` config field."""
+        assert main(["plan", *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert best in lines
+        assert config in lines
+        assert not any("fused" in line for line in lines)
 
     def test_mismatched_P_reports_error(self, capsys):
         assert main(["plan", "--q", "2", "--P", "999"]) == 2
@@ -157,6 +195,16 @@ class TestSymv:
         assert "P = 13" in capsys.readouterr().out
 
 
+class TestFusionFlagsRemoved:
+    """Fusion is how exchanges run; no command offers the opt-out."""
+
+    @pytest.mark.parametrize("command", ["analyze", "plan", "serve"])
+    @pytest.mark.parametrize("flag", ["--fused", "--no-fused"])
+    def test_flag_is_rejected(self, command, flag, capsys):
+        assert main([command, flag]) == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestAnalyzeAudit:
     def test_audit_passes(self, capsys):
         assert main(["analyze", "--q", "2", "--audit"]) == 0
@@ -173,6 +221,13 @@ class TestLowRank:
         assert "36 words/proc" in out  # (10-1)*4
         assert "bitwise" in out
         assert "MISMATCH" not in out
+
+    def test_order4_vacuous_bound_is_zero(self, capsys):
+        # SQS(4) is one processor; the order-4 formula is negative there.
+        assert main(["analyze", "--order", "4", "--sqs", "2", "--n", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "lower bound:      0.0 words/proc" in out
+        assert "-0." not in out and "lower bound: -" not in out
 
     def test_analyze_rank_rejects_sqs(self, capsys):
         assert main(["analyze", "--sqs", "3", "--rank", "4"]) == 2

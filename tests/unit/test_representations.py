@@ -89,7 +89,7 @@ class TestEveryRepresentation:
             assert np.allclose(y, rep.oracle(tensor, x), rtol=1e-9, atol=1e-9)
             assert machine.ledger.words_sent == rep.expected_words(engine, rank)
             assert _ledger_fields(
-                rep.ledger(engine, rank, True)
+                rep.ledger(engine, rank)
             ) == _ledger_fields(machine.ledger)
 
     def test_encode_decode_round_trip(self, representation, q, order, rank):
@@ -105,6 +105,32 @@ class TestEveryRepresentation:
         decoded = rep.decode(registration, payload)
         x = np.random.default_rng(4).normal(size=n)
         assert np.array_equal(rep.oracle(decoded, x), rep.oracle(tensor, x))
+
+
+class TestAutoResolution:
+    """Auto-mode registration resolves dense-3 and symk headers to the
+    fields it resolved to while the planner still had a fusion axis
+    (pinned to fused for the server)."""
+
+    @pytest.mark.parametrize(
+        "header,expected",
+        [
+            ({"n": 30}, ("shm", "all-to-all", "gemm")),
+            ({"n": 120}, ("shm", "all-to-all", "gemm")),
+            ({"n": 60, "kind": "symk", "rank": 4}, ("shm", "all-to-all", "symk")),
+            ({"n": 200, "kind": "symk", "rank": 8}, ("shm", "all-to-all", "symk")),
+        ],
+        ids=["dense3-n30", "dense3-n120", "symk-r4", "symk-r8"],
+    )
+    def test_resolved_fields(self, header, expected, tmp_path):
+        registration = parse_registration(
+            {"tensor_id": "t", "q": 2, "backend": "auto", "variant": "auto",
+             **header}
+        ).resolved(str(tmp_path / "absent.json"))
+        assert (
+            registration.backend, registration.variant, registration.strategy
+        ) == expected
+        assert registration.P == 10
 
 
 class TestRegisterFrames:
