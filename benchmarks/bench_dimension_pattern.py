@@ -2,7 +2,8 @@
 
 Runs the communication-optimal symmetric kernels in 2-D (SYMV on a
 triangle block partition, the substrate the paper extends) and 3-D
-(STTSV on the tetrahedral partition, the paper's contribution) and
+(STTSV on the tetrahedral partition, the paper's contribution) — both
+on the one Algorithm-5 engine, ``ParallelSTTSV`` — and
 shows the common structure: storage savings d!, per-processor
 communication 2n/P^{1/d} matching the memory-independent bound's
 leading term in both dimensions.
@@ -14,19 +15,18 @@ from repro.core import bounds as bounds3
 from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.machine.machine import Machine
 from repro.matrix import bounds as bounds2
-from repro.matrix.packed import random_symmetric_matrix
-from repro.matrix.parallel_symv import ParallelSYMV
 from repro.matrix.partition import TriangleBlockPartition
 from repro.steiner.pairwise import projective_plane_system
 from repro.tensor.dense import random_symmetric
+from repro.tensor.ndpacked import nd_random_symmetric
 
 
 def run_2d():
     partition = TriangleBlockPartition(projective_plane_system(3))  # P = 13
     n = partition.m * partition.steiner.point_replication() * 3  # 156
     machine = Machine(partition.P)
-    algo = ParallelSYMV(partition, n)
-    algo.load(machine, random_symmetric_matrix(n, seed=0), np.ones(n))
+    algo = ParallelSTTSV(partition, n)
+    algo.load(machine, nd_random_symmetric(n, 2, seed=0), np.ones(n))
     algo.run(machine)
     return n, partition.P, machine.ledger.max_words_sent()
 

@@ -5,7 +5,9 @@ partition* of symmetric matrices (Beaumont et al. 2022; Al Daas et al.
 2023/2025). This example runs the 2-D analogue: parallel SYMV on a
 triangle partition generated from a projective plane PG(2, q), where
 the number of lines equals the number of points, so each processor owns
-exactly one line's triangle block plus one diagonal block. Measured
+exactly one line's triangle block plus one diagonal block. SYMV is
+Algorithm 5 at order 2: the same ``ParallelSTTSV`` engine runs it on an
+order-2 ``NdPackedSymmetricTensor``. Measured
 communication matches ``2qn/(q²+q+1) ≈ 2n/√P`` — the 2-D
 memory-independent bound's leading term — mirroring the 3-D
 ``2n/P^{1/3}`` result.
@@ -15,17 +17,17 @@ Run:  python examples/symmetric_matrix_symv.py
 
 import numpy as np
 
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.core.sttsv_ndim import sttsv_ndim
 from repro.machine import Machine
 from repro.matrix.bounds import (
     symv_lower_bound,
     symv_optimal_bandwidth_projective,
     symv_schedule_step_count,
 )
-from repro.matrix.kernels import symv
-from repro.matrix.packed import random_symmetric_matrix
-from repro.matrix.parallel_symv import ParallelSYMV
 from repro.matrix.partition import TriangleBlockPartition
 from repro.steiner.pairwise import projective_plane_system
+from repro.tensor.ndpacked import nd_random_symmetric
 
 
 def main() -> None:
@@ -37,13 +39,13 @@ def main() -> None:
         partition = TriangleBlockPartition(system)
         partition.validate()
         n = 4 * partition.m * system.point_replication()
-        matrix = random_symmetric_matrix(n, seed=q)
+        matrix = nd_random_symmetric(n, 2, seed=q)
         x = np.random.default_rng(q + 10).normal(size=n)
         machine = Machine(partition.P)
-        algo = ParallelSYMV(partition, n)
+        algo = ParallelSTTSV(partition, n)
         algo.load(machine, matrix, x)
         algo.run(machine)
-        assert np.allclose(algo.gather_result(machine), symv(matrix, x))
+        assert np.allclose(algo.gather_result(machine), sttsv_ndim(matrix, x))
         steps = machine.ledger.round_count()
         print(
             f"{q:>3} {partition.P:>4} {n:>6} |"

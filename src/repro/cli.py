@@ -894,26 +894,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_symv(args) -> int:
+    from repro.core.parallel_sttsv import ParallelSTTSV
+    from repro.core.sttsv_ndim import sttsv_ndim
     from repro.matrix.bounds import symv_lower_bound
-    from repro.matrix.kernels import symv as symv_kernel
-    from repro.matrix.packed import random_symmetric_matrix
-    from repro.matrix.parallel_symv import ParallelSYMV
     from repro.matrix.partition import TriangleBlockPartition
     from repro.steiner.pairwise import projective_plane_system
+    from repro.tensor.ndpacked import nd_random_symmetric
 
     partition = TriangleBlockPartition(projective_plane_system(args.q))
     partition.validate()
     n = args.n if args.n else partition.m * partition.steiner.point_replication()
-    matrix = random_symmetric_matrix(n, seed=args.seed)
+    matrix = nd_random_symmetric(n, 2, seed=args.seed)
     x = np.random.default_rng(args.seed + 1).normal(size=n)
     with Machine(
         partition.P, transport=make_transport(args.backend, partition.P)
     ) as machine:
-        algo = ParallelSYMV(partition, n)
+        algo = ParallelSTTSV(partition, n)
         algo.load(machine, matrix, x)
         algo.run(machine)
         error = float(
-            np.max(np.abs(algo.gather_result(machine) - symv_kernel(matrix, x)))
+            np.max(np.abs(algo.gather_result(machine) - sttsv_ndim(matrix, x)))
         )
     print(
         f"parallel SYMV on P = {partition.P} (PG(2,{args.q})), n = {n}"

@@ -12,6 +12,7 @@ from typing import Dict, Tuple
 from repro.errors import ConfigurationError
 from repro.fields.primes import is_prime_power
 from repro.util.combinatorics import (
+    falling_factorial,
     strict_tetrahedral_number,
     ternary_multiplication_count_naive,
     ternary_multiplication_count_symmetric,
@@ -47,14 +48,21 @@ def initial_ownership(n: int, P: int) -> float:
     return strict_tetrahedral_number(n) / P + 2 * n / P
 
 
-def sttsv_lower_bound(n: int, P: int) -> float:
-    """Theorem 5.2: some processor communicates at least
-    ``2 (n(n-1)(n-2)/P)^{1/3} − 2n/P`` words, clamped at 0 (for tiny
-    ``n`` or ``P = 1`` the formula goes negative and bounds nothing)."""
+def symmetric_lower_bound(n: int, P: int, d: int) -> float:
+    """Theorem 5.2 at any order ``d`` (paper §8): some processor
+    communicates at least ``2 (n(n−1)···(n−d+1)/P)^{1/d} − 2n/P``
+    words, clamped at 0 (for tiny ``n`` or ``P = 1`` the formula goes
+    negative and bounds nothing)."""
     n = check_positive_int(n, "n")
     P = check_positive_int(P, "P")
-    volume = n * (n - 1) * (n - 2)
-    return max(0.0, 2.0 * (volume / P) ** (1.0 / 3.0) - 2.0 * n / P)
+    d = check_positive_int(d, "d")
+    volume = falling_factorial(n, d)
+    return max(0.0, 2.0 * (volume / P) ** (1.0 / d) - 2.0 * n / P)
+
+
+def sttsv_lower_bound(n: int, P: int) -> float:
+    """Theorem 5.2: ``2 (n(n-1)(n-2)/P)^{1/3} − 2n/P``, clamped at 0."""
+    return symmetric_lower_bound(n, P, 3)
 
 
 def sttsv_lower_bound_leading(n: int, P: int) -> float:

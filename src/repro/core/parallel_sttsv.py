@@ -16,14 +16,31 @@ Phases (function ``STTSV`` of the paper):
    ``y[i]^{(p)}``.
 
 None of this depends on the tensor's order or on how its blocks are
-stored, so one engine serves every partition and storage. The
-partition supplies the exchange structure: its holders ``Q`` and
-``consumers`` give the per-phase pair maps
-(:class:`~repro.core.plans.ExchangePlan`), and its
-``exchange_schedule`` gives the rounds — the §7.2.2 permutation
-schedule for the order-3 :class:`~repro.core.partition.
-TetrahedralPartition`, greedy partial-permutation rounds for the
-irregular order-4 :class:`~repro.core.partition_ndim.QuadruplePartition`.
+stored, so one engine serves every partition and storage. A partition
+is anything with this one protocol:
+
+* ``m``, ``P`` — row blocks and processors; ``order`` — the tensor
+  order it partitions; ``steiner``, ``r`` — the generating design and
+  its block size;
+* ``R[p]`` / ``Q[i]`` — the row blocks whose shards ``p`` holds, and
+  the holders of row block ``i``; ``need[p]`` / ``consumers[i]`` — the
+  row blocks ``p`` computes on, and the processors computing on ``i``
+  (``R`` and ``Q`` again wherever no extra row block is fetched);
+* ``shard_size(b)``, ``shard_owner_position(i, p)`` — the vector
+  sharding;
+* ``owned_blocks(p)`` — the block assignment, and its inverse
+  ``owner_of_block()``, which only sparse (order-3) storage reads;
+* ``exchange_schedule(pairs)`` — the rounds of one phase's pair map
+  (:class:`~repro.core.plans.ExchangePlan` builds the pair maps from
+  ``Q`` and ``consumers``).
+
+Three partitions implement it: the order-2
+:class:`~repro.matrix.partition.TriangleBlockPartition` (SYMV;
+permutation rounds of the regular 2-design exchange graph), the
+order-3 :class:`~repro.core.partition.TetrahedralPartition` (the
+§7.2.2 permutation schedule) and the irregular order-4
+:class:`~repro.core.partition_ndim.QuadruplePartition` (greedy
+partial-permutation rounds).
 
 Storage and kernel come from the tensor type (:meth:`load_tensor`):
 
@@ -72,15 +89,13 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core import distribution as dist
 from repro.core.bcss_kernels import apply_block_ndim
 from repro.core.block_kernels import apply_block
-from repro.core.partition import TetrahedralPartition
-from repro.core.partition_ndim import QuadruplePartition
 from repro.core.plans import ExchangePlan
 from repro.core.schedule import ExchangeSchedule
 from repro.errors import ConfigurationError, MachineError
@@ -186,10 +201,9 @@ class ParallelSTTSV:
     Parameters
     ----------
     partition:
-        The block partition: a :class:`TetrahedralPartition` (order 3,
-        one Steiner triple system block per processor) or a
-        :class:`~repro.core.partition_ndim.QuadruplePartition` (order
-        4, one SQS quadruple per processor).
+        The block partition, one Steiner block per processor: any
+        implementation of the partition protocol in the module
+        docstring (orders 2, 3 and 4).
     n:
         Original tensor dimension. The instance computes the padded
         dimension ``n' = m · b`` with ``b`` the smallest multiple of
@@ -199,8 +213,8 @@ class ParallelSTTSV:
 
     Examples
     --------
+    >>> from repro.core.partition import TetrahedralPartition
     >>> from repro.steiner import spherical_steiner_system
-    >>> from repro.tensor.dense import random_symmetric
     >>> part = TetrahedralPartition(spherical_steiner_system(2))
     >>> algo = ParallelSTTSV(part, n=30)
     >>> (algo.b, algo.n_padded)
@@ -209,7 +223,7 @@ class ParallelSTTSV:
 
     def __init__(
         self,
-        partition: Union[TetrahedralPartition, QuadruplePartition],
+        partition,
         n: int,
         backend: CommBackend = CommBackend.POINT_TO_POINT,
     ):
@@ -516,26 +530,24 @@ class ParallelSTTSV:
                     cost.price_round(ledger, label, transfers, phase.tag)
         return ledger
 
-    def _order3_only(self, what: str, instead: str) -> None:
-        if self.partition.order != 3:
-            raise ConfigurationError(
-                f"{what} is an order-3 count; order"
-                f" {self.partition.order} has none — {instead}"
-            )
-
     def expected_words_per_processor(self) -> int:
-        """The paper's order-3 closed-form per-processor send volume
-        over both phases; raises at other orders (their pair maps are
-        irregular — :meth:`words_per_processor` is exact there).
+        """The closed-form per-processor send volume over both phases,
+        for the regular exchange graphs of orders 2 and 3; raises at
+        order 4 (its pair maps are irregular —
+        :meth:`words_per_processor` is exact there).
 
         Point-to-point: ``2 · r · (λ₁ − 1) · shard`` — equals
-        ``2 (n(q+1)/(q²+1) − n/P)`` for the spherical family (§7.2.2).
+        ``2 (n(q+1)/(q²+1) − n/P)`` for the spherical family (§7.2.2)
+        and ``2qn/(q²+q+1)`` for a projective plane's SYMV.
         All-to-All: ``2 · (P − 1) · 2 · shard`` — equals
-        ``4n/(q+1) (1 − 1/P)``.
+        ``4n/(q+1) (1 − 1/P)`` for the spherical family.
         """
-        self._order3_only(
-            "expected_words_per_processor", "words_per_processor() is exact"
-        )
+        if self.partition.order not in (2, 3):
+            raise ConfigurationError(
+                f"expected_words_per_processor has no closed form at"
+                f" order {self.partition.order} — words_per_processor()"
+                f" is exact"
+            )
         if self.backend is CommBackend.POINT_TO_POINT:
             lambda_point = self.partition.steiner.point_replication()
             per_phase = self.partition.r * (lambda_point - 1) * self.shard
@@ -546,9 +558,12 @@ class ParallelSTTSV:
     def flops_per_processor(self, p: int) -> int:
         """Ternary multiplications processor ``p`` performs (§7.1);
         order 3 only."""
-        self._order3_only(
-            "flops_per_processor", "the order-4 block cases are uncounted"
-        )
+        order = self.partition.order
+        if order != 3:
+            raise ConfigurationError(
+                f"flops_per_processor is an order-3 count; the order-{order}"
+                f" block cases are uncounted"
+            )
         return self.partition.ternary_multiplications(p, self.b)
 
     def load_balance(self, machine: Machine) -> Dict[str, float]:

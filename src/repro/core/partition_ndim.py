@@ -23,11 +23,10 @@ exchange graph is scheduled greedily into *partial permutation* rounds
 regular-graph edge coloring of :mod:`repro.matching.edge_coloring`
 does not apply here.
 
-Duck-type compatible with :class:`~repro.core.partition.
-TetrahedralPartition` where the distribution helpers need it
-(``m / P / R / Q / shard_size / shard_owner_position``): shards of row
-block ``i`` live on the ``λ₁`` Steiner holders ``Q_i``; consumers
-beyond the holders receive whole row blocks during the x-exchange.
+It implements the Algorithm-5 partition protocol
+(:mod:`repro.core.parallel_sttsv`): shards of row block ``i`` live on
+the ``λ₁`` Steiner holders ``Q_i``; consumers beyond the holders
+receive whole row blocks during the x-exchange.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ class QuadruplePartition:
             ]
         return list(point_map[distinct[0]])
 
-    # -- duck-typed distribution interface --------------------------------------
+    # -- partition protocol ------------------------------------------------------
 
     def shard_size(self, b: int) -> int:
         if b % self.replication != 0:

@@ -67,15 +67,17 @@ class ExchangeSchedule:
     ----------
     shared:
         ``shared[(p, p')]`` — the row blocks the ordered pair exchanges
-        (symmetric at order 3: same set for both orders).
+        (symmetric at orders 2 and 3: same set for both orders).
     rounds:
         Permutation rounds (sender -> receiver; partial permutations at
         order 4); executing all rounds delivers exactly one message per
         ordered neighbor pair.
     degrees:
         The analytic :class:`ExchangeDegrees` (verified against the
-        realized graph at construction); ``None`` for the irregular
-        order-4 graphs, which have no closed form.
+        realized graph at construction); ``None`` at order 2, whose
+        one-shared-block neighbor count ``r(λ₁ − 1)`` is not split into
+        these cases, and for the irregular order-4 graphs, which have
+        no closed form.
     """
 
     shared: Dict[Tuple[int, int], FrozenSet[int]]

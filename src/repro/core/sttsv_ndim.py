@@ -25,9 +25,9 @@ from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.bounds import symmetric_lower_bound
 from repro.errors import ConfigurationError
 from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_index_arrays
-from repro.util.combinatorics import falling_factorial
 from repro.util.validation import check_positive_int
 
 
@@ -182,18 +182,15 @@ def sttsv_ndim_ternary_count(n: int, d: int) -> int:
 
 def sttsv_ndim_lower_bound(n: int, P: int, d: int) -> float:
     """Generalized Theorem 5.2 (paper §8):
-    ``2 (n(n−1)···(n−d+1)/P)^{1/d} − 2n/P``, clamped at 0 like
-    :func:`~repro.core.bounds.sttsv_lower_bound`.
+    :func:`~repro.core.bounds.symmetric_lower_bound`, refusing ``d > n``.
 
     Derivation mirrors the 3-D case: the symmetrized Loomis–Whitney
     inequality becomes ``d!|V| <= |∪ φ|^d``, the load-balance constraint
     ``n(n−1)···(n−d+1)/(d! P) <= x₁``, and the minimum of ``x₁ + 2x₂``
     sits at the componentwise minimum.
     """
-    check_positive_int(n, "n")
-    check_positive_int(P, "P")
-    check_positive_int(d, "d")
+    n = check_positive_int(n, "n")
+    d = check_positive_int(d, "d")
     if d > n:
         raise ConfigurationError(f"order d={d} exceeds dimension n={n}")
-    volume = falling_factorial(n, d)
-    return max(0.0, 2.0 * (volume / P) ** (1.0 / d) - 2.0 * n / P)
+    return symmetric_lower_bound(n, P, d)

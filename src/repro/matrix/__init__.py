@@ -7,13 +7,15 @@ al. (2023, 2025). This package reproduces that foundation for the
 symmetric matrix-vector product ``y = A x`` (SYMV — the 2-D analogue of
 STTSV, sharing the "same vector on the remaining modes" structure):
 
-* packed lower-triangular storage and exact SYMV kernels,
-* :class:`TriangleBlockPartition` from a Steiner ``(m, r, 2)`` system,
-* a communication-optimal parallel SYMV whose per-processor bandwidth
-  matches the 2-D memory-independent lower bound's leading term
-  ``2 n / P^{1/2}``,
+* :class:`TriangleBlockPartition` from a Steiner ``(m, r, 2)`` system;
+  SYMV is Algorithm 5 at order 2 —
+  :class:`~repro.core.parallel_sttsv.ParallelSTTSV` on this partition
+  and an order-2 :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor`
+  — and its per-processor bandwidth matches the 2-D
+  memory-independent lower bound's leading term ``2 n / P^{1/2}``,
 * the 2-D lower bound, derived exactly like the paper's §5 with the
-  symmetrized Loomis–Whitney inequality one dimension down.
+  symmetrized Loomis–Whitney inequality one dimension down,
+* SYRK, SYR2K and SYMM on the same partition.
 
 Having both dimensions in one library lets the benchmarks show the
 pattern the paper's introduction sketches: symmetry saves a factor
@@ -21,10 +23,7 @@ pattern the paper's introduction sketches: symmetry saves a factor
 communication in both cases.
 """
 
-from repro.matrix.packed import PackedSymmetricMatrix, sym_packed_index
-from repro.matrix.kernels import symv, symv_packed, symv_dense_reference
 from repro.matrix.partition import TriangleBlockPartition
-from repro.matrix.parallel_symv import ParallelSYMV
 from repro.matrix.syrk import ParallelSYRK, syrk_bandwidth, syrk_reference
 from repro.matrix.bounds import (
     symv_lower_bound,
@@ -35,13 +34,7 @@ __all__ = [
     "ParallelSYRK",
     "syrk_bandwidth",
     "syrk_reference",
-    "PackedSymmetricMatrix",
-    "sym_packed_index",
-    "symv",
-    "symv_packed",
-    "symv_dense_reference",
     "TriangleBlockPartition",
-    "ParallelSYMV",
     "symv_lower_bound",
     "symv_optimal_bandwidth_projective",
 ]

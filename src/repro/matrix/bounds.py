@@ -15,15 +15,14 @@ symmetric matrix kernels at leading order ``2n/√P``.
 
 from __future__ import annotations
 
+from repro.core.bounds import symmetric_lower_bound
 from repro.errors import ConfigurationError
-from repro.util.validation import check_positive_int
 
 
 def symv_lower_bound(n: int, P: int) -> float:
-    """``2 (n(n-1)/P)^{1/2} − 2n/P`` words for some processor."""
-    n = check_positive_int(n, "n")
-    P = check_positive_int(P, "P")
-    return 2.0 * (n * (n - 1) / P) ** 0.5 - 2.0 * n / P
+    """``2 (n(n-1)/P)^{1/2} − 2n/P`` words for some processor, clamped
+    at 0."""
+    return symmetric_lower_bound(n, P, 2)
 
 
 def symv_lower_bound_leading(n: int, P: int) -> float:

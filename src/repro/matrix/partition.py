@@ -14,6 +14,12 @@ Al Daas et al. 2023/2025): given a Steiner ``(m, r, 2)`` system with
 * row block ``i`` of each vector is shared by the ``λ₁ = (m-1)/(r-1)``
   processors of ``Q_i`` and split evenly among them, so each processor
   owns exactly ``n/P`` vector elements.
+
+SYMV is Algorithm 5 at order 2: the partition exposes the surface
+:class:`~repro.core.parallel_sttsv.ParallelSTTSV` reads, so
+``ParallelSTTSV(partition, n)`` on an order-2
+:class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` is the parallel
+SYMV.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Tuple
 
+from repro.core.schedule import ExchangeSchedule
 from repro.errors import PartitionError
 from repro.matching.bmatching import bipartite_b_matching
+from repro.matching.edge_coloring import permutation_rounds
 from repro.steiner.pairwise import PairwiseSteinerSystem
 
 MatrixBlockIndex = Tuple[int, int]
@@ -31,6 +39,12 @@ MatrixBlockIndex = Tuple[int, int]
 class TriangleBlockPartition:
     """Assignment of matrix blocks and vector shards to processors.
 
+    Attributes
+    ----------
+    need, consumers:
+        ``R`` and ``Q`` again, under the names Algorithm 5's exchange
+        pairs are built from (:class:`~repro.core.plans.ExchangePlan`).
+
     Examples
     --------
     >>> from repro.steiner.pairwise import projective_plane_system
@@ -38,6 +52,8 @@ class TriangleBlockPartition:
     >>> (part.P, part.m, part.steiner.point_replication())
     (7, 7, 3)
     """
+
+    order = 2
 
     def __init__(self, steiner: PairwiseSteinerSystem):
         self.steiner = steiner
@@ -53,6 +69,8 @@ class TriangleBlockPartition:
         self.Q = tuple(
             tuple(steiner.point_to_blocks()[i]) for i in range(self.m)
         )
+        self.need = self.R
+        self.consumers = self.Q
 
     def _assign_diagonal(self) -> Tuple[Tuple[MatrixBlockIndex, ...], ...]:
         members = [frozenset(row) for row in self.R]
@@ -139,6 +157,26 @@ class TriangleBlockPartition:
     def shared_row_blocks(self, p: int, p_other: int) -> FrozenSet[int]:
         """``R_p ∩ R_{p'}`` — at most one index (2-design axiom)."""
         return frozenset(self.R[p]) & frozenset(self.R[p_other])
+
+    def exchange_schedule(
+        self, pairs: Dict[Tuple[int, int], List[int]]
+    ) -> ExchangeSchedule:
+        """Permutation rounds (Lemma 7.1) of one phase's pair map.
+
+        The exchange graph of a 2-design is regular and symmetric, and
+        every neighbor pair shares exactly one row block, so both
+        phases run the same rounds of one-shard messages.
+        """
+        shared: Dict[Tuple[int, int], FrozenSet[int]] = {}
+        for pair, blocks in pairs.items():
+            if len(blocks) > 1:
+                raise PartitionError(
+                    "two blocks of a 2-design share more than one point"
+                )
+            shared[pair] = frozenset(blocks)
+        return ExchangeSchedule(
+            shared=shared, rounds=permutation_rounds(self.P, sorted(pairs))
+        )
 
     # -- accounting -----------------------------------------------------------------
 

@@ -5,11 +5,14 @@ builds on (Al Daas et al. 2025 give communication-optimal SYRK, SYR2K
 and SYMM from triangle partitions; Agullo et al. 2023 demonstrate the
 SYMM arithmetic-intensity gain):
 
-* **SYMM** — ``C = A B`` with symmetric ``A`` (n×n, triangle blocks)
-  and dense ``B`` (n×k): structurally the SYMV of
-  :mod:`repro.matrix.parallel_symv` with k-column panels instead of
-  vectors; two exchange phases (gather B panels, reduce C partials),
-  ``2 r (λ₁ − 1) · shard · k`` words per processor.
+* **SYMM** — ``C = A B`` with symmetric ``A`` (an order-2
+  :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor`, triangle
+  blocks) and dense ``B`` (n×k): structurally SYMV — Algorithm 5 at
+  order 2 (:class:`~repro.core.parallel_sttsv.ParallelSTTSV` on a
+  :class:`~repro.matrix.partition.TriangleBlockPartition`) — with
+  k-column panels instead of vectors; two exchange phases (gather B
+  panels, reduce C partials), ``2 r (λ₁ − 1) · shard · k`` words per
+  processor.
 * **SYR2K** — ``C = A Bᵀ + B Aᵀ`` (symmetric output, dense n×k
   inputs): like SYRK but gathering *two* panel families; single
   exchange phase, ``2 r (λ₁ − 1) · shard · k`` words, no output
@@ -25,13 +28,13 @@ import numpy as np
 from repro.errors import ConfigurationError, MachineError
 from repro.machine.collectives import point_to_point_rounds
 from repro.machine.machine import Machine
-from repro.matrix.packed import PackedSymmetricMatrix
-from repro.matrix.parallel_symv import extract_matrix_block, pad_matrix
 from repro.matrix.partition import TriangleBlockPartition
 from repro.matrix.syrk import ParallelSYRK
+from repro.tensor.bcss import BCSSTensor
+from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
 
 
-def symm_reference(matrix: PackedSymmetricMatrix, B: np.ndarray) -> np.ndarray:
+def symm_reference(matrix: NdPackedSymmetricTensor, B: np.ndarray) -> np.ndarray:
     """Oracle: dense ``A B``."""
     return matrix.to_dense() @ np.asarray(B, dtype=np.float64)
 
@@ -45,6 +48,11 @@ def syr2k_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 class ParallelSYMM:
     """Triangle-partitioned ``C = A B`` (A symmetric, B dense n×k).
+
+    ``A`` is an order-2 :class:`~repro.tensor.ndpacked.
+    NdPackedSymmetricTensor`; its owned blocks load as the Algorithm-5
+    engine loads them (BCSS blocks of the zero-padded matrix). At
+    ``k = 1`` this is the engine's SYMV with one column per message.
 
     Examples
     --------
@@ -71,7 +79,7 @@ class ParallelSYMM:
         return self._geometry._shard_rows(i, p)
 
     def load(
-        self, machine: Machine, matrix: PackedSymmetricMatrix, B: np.ndarray
+        self, machine: Machine, matrix: NdPackedSymmetricTensor, B: np.ndarray
     ) -> None:
         """Distribute A's triangle blocks and B's row-panel shards."""
         if machine.P != self.partition.P:
@@ -85,12 +93,14 @@ class ParallelSYMM:
             raise ConfigurationError(
                 f"B must have shape ({self.n}, {self.k}), got {B.shape}"
             )
-        padded_matrix = pad_matrix(matrix, self.n_padded)
+        block_at = BCSSTensor.from_ndpacked(
+            pad_ndpacked(matrix, self.n_padded), self.b
+        ).block
         padded_B = np.zeros((self.n_padded, self.k))
         padded_B[: self.n] = B
         for p in range(machine.P):
             blocks = {
-                index: extract_matrix_block(padded_matrix, index, self.b)
+                index: block_at(index)
                 for index in self.partition.owned_blocks(p)
             }
             shards: Dict[int, np.ndarray] = {}

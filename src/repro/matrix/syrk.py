@@ -28,10 +28,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core.plans import ExchangePlan
 from repro.errors import ConfigurationError, MachineError
 from repro.machine.collectives import point_to_point_rounds
 from repro.machine.machine import Machine
-from repro.matching.edge_coloring import permutation_rounds
 from repro.matrix.partition import TriangleBlockPartition
 
 
@@ -69,22 +69,10 @@ class ParallelSYRK:
         self.b = replication * (-(-per_row // replication))
         self.n_padded = partition.m * self.b
         self.shard = partition.shard_size(self.b)
-        self.shared, self.rounds = self._build_schedule()
-
-    def _build_schedule(self):
-        P = self.partition.P
-        members = [frozenset(row) for row in self.partition.R]
-        shared = {}
-        exchanges = []
-        for p in range(P):
-            for p_other in range(P):
-                if p == p_other:
-                    continue
-                common = members[p] & members[p_other]
-                if common:
-                    shared[(p, p_other)] = common
-                    exchanges.append((p, p_other))
-        return shared, permutation_rounds(P, exchanges)
+        schedule = partition.exchange_schedule(
+            ExchangePlan(partition, self.b).x_pairs
+        )
+        self.shared, self.rounds = schedule.shared, schedule.rounds
 
     def _shard_rows(self, i: int, p: int):
         position = self.partition.shard_owner_position(i, p)

@@ -100,15 +100,14 @@ class TestSTTSVEquivalence:
 
 class TestSYMVEquivalence:
     def test_fano_plane_bitwise_identical(self):
-        from repro.matrix.packed import random_symmetric_matrix
-        from repro.matrix.parallel_symv import ParallelSYMV
         from repro.matrix.partition import TriangleBlockPartition
         from repro.steiner.pairwise import projective_plane_system
+        from repro.tensor.ndpacked import nd_random_symmetric
 
         partition = TriangleBlockPartition(projective_plane_system(2))
         partition.validate()
         n = partition.m * partition.steiner.point_replication()
-        matrix = random_symmetric_matrix(n, seed=5)
+        matrix = nd_random_symmetric(n, 2, seed=5)
         x = np.random.default_rng(6).normal(size=n)
 
         results = {}
@@ -119,7 +118,7 @@ class TestSYMVEquivalence:
                 ("shm", shm),
             ):
                 machine = Machine(partition.P, transport=transport)
-                algo = ParallelSYMV(partition, n)
+                algo = ParallelSTTSV(partition, n)
                 algo.load(machine, matrix, x)
                 algo.run(machine)
                 results[name] = algo.gather_result(machine)

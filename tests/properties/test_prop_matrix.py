@@ -1,21 +1,22 @@
-"""Property tests for the 2-D (symmetric matrix) substrate."""
+"""Property tests for the 2-D (symmetric matrix) substrate: order-2
+packed storage, the SYMV kernels, and SYMV on the Algorithm-5 engine."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.core.sttsv_ndim import sttsv_ndim, sttsv_ndim_dense_reference
 from repro.machine.machine import Machine
-from repro.matrix.kernels import symv_dense_reference, symv_packed
-from repro.matrix.packed import (
-    PackedSymmetricMatrix,
-    sym_packed_index,
-    sym_packed_size,
-    sym_unpacked,
-)
-from repro.matrix.parallel_symv import ParallelSYMV
 from repro.matrix.partition import TriangleBlockPartition
 from repro.steiner.pairwise import bose_triple_system, projective_plane_system
+from repro.tensor.ndpacked import (
+    NdPackedSymmetricTensor,
+    nd_packed_index,
+    nd_packed_size,
+    nd_unpacked,
+)
 
 _FLOATS = st.floats(
     min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False, width=64
@@ -24,17 +25,19 @@ _FLOATS = st.floats(
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_sym_index_roundtrip(offset):
-    i, j = sym_unpacked(offset)
+    i, j = nd_unpacked(offset, 2)
     assert i >= j >= 0
-    assert sym_packed_index(i, j) == offset
+    assert nd_packed_index((i, j)) == offset
 
 
 @st.composite
 def matrix_and_vector(draw, max_n=10):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    data = draw(arrays(dtype=np.float64, shape=sym_packed_size(n), elements=_FLOATS))
+    data = draw(
+        arrays(dtype=np.float64, shape=nd_packed_size(n, 2), elements=_FLOATS)
+    )
     x = draw(arrays(dtype=np.float64, shape=n, elements=_FLOATS))
-    return PackedSymmetricMatrix(n, data), x
+    return NdPackedSymmetricTensor(n, 2, data), x
 
 
 @settings(max_examples=60, deadline=None)
@@ -42,8 +45,8 @@ def matrix_and_vector(draw, max_n=10):
 def test_symv_matches_dense(problem):
     matrix, x = problem
     assert np.allclose(
-        symv_packed(matrix, x),
-        symv_dense_reference(matrix.to_dense(), x),
+        sttsv_ndim(matrix, x),
+        sttsv_ndim_dense_reference(matrix.to_dense(), x),
         atol=1e-8,
     )
 
@@ -53,8 +56,8 @@ def test_symv_matches_dense(problem):
 def test_symv_linearity(problem, scale):
     matrix, x = problem
     assert np.allclose(
-        symv_packed(matrix, scale * x),
-        scale * symv_packed(matrix, x),
+        sttsv_ndim(matrix, scale * x),
+        scale * sttsv_ndim(matrix, x),
         atol=1e-6,
         rtol=1e-6,
     )
@@ -76,14 +79,14 @@ _PARTITIONS = {
 def test_parallel_symv_equals_sequential(key, n, seed):
     partition = _PARTITIONS[key]
     rng = np.random.default_rng(seed)
-    matrix = PackedSymmetricMatrix(
-        n, rng.normal(size=sym_packed_size(n))
+    matrix = NdPackedSymmetricTensor(
+        n, 2, rng.normal(size=nd_packed_size(n, 2))
     )
     x = rng.normal(size=n)
     machine = Machine(partition.P)
-    algo = ParallelSYMV(partition, n)
+    algo = ParallelSTTSV(partition, n)
     algo.load(machine, matrix, x)
     algo.run(machine)
-    assert np.allclose(algo.gather_result(machine), symv_packed(matrix, x))
+    assert np.allclose(algo.gather_result(machine), sttsv_ndim(matrix, x))
     expected = algo.expected_words_per_processor()
     assert machine.ledger.words_sent == [expected] * partition.P

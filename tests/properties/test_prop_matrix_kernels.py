@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine.machine import Machine
-from repro.matrix.packed import PackedSymmetricMatrix, sym_packed_size
 from repro.matrix.partition import TriangleBlockPartition
 from repro.matrix.symm import (
     ParallelSYMM,
@@ -16,6 +15,7 @@ from repro.matrix.symm import (
 )
 from repro.matrix.syrk import ParallelSYRK, syrk_reference
 from repro.steiner.pairwise import bose_triple_system, projective_plane_system
+from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_packed_size
 
 _PARTITIONS = {
     "fano": TriangleBlockPartition(projective_plane_system(2)),
@@ -73,7 +73,7 @@ def test_symm_correct(params):
     key, n, k, seed = params
     partition = _PARTITIONS[key]
     rng = np.random.default_rng(seed)
-    matrix = PackedSymmetricMatrix(n, rng.normal(size=sym_packed_size(n)))
+    matrix = NdPackedSymmetricTensor(n, 2, rng.normal(size=nd_packed_size(n, 2)))
     B = rng.normal(size=(n, k))
     machine = Machine(partition.P)
     algo = ParallelSYMM(partition, n, k)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import bounds
 from repro.core.sttsv_ndim import sttsv_ndim_lower_bound
+from repro.matrix.bounds import symv_lower_bound
 from repro.errors import ConfigurationError
 
 
@@ -51,10 +52,12 @@ class TestTheorem52:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_vacuous_bound_clamps_at_zero(self):
-        # 2(8·7·6)^(1/3) − 16 ≈ −2.10 and 2(8·7·6·5)^(1/4) − 16 ≈ −3.20.
+        # 2(8·7·6)^(1/3) − 16 ≈ −2.10, 2(8·7·6·5)^(1/4) − 16 ≈ −3.20
+        # and 2(8·7)^(1/2) − 16 ≈ −1.03.
         assert bounds.sttsv_lower_bound(8, 1) == 0.0
         assert sttsv_ndim_lower_bound(8, 1, 4) == 0.0
         assert sttsv_ndim_lower_bound(8, 1, 3) == 0.0
+        assert symv_lower_bound(8, 1) == 0.0
 
     def test_tightness_ratio_refuses_a_vacuous_bound(self):
         assert bounds.sttsv_lower_bound(1, 10) == 0.0

@@ -188,11 +188,22 @@ class TestSymv:
         assert main(["symv"]) == 0
         out = capsys.readouterr().out
         assert "P = 7" in out
-        assert "lower bound" in out
+        assert "12 words/proc, 12 rounds" in out
+        assert "2-D lower bound: 9.5 words/proc" in out
 
     def test_pg23(self, capsys):
         assert main(["symv", "--q", "3"]) == 0
-        assert "P = 13" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "P = 13" in out
+        assert "24 words/proc, 24 rounds" in out
+        assert "2-D lower bound: 20.6 words/proc" in out
+
+    def test_padded(self, capsys):
+        assert main(["symv", "--q", "2", "--n", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "n = 20" in out
+        assert "12 words/proc, 12 rounds" in out
+        assert "2-D lower bound: 9.0 words/proc" in out
 
 
 class TestFusionFlagsRemoved:

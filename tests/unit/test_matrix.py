@@ -1,10 +1,17 @@
-"""Symmetric matrix substrate: packed storage, SYMV, triangle partition,
-parallel SYMV and its bounds."""
+"""Symmetric matrix substrate: order-2 packed storage, SYMV kernels,
+triangle partition, SYMV on the Algorithm-5 engine and its bounds."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.core.plans import sequential_plan
+from repro.core.sttsv_ndim import (
+    sttsv_ndim,
+    sttsv_ndim_dense_reference,
+    sttsv_ndim_scalar,
+)
+from repro.errors import ConfigurationError, PartitionError
 from repro.machine.machine import Machine
 from repro.matrix.bounds import (
     symv_lower_bound,
@@ -13,26 +20,17 @@ from repro.matrix.bounds import (
     symv_optimal_bandwidth_projective,
     symv_schedule_step_count,
 )
-from repro.matrix.kernels import (
-    symv,
-    symv_dense_reference,
-    symv_packed,
-    symv_scalar,
-)
-from repro.matrix.packed import (
-    PackedSymmetricMatrix,
-    random_symmetric_matrix,
-    sym_packed_index,
-    sym_packed_size,
-    sym_unpacked,
-)
-from repro.matrix.parallel_symv import (
-    ParallelSYMV,
-    extract_matrix_block,
-    pad_matrix,
-)
 from repro.matrix.partition import TriangleBlockPartition
 from repro.steiner.pairwise import bose_triple_system, projective_plane_system
+from repro.tensor.bcss import BCSSTensor
+from repro.tensor.ndpacked import (
+    NdPackedSymmetricTensor,
+    nd_packed_index,
+    nd_packed_size,
+    nd_random_symmetric,
+    nd_unpacked,
+    pad_ndpacked,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,47 +53,47 @@ class TestPackedMatrix:
         n = 10
         for i in range(n):
             for j in range(i + 1):
-                seen.add(sym_packed_index(i, j))
-        assert seen == set(range(sym_packed_size(n)))
+                seen.add(nd_packed_index((i, j)))
+        assert seen == set(range(nd_packed_size(n, 2)))
 
     def test_unpack_roundtrip(self):
-        for offset in range(sym_packed_size(12)):
-            assert sym_packed_index(*sym_unpacked(offset)) == offset
+        for offset in range(nd_packed_size(12, 2)):
+            assert nd_packed_index(nd_unpacked(offset, 2)) == offset
 
     def test_symmetric_access(self):
-        matrix = PackedSymmetricMatrix(4)
+        matrix = NdPackedSymmetricTensor(4, 2)
         matrix[1, 3] = 5.0
         assert matrix[3, 1] == 5.0
 
     def test_dense_roundtrip(self):
-        matrix = random_symmetric_matrix(6, seed=0)
+        matrix = nd_random_symmetric(6, 2, seed=0)
         dense = matrix.to_dense()
         assert np.allclose(dense, dense.T)
-        back = PackedSymmetricMatrix.from_dense(dense)
+        back = NdPackedSymmetricTensor.from_dense(dense)
         assert np.array_equal(back.data, matrix.data)
 
     def test_from_dense_rejects_asymmetric(self):
         with pytest.raises(ConfigurationError):
-            PackedSymmetricMatrix.from_dense(np.arange(9.0).reshape(3, 3))
+            NdPackedSymmetricTensor.from_dense(np.arange(9.0).reshape(3, 3))
 
     def test_bad_shape(self):
         with pytest.raises(ConfigurationError):
-            PackedSymmetricMatrix(3, np.zeros(5))
+            NdPackedSymmetricTensor(3, 2, np.zeros(5))
 
 
 class TestSymvKernels:
     @pytest.mark.parametrize("n", [1, 2, 5, 11])
     def test_all_kernels_agree(self, n, rng):
-        matrix = random_symmetric_matrix(n, seed=rng.integers(1 << 30))
+        matrix = nd_random_symmetric(n, 2, seed=rng.integers(1 << 30))
         x = rng.normal(size=n)
-        reference = symv_dense_reference(matrix.to_dense(), x)
-        assert np.allclose(symv_scalar(matrix, x), reference)
-        assert np.allclose(symv_packed(matrix, x), reference)
-        assert np.allclose(symv(matrix, x), reference)
+        reference = sttsv_ndim_dense_reference(matrix.to_dense(), x)
+        assert np.allclose(sttsv_ndim_scalar(matrix, x), reference)
+        assert np.allclose(sttsv_ndim(matrix, x), reference)
+        assert np.allclose(sequential_plan(matrix).apply(x), reference)
 
     def test_shape_validation(self):
         with pytest.raises(ConfigurationError):
-            symv(random_symmetric_matrix(4, seed=0), np.ones(5))
+            sttsv_ndim(nd_random_symmetric(4, 2, seed=0), np.ones(5))
 
 
 class TestTrianglePartition:
@@ -128,6 +126,10 @@ class TestTrianglePartition:
             for p2 in range(p):
                 assert len(bose_partition.shared_row_blocks(p, p2)) <= 1
 
+    def test_exchange_schedule_rejects_two_shared_blocks(self, fano_partition):
+        with pytest.raises(PartitionError, match="more than one point"):
+            fano_partition.exchange_schedule({(0, 1): [0, 1], (1, 0): [0, 1]})
+
     def test_storage_leading_term(self, fano_partition):
         b = 9
         n = fano_partition.m * b
@@ -147,23 +149,27 @@ class TestTrianglePartition:
 
 class TestBlockExtraction:
     def test_matches_dense(self):
-        matrix = random_symmetric_matrix(8, seed=1)
+        matrix = nd_random_symmetric(8, 2, seed=1)
         dense = matrix.to_dense()
+        blocks = BCSSTensor.from_ndpacked(matrix, 2)
         for block in [(3, 1), (2, 2), (0, 0)]:
-            extracted = extract_matrix_block(matrix, block, 2)
+            extracted = blocks.block(block)
             I, J = block
             assert np.array_equal(
                 extracted, dense[2 * I : 2 * I + 2, 2 * J : 2 * J + 2]
             )
 
     def test_pad_preserves(self):
-        matrix = random_symmetric_matrix(3, seed=2)
-        padded = pad_matrix(matrix, 5)
+        matrix = nd_random_symmetric(3, 2, seed=2)
+        padded = pad_ndpacked(matrix, 5)
         assert padded[2, 1] == matrix[2, 1]
         assert padded[4, 4] == 0.0
 
 
-class TestParallelSYMV:
+class TestEngineSYMV:
+    """SYMV is Algorithm 5 at order 2: :class:`ParallelSTTSV` on a
+    triangle partition and an order-2 packed tensor."""
+
     @pytest.mark.parametrize(
         "fixture,multiplier", [("fano_partition", 1), ("fano_partition", 2),
                                ("bose_partition", 1)]
@@ -171,19 +177,19 @@ class TestParallelSYMV:
     def test_matches_sequential(self, fixture, multiplier, request, rng):
         partition = request.getfixturevalue(fixture)
         n = multiplier * partition.m * partition.steiner.point_replication()
-        matrix = random_symmetric_matrix(n, seed=3)
+        matrix = nd_random_symmetric(n, 2, seed=3)
         x = rng.normal(size=n)
         machine = Machine(partition.P)
-        algo = ParallelSYMV(partition, n)
+        algo = ParallelSTTSV(partition, n)
         algo.load(machine, matrix, x)
         algo.run(machine)
-        assert np.allclose(algo.gather_result(machine), symv(matrix, x))
+        assert np.allclose(algo.gather_result(machine), sttsv_ndim(matrix, x))
 
     def test_exact_cost_and_rounds(self, fano_partition):
         n = 21
         machine = Machine(7)
-        algo = ParallelSYMV(fano_partition, n)
-        algo.load(machine, random_symmetric_matrix(n, seed=4), np.ones(n))
+        algo = ParallelSTTSV(fano_partition, n)
+        algo.load(machine, nd_random_symmetric(n, 2, seed=4), np.ones(n))
         algo.run(machine)
         expected = algo.expected_words_per_processor()
         assert machine.ledger.words_sent == [expected] * 7
@@ -194,21 +200,21 @@ class TestParallelSYMV:
     def test_lower_bound_respected(self, fano_partition):
         n = 42
         machine = Machine(7)
-        algo = ParallelSYMV(fano_partition, n)
-        algo.load(machine, random_symmetric_matrix(n, seed=5), np.ones(n))
+        algo = ParallelSTTSV(fano_partition, n)
+        algo.load(machine, nd_random_symmetric(n, 2, seed=5), np.ones(n))
         algo.run(machine)
         assert machine.ledger.max_words_sent() >= symv_lower_bound(n, 7)
 
     def test_padding(self, fano_partition, rng):
         n = 20  # pads to 21
-        matrix = random_symmetric_matrix(n, seed=6)
+        matrix = nd_random_symmetric(n, 2, seed=6)
         x = rng.normal(size=n)
         machine = Machine(7)
-        algo = ParallelSYMV(fano_partition, n)
+        algo = ParallelSTTSV(fano_partition, n)
         assert algo.n_padded == 21
         algo.load(machine, matrix, x)
         algo.run(machine)
-        assert np.allclose(algo.gather_result(machine), symv(matrix, x))
+        assert np.allclose(algo.gather_result(machine), sttsv_ndim(matrix, x))
 
 
 class TestBounds:

@@ -106,25 +106,26 @@ class TestSkolemTripleSystems:
 
     def test_drives_triangle_partition_and_symv(self):
         """STS(13) from Skolem: P=26 triangle partition runs parallel
-        SYMV exactly at its closed-form cost."""
+        SYMV (the Algorithm-5 engine at order 2) exactly at its
+        closed-form cost."""
         import numpy as np
 
+        from repro.core.parallel_sttsv import ParallelSTTSV
+        from repro.core.sttsv_ndim import sttsv_ndim
         from repro.machine.machine import Machine
-        from repro.matrix.kernels import symv
-        from repro.matrix.packed import random_symmetric_matrix
-        from repro.matrix.parallel_symv import ParallelSYMV
         from repro.matrix.partition import TriangleBlockPartition
         from repro.steiner.pairwise import skolem_triple_system
+        from repro.tensor.ndpacked import nd_random_symmetric
 
         partition = TriangleBlockPartition(skolem_triple_system(2))
         partition.validate()
         n = partition.m * partition.steiner.point_replication()  # 13*6
-        matrix = random_symmetric_matrix(n, seed=0)
+        matrix = nd_random_symmetric(n, 2, seed=0)
         x = np.random.default_rng(1).normal(size=n)
         machine = Machine(partition.P)
-        algo = ParallelSYMV(partition, n)
+        algo = ParallelSTTSV(partition, n)
         algo.load(machine, matrix, x)
         algo.run(machine)
-        assert np.allclose(algo.gather_result(machine), symv(matrix, x))
+        assert np.allclose(algo.gather_result(machine), sttsv_ndim(matrix, x))
         expected = algo.expected_words_per_processor()
         assert machine.ledger.words_sent == [expected] * partition.P

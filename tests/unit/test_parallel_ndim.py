@@ -162,9 +162,9 @@ class TestParallelSTTSVm:
         assert ledger_max >= bound > 0
 
     def test_expected_words_is_order3_only(self, quad_partition):
-        """The order-3 closed form would say 48 words at SQS(8), n=56;
-        the run moves 66..97 per processor. It must refuse, naming the
-        exact alternative."""
+        """The closed form of the regular (order-2 and order-3) exchange
+        graphs would say 48 words at SQS(8), n=56; the run moves 66..97
+        per processor. It must refuse, naming the exact alternative."""
         algo = ParallelSTTSV(quad_partition, 56)
         with pytest.raises(ConfigurationError, match="words_per_processor"):
             algo.expected_words_per_processor()

@@ -12,6 +12,7 @@ from repro.core.partition_ndim import QuadruplePartition
 from repro.core.representations import select
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
+from repro.matrix.partition import TriangleBlockPartition
 from repro.planner import (
     STRATEGIES,
     Calibration,
@@ -28,6 +29,7 @@ from repro.planner.calibration import (
     ComputeConstants,
 )
 from repro.steiner import boolean_steiner_system, spherical_steiner_system
+from repro.steiner.pairwise import projective_plane_system
 from repro.tensor.dense import random_symmetric
 from repro.tensor.ndpacked import nd_random_symmetric
 from repro.tensor.sparse import SparseSymmetricTensor
@@ -139,7 +141,8 @@ class TestPredictedLedger:
     def test_matches_executed_ledger(self, variant, fusion):
         """Each engine's predicted ledger matches its executed one field
         for field: dense and sparse order 3 at q=2 and q=3, and (point
-        to point only) the irregular order-4 SQS(8) partition. Against
+        to point only) the irregular order-4 SQS(8) partition and the
+        order-2 Fano triangle partition (SYMV). Against
         the per-round reference machine (``fusion=False``) the
         algorithmic fields still match."""
         cases = []
@@ -158,6 +161,12 @@ class TestPredictedLedger:
                 (
                     QuadruplePartition(boolean_steiner_system(3)),
                     nd_random_symmetric(24, 4, seed=0),
+                )
+            )
+            cases.append(
+                (
+                    TriangleBlockPartition(projective_plane_system(2)),
+                    nd_random_symmetric(21, 2, seed=0),
                 )
             )
         for partition, tensor in cases:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
-from repro.matrix.packed import random_symmetric_matrix
 from repro.matrix.partition import TriangleBlockPartition
 from repro.matrix.symm import (
     ParallelSYMM,
@@ -14,6 +13,7 @@ from repro.matrix.symm import (
     syr2k_reference,
 )
 from repro.steiner.pairwise import projective_plane_system
+from repro.tensor.ndpacked import nd_random_symmetric
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def fano():
 class TestSYMM:
     @pytest.mark.parametrize("n,k", [(21, 1), (21, 3), (42, 2), (19, 2)])
     def test_matches_dense(self, fano, n, k, rng):
-        matrix = random_symmetric_matrix(n, seed=n)
+        matrix = nd_random_symmetric(n, 2, seed=n)
         B = rng.normal(size=(n, k))
         machine = Machine(fano.P)
         algo = ParallelSYMM(fano, n, k)
@@ -38,33 +38,33 @@ class TestSYMM:
         n, k = 21, 4
         machine = Machine(fano.P)
         algo = ParallelSYMM(fano, n, k)
-        algo.load(machine, random_symmetric_matrix(n, seed=0), rng.normal(size=(n, k)))
+        algo.load(machine, nd_random_symmetric(n, 2, seed=0), rng.normal(size=(n, k)))
         algo.run(machine)
         expected = algo.expected_words_per_processor()
         assert machine.ledger.words_sent == [expected] * fano.P
         # SYMM cost == k × SYMV cost (same two-phase pattern, k columns).
-        from repro.matrix.parallel_symv import ParallelSYMV
+        from repro.core.parallel_sttsv import ParallelSTTSV
 
-        symv_words = ParallelSYMV(fano, n).expected_words_per_processor()
+        symv_words = ParallelSTTSV(fano, n).expected_words_per_processor()
         assert expected == k * symv_words
 
     def test_k1_equals_symv(self, fano, rng):
         """SYMM with one column reproduces SYMV exactly."""
-        from repro.matrix.kernels import symv
+        from repro.core.sttsv_ndim import sttsv_ndim
 
         n = 21
-        matrix = random_symmetric_matrix(n, seed=1)
+        matrix = nd_random_symmetric(n, 2, seed=1)
         x = rng.normal(size=n)
         machine = Machine(fano.P)
         algo = ParallelSYMM(fano, n, 1)
         algo.load(machine, matrix, x[:, None])
         algo.run(machine)
-        assert np.allclose(algo.gather_result(machine)[:, 0], symv(matrix, x))
+        assert np.allclose(algo.gather_result(machine)[:, 0], sttsv_ndim(matrix, x))
 
     def test_shape_validation(self, fano):
         algo = ParallelSYMM(fano, 21, 2)
         with pytest.raises(ConfigurationError):
-            algo.load(Machine(7), random_symmetric_matrix(21, seed=0), np.ones((21, 3)))
+            algo.load(Machine(7), nd_random_symmetric(21, 2, seed=0), np.ones((21, 3)))
 
 
 class TestSYR2K:
