@@ -1,7 +1,7 @@
 """Experiment A2 — parallel symmetric CP gradient (Algorithm 2).
 
-Times one parallel gradient evaluation (r STTSVs on the simulated
-machine plus the replicated r×r Gram algebra) and asserts it matches
+Times one parallel gradient evaluation (r STTSVs on a loaded engine
+plus the replicated r×r Gram algebra) and asserts it matches
 the sequential gradient exactly while costing exactly r optimal STTSV
 exchanges of communication.
 """
@@ -11,6 +11,8 @@ import pytest
 
 from repro.apps.cp_gradient import cp_gradient, parallel_cp_gradient
 from repro.core.bounds import optimal_bandwidth_cost
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
 
 
@@ -19,9 +21,12 @@ def test_parallel_cp_gradient(benchmark, partition_q2, rng):
     tensor = random_symmetric(n, seed=5)
     X = rng.normal(size=(n, r))
 
-    gradient, ledger = benchmark(
-        lambda: parallel_cp_gradient(partition_q2, tensor, X)
-    )
+    engine = ParallelSTTSV(partition_q2, n)
+    with Machine(partition_q2.P) as machine:
+        engine.load_tensor(machine, tensor)
+        gradient, ledger = benchmark(
+            lambda: parallel_cp_gradient(engine, machine, X)
+        )
     assert np.allclose(gradient, cp_gradient(tensor, X))
     per_sttsv = optimal_bandwidth_cost(n, 2)
     assert ledger.max_words_sent() == pytest.approx(r * per_sttsv)

@@ -10,6 +10,8 @@ import numpy as np
 
 from repro.apps.hopm import parallel_hopm
 from repro.core.bounds import optimal_bandwidth_cost
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.machine.machine import Machine
 from repro.tensor.dense import odeco_tensor
 
 
@@ -17,9 +19,14 @@ def test_parallel_hopm(benchmark, partition_q2):
     n, rank = 60, 3
     tensor, weights, factors = odeco_tensor(n, rank, seed=3)
 
-    result = benchmark(
-        lambda: parallel_hopm(partition_q2, tensor, seed=4, max_iterations=200)
-    )
+    engine = ParallelSTTSV(partition_q2, n)
+    with Machine(partition_q2.P) as machine:
+        engine.load_tensor(machine, tensor)
+        result = benchmark(
+            lambda: parallel_hopm(
+                engine, machine, tensor, seed=4, max_iterations=200
+            )
+        )
     assert result.converged
     assert result.residual < 1e-8
     matched = int(

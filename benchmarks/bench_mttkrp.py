@@ -15,6 +15,8 @@ from repro.apps.mttkrp import (
     symmetric_mttkrp_batched,
 )
 from repro.core.bounds import optimal_bandwidth_cost
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
 
 N, R = 80, 8
@@ -35,9 +37,12 @@ def test_mttkrp_parallel_cost(benchmark, workload, partition_q2):
     tensor, X = workload
     small_X = X[:60, :4]
     small_tensor = random_symmetric(60, seed=2)
-    Y, ledger = benchmark(
-        lambda: parallel_symmetric_mttkrp(partition_q2, small_tensor, small_X)
-    )
+    engine = ParallelSTTSV(partition_q2, 60)
+    with Machine(partition_q2.P) as machine:
+        engine.load_tensor(machine, small_tensor)
+        Y, ledger = benchmark(
+            lambda: parallel_symmetric_mttkrp(engine, machine, small_X)
+        )
     assert np.allclose(Y, symmetric_mttkrp(small_tensor, small_X))
     assert ledger.max_words_sent() == pytest.approx(
         4 * optimal_bandwidth_cost(60, 2)

@@ -11,7 +11,12 @@ Run:  python examples/cp_decomposition.py
 
 import numpy as np
 
-from repro import TetrahedralPartition, spherical_steiner_system
+from repro import (
+    Machine,
+    ParallelSTTSV,
+    TetrahedralPartition,
+    spherical_steiner_system,
+)
 from repro.apps.cp_gradient import (
     cp_objective,
     parallel_cp_gradient,
@@ -68,7 +73,10 @@ def main() -> None:
     # Communication of one parallel gradient evaluation.
     q = 2
     partition = TetrahedralPartition(spherical_steiner_system(q))
-    _, ledger = parallel_cp_gradient(partition, noisy, recovered)
+    engine = ParallelSTTSV(partition, n)
+    with Machine(partition.P) as machine:
+        engine.load_tensor(machine, noisy)
+        _, ledger = parallel_cp_gradient(engine, machine, recovered)
     print(
         f"\nParallel gradient on P={partition.P}: {ledger.max_words_sent()}"
         f" words/processor = {rank} STTSVs x"

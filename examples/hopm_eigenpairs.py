@@ -12,7 +12,12 @@ Run:  python examples/hopm_eigenpairs.py
 
 import numpy as np
 
-from repro import TetrahedralPartition, spherical_steiner_system
+from repro import (
+    Machine,
+    ParallelSTTSV,
+    TetrahedralPartition,
+    spherical_steiner_system,
+)
 from repro.apps.eigen import z_eigen_residual
 from repro.apps.hopm import parallel_hopm
 from repro.core.bounds import optimal_bandwidth_cost
@@ -29,11 +34,16 @@ def main() -> None:
     print(f"P = {partition.P}, optimal STTSV words/processor ="
           f" {optimal_bandwidth_cost(n, q):.0f}\n")
 
+    engine = ParallelSTTSV(partition, n)
+    with Machine(partition.P) as machine:
+        engine.load_tensor(machine, tensor)  # once, for every trial
+        results = [
+            parallel_hopm(engine, machine, tensor, seed=trial, max_iterations=300)
+            for trial in range(8)
+        ]
+
     found = {}
-    for trial in range(8):
-        result = parallel_hopm(
-            partition, tensor, seed=trial, max_iterations=300
-        )
+    for trial, result in enumerate(results):
         matched = int(
             np.argmin(
                 [

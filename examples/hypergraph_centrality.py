@@ -13,7 +13,12 @@ Run:  python examples/hypergraph_centrality.py
 
 import numpy as np
 
-from repro import TetrahedralPartition, spherical_steiner_system
+from repro import (
+    Machine,
+    ParallelSTTSV,
+    TetrahedralPartition,
+    spherical_steiner_system,
+)
 from repro.apps.heig import nqz_h_eigenpair, parallel_nqz_h_eigenpair
 from repro.tensor.hypergraph import (
     adjacency_tensor,
@@ -58,7 +63,10 @@ def main() -> None:
     print(f"planted core members in top-8: {core_in_top}/6")
 
     partition = TetrahedralPartition(spherical_steiner_system(2))
-    parallel = parallel_nqz_h_eigenpair(partition, tensor, seed=5)
+    engine = ParallelSTTSV(partition, n)
+    with Machine(partition.P) as machine:
+        engine.load_tensor(machine, tensor)
+        parallel = parallel_nqz_h_eigenpair(engine, machine, tensor, seed=5)
     print(
         f"\nparallel NQZ on P=10: λ = {parallel.eigenvalue:.6f}"
         f" (match {abs(parallel.eigenvalue - result.eigenvalue):.2e}),"

@@ -14,7 +14,12 @@ Run:  python examples/ndim_and_deflation.py
 
 import numpy as np
 
-from repro import TetrahedralPartition, spherical_steiner_system
+from repro import (
+    Machine,
+    ParallelSTTSV,
+    TetrahedralPartition,
+    spherical_steiner_system,
+)
 from repro.apps.deflation import deflated_eigenpairs
 from repro.core.sttsv_ndim import (
     sttsv_ndim,
@@ -52,9 +57,12 @@ def part2_deflation() -> None:
     n, rank = 30, 4
     tensor, weights, factors = odeco_tensor(n, rank, seed=5)
     print(f"  true eigenvalues: {np.round(weights, 6)}")
-    result = deflated_eigenpairs(
-        tensor, rank, partition=partition, seed=6, restarts=4
-    )
+    engine = ParallelSTTSV(partition, n)
+    with Machine(partition.P) as machine:
+        engine.load_tensor(machine, tensor)
+        result = deflated_eigenpairs(
+            tensor, rank, engine=engine, machine=machine, seed=6, restarts=4
+        )
     order = np.argsort(result.eigenvalues)[::-1]
     print(f"  found (sorted):   {np.round(result.eigenvalues[order], 6)}")
     for position, stage_index in enumerate(order):

@@ -2,7 +2,18 @@
 higher-order power method (Algorithm 1) and the symmetric CP gradient
 (Algorithm 2), each with a sequential reference and a parallel variant
 whose per-iteration communication is exactly one (or r) STTSV
-exchange(s)."""
+exchange(s).
+
+Every parallel driver takes ``(engine, machine, ...)``: a
+:class:`~repro.core.parallel_sttsv.ParallelSTTSV` on which
+``engine.load_tensor(machine, tensor)`` has run, and the machine it was
+loaded on — dense order 3, sparse, or BCSS order 4 (NQZ needs order 3;
+the column-batched MTTKRP and so the parallel CP gradient need dense
+order 3). The
+caller owns the machine: it chooses how the machine moves bytes and
+closes it (``with`` block). A driver resets the machine's ledger on
+entry and returns the rounds it recorded.
+"""
 
 from repro.apps.hopm import HOPMResult, hopm, parallel_hopm
 from repro.apps.cp_gradient import (

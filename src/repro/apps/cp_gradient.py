@@ -22,29 +22,18 @@ difference test in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
-from repro.core.partition import TetrahedralPartition
+from repro.apps.mttkrp import _check_factor, parallel_symmetric_mttkrp_batched
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.plans import sequential_plan
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
-from repro.machine.recovery import RecoveryPolicy
-from repro.machine.transport import Transport
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
-
-
-def _check_factor(tensor: PackedSymmetricTensor, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != tensor.n:
-        raise ConfigurationError(
-            f"factor matrix must have shape ({tensor.n}, r), got {X.shape}"
-        )
-    return X
 
 
 def cp_gradient(tensor: PackedSymmetricTensor, X: np.ndarray) -> np.ndarray:
@@ -54,7 +43,7 @@ def cp_gradient(tensor: PackedSymmetricTensor, X: np.ndarray) -> np.ndarray:
     batched ``apply_batch`` — one pass over the tensor operator instead
     of ``r`` independent scatter passes.
     """
-    X = _check_factor(tensor, X)
+    X = _check_factor(tensor.n, X)
     gram = X.T @ X
     G = gram * gram
     Y = sequential_plan(tensor).apply_batch(X)
@@ -75,7 +64,7 @@ def cp_objective(tensor: PackedSymmetricTensor, X: np.ndarray) -> float:
     cancel bitwise at an exact factorization (pinned by the test
     suite), which the faster batched paths do not guarantee.
     """
-    X = _check_factor(tensor, X)
+    X = _check_factor(tensor.n, X)
     from repro.core.sttsv_ndim import _ndim_scatter_plan
     from repro.core.sttsv_sequential import sttsv_packed
 
@@ -91,49 +80,23 @@ def cp_objective(tensor: PackedSymmetricTensor, X: np.ndarray) -> float:
 
 
 def parallel_cp_gradient(
-    partition: TetrahedralPartition,
-    tensor: PackedSymmetricTensor,
-    X: np.ndarray,
-    *,
-    backend: CommBackend = CommBackend.POINT_TO_POINT,
-    transport: Optional[Transport] = None,
-    recovery: Optional[RecoveryPolicy] = None,
-) -> tuple:
-    """Algorithm 2 with the r STTSVs executed in parallel on the simulator.
+    engine: ParallelSTTSV, machine: Machine, X: np.ndarray
+) -> Tuple[np.ndarray, CommunicationLedger]:
+    """Algorithm 2 with the r STTSVs executed in parallel, on an engine
+    holding the tensor (``engine.load_tensor(machine, tensor)`` has
+    run; the caller owns ``machine``).
 
     Returns ``(gradient, ledger)``. The communication is exactly ``r``
     Algorithm-5 exchanges' worth of words (the paper's claim that STTSV
-    dominates CP gradient communication), shipped column-batched so the
+    dominates CP gradient communication), shipped column-batched by
+    :func:`~repro.apps.mttkrp.parallel_symmetric_mttkrp_batched` so the
     step count stays that of a *single* exchange; the small ``r × r``
     Gram algebra is replicated, as in practice ``r << n``.
-
-    The ``backend`` parameter selects the exchange realization for the
-    non-batched fallback; the batched path uses the point-to-point
-    schedule. ``transport`` selects who moves the bytes and
-    ``recovery`` bounds the integrity-retry loop (DESIGN.md §8);
-    both are forwarded to the underlying machine.
     """
-    X = _check_factor(tensor, X)
-    if backend is CommBackend.POINT_TO_POINT:
-        from repro.apps.mttkrp import parallel_symmetric_mttkrp_batched
-
-        Y, ledger = parallel_symmetric_mttkrp_batched(
-            partition, tensor, X, transport=transport, recovery=recovery
-        )
-        gram = X.T @ X
-        return X @ (gram * gram) - Y, ledger
-    machine = Machine(partition.P, transport=transport, recovery=recovery)
-    algo = ParallelSTTSV(partition, tensor.n, backend)
-    columns = []
-    total = CommunicationLedger(partition.P)
-    for col in range(X.shape[1]):
-        algo.load(machine, tensor, X[:, col])
-        algo.run(machine)
-        columns.append(algo.gather_result(machine))
-        total.merge(machine.reset_ledger())
-    Y = np.column_stack(columns)
+    X = _check_factor(engine.n, X)
+    Y, ledger = parallel_symmetric_mttkrp_batched(engine, machine, X)
     gram = X.T @ X
-    return X @ (gram * gram) - Y, total
+    return X @ (gram * gram) - Y, ledger
 
 
 @dataclass

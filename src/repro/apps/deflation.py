@@ -19,10 +19,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.apps.hopm import HOPMResult, hopm, parallel_hopm
-from repro.core.partition import TetrahedralPartition
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.errors import ConfigurationError
-from repro.machine.recovery import RecoveryPolicy
-from repro.machine.transport import Transport
+from repro.machine.machine import Machine
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
 
@@ -56,28 +55,26 @@ def deflated_eigenpairs(
     tensor: PackedSymmetricTensor,
     count: int,
     *,
-    partition: Optional[TetrahedralPartition] = None,
+    engine: Optional[ParallelSTTSV] = None,
+    machine: Optional[Machine] = None,
     restarts: int = 5,
     tolerance: float = 1e-10,
     max_iterations: int = 300,
     seed: SeedLike = 0,
-    transport: Optional[Transport] = None,
-    recovery: Optional[RecoveryPolicy] = None,
 ) -> DeflationResult:
     """Find ``count`` Z-eigenpairs by HOPM + deflation.
 
     Parameters
     ----------
-    partition:
-        When given, each HOPM stage runs in parallel on the simulated
-        machine (Algorithm 5 communication per iteration); otherwise
-        the sequential Algorithm 1 is used.
+    engine, machine:
+        When given, each HOPM stage runs in parallel on them (Algorithm
+        5 communication per iteration); otherwise the sequential
+        Algorithm 1 is used. ``engine.load_tensor(machine, tensor)``
+        must have run; each later stage loads its deflated tensor onto
+        the same engine once. The caller owns ``machine``.
     restarts:
         Random restarts per stage; the run with the largest |λ| wins,
         biasing stages toward the dominant remaining component.
-    transport:
-        Passed through to every parallel HOPM stage (default in-process
-        simulation; the caller owns the transport's lifecycle).
 
     Examples
     --------
@@ -90,17 +87,21 @@ def deflated_eigenpairs(
     """
     if count < 1:
         raise ConfigurationError("count must be >= 1")
+    if (engine is None) != (machine is None):
+        raise ConfigurationError("engine and machine come together")
     rng = as_generator(seed)
     current = tensor.copy()
     eigenvalues: List[float] = []
     vectors: List[np.ndarray] = []
     residuals: List[float] = []
     stages: List[HOPMResult] = []
-    for _ in range(count):
+    for stage in range(count):
+        if engine is not None and stage:
+            engine.load_tensor(machine, current)
         best: Optional[HOPMResult] = None
         for _ in range(restarts):
             start = rng.normal(size=tensor.n)
-            if partition is None:
+            if engine is None:
                 candidate = hopm(
                     current,
                     x0=start,
@@ -109,13 +110,12 @@ def deflated_eigenpairs(
                 )
             else:
                 candidate = parallel_hopm(
-                    partition,
+                    engine,
+                    machine,
                     current,
                     x0=start,
                     tolerance=tolerance,
                     max_iterations=max_iterations,
-                    transport=transport,
-                    recovery=recovery,
                 )
             if best is None or abs(candidate.eigenvalue) > abs(best.eigenvalue):
                 best = candidate

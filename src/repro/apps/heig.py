@@ -21,15 +21,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
-from repro.core.partition import TetrahedralPartition
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.sttsv_sequential import sttsv
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.machine.collectives import all_reduce_scalar
-from repro.machine.recovery import RecoveryPolicy
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
-from repro.machine.transport import Transport
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
 
@@ -114,83 +110,70 @@ def h_eigen_residual(
 
 
 def parallel_nqz_h_eigenpair(
-    partition: TetrahedralPartition,
+    engine: ParallelSTTSV,
+    machine: Machine,
     tensor: PackedSymmetricTensor,
     *,
-    backend: CommBackend = CommBackend.POINT_TO_POINT,
     tolerance: float = 1e-12,
     max_iterations: int = 500,
     seed: SeedLike = 0,
-    transport: Optional[Transport] = None,
-    recovery: Optional[RecoveryPolicy] = None,
 ) -> HEigenResult:
-    """Parallel NQZ: one Algorithm-5 exchange plus two scalar
-    allreduces (Collatz bounds) and one (norm) per iteration.
+    """Parallel NQZ on an engine holding ``tensor``: one Algorithm-5
+    exchange plus two scalar allreduces (Collatz bounds) and one (norm)
+    per iteration.
 
-    The iterate stays distributed as shards; Collatz–Wielandt min/max
-    ratios reduce with max/min allreduces over per-processor partials.
-    ``transport`` selects who moves the bytes (caller-owned lifecycle).
+    ``engine.load_tensor(machine, tensor)`` must have run on an order-3
+    engine (dense or sparse); the caller owns ``machine``. ``tensor`` is
+    read only for the nonnegativity check, so it must be packed (pass a
+    sparse tensor's ``to_packed()``). The iterate stays distributed as shards;
+    Collatz–Wielandt min/max ratios reduce with min/max allreduces over
+    per-processor partials. The returned ledger holds only this run's
+    rounds (the machine's ledger is reset on entry).
     """
     _check_nonnegative(tensor)
-    n = tensor.n
-    algo_probe = ParallelSTTSV(partition, n, backend)
-    if algo_probe.n_padded != n:
+    if engine.partition.order != 3:
+        raise ConfigurationError(
+            f"NQZ's x ← y^(1/2) is the order-3 H-eigen iteration; the"
+            f" engine is order {engine.partition.order}"
+        )
+    if engine.n_padded != engine.n:
         raise ConfigurationError(
             f"parallel NQZ needs n divisible by m·q(q+1) (no padding):"
             f" padded entries are zero, making the padded tensor reducible"
-            f" and the Perron iteration undefined; n={n} pads to"
-            f" {algo_probe.n_padded}"
+            f" and the Perron iteration undefined; n={engine.n} pads to"
+            f" {engine.n_padded}"
         )
     rng = as_generator(seed)
-    x = np.abs(rng.uniform(0.5, 1.5, size=n))
+    x = np.abs(rng.uniform(0.5, 1.5, size=engine.n))
     x /= np.linalg.norm(x)
-    machine = Machine(partition.P, transport=transport, recovery=recovery)
-    algo = algo_probe
-    algo.load(machine, tensor, x)
-    total = CommunicationLedger(partition.P)
+    machine.reset_ledger()
+    engine.load_vector(machine, x)
+    total = CommunicationLedger(machine.P)
     history: List[float] = []
     converged = False
     lower = upper = float("nan")
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        algo.run(machine)
-        local_min: List[float] = []
-        local_max: List[float] = []
-        local_norm: List[float] = []
-        for p in range(partition.P):
-            proc = machine[p]
-            y_shards = proc.load("y_shards")
-            x_shards = proc.load("x_shards")
-            ratios = np.concatenate(
-                [y_shards[i] / (x_shards[i] ** 2) for i in sorted(y_shards)]
-            )
-            local_min.append(float(ratios.min()))
-            local_max.append(float(ratios.max()))
-            local_norm.append(
-                sum(float(np.sum(np.abs(v))) for v in y_shards.values())
-            )
-        lower = all_reduce_scalar(machine, local_min, op=min)[0]
-        upper = all_reduce_scalar(machine, local_max, op=max)[0]
+        engine.run(machine)
+        lower = engine.reduce_shards(machine, _min_ratio, op=min)
+        upper = engine.reduce_shards(machine, _max_ratio, op=max)
         # ||sqrt(y)||² = Σ y_i for nonnegative y.
-        norm = float(np.sqrt(all_reduce_scalar(machine, local_norm)[0]))
+        norm = float(np.sqrt(engine.reduce_shards(machine, _abs_sum)))
         history.append(float(np.sqrt(max(lower, 0.0) * max(upper, 0.0))))
-        if upper - lower <= tolerance * max(upper, 1e-300):
-            converged = True
-            total.merge(machine.reset_ledger())
-            break
-        for p in range(partition.P):
-            proc = machine[p]
-            y_shards = proc.load("y_shards")
-            proc.store(
-                "x_shards",
-                {i: np.sqrt(np.maximum(v, 0.0)) / norm for i, v in y_shards.items()},
+        converged = upper - lower <= tolerance * max(upper, 1e-300)
+        if not converged:
+            engine.update_x(
+                machine,
+                lambda x_shards, y_shards: {
+                    i: np.sqrt(np.maximum(v, 0.0)) / norm
+                    for i, v in y_shards.items()
+                },
             )
         total.merge(machine.reset_ledger())
+        if converged:
+            break
 
-    from repro.core.distribution import assemble_vector
-
-    shards = [machine[p].load("x_shards") for p in range(partition.P)]
-    x = assemble_vector(partition, shards, algo.b, original_length=n)
+    x = engine.gather_x(machine)
     norm = np.linalg.norm(x)
     if norm > 0:
         x = x / norm
@@ -205,3 +188,21 @@ def parallel_nqz_h_eigenpair(
         history=history,
         ledger=total,
     )
+
+
+def _ratios(x_shards, y_shards) -> np.ndarray:
+    return np.concatenate(
+        [y_shards[i] / (x_shards[i] ** 2) for i in sorted(y_shards)]
+    )
+
+
+def _min_ratio(x_shards, y_shards) -> float:
+    return float(_ratios(x_shards, y_shards).min())
+
+
+def _max_ratio(x_shards, y_shards) -> float:
+    return float(_ratios(x_shards, y_shards).max())
+
+
+def _abs_sum(x_shards, y_shards) -> float:
+    return sum(float(np.sum(np.abs(v))) for v in y_shards.values())

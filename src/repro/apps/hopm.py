@@ -9,10 +9,10 @@ convergence to a Z-eigenpair even for indefinite tensors — the
 paper's Algorithm 1 is the ``α = 0`` special case, which converges for
 the odeco/positive-weight workloads used in our examples.
 
-The parallel variant runs every STTSV through
-:class:`~repro.core.parallel_sttsv.ParallelSTTSV` on a simulated
-machine; between STTSVs it needs only a scalar allreduce (norm and λ),
-so its per-iteration bandwidth is the paper's optimal STTSV cost plus
+The parallel variant runs every STTSV on a loaded
+:class:`~repro.core.parallel_sttsv.ParallelSTTSV` engine; between
+STTSVs it needs only scalar allreduces (norm, λ and the change), so its
+per-iteration bandwidth is the paper's optimal STTSV cost plus
 ``O(log P)`` words.
 """
 
@@ -23,16 +23,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
-from repro.core.partition import TetrahedralPartition
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.sttsv_ndim import sttsv_ndim
 from repro.core.sttsv_sequential import sttsv
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.machine.collectives import all_reduce_scalar
-from repro.machine.recovery import RecoveryPolicy
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
-from repro.machine.transport import Transport
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
 
@@ -164,77 +160,55 @@ def hopm(
 
 
 def parallel_hopm(
-    partition: TetrahedralPartition,
-    tensor: PackedSymmetricTensor,
+    engine: ParallelSTTSV,
+    machine: Machine,
+    tensor,
     x0: Optional[np.ndarray] = None,
     *,
-    backend: CommBackend = CommBackend.POINT_TO_POINT,
     tolerance: float = 1e-10,
     max_iterations: int = 200,
     seed: SeedLike = 0,
-    transport: Optional["Transport"] = None,
-    recovery: Optional[RecoveryPolicy] = None,
 ) -> HOPMResult:
-    """Parallel Algorithm 1 on the simulated machine.
+    """Parallel Algorithm 1 on an engine holding ``tensor``.
+
+    ``engine.load_tensor(machine, tensor)`` must have run; the caller
+    owns ``machine`` and closes it. Any engine works: dense order 3,
+    sparse, BCSS order 4. ``tensor`` is read only for the final
+    residual, out of model, so it must be packed (pass a sparse
+    tensor's ``to_packed()``).
 
     The iterate stays distributed as vector shards between iterations;
-    each iteration costs one full Algorithm-5 exchange (measured in the
-    returned ledger) plus two scalar allreduces. ``transport`` selects
-    who moves the bytes (default in-process; pass a
-    :class:`~repro.machine.transport.shm.SharedMemoryTransport` to run
-    exchanges across worker processes — the caller closes it);
-    ``recovery`` bounds the retry loop for transfers that fail
-    end-of-round integrity verification (DESIGN.md §8).
+    each iteration costs one full Algorithm-5 exchange plus three
+    scalar allreduces (norm, Rayleigh quotient, change). The returned
+    ledger holds only this run's rounds (the machine's ledger is reset
+    on entry).
     """
-    n = tensor.n
-    machine = Machine(partition.P, transport=transport, recovery=recovery)
-    algo = ParallelSTTSV(partition, n, backend)
-    x = _initial_vector(n, x0, seed)
-    algo.load(machine, tensor, x)
-
-    total_ledger = CommunicationLedger(partition.P)
+    machine.reset_ledger()
+    engine.load_vector(machine, _initial_vector(engine.n, x0, seed))
+    total_ledger = CommunicationLedger(machine.P)
     history: List[float] = []
     converged = False
     iterations = 0
     words_first_iteration: Optional[int] = None
     for iterations in range(1, max_iterations + 1):
-        algo.run(machine)
-        # Distributed norm and Rayleigh quotient: every shard is owned by
-        # exactly one processor, so local sums partition the global sums.
-        local_norm_sq = []
-        local_dot = []
-        local_delta_sq = []
-        for p in range(partition.P):
-            y_shards = machine[p].load("y_shards")
-            x_shards = machine[p].load("x_shards")
-            local_norm_sq.append(
-                sum(float(v @ v) for v in y_shards.values())
-            )
-            local_dot.append(
-                sum(
-                    float(x_shards[i] @ y_shards[i])
-                    for i in x_shards
-                )
-            )
-        norm = float(np.sqrt(all_reduce_scalar(machine, local_norm_sq)[0]))
-        dot_xy = all_reduce_scalar(machine, local_dot)[0]
+        engine.run(machine)
+        # Every shard has one holder, so local sums partition the
+        # global norm and Rayleigh quotient.
+        norm = float(np.sqrt(engine.reduce_shards(machine, _norm_sq)))
+        dot_xy = engine.reduce_shards(machine, _dot)
         if norm == 0:
             raise ConvergenceError("parallel HOPM iterate collapsed to zero")
         sign = -1.0 if dot_xy < 0 else 1.0
-        # Local update: x <- sign * y / norm, tracking the change.
-        for p in range(partition.P):
-            proc = machine[p]
-            y_shards = proc.load("y_shards")
-            x_shards = proc.load("x_shards")
-            delta_sq = 0.0
-            new_shards = {}
-            for i, y_shard in y_shards.items():
-                new = sign * y_shard / norm
-                delta_sq += float(np.sum((new - x_shards[i]) ** 2))
-                new_shards[i] = new
-            local_delta_sq.append(delta_sq)
-            proc.store("x_shards", new_shards)
-        delta = float(np.sqrt(all_reduce_scalar(machine, local_delta_sq)[0]))
+
+        def step(x_shards, y_shards):
+            return {i: sign * y / norm for i, y in y_shards.items()}
+
+        def change_sq(x_shards, y_shards):
+            new = step(x_shards, y_shards)
+            return sum(float(np.sum((new[i] - x_shards[i]) ** 2)) for i in new)
+
+        delta = float(np.sqrt(engine.reduce_shards(machine, change_sq)))
+        engine.update_x(machine, step)
         # dot_xy = x_tᵀ (A ×₂ x_t ×₃ x_t): the Rayleigh quotient of the
         # pre-update unit iterate — matching the sequential history.
         history.append(dot_xy)
@@ -246,10 +220,7 @@ def parallel_hopm(
             break
 
     # Assemble the final iterate for reporting (out of model).
-    shards = [machine[p].load("x_shards") for p in range(partition.P)]
-    from repro.core.distribution import assemble_vector
-
-    x = assemble_vector(partition, shards, algo.b, original_length=n)
+    x = engine.gather_x(machine)
     x = x / np.linalg.norm(x)
     y = sttsv(tensor, x)
     eigenvalue = float(x @ y)
@@ -264,3 +235,11 @@ def parallel_hopm(
         ledger=total_ledger,
         words_per_iteration=words_first_iteration,
     )
+
+
+def _norm_sq(x_shards, y_shards) -> float:
+    return sum(float(v @ v) for v in y_shards.values())
+
+
+def _dot(x_shards, y_shards) -> float:
+    return sum(float(x_shards[i] @ y_shards[i]) for i in x_shards)

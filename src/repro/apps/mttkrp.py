@@ -10,27 +10,27 @@ optimal STTSV exchanges.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.core.block_kernels import apply_block
+from repro.core.distribution import shard_bounds
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
-from repro.core.partition import TetrahedralPartition
 from repro.core.plans import sequential_plan
 from repro.core.sttsv_sequential import sttsv
 from repro.errors import ConfigurationError
+from repro.machine.collectives import point_to_point_rounds
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
-from repro.machine.recovery import RecoveryPolicy
-from repro.machine.transport import Transport
 from repro.tensor.packed import PackedSymmetricTensor
 
 
-def _check_factor(tensor: PackedSymmetricTensor, X: np.ndarray) -> np.ndarray:
+def _check_factor(n: int, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != tensor.n:
+    if X.ndim != 2 or X.shape[0] != n:
         raise ConfigurationError(
-            f"factor matrix must have shape ({tensor.n}, r), got {X.shape}"
+            f"factor matrix must have shape ({n}, r), got {X.shape}"
         )
     return X
 
@@ -39,7 +39,7 @@ def symmetric_mttkrp(
     tensor: PackedSymmetricTensor, X: np.ndarray
 ) -> np.ndarray:
     """Column-by-column reference: ``Y[:, ℓ] = A ×₂ x_ℓ ×₃ x_ℓ``."""
-    X = _check_factor(tensor, X)
+    X = _check_factor(tensor.n, X)
     return np.column_stack(
         [sttsv(tensor, X[:, col]) for col in range(X.shape[1])]
     )
@@ -56,47 +56,36 @@ def symmetric_mttkrp_batched(
     operator regardless of ``r``, which is how a production MTTKRP
     amortizes tensor traffic. See :mod:`repro.core.plans`.
     """
-    X = _check_factor(tensor, X)
+    X = _check_factor(tensor.n, X)
     return sequential_plan(tensor).apply_batch(X)
 
 
 def parallel_symmetric_mttkrp(
-    partition: TetrahedralPartition,
-    tensor: PackedSymmetricTensor,
-    X: np.ndarray,
-    *,
-    backend: CommBackend = CommBackend.POINT_TO_POINT,
-    transport: Optional[Transport] = None,
-    recovery: Optional[RecoveryPolicy] = None,
+    engine: ParallelSTTSV, machine: Machine, X: np.ndarray
 ) -> Tuple[np.ndarray, CommunicationLedger]:
-    """Parallel MTTKRP: ``r`` Algorithm-5 executions on the simulator.
+    """Parallel MTTKRP: ``r`` Algorithm-5 executions on an engine
+    holding the tensor (``engine.load_tensor(machine, tensor)`` has run;
+    the caller owns ``machine``). Any engine works.
 
-    Returns ``(Y, ledger)``; the ledger shows exactly ``r`` times the
-    single-STTSV optimal cost in ``r`` times the steps. See
-    :func:`parallel_symmetric_mttkrp_batched` for the variant that
-    ships all columns per message. ``transport`` selects who moves the
-    bytes (caller-owned lifecycle).
+    Returns ``(Y, ledger)``; the ledger holds this call's rounds only —
+    exactly ``r`` times the single-STTSV optimal cost in ``r`` times the
+    steps. See :func:`parallel_symmetric_mttkrp_batched` for the variant
+    that ships all columns per message.
     """
-    X = _check_factor(tensor, X)
-    machine = Machine(partition.P, transport=transport, recovery=recovery)
-    algo = ParallelSTTSV(partition, tensor.n, backend)
-    total = CommunicationLedger(partition.P)
+    X = _check_factor(engine.n, X)
+    machine.reset_ledger()
+    total = CommunicationLedger(machine.P)
     columns = []
     for col in range(X.shape[1]):
-        algo.load(machine, tensor, X[:, col])
-        algo.run(machine)
-        columns.append(algo.gather_result(machine))
+        engine.load_vector(machine, X[:, col])
+        engine.run(machine)
+        columns.append(engine.gather_result(machine))
         total.merge(machine.reset_ledger())
     return np.column_stack(columns), total
 
 
 def parallel_symmetric_mttkrp_batched(
-    partition: TetrahedralPartition,
-    tensor: PackedSymmetricTensor,
-    X: np.ndarray,
-    *,
-    transport: Optional[Transport] = None,
-    recovery: Optional[RecoveryPolicy] = None,
+    engine: ParallelSTTSV, machine: Machine, X: np.ndarray
 ) -> Tuple[np.ndarray, CommunicationLedger]:
     """Column-batched parallel MTTKRP: one exchange for all ``r`` columns.
 
@@ -105,35 +94,34 @@ def parallel_symmetric_mttkrp_batched(
     the *latency* term drops from ``2r(q³/2+3q²/2−1)`` steps to
     ``2(q³/2+3q²/2−1)`` — the standard amortization CP-ALS implementations
     rely on. Each processor runs the Algorithm-5 block kernels on
-    ``(b, r)`` row-block *matrices* via batched einsums.
+    ``(b, r)`` row-block *matrices* via batched einsums, over the dense
+    order-3 blocks the engine holds and along its point-to-point
+    schedule; any other engine raises :class:`ConfigurationError`.
+    Returns ``(Y, ledger)`` with this call's rounds only.
     """
-    X = _check_factor(tensor, X)
+    X = _check_factor(engine.n, X)
+    # The engine's kernel tells what its processors hold: apply_block
+    # means dense order-3 blocks (not sparse entries, not BCSS blocks).
+    if (
+        engine.backend is not CommBackend.POINT_TO_POINT
+        or engine._apply_block is not apply_block
+    ):
+        raise ConfigurationError(
+            "column-batched MTTKRP needs a point-to-point engine holding a"
+            " dense order-3 tensor; use parallel_symmetric_mttkrp"
+        )
     n, r = X.shape
-    machine = Machine(partition.P, transport=transport, recovery=recovery)
-    algo = ParallelSTTSV(partition, n)
-    b, shard = algo.b, algo.shard
-    from repro.core.distribution import shard_bounds
-    from repro.core.parallel_sttsv import pad_tensor
-    from repro.tensor.blocks import extract_block
+    partition, b, shard = engine.partition, engine.b, engine.shard
+    plan = engine.exchange_plan
+    machine.reset_ledger()
 
-    padded_tensor = pad_tensor(tensor, algo.n_padded)
-    X_padded = np.zeros((algo.n_padded, r))
+    # Factor shards as (shard, r) row slices, laid out like x's.
+    X_padded = np.zeros((engine.n_padded, r))
     X_padded[:n] = X
-
-    # Distribute: tensor blocks as usual; factor shards as (shard, r).
-    for p in range(machine.P):
-        blocks = {
-            index: extract_block(padded_tensor, index, b)
-            for index in partition.owned_blocks(p)
-        }
-        shards = {}
-        for i in partition.R[p]:
-            lo, hi = shard_bounds(partition, i, p, b)
-            shards[i] = X_padded[i * b + lo : i * b + hi].copy()
-        machine[p].store("tensor_blocks", blocks)
+    for p, shards in enumerate(plan.split_shards(X_padded[plan.load_index])):
         machine[p].store("X_shards", shards)
 
-    schedule = algo.schedule
+    schedule = engine.schedule
 
     def x_payload(src, dst):
         common = schedule.shared.get((src, dst))
@@ -141,8 +129,6 @@ def parallel_symmetric_mttkrp_batched(
             return None
         shards = machine[src].load("X_shards")
         return np.concatenate([shards[i] for i in sorted(common)], axis=0)
-
-    from repro.machine.collectives import point_to_point_rounds
 
     received = point_to_point_rounds(
         machine, schedule.rounds, x_payload, tag="mttkrp-x"
@@ -214,7 +200,7 @@ def parallel_symmetric_mttkrp_batched(
     received = point_to_point_rounds(
         machine, schedule.rounds, y_payload, tag="mttkrp-y"
     )
-    Y = np.full((algo.n_padded, r), np.nan)
+    Y = np.full((engine.n_padded, r), np.nan)
     for p in range(machine.P):
         proc = machine[p]
         partial = proc.load("Y_partial")
@@ -231,4 +217,4 @@ def parallel_symmetric_mttkrp_batched(
                         final += payload[offset : offset + shard]
                     offset += shard
             Y[i * b + lo : i * b + hi] = final
-    return Y[:n], machine.ledger
+    return Y[:n], machine.reset_ledger()

@@ -77,17 +77,23 @@ Two communication backends:
   ``n(q+1)/(q²+1) − n/P`` per vector — the lower bound's leading term.
 * ``CommBackend.ALL_TO_ALL`` — the paper's All-to-All formulation
   (lines 16/44): a uniform personalized collective in which every
-  processor ships two shard-slots to *every* other processor (padding
-  with zeros where less is needed, exactly the uniform-buffer model the
-  paper prices). Per-processor bandwidth is ``2n/(q+1) · (1 − 1/P)``
-  per vector — twice the lower bound's leading term (§7.2.2). Only
-  symmetric exchange graphs (x pairs == y pairs) have that uniform
-  slot, so the order-4 partitions reject it.
+  processor ships one slot to *every* other processor, as wide as the
+  largest pair message (two shards at order 3, one at order 2), padding
+  with zeros where less is needed — exactly the uniform-buffer model the
+  paper prices. At order 3 per-processor bandwidth is
+  ``2n/(q+1) · (1 − 1/P)`` per vector — twice the lower bound's leading
+  term (§7.2.2). Only symmetric exchange graphs (x pairs == y pairs)
+  have that uniform slot, so the order-4 partitions reject it.
+
+Between runs ``x_shards``/``y_shards`` stay distributed; iterative
+drivers (:mod:`repro.apps`) use them only through ``reduce_shards``,
+``update_x`` and ``gather_x``, so one driver serves every engine.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -101,6 +107,7 @@ from repro.core.schedule import ExchangeSchedule
 from repro.errors import ConfigurationError, MachineError
 from repro.machine.collectives import (
     LabeledRound,
+    all_reduce_scalar,
     execute_rounds_fused,
     schedule_point_to_point,
 )
@@ -113,6 +120,9 @@ from repro.tensor.blocks import extract_block
 from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.tensor.sparse import SparseSymmetricTensor, sparse_scatter
+
+#: One processor's vector shards, ``{row block i: its shard of v[i]}``.
+Shards = Dict[int, np.ndarray]
 
 #: Fused batches each point-to-point exchange phase is split into:
 #: contiguous runs of permutation rounds, each executed as one fused
@@ -248,6 +258,8 @@ class ParallelSTTSV:
                 " (irregular graphs have no uniform All-to-All slot);"
                 " use point-to-point"
             )
+        # The All-to-All's uniform slot: the largest pair message.
+        self._slot = self.shard * max(map(len, x_pairs.values()), default=0)
         self.schedule: ExchangeSchedule = partition.exchange_schedule(x_pairs)
         self.schedule_y: ExchangeSchedule = (
             self.schedule
@@ -356,14 +368,14 @@ class ParallelSTTSV:
         (labels ``{tag}:round{i}``) and splits them into
         :data:`FUSED_BATCHES` contiguous batches. All-to-All is the
         ``P − 1`` shift rounds (labels ``{tag}:shift{s}``) of one
-        uniform two-shard slot per ordered pair, executed as one batch.
+        uniform slot per ordered pair, executed as one batch.
         Deliveries land in round order, the order the y reduction sums
         them in.
         """
         plan = self.exchange_plan
         P = self.partition.P
         if self.backend is CommBackend.ALL_TO_ALL:
-            width: Optional[int] = 2 * self.shard
+            width: Optional[int] = self._slot
             rounds = [
                 (f"{tag}:shift{shift}", [(src, (src + shift) % P) for src in range(P)])
                 for shift in range(1, P)
@@ -489,8 +501,46 @@ class ParallelSTTSV:
         """Reassemble the distributed ``y`` (verification step, outside
         the communication model — the algorithm's contract ends with
         ``y`` distributed exactly like ``x`` was)."""
-        shards = [machine[p].load("y_shards") for p in range(machine.P)]
+        return self._gather(machine, "y_shards")
+
+    def gather_x(self, machine: Machine) -> np.ndarray:
+        """Reassemble the distributed ``x`` (outside the communication
+        model, like :meth:`gather_result`)."""
+        return self._gather(machine, "x_shards")
+
+    def _gather(self, machine: Machine, key: str) -> np.ndarray:
+        shards = [machine[p].load(key) for p in range(machine.P)]
         return self.exchange_plan.assemble(shards)[: self.n]
+
+    # -- distributed vectors between runs --------------------------------------
+
+    def reduce_shards(
+        self,
+        machine: Machine,
+        local: Callable[[Shards, Shards], float],
+        op: Callable[[float, float], float] = operator.add,
+    ) -> float:
+        """Allreduce ``local(x_shards, y_shards)`` of every processor
+        with ``op`` (:func:`~repro.machine.collectives.all_reduce_scalar`,
+        recorded in the ledger). Every shard has one holder, so per-
+        processor sums over the shards partition a global sum: a norm,
+        a dot product, a distance."""
+        values = [
+            local(proc.load("x_shards"), proc.load("y_shards"))
+            for proc in machine
+        ]
+        return all_reduce_scalar(machine, values, op=op)[0]
+
+    def update_x(
+        self,
+        machine: Machine,
+        step: Callable[[Shards, Shards], Shards],
+    ) -> None:
+        """Replace every processor's ``x_shards`` with
+        ``step(x_shards, y_shards)`` — a shard-local update (no
+        communication), e.g. the next iterate of a power method."""
+        for proc in machine:
+            proc.store("x_shards", step(proc.load("x_shards"), proc.load("y_shards")))
 
     # -- accounting ---------------------------------------------------------------------------
 
@@ -539,7 +589,8 @@ class ParallelSTTSV:
         Point-to-point: ``2 · r · (λ₁ − 1) · shard`` — equals
         ``2 (n(q+1)/(q²+1) − n/P)`` for the spherical family (§7.2.2)
         and ``2qn/(q²+q+1)`` for a projective plane's SYMV.
-        All-to-All: ``2 · (P − 1) · 2 · shard`` — equals
+        All-to-All: ``2 · (P − 1) · slot``, the slot being the largest
+        pair message (two shards at order 3, one at order 2) — equals
         ``4n/(q+1) (1 − 1/P)`` for the spherical family.
         """
         if self.partition.order not in (2, 3):
@@ -552,7 +603,7 @@ class ParallelSTTSV:
             lambda_point = self.partition.steiner.point_replication()
             per_phase = self.partition.r * (lambda_point - 1) * self.shard
         else:
-            per_phase = (self.partition.P - 1) * 2 * self.shard
+            per_phase = (self.partition.P - 1) * self._slot
         return 2 * per_phase
 
     def flops_per_processor(self, p: int) -> int:

@@ -6,7 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.partition import TetrahedralPartition
+from repro.machine.machine import Machine
 from repro.steiner import boolean_steiner_system, spherical_steiner_system
 
 
@@ -58,3 +60,22 @@ def partition_sqs8(sqs8):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250705)
+
+
+@pytest.fixture()
+def loaded_engine():
+    """``loaded_engine(partition, tensor)`` returns an ``(engine,
+    machine)`` pair holding ``tensor`` — what the parallel apps take.
+    Every machine it made is closed at teardown."""
+    machines = []
+
+    def load(partition, tensor, backend=CommBackend.POINT_TO_POINT):
+        engine = ParallelSTTSV(partition, tensor.n, backend)
+        machine = Machine(partition.P)
+        machines.append(machine)
+        engine.load_tensor(machine, tensor)
+        return engine, machine
+
+    yield load
+    for machine in machines:
+        machine.close()

@@ -93,30 +93,39 @@ class TestSequentialHOPM:
 
 
 class TestParallelHOPM:
-    def test_matches_sequential_trajectory(self, partition_q2):
+    def test_matches_sequential_trajectory(self, partition_q2, loaded_engine):
         """Same start, same tensor: the parallel run converges to the
         same eigenpair with the same λ."""
         tensor, weights, factors = odeco_tensor(30, 3, seed=10)
         x0 = np.random.default_rng(11).normal(size=30)
         sequential = hopm(tensor, x0=x0.copy())
-        parallel = parallel_hopm(partition_q2, tensor, x0=x0.copy())
+        engine, machine = loaded_engine(partition_q2, tensor)
+        parallel = parallel_hopm(engine, machine, tensor, x0=x0.copy())
         assert parallel.converged
         assert parallel.eigenvalue == pytest.approx(sequential.eigenvalue, abs=1e-8)
         assert parallel.residual < 1e-8
 
-    def test_per_iteration_communication_is_sttsv_cost(self, partition_q2):
+    def test_per_iteration_communication_is_sttsv_cost(
+        self, partition_q2, loaded_engine
+    ):
         from repro.core import bounds
 
         tensor, _, _ = odeco_tensor(30, 2, seed=12)
-        result = parallel_hopm(partition_q2, tensor, max_iterations=5, tolerance=0.0)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        result = parallel_hopm(
+            engine, machine, tensor, max_iterations=5, tolerance=0.0
+        )
         sttsv_words = bounds.optimal_bandwidth_cost(30, 2)
         # One STTSV exchange plus O(log P) scalar allreduce words.
         assert result.words_per_iteration >= sttsv_words
         assert result.words_per_iteration <= sttsv_words + 4 * np.log2(10) + 8
 
-    def test_ledger_accumulates(self, partition_q2):
+    def test_ledger_accumulates(self, partition_q2, loaded_engine):
         tensor, _, _ = odeco_tensor(30, 2, seed=13)
-        result = parallel_hopm(partition_q2, tensor, max_iterations=4, tolerance=0.0)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        result = parallel_hopm(
+            engine, machine, tensor, max_iterations=4, tolerance=0.0
+        )
         assert result.ledger is not None
         assert result.ledger.total_words() > 0
         assert result.iterations == 4
@@ -171,11 +180,12 @@ class TestCPGradient:
 
 
 class TestParallelCPGradient:
-    def test_matches_sequential(self, partition_q2, rng):
+    def test_matches_sequential(self, partition_q2, loaded_engine, rng):
         tensor = random_symmetric(30, seed=19)
         X = rng.normal(size=(30, 2))
         expected = cp_gradient(tensor, X)
-        result, ledger = parallel_cp_gradient(partition_q2, tensor, X)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        result, ledger = parallel_cp_gradient(engine, machine, X)
         assert np.allclose(result, expected)
         # r STTSVs worth of communication.
         from repro.core import bounds

@@ -39,10 +39,11 @@ class TestSequentialDeflation:
 
 
 class TestParallelDeflation:
-    def test_parallel_stages_match(self, partition_q2):
+    def test_parallel_stages_match(self, partition_q2, loaded_engine):
         tensor, weights, _ = odeco_tensor(30, 2, seed=7)
+        engine, machine = loaded_engine(partition_q2, tensor)
         result = deflated_eigenpairs(
-            tensor, 2, partition=partition_q2, seed=8, restarts=3
+            tensor, 2, engine=engine, machine=machine, seed=8, restarts=3
         )
         assert np.allclose(
             sorted(result.eigenvalues, reverse=True), weights, atol=1e-6
@@ -50,3 +51,9 @@ class TestParallelDeflation:
         # Parallel stages carry communication ledgers.
         assert all(stage.ledger is not None for stage in result.stages)
         assert all(stage.ledger.total_words() > 0 for stage in result.stages)
+
+    def test_engine_needs_its_machine(self, partition_q2, loaded_engine):
+        tensor, _, _ = odeco_tensor(30, 2, seed=9)
+        engine, _ = loaded_engine(partition_q2, tensor)
+        with pytest.raises(ConfigurationError, match="together"):
+            deflated_eigenpairs(tensor, 1, engine=engine)

@@ -69,22 +69,35 @@ class TestSequentialNQZ:
 
 
 class TestParallelNQZ:
-    def test_matches_sequential(self, partition_q2):
+    def test_matches_sequential(self, partition_q2, loaded_engine):
         tensor = positive_tensor(30, 7)
         sequential = nqz_h_eigenpair(tensor, seed=8)
-        parallel = parallel_nqz_h_eigenpair(partition_q2, tensor, seed=8)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        parallel = parallel_nqz_h_eigenpair(engine, machine, tensor, seed=8)
         assert parallel.converged
         assert parallel.eigenvalue == pytest.approx(
             sequential.eigenvalue, rel=1e-10
         )
 
-    def test_communication_ledger_populated(self, partition_q2):
+    def test_communication_ledger_populated(self, partition_q2, loaded_engine):
         tensor = positive_tensor(30, 9)
-        result = parallel_nqz_h_eigenpair(partition_q2, tensor, seed=10)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        result = parallel_nqz_h_eigenpair(engine, machine, tensor, seed=10)
         assert result.ledger is not None
         assert result.ledger.total_words() > 0
 
-    def test_padding_rejected_with_explanation(self, partition_q2):
+    def test_padding_rejected_with_explanation(self, partition_q2, loaded_engine):
         tensor = positive_tensor(25, 11)  # pads to 30
+        engine, machine = loaded_engine(partition_q2, tensor)
         with pytest.raises(ConfigurationError, match="reducible"):
-            parallel_nqz_h_eigenpair(partition_q2, tensor)
+            parallel_nqz_h_eigenpair(engine, machine, tensor)
+
+    def test_order4_engine_rejected(self, sqs8, loaded_engine):
+        from repro.core.partition_ndim import QuadruplePartition
+        from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_packed_size
+
+        data = np.random.default_rng(12).uniform(0.1, 1.0, nd_packed_size(56, 4))
+        tensor = NdPackedSymmetricTensor(56, 4, data)
+        engine, machine = loaded_engine(QuadruplePartition(sqs8), tensor)
+        with pytest.raises(ConfigurationError, match="order-3"):
+            parallel_nqz_h_eigenpair(engine, machine, tensor)

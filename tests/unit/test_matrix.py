@@ -4,7 +4,7 @@ triangle partition, SYMV on the Algorithm-5 engine and its bounds."""
 import numpy as np
 import pytest
 
-from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.plans import sequential_plan
 from repro.core.sttsv_ndim import (
     sttsv_ndim,
@@ -196,6 +196,22 @@ class TestEngineSYMV:
         assert expected == int(symv_optimal_bandwidth_projective(n, 2))
         assert machine.ledger.round_count() == 2 * symv_schedule_step_count(7, 3)
         assert machine.ledger.all_rounds_are_permutations()
+
+    def test_all_to_all_slot_is_one_shard(self, fano_partition, rng):
+        """Two lines share at most one row block, so the All-to-All
+        slot is one shard: no padding, the point-to-point volume."""
+        n = 21
+        matrix = nd_random_symmetric(n, 2, seed=4)
+        x = rng.normal(size=n)
+        machine = Machine(7)
+        algo = ParallelSTTSV(fano_partition, n, CommBackend.ALL_TO_ALL)
+        algo.load(machine, matrix, x)
+        algo.run(machine)
+        assert np.allclose(algo.gather_result(machine), sttsv_ndim(matrix, x))
+        p2p = ParallelSTTSV(fano_partition, n).expected_words_per_processor()
+        assert algo.expected_words_per_processor() == p2p == 12
+        assert machine.ledger.words_sent == [12] * 7
+        assert algo.words_per_processor() == [12] * 7
 
     def test_lower_bound_respected(self, fano_partition):
         n = 42

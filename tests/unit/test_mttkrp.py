@@ -5,13 +5,17 @@ import pytest
 
 from repro.apps.mttkrp import (
     parallel_symmetric_mttkrp,
+    parallel_symmetric_mttkrp_batched,
     symmetric_mttkrp,
     symmetric_mttkrp_batched,
 )
 from repro.core.bounds import optimal_bandwidth_cost
+from repro.core.parallel_sttsv import CommBackend
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
 from repro.tensor.dense import dense_from_packed, random_symmetric
+from repro.tensor.hypergraph import random_hypergraph
+from repro.tensor.sparse import SparseSymmetricTensor
 
 
 class TestSequential:
@@ -54,39 +58,57 @@ class TestSequential:
 
 
 class TestParallel:
-    def test_matches_sequential(self, partition_q2, rng):
+    def test_matches_sequential(self, partition_q2, loaded_engine, rng):
         tensor = random_symmetric(30, seed=5)
         X = rng.normal(size=(30, 2))
-        Y, ledger = parallel_symmetric_mttkrp(partition_q2, tensor, X)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        Y, ledger = parallel_symmetric_mttkrp(engine, machine, X)
         assert np.allclose(Y, symmetric_mttkrp(tensor, X))
 
-    def test_communication_is_r_sttsvs(self, partition_q2, rng):
+    def test_communication_is_r_sttsvs(self, partition_q2, loaded_engine, rng):
         n, r = 60, 3
         tensor = random_symmetric(n, seed=6)
         X = rng.normal(size=(n, r))
-        _, ledger = parallel_symmetric_mttkrp(partition_q2, tensor, X)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        _, ledger = parallel_symmetric_mttkrp(engine, machine, X)
         assert ledger.max_words_sent() == pytest.approx(
             r * optimal_bandwidth_cost(n, 2)
         )
 
 
 class TestBatchedParallel:
-    def test_matches_reference_with_padding(self, partition_q2, rng):
-        from repro.apps.mttkrp import parallel_symmetric_mttkrp_batched
-
+    def test_matches_reference_with_padding(self, partition_q2, loaded_engine, rng):
         tensor = random_symmetric(41, seed=7)  # forces padding
         X = rng.normal(size=(41, 3))
-        Y, ledger = parallel_symmetric_mttkrp_batched(partition_q2, tensor, X)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        Y, ledger = parallel_symmetric_mttkrp_batched(engine, machine, X)
         assert np.allclose(Y, symmetric_mttkrp(tensor, X))
 
-    def test_same_words_r_fold_fewer_rounds(self, partition_q2, rng):
-        from repro.apps.mttkrp import parallel_symmetric_mttkrp_batched
-
+    def test_same_words_r_fold_fewer_rounds(self, partition_q2, loaded_engine, rng):
         n, r = 30, 4
         tensor = random_symmetric(n, seed=8)
         X = rng.normal(size=(n, r))
-        _, batched = parallel_symmetric_mttkrp_batched(partition_q2, tensor, X)
-        _, columnwise = parallel_symmetric_mttkrp(partition_q2, tensor, X)
+        engine, machine = loaded_engine(partition_q2, tensor)
+        _, batched = parallel_symmetric_mttkrp_batched(engine, machine, X)
+        _, columnwise = parallel_symmetric_mttkrp(engine, machine, X)
         assert batched.max_words_sent() == columnwise.max_words_sent()
         assert batched.round_count() * r == columnwise.round_count()
         assert batched.all_rounds_are_permutations()
+
+    @pytest.mark.parametrize("sparse,backend", [
+        (False, CommBackend.ALL_TO_ALL), (True, CommBackend.POINT_TO_POINT)
+    ])
+    def test_rejects_engine_it_cannot_serve(
+        self, partition_q2, loaded_engine, sparse, backend
+    ):
+        """The batched kernels need dense order-3 blocks exchanged along
+        the point-to-point schedule: an all-to-all engine has no such
+        schedule, a sparse one holds no blocks."""
+        tensor = random_symmetric(30, seed=9)
+        if sparse:
+            tensor = SparseSymmetricTensor.from_hyperedges(
+                30, random_hypergraph(30, 60, seed=1)
+            )
+        engine, machine = loaded_engine(partition_q2, tensor, backend)
+        with pytest.raises(ConfigurationError, match="point-to-point"):
+            parallel_symmetric_mttkrp_batched(engine, machine, np.ones((30, 2)))
