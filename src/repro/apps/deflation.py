@@ -1,10 +1,11 @@
 """Deflation: compute several Z-eigenpairs with repeated (parallel) HOPM.
 
-For odeco tensors ``A = Σ λ_t v_t ∘ v_t ∘ v_t`` the robust eigenpairs
-are exactly the components; subtracting a found component
-(``A ← A − λ v∘v∘v``) and re-running HOPM recovers them all. This is
+For odeco tensors ``A = Σ λ_t v_t^{⊗d}`` the robust eigenpairs are
+exactly the components; subtracting a found component
+(``A ← A − λ v^{⊗d}``) and re-running HOPM recovers them all. This is
 the standard workflow built on the paper's Algorithm 1 and exercises
-repeated STTSV exchanges end to end.
+repeated STTSV exchanges end to end, at any order the engine serves
+(dense order 3, BCSS order 4).
 
 Deflation is numerically reliable only in the orthogonally decomposable
 setting; for general symmetric tensors the residual tensor's eigenpairs
@@ -22,7 +23,7 @@ from repro.apps.hopm import HOPMResult, hopm, parallel_hopm
 from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
-from repro.tensor.packed import PackedSymmetricTensor
+from repro.tensor.ndpacked import NdPackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
 
 
@@ -37,22 +38,26 @@ class DeflationResult:
 
 
 def _subtract_rank_one(
-    tensor: PackedSymmetricTensor, weight: float, vector: np.ndarray
-) -> PackedSymmetricTensor:
-    """Packed ``A − weight · v∘v∘v`` without densifying.
+    tensor: NdPackedSymmetricTensor, weight: float, vector: np.ndarray
+) -> NdPackedSymmetricTensor:
+    """Packed ``A − weight · v^{⊗d}`` without densifying, of
+    ``tensor``'s type and order.
 
     Index arrays come from the shared cached scatter plan, so repeated
     deflation stages skip rebuilding them.
     """
     from repro.core.sttsv_ndim import _ndim_scatter_plan
 
-    I, J, K = _ndim_scatter_plan(tensor.n, 3)[0].T
-    update = weight * vector[I] * vector[J] * vector[K]
-    return PackedSymmetricTensor(tensor.n, tensor.data - update)
+    update = np.full(tensor.data.size, weight)
+    for column in _ndim_scatter_plan(tensor.n, tensor.d)[0].T:
+        update *= vector[column]
+    result = tensor.copy()
+    result.data -= update
+    return result
 
 
 def deflated_eigenpairs(
-    tensor: PackedSymmetricTensor,
+    tensor: NdPackedSymmetricTensor,
     count: int,
     *,
     engine: Optional[ParallelSTTSV] = None,
@@ -120,9 +125,11 @@ def deflated_eigenpairs(
             if best is None or abs(candidate.eigenvalue) > abs(best.eigenvalue):
                 best = candidate
         assert best is not None
-        # Canonicalize to positive λ (Z-pairs come as ±(λ, x)).
+        # At odd order Z-pairs come as ±(λ, x): canonicalize to
+        # positive λ. At even order (λ, −x) is the pair and λ keeps
+        # its sign — flipping it would double the component.
         eigenvalue, vector = best.eigenvalue, best.eigenvector
-        if eigenvalue < 0:
+        if eigenvalue < 0 and tensor.d % 2:
             eigenvalue, vector = -eigenvalue, -vector
         eigenvalues.append(eigenvalue)
         vectors.append(vector)

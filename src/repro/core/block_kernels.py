@@ -48,8 +48,8 @@ The two single-read diagonal cases use the block's symmetry in its
 repeated modes (``A[i,j,k] == A[j,i,k]`` when ``I == J``, and
 ``A[i,j,k] == A[i,k,j]`` when ``J == K``). That symmetry is exact,
 not approximate, for blocks cut from packed symmetric storage
-(:func:`repro.tensor.blocks.extract_block`): mirrored entries are the
-same stored word. A diagonal block that is not symmetric in its
+(:meth:`repro.tensor.bcss.BCSSTensor.from_ndpacked`): mirrored entries
+are the same stored word. A diagonal block that is not symmetric in its
 repeated modes gets a wrong answer.
 
 No Python-level loops over tensor entries and no ``np.einsum``
@@ -85,8 +85,8 @@ def apply_block(
     block:
         The dense ``b × b × b`` sub-cube at that position, symmetric in
         its repeated modes when the index repeats (true of every block
-        :func:`~repro.tensor.blocks.extract_block` cuts from packed
-        storage; see the module docstring).
+        :meth:`~repro.tensor.bcss.BCSSTensor.from_ndpacked` cuts from
+        packed storage; see the module docstring).
     x_blocks:
         Row blocks of the input vector, keyed by row-block index; must
         contain ``I``, ``J`` and ``K``.

@@ -8,7 +8,8 @@ Phases (function ``STTSV`` of the paper):
    consumer of ``i``, so each processor ``p`` ends with the complete
    row blocks ``x[i]`` for ``i ∈ need_p``.
 2. **Local compute** (lines 23–36): a block kernel chosen by the
-   tensor's storage accumulates partial row blocks ``ŷ[i]``.
+   partition's order (or the sparse kernel) accumulates partial row
+   blocks ``ŷ[i]``.
 3. **Scatter-reduce y** (lines 38–50): the x pairs in reverse — each
    consumer of ``i`` sends every other holder ``p' ∈ Q_i`` the slice
    of its partial ``ŷ[i]`` covering ``p'``'s shard; holders sum what
@@ -42,12 +43,15 @@ order-3 :class:`~repro.core.partition.TetrahedralPartition` (the
 :class:`~repro.core.partition_ndim.QuadruplePartition` (greedy
 partial-permutation rounds).
 
-Storage and kernel come from the tensor type (:meth:`load_tensor`):
+Storage comes from the tensor type and the kernel from the partition's
+order (:meth:`load_tensor`):
 
-* :class:`~repro.tensor.packed.PackedSymmetricTensor` — dense
-  ``b × b × b`` blocks, :func:`~repro.core.block_kernels.apply_block`;
-* :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` — dense BCSS
-  blocks, :func:`~repro.core.bcss_kernels.apply_block_ndim`;
+* :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` (and its
+  order-3 case :class:`~repro.tensor.packed.PackedSymmetricTensor`) —
+  the zero-padded tensor's dense ``(b,)*order`` BCSS blocks, each
+  processor holding views of its own blocks; the kernel is
+  :func:`~repro.core.block_kernels.apply_block` at order 3 and
+  :func:`~repro.core.bcss_kernels.apply_block_ndim` otherwise;
 * :class:`~repro.tensor.sparse.SparseSymmetricTensor` — each
   processor's share as canonical COO entries (O(nnz/P) memory) and an
   O(local-nnz) bincount kernel. Only vector shards cross the network,
@@ -94,7 +98,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -116,9 +119,7 @@ from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.machine.transport import FusionPlan, Transfer
 from repro.tensor.bcss import BCSSTensor
-from repro.tensor.blocks import extract_block
-from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
-from repro.tensor.packed import PackedSymmetricTensor
+from repro.tensor.ndpacked import pad_ndpacked
 from repro.tensor.sparse import SparseSymmetricTensor, sparse_scatter
 
 #: One processor's vector shards, ``{row block i: its shard of v[i]}``.
@@ -180,29 +181,6 @@ class ExchangePhase(NamedTuple):
     gather: np.ndarray
     take: np.ndarray
     put: np.ndarray
-
-
-def pad_tensor(tensor: PackedSymmetricTensor, n_padded: int) -> PackedSymmetricTensor:
-    """Embed a packed tensor into a larger zero-padded one (§6.1).
-
-    Padded entries are zero, so STTSV on the padded problem restricted
-    to the first ``n`` outputs equals the original STTSV.
-    """
-    n = tensor.n
-    if n_padded < n:
-        raise ConfigurationError(f"cannot pad {n} down to {n_padded}")
-    if n_padded == n:
-        return tensor
-    I, J, K = PackedSymmetricTensor.index_arrays(n_padded)
-    mask = I < n  # I >= J >= K, so I < n implies the whole triple fits
-    old_offsets = (
-        I[mask] * (I[mask] + 1) * (I[mask] + 2) // 6
-        + J[mask] * (J[mask] + 1) // 2
-        + K[mask]
-    )
-    data = np.zeros(I.size)
-    data[mask] = tensor.data[old_offsets]
-    return PackedSymmetricTensor(n_padded, data)
 
 
 class ParallelSTTSV:
@@ -269,7 +247,7 @@ class ParallelSTTSV:
         self.phase_x = self._build_phase("x", "x-exchange", self.schedule)
         self.phase_y = self._build_phase("y", "y-exchange", self.schedule_y)
         # Per-block kernel for dense storage; ``None`` means sparse COO
-        # storage. Chosen by :meth:`load_tensor` from the tensor type.
+        # storage. Set by :meth:`load_tensor`.
         self._apply_block: Optional[Callable] = None
 
     # -- data loading -----------------------------------------------------------
@@ -300,15 +278,15 @@ class ParallelSTTSV:
 
     def load_tensor(self, machine: Machine, tensor) -> None:
         """Place each processor's share of the padded tensor (the
-        expensive, ``x``-independent half of :meth:`load`): dense
-        blocks under ``tensor_blocks``, or for a sparse tensor the
-        canonical COO entries of its owned blocks under
-        ``sparse_entries``."""
+        expensive, ``x``-independent half of :meth:`load`): views of
+        its dense BCSS blocks under ``tensor_blocks``, or for a sparse
+        tensor the canonical COO entries of its owned blocks under
+        ``sparse_entries``. The other key is dropped, so a processor
+        only ever holds the last tensor loaded."""
         self._check_machine(machine)
-        order = tensor.d if isinstance(tensor, NdPackedSymmetricTensor) else 3
-        if order != self.partition.order:
+        if tensor.d != self.partition.order:
             raise ConfigurationError(
-                f"order-{order} tensor on an order-{self.partition.order}"
+                f"order-{tensor.d} tensor on an order-{self.partition.order}"
                 f" partition"
             )
         if tensor.n != self.n:
@@ -322,25 +300,23 @@ class ParallelSTTSV:
             owners = np.array([owner[blk] for blk in blocks], dtype=np.int64)
             for p in range(machine.P):
                 mine = owners == p
+                machine[p].discard("tensor_blocks")
                 machine[p].store(
                     "sparse_entries", (tensor.indices[mine], tensor.values[mine])
                 )
             return
-        if isinstance(tensor, NdPackedSymmetricTensor):
-            self._apply_block = apply_block_ndim
-            padded = pad_ndpacked(tensor, self.n_padded)
-            block_at = BCSSTensor.from_ndpacked(padded, self.b).block
-        else:
-            self._apply_block = apply_block
-            block_at = partial(
-                extract_block, pad_tensor(tensor, self.n_padded), b=self.b
-            )
+        self._apply_block = (
+            apply_block if self.partition.order == 3 else apply_block_ndim
+        )
+        block_at = BCSSTensor.from_ndpacked(
+            pad_ndpacked(tensor, self.n_padded), self.b
+        ).block
         for p in range(machine.P):
-            blocks = {
-                index: block_at(index)
-                for index in self.partition.owned_blocks(p)
-            }
-            machine[p].store("tensor_blocks", blocks)
+            machine[p].discard("sparse_entries")
+            machine[p].store(
+                "tensor_blocks",
+                {index: block_at(index) for index in self.partition.owned_blocks(p)},
+            )
 
     def load_vector(self, machine: Machine, x: np.ndarray) -> None:
         """Distribute the vector shards ``x[R_p]^{(p)}`` (the cheap,

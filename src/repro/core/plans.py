@@ -60,7 +60,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -68,9 +67,9 @@ import numpy as np
 from repro.core.sttsv_ndim import _ndim_scatter_plan, _weighted_scatter
 from repro.errors import ConfigurationError, PartitionError
 from repro.tensor.ndpacked import NdPackedSymmetricTensor
-from repro.tensor.packed import PackedSymmetricTensor
 
-Tensor = Union[PackedSymmetricTensor, NdPackedSymmetricTensor]
+#: Any packed tensor (``PackedSymmetricTensor`` is its order-3 case).
+Tensor = NdPackedSymmetricTensor
 
 #: Largest gemm-strategy operator ``auto`` will materialize (bytes).
 DEFAULT_GEMM_BUDGET_BYTES = 256 * 1024 * 1024
@@ -304,9 +303,7 @@ class SequentialPlan:
             raise ConfigurationError(
                 f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
             )
-        if not isinstance(
-            tensor, (PackedSymmetricTensor, NdPackedSymmetricTensor)
-        ) or tensor.d < 2:
+        if not isinstance(tensor, NdPackedSymmetricTensor) or tensor.d < 2:
             raise ConfigurationError(
                 f"{type(self).__name__} needs a PackedSymmetricTensor or"
                 f" NdPackedSymmetricTensor of order >= 2, got"

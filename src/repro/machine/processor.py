@@ -52,8 +52,9 @@ class Processor:
         self._resident -= self._words.pop(key, 0)
 
     def resident_words(self) -> int:
-        """Current float64 words resident in private memory (arrays,
-        and arrays one level down in dicts), walked from scratch."""
+        """Current words resident in private memory (arrays, and
+        arrays one level down in dicts and tuples), walked from
+        scratch."""
         return sum(_value_words(value) for value in self.memory.values())
 
     def peak_words(self) -> int:
@@ -66,9 +67,13 @@ class Processor:
 
 def _value_words(value: Any) -> int:
     """Words one stored value occupies: an array's size, or the summed
-    sizes of the arrays in a dict; anything else counts zero."""
+    sizes of the arrays in a dict's values or in a tuple (a sparse
+    share's ``(indices, values)`` counts both arrays); anything else
+    counts zero."""
     if isinstance(value, np.ndarray):
         return value.size
     if isinstance(value, dict):
-        return sum(v.size for v in value.values() if isinstance(v, np.ndarray))
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return sum(v.size for v in value if isinstance(v, np.ndarray))
     return 0

@@ -5,11 +5,14 @@ A fully symmetric tensor ``A`` of dimension ``n × n × n`` satisfies
 the lower tetrahedron (``i >= j >= k``) — ``n(n+1)(n+2)/6`` entries —
 needs storage. This package provides:
 
-* :class:`~repro.tensor.packed.PackedSymmetricTensor` — canonical
-  packed storage with an O(1) bijective index map,
+* :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` — canonical
+  packed storage at any order with an O(1) bijective index map, and
+  its order-3 case :class:`~repro.tensor.packed.PackedSymmetricTensor`,
+* :class:`~repro.tensor.bcss.BCSSTensor` — the dense blocks Algorithm 5
+  holds, cut from packed storage,
 * dense converters and random generators (:mod:`repro.tensor.dense`),
-* blocked views and block classification used by the tetrahedral
-  partition (:mod:`repro.tensor.blocks`),
+* block classification used by the tetrahedral partition
+  (:mod:`repro.tensor.blocks`),
 * permutation multiplicity weights (:mod:`repro.tensor.multiplicity`).
 """
 
@@ -27,7 +30,6 @@ from repro.tensor.blocks import (
     BlockKind,
     classify_block,
     block_slice,
-    extract_block,
     lower_tetrahedral_blocks,
 )
 from repro.tensor.multiplicity import (
@@ -77,7 +79,6 @@ __all__ = [
     "BlockKind",
     "classify_block",
     "block_slice",
-    "extract_block",
     "lower_tetrahedral_blocks",
     "permutation_multiplicity",
     "remaining_pair_multiplicity",

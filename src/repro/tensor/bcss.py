@@ -28,7 +28,7 @@ from repro.tensor.ndpacked import (
     NdPackedSymmetricTensor,
     nd_index_arrays,
     nd_packed_index,
-    nd_packed_index_array,
+    nd_packed_offsets,
     nd_packed_size,
 )
 from repro.util.validation import check_positive_int
@@ -41,27 +41,38 @@ def bcss_block_count(nbar: int, m: int) -> int:
     return comb(nbar + m - 1, m)
 
 
-@lru_cache(maxsize=64)
-def _bcss_block_offsets(
+@lru_cache(maxsize=4096)
+def _block_entry_offsets(
     block_index: Tuple[int, ...], block_size: int
 ) -> np.ndarray:
     """Packed offsets of every entry of one dense ``(b,)*m`` block.
 
-    Generalizes ``repro.tensor.blocks._block_offsets`` (order-3
-    max/mid/min canonicalization) to any order via a descending sort
-    along a stacked index axis. Cached: offsets depend only on the
+    Each entry's global index tuple is sorted descending by
+    compare-exchanges on broadcast axes, then mapped through
+    :func:`~repro.tensor.ndpacked.nd_packed_offsets`. Only axes whose
+    block indices are equal need exchanging — a canonical block tuple
+    already orders the others — so an off-diagonal block's offsets are
+    one broadcast sum of per-axis terms.
+
+    Cached (4096 entries, read-only arrays): offsets depend only on the
     block tuple and block size, never on ``n`` (the combinatorial
-    number system is n-independent).
+    number system is n-independent), so reloads — HOPM restarts,
+    deflation stages, re-registrations — skip recomputing them.
     """
-    b = block_size
+    b, m = block_size, len(block_index)
     axes = [
-        np.arange(index * b, (index + 1) * b, dtype=np.int64)
-        for index in block_index
+        np.arange(index * b, (index + 1) * b, dtype=np.int64).reshape(
+            (1,) * t + (b,) + (1,) * (m - t - 1)
+        )
+        for t, index in enumerate(block_index)
     ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    stacked = np.stack(grids, axis=-1)
-    canonical = -np.sort(-stacked, axis=-1)  # non-increasing per entry
-    offsets = nd_packed_index_array(canonical)
+    for end in range(m - 1, 0, -1):  # bubble network, descending
+        for t in range(end):
+            if block_index[t] == block_index[t + 1]:
+                hi = np.maximum(axes[t], axes[t + 1])
+                axes[t + 1] = np.minimum(axes[t], axes[t + 1])
+                axes[t] = hi
+    offsets = nd_packed_offsets(axes)  # axis t spans dimension t: full shape
     offsets.setflags(write=False)
     return offsets
 
@@ -109,8 +120,14 @@ class BCSSTensor:
         self.block_indices = nd_index_arrays(self.nbar, self.m)
 
     def block(self, block_index) -> np.ndarray:
-        """Dense payload of one canonical block tuple."""
-        return self.blocks[int(nd_packed_index(tuple(block_index)))]
+        """Dense payload of one canonical block tuple: a view into
+        :attr:`blocks`, not a copy."""
+        block_index = tuple(block_index)
+        if max(block_index) >= self.nbar:
+            raise ConfigurationError(
+                f"block {block_index} exceeds the {self.nbar} row blocks"
+            )
+        return self.blocks[nd_packed_index(block_index)]
 
     @property
     def storage_words(self) -> int:
@@ -124,13 +141,27 @@ class BCSSTensor:
     def from_ndpacked(
         cls, tensor: NdPackedSymmetricTensor, block_size: int
     ) -> "BCSSTensor":
-        """Exact conversion: gather each dense block from packed storage."""
+        """Exact conversion: gather each dense block from packed storage.
+
+        Examples
+        --------
+        >>> from repro.tensor.ndpacked import nd_random_symmetric
+        >>> tensor = nd_random_symmetric(6, 3, seed=0)
+        >>> bcss = BCSSTensor.from_ndpacked(tensor, 2)
+        >>> cube = tensor.to_dense()[4:6, 2:4, 2:4]
+        >>> bool(np.array_equal(bcss.block((2, 1, 1)), cube))
+        True
+        """
         out = cls(tensor.n, tensor.d, block_size)
-        for offset in range(out.num_blocks):
-            block_index = tuple(int(v) for v in out.block_indices[offset])
-            out.blocks[offset] = tensor.data[
-                _bcss_block_offsets(block_index, block_size)
-            ]
+        for block, index in zip(out.blocks, out.block_indices.tolist()):
+            # Offsets are in range by construction; "clip" lets take
+            # write straight into the block without a bounds buffer.
+            np.take(
+                tensor.data,
+                _block_entry_offsets(tuple(index), block_size),
+                out=block,
+                mode="clip",
+            )
         return out
 
     def to_ndpacked(self) -> NdPackedSymmetricTensor:
@@ -143,11 +174,8 @@ class BCSSTensor:
         values.
         """
         data = np.empty(nd_packed_size(self.n, self.m))
-        for offset in range(self.num_blocks):
-            block_index = tuple(int(v) for v in self.block_indices[offset])
-            data[_bcss_block_offsets(block_index, self.block_size)] = (
-                self.blocks[offset]
-            )
+        for block, index in zip(self.blocks, self.block_indices.tolist()):
+            data[_block_entry_offsets(tuple(index), self.block_size)] = block
         return NdPackedSymmetricTensor(self.n, self.m, data)
 
     def to_dense(self) -> np.ndarray:

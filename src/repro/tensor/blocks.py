@@ -10,23 +10,20 @@ contains three kinds of blocks (§6 definitions):
   ``b²(b+1)/2`` canonical entries;
 * **central diagonal** — ``I = J = K``: holds ``b(b+1)(b+2)/6``.
 
-Block extraction always returns the *dense* ``b × b × b`` sub-cube
+Every block is held as the *dense* ``b × b × b`` sub-cube
 ``A[Ib:Ib+b, Jb:Jb+b, Kb:Kb+b]`` of the (virtual) full symmetric
-tensor; Algorithm 5's per-block kernels are expressed on dense blocks
-with the multiplicity weights folded into the kernel (see
-:mod:`repro.core.block_kernels`).
+tensor — the order-3 blocks of
+:class:`~repro.tensor.bcss.BCSSTensor`; Algorithm 5's per-block
+kernels are expressed on dense blocks with the multiplicity weights
+folded into the kernel (see :mod:`repro.core.block_kernels`).
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Iterator, List, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.combinatorics import tetrahedral_number
 
 
@@ -93,63 +90,6 @@ def block_counts(m: int) -> dict:
         BlockKind.OFF_DIAGONAL: m * (m - 1) * (m - 2) // 6,
         BlockKind.NON_CENTRAL_DIAGONAL: m * (m - 1),
         BlockKind.CENTRAL_DIAGONAL: m,
-    }
-
-
-@lru_cache(maxsize=4096)
-def _block_offsets(I: int, J: int, K: int, b: int) -> np.ndarray:
-    """Packed offsets of block ``(I, J, K)`` of size ``b``, cached.
-
-    The offset map is independent of the tensor dimension ``n`` (the
-    packed layout is layered: entries with largest index < n occupy the
-    same offsets regardless of n), so one cache entry serves every
-    tensor — reloading a machine (HOPM restarts, deflation sweeps)
-    skips the offset recomputation entirely.
-    """
-    axis_i = np.arange(I * b, (I + 1) * b)
-    axis_j = np.arange(J * b, (J + 1) * b)
-    axis_k = np.arange(K * b, (K + 1) * b)
-    gi, gj, gk = np.meshgrid(axis_i, axis_j, axis_k, indexing="ij")
-    # Canonicalize (sort descending) without np.sort: min/max/the middle via
-    # elementwise ops is ~3x faster than a lexicographic sort pass.
-    hi = np.maximum(np.maximum(gi, gj), gk)
-    lo = np.minimum(np.minimum(gi, gj), gk)
-    mid = gi + gj + gk - hi - lo
-    offsets = hi * (hi + 1) * (hi + 2) // 6 + mid * (mid + 1) // 2 + lo
-    offsets.setflags(write=False)
-    return offsets
-
-
-def extract_block(
-    tensor: PackedSymmetricTensor,
-    block_index: Tuple[int, int, int],
-    b: int,
-) -> np.ndarray:
-    """Dense ``b × b × b`` sub-cube of the virtual full symmetric tensor.
-
-    ``block_index = (I, J, K)`` selects global rows ``I*b..I*b+b-1`` in
-    mode 1 and analogously in modes 2 and 3. Extraction is fully
-    vectorized: global indices are canonicalized (sorted descending)
-    per element and gathered from packed storage in one fancy-indexing
-    pass over cached offsets (see :func:`_block_offsets`).
-    """
-    I, J, K = block_index
-    n = tensor.n
-    if (max(block_index) + 1) * b > n:
-        raise ConfigurationError(
-            f"block {block_index} with size {b} exceeds dimension {n}"
-        )
-    return tensor.data[_block_offsets(I, J, K, b)]
-
-
-def extract_owned_blocks(
-    tensor: PackedSymmetricTensor,
-    block_indices: List[Tuple[int, int, int]],
-    b: int,
-) -> dict:
-    """Extract several blocks into a dict keyed by block index."""
-    return {
-        index: extract_block(tensor, index, b) for index in block_indices
     }
 
 

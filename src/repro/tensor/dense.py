@@ -11,6 +11,7 @@ from itertools import permutations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.tensor.ndpacked import nd_index_arrays
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
 
@@ -46,7 +47,7 @@ def dense_from_packed(packed: PackedSymmetricTensor) -> np.ndarray:
     """Expand packed storage into the full symmetric cube."""
     n = packed.n
     dense = np.empty((n, n, n), dtype=np.float64)
-    I, J, K = PackedSymmetricTensor.index_arrays(n)
+    I, J, K = nd_index_arrays(n, 3).T
     values = packed.data
     for axes in set(permutations((0, 1, 2))):
         order = [None, None, None]
@@ -68,7 +69,7 @@ def packed_from_dense(dense: np.ndarray) -> PackedSymmetricTensor:
     if not is_symmetric(dense, tolerance=1e-12):
         raise ConfigurationError("input cube is not symmetric; call symmetrize()")
     n = dense.shape[0]
-    I, J, K = PackedSymmetricTensor.index_arrays(n)
+    I, J, K = nd_index_arrays(n, 3).T
     return PackedSymmetricTensor(n, dense[I, J, K].copy())
 
 

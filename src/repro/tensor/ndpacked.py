@@ -1,7 +1,8 @@
 """Packed storage for d-dimensional fully symmetric tensors.
 
-Generalizes :mod:`repro.tensor.packed` to arbitrary order ``d >= 1``
-(the paper's §8 d-dimensional extension). The canonical representative
+The one packed layout of the repo, at any order ``d >= 1`` (the
+paper's §8 d-dimensional extension); :mod:`repro.tensor.packed` is its
+order-3 case. The canonical representative
 of an entry is its non-increasing index tuple
 ``i₁ >= i₂ >= ... >= i_d``; there are ``C(n + d - 1, d)`` of them
 (multisets of size d from n symbols).
@@ -19,17 +20,17 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb, factorial
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_nonnegative_int, check_positive_int
 
 
 def nd_packed_size(n: int, d: int) -> int:
     """Canonical entries of an order-d symmetric tensor: ``C(n+d-1, d)``."""
-    n = check_positive_int(n, "n")
+    n = check_nonnegative_int(n, "n")
     d = check_positive_int(d, "d")
     return comb(n + d - 1, d)
 
@@ -56,22 +57,31 @@ def nd_canonical(indices: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def nd_packed_index_array(canonical: np.ndarray) -> np.ndarray:
     """Vectorized :func:`nd_packed_index` over a ``(..., d)`` array of
-    canonical (non-increasing along the last axis) index tuples.
+    canonical (non-increasing along the last axis) index tuples."""
+    canonical = np.asarray(canonical, dtype=np.int64)
+    return nd_packed_offsets(
+        [canonical[..., t] for t in range(canonical.shape[-1])]
+    )
+
+
+def nd_packed_offsets(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Offsets of the tuples whose ``t``-th indices are ``columns[t]``
+    (int64 arrays, broadcast together, non-increasing in ``t``).
 
     Evaluates ``C(i_t + d - t, d - t + 1)`` with the rising-product
     formula ``Π_{s=0}^{k-1} (i_t + s) / k!`` in exact int64 arithmetic
     — valid while offsets fit 63 bits, far beyond any storable tensor.
+    Each term is computed at its column's own shape, so a column that
+    varies along one axis only costs one row of work.
     """
-    canonical = np.asarray(canonical, dtype=np.int64)
-    d = canonical.shape[-1]
-    offsets = np.zeros(canonical.shape[:-1], dtype=np.int64)
-    for t in range(1, d + 1):
+    d = len(columns)
+    offsets = np.zeros((), dtype=np.int64)
+    for t, values in enumerate(columns, start=1):
         k = d - t + 1
-        values = canonical[..., t - 1]
-        term = np.ones_like(values)
-        for s in range(k):
+        term = values
+        for s in range(1, k):
             term = term * (values + s)
-        offsets += term // factorial(k)
+        offsets = offsets + term // factorial(k)
     return offsets
 
 
@@ -167,7 +177,9 @@ class NdPackedSymmetricTensor:
                 )
         self.data = data
         # Element-write counter consumed by the compiled-plan cache
-        # (see repro.core.plans), as on PackedSymmetricTensor.
+        # (see repro.core.plans): a plan bakes current values into its
+        # precomputed products, so it must detect writes through
+        # ``tensor[i, j, k] = v``.
         self._mutations = 0
 
     def _offset(self, indices: Tuple[int, ...]) -> int:
@@ -233,21 +245,49 @@ class NdPackedSymmetricTensor:
             tensor.data[nd_packed_index(canonical)] = value
         return tensor
 
+    def copy(self) -> "NdPackedSymmetricTensor":
+        """Deep copy, of the same type."""
+        return _rebuilt(self, self.n, self.data.copy())
+
+    def nbytes(self) -> int:
+        """Bytes of packed storage."""
+        return self.data.nbytes
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, NdPackedSymmetricTensor)
+            and (self.n, self.d) == (other.n, other.d)
+            and np.array_equal(self.data, other.data)
+        )
+
     def __repr__(self) -> str:
         return (
-            f"NdPackedSymmetricTensor(n={self.n}, d={self.d},"
+            f"{type(self).__name__}(n={self.n}, d={self.d},"
             f" entries={self.data.size})"
         )
+
+
+def _rebuilt(tensor, n: int, data: np.ndarray) -> NdPackedSymmetricTensor:
+    """A tensor of ``tensor``'s type and order over ``data`` (dimension
+    ``n``); subclasses such as the order-3
+    :class:`~repro.tensor.packed.PackedSymmetricTensor` fix ``d`` in
+    their own constructors, so this bypasses them."""
+    out = object.__new__(type(tensor))
+    NdPackedSymmetricTensor.__init__(out, n, tensor.d, data)
+    return out
 
 
 def pad_ndpacked(
     tensor: NdPackedSymmetricTensor, n_padded: int
 ) -> NdPackedSymmetricTensor:
-    """Zero-pad to mode dimension ``n_padded`` (no-op when equal).
+    """Zero-pad to mode dimension ``n_padded`` (no-op when equal); the
+    result has ``tensor``'s type.
 
     The combinatorial-number-system offset of a tuple is independent of
     ``n``, and tuples with maximum value below ``n`` occupy exactly the
     first ``C(n+d-1, d)`` offsets — so padding is a flat concatenation.
+    Padded entries are zero, so STTSV on the padded problem restricted
+    to the first ``n`` outputs equals the original STTSV (§6.1).
     """
     if n_padded < tensor.n:
         raise ConfigurationError(
@@ -257,7 +297,7 @@ def pad_ndpacked(
         return tensor
     data = np.zeros(nd_packed_size(n_padded, tensor.d))
     data[: tensor.data.size] = tensor.data
-    return NdPackedSymmetricTensor(n_padded, tensor.d, data)
+    return _rebuilt(tensor, n_padded, data)
 
 
 def nd_random_symmetric(n: int, d: int, seed=None) -> NdPackedSymmetricTensor:

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.tensor.multiplicity import contribution_weights
+from repro.tensor.ndpacked import nd_packed_index_array
 from repro.tensor.packed import PackedSymmetricTensor, packed_index
 from repro.util.validation import check_positive_int
 
@@ -45,6 +46,9 @@ class SparseSymmetricTensor:
     0.0
     """
 
+    #: Tensor order: canonical COO storage is order 3 only.
+    d = 3
+
     def __init__(
         self,
         n: int,
@@ -68,11 +72,7 @@ class SparseSymmetricTensor:
                 raise ConfigurationError(
                     "indices must be canonical (i >= j >= k); use from_entries"
                 )
-            offsets = (
-                indices[:, 0] * (indices[:, 0] + 1) * (indices[:, 0] + 2) // 6
-                + indices[:, 1] * (indices[:, 1] + 1) // 2
-                + indices[:, 2]
-            )
+            offsets = nd_packed_index_array(indices)
             if np.unique(offsets).size != offsets.size:
                 raise ConfigurationError("duplicate canonical entries")
             order = np.argsort(offsets)
@@ -122,11 +122,7 @@ class SparseSymmetricTensor:
         if i >= self.n or k < 0:
             raise ConfigurationError(f"index {triple} out of range")
         target = packed_index(i, j, k)
-        offsets = (
-            self.indices[:, 0] * (self.indices[:, 0] + 1) * (self.indices[:, 0] + 2) // 6
-            + self.indices[:, 1] * (self.indices[:, 1] + 1) // 2
-            + self.indices[:, 2]
-        )
+        offsets = nd_packed_index_array(self.indices)
         position = np.searchsorted(offsets, target)
         if position < offsets.size and offsets[position] == target:
             return float(self.values[position])
@@ -135,8 +131,7 @@ class SparseSymmetricTensor:
     def to_packed(self) -> PackedSymmetricTensor:
         """Densify into packed lower-tetrahedral storage."""
         dense = PackedSymmetricTensor(self.n)
-        for (i, j, k), value in zip(self.indices, self.values):
-            dense.data[packed_index(int(i), int(j), int(k))] = value
+        dense.data[nd_packed_index_array(self.indices)] = self.values
         return dense
 
     def __repr__(self) -> str:

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.tensor.dense import odeco_tensor
+from repro.tensor.ndpacked import nd_index_arrays
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
 from repro.util.validation import check_nonnegative_int, check_positive_int
@@ -36,7 +37,7 @@ def banded_symmetric(
     n = check_positive_int(n, "n")
     bandwidth = check_nonnegative_int(bandwidth, "bandwidth")
     rng = as_generator(seed)
-    I, J, K = PackedSymmetricTensor.index_arrays(n)
+    I, J, K = nd_index_arrays(n, 3).T
     inside = (I - K) <= bandwidth  # canonical order: I >= J >= K
     data = np.where(inside, rng.normal(size=I.size), 0.0)
     return PackedSymmetricTensor(n, data)
@@ -50,7 +51,7 @@ def hilbert_symmetric(n: int) -> PackedSymmetricTensor:
     iterative apps.
     """
     n = check_positive_int(n, "n")
-    I, J, K = PackedSymmetricTensor.index_arrays(n)
+    I, J, K = nd_index_arrays(n, 3).T
     return PackedSymmetricTensor(n, 1.0 / (I + J + K + 1.0))
 
 
@@ -89,7 +90,7 @@ def diagonally_dominant_positive(
     """
     n = check_positive_int(n, "n")
     rng = as_generator(seed)
-    I, J, K = PackedSymmetricTensor.index_arrays(n)
+    I, J, K = nd_index_arrays(n, 3).T
     data = rng.uniform(0.01, 1.0, size=I.size)
     tensor = PackedSymmetricTensor(n, data)
     from repro.tensor.multiplicity import contribution_weights

@@ -18,6 +18,7 @@ MODULES = [
     "repro.matching.dinic",
     "repro.tensor.packed",
     "repro.tensor.ndpacked",
+    "repro.tensor.bcss",
     "repro.core.partition",
     "repro.core.parallel_sttsv",
     "repro.machine.machine",

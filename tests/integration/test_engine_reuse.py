@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.distribution import assemble_vector
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.parallel_symk import ParallelSymKTTSV
 from repro.core.partition import TetrahedralPartition
@@ -184,7 +183,7 @@ class TestReusedEngineMatchesFresh:
             y_first = algo.gather_result(machine).copy()
             algo.load_vector(machine, rng.standard_normal(n))
             algo.run(machine)
-            rebuilt = assemble_vector(partition, first, algo.b, original_length=n)
+            rebuilt = algo.exchange_plan.assemble(first)[:n]
         assert np.array_equal(rebuilt, y_first)
 
 

@@ -23,7 +23,7 @@ def _algorithm4_bincount(tensor, x):
     """Algorithm 4 as three weighted bincount scatters, products left to
     right, accumulated in (i, j, k) order."""
     n = tensor.n
-    I, J, K = PackedSymmetricTensor.index_arrays(n)
+    I, J, K = nd_index_arrays(n, 3).T
     w_i, w_j, w_k = contribution_weights(I, J, K)
     a = tensor.data
     y = np.bincount(I, weights=w_i * a * x[J] * x[K], minlength=n)

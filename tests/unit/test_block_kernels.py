@@ -6,7 +6,8 @@ import pytest
 from repro.core.block_kernels import apply_block, block_flop_count, contract_mode23
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
-from repro.tensor.blocks import extract_block, lower_tetrahedral_blocks
+from repro.tensor.bcss import BCSSTensor
+from repro.tensor.blocks import lower_tetrahedral_blocks
 from repro.tensor.dense import random_symmetric
 
 
@@ -48,8 +49,9 @@ class TestApplyBlock:
         x = rng.normal(size=n)
         x_blocks = {i: x[i * b : (i + 1) * b] for i in range(m)}
         y_blocks = {i: np.zeros(b) for i in range(m)}
+        block_at = BCSSTensor.from_ndpacked(tensor, b).block
         for index in lower_tetrahedral_blocks(m):
-            apply_block(index, extract_block(tensor, index, b), x_blocks, y_blocks)
+            apply_block(index, block_at(index), x_blocks, y_blocks)
         y = np.concatenate([y_blocks[i] for i in range(m)])
         assert np.allclose(y, sttsv_packed(tensor, x))
 
@@ -63,7 +65,8 @@ class TestApplyBlock:
         dense = tensor.to_dense()
         x_blocks = {i: x[i * b : (i + 1) * b] for i in range(m)}
         y_blocks = {i: np.zeros(b) for i in range(m)}
-        apply_block((2, 1, 0), extract_block(tensor, (2, 1, 0), b), x_blocks, y_blocks)
+        block = BCSSTensor.from_ndpacked(tensor, b).block((2, 1, 0))
+        apply_block((2, 1, 0), block, x_blocks, y_blocks)
         # Brute force: zero out everything except entries whose index
         # multiset hits all three row blocks once.
         y_expected = np.zeros(n)
@@ -94,7 +97,7 @@ class TestApplyBlock:
         ``weights`` maps the kept mode to its multiplicity."""
         b, m = 4, 4
         tensor = random_symmetric(m * b, seed=rng.integers(1 << 30))
-        block = extract_block(tensor, index, b)
+        block = BCSSTensor.from_ndpacked(tensor, b).block(index)
         x_blocks = {i: rng.normal(size=b) for i in range(m)}
         y_blocks = {i: np.zeros(b) for i in range(m)}
         apply_block(index, block, x_blocks, y_blocks)

@@ -1,16 +1,16 @@
-"""Vector shard distribution and reassembly (paper §6.1.2)."""
+"""Vector shard distribution and reassembly (paper §6.1.2): the
+padding and shard-bound conventions, and the engine's shard layout
+(:meth:`ExchangePlan.split_shards`) and reassembly
+(:meth:`ExchangePlan.assemble`) built on them."""
 
 import numpy as np
 import pytest
 
-from repro.core.distribution import (
-    assemble_vector,
-    initial_shards,
-    owned_element_count,
-    pad_vector,
-    shard_bounds,
-)
+from repro.core.distribution import pad_vector, shard_bounds
+from repro.core.parallel_sttsv import ParallelSTTSV
+from repro.core.plans import ExchangePlan
 from repro.errors import PartitionError
+from repro.machine.machine import Machine
 
 
 class TestPadVector:
@@ -35,25 +35,34 @@ class TestShardRoundtrip:
     @pytest.mark.parametrize("fixture,b", [("partition_q2", 6), ("partition_q3", 12)])
     def test_initial_shards_partition_the_vector(self, fixture, b, request, rng):
         part = request.getfixturevalue(fixture)
-        n = part.m * b
-        x = rng.normal(size=n)
-        shards = initial_shards(part, x, b)
-        rebuilt = assemble_vector(part, shards, b)
-        assert np.allclose(rebuilt, x)
+        plan = ExchangePlan(part, b)
+        x = rng.normal(size=part.m * b)
+        shards = plan.split_shards(x[plan.load_index])
+        assert np.array_equal(plan.assemble(shards), x)
 
     def test_each_processor_owns_n_over_p(self, partition_q3):
         b = 12
         n = partition_q3.m * b
-        x = np.arange(float(n))
-        shards = initial_shards(partition_q3, x, b)
+        plan = ExchangePlan(partition_q3, b)
+        shards = plan.split_shards(np.arange(float(n))[plan.load_index])
         for p in range(partition_q3.P):
             total = sum(s.size for s in shards[p].values())
             assert total == n // partition_q3.P
-            assert owned_element_count(partition_q3, p, b) == total
+            widths = [
+                hi - lo
+                for lo, hi in (
+                    shard_bounds(partition_q3, i, p, b) for i in partition_q3.R[p]
+                )
+            ]
+            assert sum(widths) == total
 
     def test_wrong_length_rejected(self, partition_q2):
-        with pytest.raises(PartitionError):
-            initial_shards(partition_q2, np.ones(7), 6)
+        plan = ExchangePlan(partition_q2, 6)
+        shards = plan.split_shards(np.ones(plan.load_index.size))
+        i = next(iter(shards[0]))
+        shards[0][i] = np.ones(shards[0][i].size + 1)
+        with pytest.raises(PartitionError, match="shards hold"):
+            plan.assemble(shards)
 
 
 class TestShardBounds:
@@ -73,43 +82,27 @@ class TestShardBounds:
 
 class TestAssembleValidation:
     def test_missing_shard_detected(self, partition_q2, rng):
-        b = 6
-        x = rng.normal(size=partition_q2.m * b)
-        shards = initial_shards(partition_q2, x, b)
+        plan = ExchangePlan(partition_q2, 6)
+        x = rng.normal(size=partition_q2.m * 6)
+        shards = plan.split_shards(x[plan.load_index])
         del shards[0][next(iter(shards[0]))]
-        with pytest.raises(PartitionError):
-            assemble_vector(partition_q2, shards, b)
+        with pytest.raises(PartitionError, match="missing shards"):
+            plan.assemble(shards)
 
     def test_non_finite_values_assemble(self, partition_q2, rng):
-        b = 6
-        x = rng.normal(size=partition_q2.m * b)
+        plan = ExchangePlan(partition_q2, 6)
+        x = rng.normal(size=partition_q2.m * 6)
         x[[0, 4, 11]] = [np.nan, np.inf, -np.inf]
-        shards = initial_shards(partition_q2, x, b)
-        out = assemble_vector(partition_q2, shards, b)
+        shards = plan.split_shards(x[plan.load_index])
+        out = plan.assemble(shards)
         assert np.array_equal(out, x, equal_nan=True)
 
-    def test_overlap_with_all_nan_shard_detected(self):
-        class Overlapping:
-            """Row block 0 of length 4 in halves; holders 0 and 1 both
-            claim the first half."""
-
-            m = 1
-
-            def shard_size(self, b):
-                return b // 2
-
-            def shard_owner_position(self, i, p):
-                return {0: 0, 1: 0, 2: 1}[p]
-
-        shards = [{0: np.full(2, np.nan)}, {0: np.ones(2)}, {0: np.full(2, 2.0)}]
-        with pytest.raises(PartitionError, match="overlaps"):
-            assemble_vector(Overlapping(), shards, 4)
-
     def test_truncation_to_original_length(self, partition_q2, rng):
-        b = 6
-        n_padded = partition_q2.m * b
-        x = rng.normal(size=n_padded)
-        shards = initial_shards(partition_q2, x, b)
-        out = assemble_vector(partition_q2, shards, b, original_length=20)
+        algo = ParallelSTTSV(partition_q2, 20)
+        assert algo.n_padded == 30
+        x = rng.normal(size=20)
+        with Machine(partition_q2.P) as machine:
+            algo.load_vector(machine, x)
+            out = algo.gather_x(machine)
         assert out.shape == (20,)
-        assert np.allclose(out, x[:20])
+        assert np.array_equal(out, x)

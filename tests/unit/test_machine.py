@@ -134,14 +134,14 @@ class TestProcessor:
         proc = Processor(0)
         proc.store("a", np.zeros(10))
         proc.store("a", np.zeros(4))
-        proc.store("b", (np.zeros(3), np.zeros(3)))  # not an array: 0 words
+        proc.store("b", (np.zeros(3), np.zeros(3)))  # a tuple: 6 words
         proc.store("c", np.zeros(5))
-        assert proc.peak_words() == 10
+        assert proc.peak_words() == 15
         proc.discard("c")
         proc.discard("missing")
         proc.store("d", {"x": np.zeros(7), "y": "label"})
-        assert proc.resident_words() == 11
-        assert proc.peak_words() == 11
+        assert proc.resident_words() == 17
+        assert proc.peak_words() == 17
 
     @pytest.mark.parametrize("q,n", [(2, 30), (3, 60)])
     def test_peak_equals_full_walk_after_every_store(self, q, n, monkeypatch):

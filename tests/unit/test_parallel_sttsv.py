@@ -7,22 +7,24 @@ import numpy as np
 import pytest
 
 from repro.core import bounds
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV, pad_tensor
+from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError, MachineError
 from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
+from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
+from repro.tensor.packed import PackedSymmetricTensor
 
 
 class TestPadTensor:
     def test_identity(self):
         t = random_symmetric(5, seed=0)
-        assert pad_tensor(t, 5) is t
+        assert pad_ndpacked(t, 5) is t
 
     def test_padded_values(self):
         t = random_symmetric(3, seed=1)
-        padded = pad_tensor(t, 5)
-        assert padded.n == 5
+        padded = pad_ndpacked(t, 5)
+        assert isinstance(padded, PackedSymmetricTensor) and padded.n == 5
         for i in range(3):
             for j in range(i + 1):
                 for k in range(j + 1):
@@ -33,7 +35,7 @@ class TestPadTensor:
     def test_padding_preserves_sttsv(self, rng):
         t = random_symmetric(7, seed=2)
         x = rng.normal(size=7)
-        padded = pad_tensor(t, 11)
+        padded = pad_ndpacked(t, 11)
         x_padded = np.concatenate([x, np.zeros(4)])
         y_padded = sttsv_packed(padded, x_padded)
         assert np.allclose(y_padded[:7], sttsv_packed(t, x))
@@ -41,7 +43,7 @@ class TestPadTensor:
 
     def test_shrink_rejected(self):
         with pytest.raises(ConfigurationError):
-            pad_tensor(random_symmetric(5, seed=0), 4)
+            pad_ndpacked(random_symmetric(5, seed=0), 4)
 
 
 class TestSizing:
@@ -111,6 +113,26 @@ class TestCorrectness:
         first = algo.gather_result(machine)
         algo.run(machine)
         assert np.allclose(algo.gather_result(machine), first)
+
+    def test_kernel_follows_partition_order(self, partition_q2, rng):
+        """The order-3 kernel is chosen by the partition, not the tensor
+        type: the same data as a ``PackedSymmetricTensor`` and as an
+        order-3 ``NdPackedSymmetricTensor`` loads the same blocks (views
+        into one BCSS array) and gives bitwise the same ``y``."""
+        n = 41  # pads to 60
+        tensor = random_symmetric(n, seed=9)
+        x = rng.normal(size=n)
+        results = []
+        for loaded in (tensor, NdPackedSymmetricTensor(n, 3, tensor.data)):
+            algo = ParallelSTTSV(partition_q2, n)
+            with Machine(partition_q2.P) as machine:
+                algo.load(machine, loaded, x)
+                blocks = list(machine[0].load("tensor_blocks").values())
+                assert all(block.base is blocks[0].base for block in blocks)
+                algo.run(machine)
+                results.append(algo.gather_result(machine))
+        assert np.array_equal(results[0], results[1])
+        assert np.allclose(results[0], sttsv_packed(tensor, x))
 
     def test_run_starts_no_thread(self, partition_q2, rng, monkeypatch):
         """All three phases run synchronously on the calling thread: no

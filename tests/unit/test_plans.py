@@ -23,8 +23,7 @@ from repro.core.sttsv_sequential import sttsv, sttsv_packed
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
-from repro.tensor.ndpacked import nd_random_symmetric
-from repro.tensor.packed import PackedSymmetricTensor
+from repro.tensor.ndpacked import nd_index_arrays, nd_random_symmetric
 
 
 class TestSequentialPlanCorrectness:
@@ -123,7 +122,7 @@ class TestSequentialPlanCorrectness:
 
     def test_frobenius_norm_matches_multiplicity_sum(self):
         tensor = random_symmetric(9, seed=5)
-        I, J, K = PackedSymmetricTensor.index_arrays(9)
+        I, J, K = nd_index_arrays(9, 3).T
         multiplicity = np.where(
             (I == J) & (J == K), 1.0, np.where((I == J) | (J == K), 3.0, 6.0)
         )
@@ -274,15 +273,22 @@ class TestExchangePlan:
 
     @pytest.mark.parametrize("fixture,n", [("partition_q2", 61), ("partition_q3", 60)])
     def test_shard_map_matches_initial_shards(self, fixture, n, request, rng):
-        """The prebuilt scatter of ``x`` into shards is §6.1's
-        ``initial_shards``, and ``assemble`` inverts it."""
-        from repro.core.distribution import initial_shards
+        """The prebuilt scatter of ``x`` into shards is §6.1's initial
+        distribution — each holder ``p ∈ Q_i`` gets the slice
+        ``shard_bounds(i, p)`` of row block ``i`` — and ``assemble``
+        inverts it."""
+        from repro.core.distribution import shard_bounds
 
         partition = request.getfixturevalue(fixture)
         plan = ParallelSTTSV(partition, n).exchange_plan
-        x = rng.normal(size=partition.m * plan.b)
+        b = plan.b
+        x = rng.normal(size=partition.m * b)
         shards = plan.split_shards(x[plan.load_index])
-        reference = initial_shards(partition, x, plan.b)
+        reference = [{} for _ in range(partition.P)]
+        for i in range(partition.m):
+            for p in partition.Q[i]:
+                lo, hi = shard_bounds(partition, i, p, b)
+                reference[p][i] = x[i * b + lo : i * b + hi]
         assert [sorted(s) for s in shards] == [sorted(s) for s in reference]
         for mine, theirs in zip(shards, reference):
             for i in theirs:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.machine.machine import Machine
+from repro.tensor.dense import random_symmetric
 from repro.tensor.hypergraph import random_hypergraph
 from repro.tensor.sparse import SparseSymmetricTensor, sttsv_sparse
 
@@ -107,3 +108,54 @@ class TestAccounting:
             assert values.size <= tensor.nnz
         # The entire sparse tensor is smaller than one dense share.
         assert tensor.nnz * 4 < dense_words * partition_q2.P
+
+    def test_sparse_share_counts_in_resident_words(
+        self, partition_q2, hypergraph_problem
+    ):
+        """A processor's share is its ``(indices, values)`` tuple: four
+        words (three int64 indices and a value) per local nonzero, in
+        resident and peak words alike."""
+        tensor, _ = hypergraph_problem
+        algo = ParallelSTTSV(partition_q2, tensor.n)
+        with Machine(partition_q2.P) as machine:
+            algo.load_tensor(machine, tensor)
+            for proc in machine:
+                local = proc.load("sparse_entries")[1].size
+                assert proc.resident_words() == 4 * local
+                assert proc.peak_words() == 4 * local
+            assert sum(proc.resident_words() for proc in machine) == 4 * tensor.nnz
+
+
+class TestReload:
+    def test_each_load_drops_the_other_storage(
+        self, partition_q2, hypergraph_problem
+    ):
+        """dense → sparse → dense on one engine and machine: after each
+        load exactly one storage key is resident, and every processor's
+        resident words equal a fresh machine's after the same load."""
+        sparse, x = hypergraph_problem
+        dense = random_symmetric(sparse.n, seed=8)
+        algo = ParallelSTTSV(partition_q2, sparse.n)
+
+        def fresh_words(tensor):
+            with Machine(partition_q2.P) as fresh:
+                ParallelSTTSV(partition_q2, tensor.n).load_tensor(fresh, tensor)
+                return [proc.resident_words() for proc in fresh]
+
+        keys = {"tensor_blocks", "sparse_entries"}
+        with Machine(partition_q2.P) as machine:
+            for tensor, key in (
+                (dense, "tensor_blocks"),
+                (sparse, "sparse_entries"),
+                (dense, "tensor_blocks"),
+            ):
+                algo.load_tensor(machine, tensor)
+                for proc in machine:
+                    assert keys & set(proc.memory) == {key}
+                assert [proc.resident_words() for proc in machine] == (
+                    fresh_words(tensor)
+                )
+            algo.load_vector(machine, x)
+            algo.run(machine)
+            assert np.allclose(algo.gather_result(machine), sttsv_packed(dense, x))
+

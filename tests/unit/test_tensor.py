@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.tensor.bcss import BCSSTensor
 from repro.tensor.blocks import (
     BlockKind,
     block_counts,
@@ -11,7 +12,6 @@ from repro.tensor.blocks import (
     blocked_storage_words,
     canonical_entry_count,
     classify_block,
-    extract_block,
     lower_tetrahedral_blocks,
     ternary_multiplications,
 )
@@ -98,7 +98,7 @@ class TestPackedTensor:
 
     def test_index_arrays_alignment(self):
         n = 6
-        I, J, K = PackedSymmetricTensor.index_arrays(n)
+        I, J, K = random_symmetric(n, seed=0).index_arrays().T
         for offset in range(packed_size(n)):
             assert (I[offset], J[offset], K[offset]) == unpacked_triple(offset)
 
@@ -227,8 +227,9 @@ class TestBlocks:
         t = random_symmetric(8, seed=6)
         dense = dense_from_packed(t)
         b = 2
+        block_at = BCSSTensor.from_ndpacked(t, b).block
         for index in lower_tetrahedral_blocks(4):
-            block = extract_block(t, index, b)
+            block = block_at(index)
             I, J, K = index
             expected = dense[
                 I * b : (I + 1) * b, J * b : (J + 1) * b, K * b : (K + 1) * b
@@ -238,7 +239,7 @@ class TestBlocks:
     def test_extract_out_of_range(self):
         t = random_symmetric(4, seed=0)
         with pytest.raises(ConfigurationError):
-            extract_block(t, (2, 0, 0), 2)
+            BCSSTensor.from_ndpacked(t, 2).block((2, 0, 0))
 
     def test_blocked_storage_words(self):
         words = blocked_storage_words([(2, 1, 0), (1, 1, 0), (0, 0, 0)], 3)
