@@ -15,9 +15,13 @@ Two properties are pinned in the report:
   parallel candidates matches the measured ordering (Kendall-style
   pair agreement over candidate pairs whose measured times differ by
   more than jitter);
-* **decision flip** — with α artificially inflated the chosen variant
-  must move to All-to-All, with β inflated back to point-to-point
-  (the paper's tradeoff, exercised end to end through the planner).
+* **decision flip** — with α artificially inflated the best
+  configuration must be the sequential plan, with cheap communication
+  Algorithm 5 (exercised end to end through the planner). Both parallel
+  variants run each phase as one fused exchange, so the flip also pins
+  that their fused-round counts (α terms) are equal and that
+  point-to-point sends fewer words — the paper's bandwidth result,
+  which is why the model picks it at every α.
 
 Absolute prediction error is recorded but NOT gated: the simulated
 transport's per-round Python overhead is not part of the α-β-γ model,
@@ -100,27 +104,40 @@ def bench_prediction(n: int, qs, repeats: int) -> dict:
 
 
 def bench_decision_flip(n: int, q: int) -> dict:
-    """The α/β flip, priced end to end through the public planner."""
+    """The plan↔parallel flip, priced end to end through the public
+    planner, plus the α tie between the two parallel variants."""
 
-    def chosen(alpha: float, beta: float) -> str:
+    def decide(alpha: float, beta: float):
         calibration = Calibration(
             backends={"simulated": TransportConstants(alpha, beta)}
         )
-        decision = plan_sttsv(n, qs=(q,), calibration=calibration)
-        return decision.best_parallel.candidate.variant
+        return plan_sttsv(n, qs=(q,), calibration=calibration)
 
-    alpha_heavy = chosen(1e-2, 1e-9)
-    beta_heavy = chosen(1e-9, 1e-3)
+    alpha_heavy = decide(1e-2, 1e-9)
+    cheap = decide(1e-9, 1e-12)
+    parallel = {
+        c.candidate.variant: c
+        for c in alpha_heavy.candidates
+        if c.candidate.mode == "parallel"
+    }
+    rounds = {v: c.physical_rounds for v, c in parallel.items()}
+    words = {v: c.words_per_processor for v, c in parallel.items()}
     print(
-        f"decision flip at q={q}: alpha-heavy -> {alpha_heavy},"
-        f" beta-heavy -> {beta_heavy}"
+        f"decision flip at q={q}: alpha-heavy -> {alpha_heavy.best.candidate.mode},"
+        f" cheap communication -> {cheap.best.candidate.mode};"
+        f" fused rounds {rounds}, words/proc {words}"
     )
     return {
         "q": q,
-        "alpha_heavy_variant": alpha_heavy,
-        "beta_heavy_variant": beta_heavy,
+        "alpha_heavy_mode": alpha_heavy.best.candidate.mode,
+        "cheap_mode": cheap.best.candidate.mode,
+        "fused_rounds": rounds,
+        "words_per_processor": words,
         "flips_correctly": (
-            alpha_heavy == "all-to-all" and beta_heavy == "point-to-point"
+            alpha_heavy.best.candidate.mode == "plan"
+            and cheap.best.candidate.mode == "parallel"
+            and rounds["point-to-point"] == rounds["all-to-all"]
+            and words["point-to-point"] < words["all-to-all"]
         ),
     }
 

@@ -29,6 +29,7 @@ from repro.core.sttsv_sequential import sttsv
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
+from repro.tensor.ndpacked import NdPackedSymmetricTensor
 from repro.tensor.packed import PackedSymmetricTensor
 from repro.util.seeding import SeedLike, as_generator
 
@@ -78,22 +79,25 @@ def _initial_vector(n: int, x0, seed: SeedLike) -> np.ndarray:
     return x / norm
 
 
-def suggested_shift(tensor: PackedSymmetricTensor) -> float:
-    """A sufficient SS-HOPM shift for guaranteed monotone convergence.
+def suggested_shift(tensor: NdPackedSymmetricTensor) -> float:
+    """A sufficient SS-HOPM shift for guaranteed monotone convergence,
+    at any order ``d``.
 
     Kolda & Mayo: any ``α > (d−1)·ρ(A)`` (with ``ρ`` the spectral
     radius of the quadratic form's Hessian bound) makes the shifted map
-    convex on the sphere. We bound ``ρ(A) <= max_i Σ_{j,k} |a_ijk|``
-    (the ∞-norm of the flattening), computable in one pass over packed
-    storage with permutation multiplicities.
+    convex on the sphere. We bound ``ρ(A) <= max_i Σ |a_i...|`` (the
+    ∞-norm of the mode-1 flattening), computable in one pass over
+    packed storage with permutation multiplicities.
     """
     # Row sums of the mode-1 flattening of |A|: each canonical entry
-    # contributes to rows i, j, k with the count of ordered (j,k) pairs
-    # — exactly |A| ×₂ 1 ×₃ 1, so the shared scatter kernel (with its
-    # cached index/weight arrays) computes it directly.
-    magnitude = PackedSymmetricTensor(tensor.n, np.abs(tensor.data))
+    # contributes to each of its rows with the count of ordered
+    # arrangements of the others — exactly |A| ×₂ 1 ··· ×_d 1, so the
+    # shared scatter kernel (with its cached index/weight arrays)
+    # computes it directly. |A| keeps the input's type and order.
+    magnitude = tensor.copy()
+    np.abs(magnitude.data, out=magnitude.data)
     rows = sttsv_ndim(magnitude, np.ones(tensor.n))
-    return 2.0 * float(rows.max())
+    return (tensor.d - 1) * float(rows.max())
 
 
 def hopm(

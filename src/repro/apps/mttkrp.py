@@ -14,7 +14,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.block_kernels import apply_block
 from repro.core.distribution import shard_bounds
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.plans import sequential_plan
@@ -100,11 +99,10 @@ def parallel_symmetric_mttkrp_batched(
     Returns ``(Y, ledger)`` with this call's rounds only.
     """
     X = _check_factor(engine.n, X)
-    # The engine's kernel tells what its processors hold: apply_block
-    # means dense order-3 blocks (not sparse entries, not BCSS blocks).
     if (
         engine.backend is not CommBackend.POINT_TO_POINT
-        or engine._apply_block is not apply_block
+        or engine.partition.order != 3
+        or engine.storage(machine) != "dense"
     ):
         raise ConfigurationError(
             "column-batched MTTKRP needs a point-to-point engine holding a"
@@ -155,7 +153,16 @@ def parallel_symmetric_mttkrp_batched(
         proc = machine[p]
         X_full = proc.load("X_full")
         partial = {i: np.zeros((b, r)) for i in partition.R[p]}
-        for (I, J, K), block in proc.load("tensor_blocks").items():
+        held = proc.load("tensor_blocks")
+        blocks = [
+            (index, block)
+            for stack in engine.block_stacks
+            for index, block in zip(
+                stack.indices[stack.bounds[p] : stack.bounds[p + 1]],
+                held[stack.case],
+            )
+        ]
+        for (I, J, K), block in blocks:
             if I > J > K:
                 partial[I] += 2.0 * np.einsum(
                     "ijk,jl,kl->il", block, X_full[J], X_full[K], optimize=True

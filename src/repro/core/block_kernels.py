@@ -1,118 +1,158 @@
-"""Per-block ternary-multiplication kernels (Algorithm 5, lines 24–36).
+"""Stacked block kernels (Algorithm 5, lines 24–36), at every order.
 
-Each processor owns dense ``b × b × b`` blocks of the virtual full
-symmetric tensor and the ``q + 1`` row blocks of ``x`` its index set
-``R_p`` touches. For a block with block-index ``(I, J, K)`` the paper's
-case split becomes three (or fewer) weighted triple contractions:
+Each processor owns dense ``(b,)*d`` blocks of the virtual full
+symmetric tensor. A block at canonical tuple ``B = (I₁ ≥ ... ≥ I_d)``
+adds, for each *distinct* row block ``t ∈ B``,
 
-* ``I > J > K`` (off-diagonal, line 26–28)::
+    w_t · (block contracted on every mode but one position of t,
+           against the x row blocks of the other modes)
 
-      y[I] += 2 · A ×₂ x[J] ×₃ x[K]
-      y[J] += 2 · A ×₁ x[I] ×₃ x[K]
-      y[K] += 2 · A ×₁ x[I] ×₂ x[J]
+into ``y[t]``, where ``w_t`` is the arrangement count of the remaining
+``d − 1`` indices (:func:`repro.tensor.multiplicity.nd_contribution_weights`).
+At ``d = 3`` this is the paper's case split:
 
-* ``I == J > K`` (non-central diagonal, line 30)::
+* ``I > J > K`` (lines 26–28): ``y[I] += 2·A ×₂ x[J] ×₃ x[K]``,
+  ``y[J] += 2·A ×₁ x[I] ×₃ x[K]``, ``y[K] += 2·A ×₁ x[I] ×₂ x[J]``;
+* ``I == J > K`` (line 30): ``y[I] += 2·A ×₂ x[I] ×₃ x[K]``,
+  ``y[K] += A ×₁ x[I] ×₂ x[I]``;
+* ``I > J == K`` (line 32): ``y[I] += A ×₂ x[K] ×₃ x[K]``,
+  ``y[K] += 2·A ×₁ x[I] ×₂ x[K]``;
+* ``I == J == K`` (line 34): ``y[I] += A ×₂ x[I] ×₃ x[I]``.
 
-      y[I] += 2 · A ×₂ x[I] ×₃ x[K]
-      y[K] += 1 · A ×₁ x[I] ×₂ x[I]
+The weights are the ordered-arrangement multiplicities of the block
+positions in the full tensor; summed over every stored block these
+updates reproduce the exact symmetric STTSV.
 
-* ``I > J == K`` (non-central diagonal, line 32)::
+**Cases.** Which contractions a block needs depends only on its
+*case*: the run lengths of the equal values of ``B``
+(:func:`block_case`), e.g. ``(1, 1, 1)``, ``(2, 1)``, ``(1, 2)`` and
+``(3,)`` at order 3. :func:`apply_case` therefore runs a whole stack
+of same-case blocks at once: every contraction step is one batched
+``np.matmul`` over the ``(k, ...)`` stack, so a processor's (or a
+machine's) local compute is one pass per case, not one Python call per
+block.
 
-      y[I] += 1 · A ×₂ x[K] ×₃ x[K]
-      y[K] += 2 · A ×₁ x[I] ×₂ x[K]
+**Contraction chains.** Each step contracts one end mode of a
+reshaped stack with its x row block: from the right
+(``R.reshape(k, -1, b) @ x``) or from the left
+(``x @ L.reshape(k, b, -1)``). A kept position ``t`` needs every other
+mode contracted, and the partials are shared between outputs:
 
-* ``I == J == K`` (central diagonal, line 34)::
+* a case whose first run repeats (``I == J ...``) keeps every run at
+  its last position and walks one left chain, reading the stack once
+  (``N = x[I] ×₁ A`` feeds both outputs of ``I == J > K``);
+* otherwise a case whose last run repeats keeps every run at its first
+  position and walks one right chain, reading the stack once
+  (``M = A ×₃ x[K]`` feeds both outputs of ``I > J == K``);
+* a case whose first and last runs are single values walks the right
+  chain and reads the stack once more for its last position
+  (``I > J > K``: ``M`` for ``y[I]`` and ``y[J]``, ``N`` for ``y[K]``).
 
-      y[I] += 1 · A ×₂ x[I] ×₃ x[I]
-
-The weights {2, 1} are the ordered-arrangement multiplicities of the
-block positions in the full tensor; summed over a processor's block
-inventory these updates reproduce the exact symmetric STTSV (verified
-against :func:`repro.core.sttsv_sequential.sttsv_packed`).
-
-:func:`apply_block` reads each block the fewest times the case allows
-and lets one partial product feed every output it can. With the
-mode-3 partial ``M = A ×₃ x[K]`` and the mode-1 partial
-``N = A ×₁ x[I]`` (each one BLAS matrix-vector product over the
-block, viewed as ``b² × b`` or ``b × b²``):
-
-* ``I > J > K`` reads the block twice: ``y[I] += 2·M x[J]``,
-  ``y[J] += 2·x[I] M`` and ``y[K] += 2·x[J] N``;
-* ``I == J > K`` reads it once: ``y[I] += 2·N x[K]``,
-  ``y[K] += x[I] N``;
-* ``I > J == K`` reads it once: ``y[I] += M x[K]``,
-  ``y[K] += 2·x[I] M``;
-* the central block reads it once, as before.
-
-The two single-read diagonal cases use the block's symmetry in its
-repeated modes (``A[i,j,k] == A[j,i,k]`` when ``I == J``, and
-``A[i,j,k] == A[i,k,j]`` when ``J == K``). That symmetry is exact,
-not approximate, for blocks cut from packed symmetric storage
-(:meth:`repro.tensor.bcss.BCSSTensor.from_ndpacked`): mirrored entries
-are the same stored word. A diagonal block that is not symmetric in its
-repeated modes gets a wrong answer.
-
-No Python-level loops over tensor entries and no ``np.einsum``
-contraction-path search per call.
+Keeping a run at a position other than its first uses the block's
+symmetry in the modes a repeated value spans (``A[i,j,k] == A[j,i,k]``
+when ``I == J``). That symmetry is exact for blocks cut from packed
+storage (:func:`repro.tensor.bcss.gather_blocks`): mirrored entries
+are the same stored word. A diagonal block that is not symmetric in
+its repeated modes gets a wrong answer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from itertools import accumulate
+from math import factorial, prod
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-
-def contract_mode23(block: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(A ×₂ u ×₃ v)_i = Σ_{j,k} A[i,j,k] u_j v_k``."""
-    return (block.transpose(0, 2, 1) @ u) @ v
+#: Run lengths of a canonical block tuple's equal values.
+BlockCase = Tuple[int, ...]
 
 
-def apply_block(
-    block_index: Tuple[int, int, int],
-    block: np.ndarray,
-    x_blocks: Dict[int, np.ndarray],
-    y_blocks: Dict[int, np.ndarray],
-) -> None:
-    """Accumulate one block's contributions into per-row-block outputs.
+def block_case(block_index: Sequence[int]) -> BlockCase:
+    """The case of a canonical (non-increasing) block tuple: the run
+    lengths of its equal values, e.g. ``(3, 3, 1) → (2, 1)``."""
+    index = [int(v) for v in block_index]
+    if any(a < b for a, b in zip(index, index[1:])):
+        raise ConfigurationError(f"block index {tuple(index)} not canonical")
+    runs = [1]
+    for a, b in zip(index, index[1:]):
+        if a == b:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return tuple(runs)
+
+
+def case_weights(case: BlockCase) -> Tuple[int, ...]:
+    """Each run's multiplicity weight: the ordered arrangements of the
+    other ``d − 1`` indices, ``(d−1)! · c / Π cᵢ!`` for a run of ``c``."""
+    d = sum(case)
+    denominator = prod(factorial(c) for c in case)
+    return tuple(factorial(d - 1) * c // denominator for c in case)
+
+
+def apply_case(case: BlockCase, stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Weighted contributions of a stack of same-case blocks.
 
     Parameters
     ----------
-    block_index:
-        Canonical ``(I, J, K)`` with ``I >= J >= K``.
-    block:
-        The dense ``b × b × b`` sub-cube at that position, symmetric in
-        its repeated modes when the index repeats (true of every block
-        :meth:`~repro.tensor.bcss.BCSSTensor.from_ndpacked` cuts from
-        packed storage; see the module docstring).
-    x_blocks:
-        Row blocks of the input vector, keyed by row-block index; must
-        contain ``I``, ``J`` and ``K``.
-    y_blocks:
-        Mutable accumulator row blocks (same keys); updated in place.
+    case:
+        The blocks' :func:`block_case`.
+    stack:
+        ``(k,) + (b,)*d`` dense blocks, each symmetric in the modes a
+        repeated value spans.
+    x:
+        ``(k, len(case), b)``: block ``s``'s x row block of each run.
+
+    Returns
+    -------
+    ``(k, len(case), b)``: block ``s``'s weighted contribution to the
+    y row block of each run.
     """
-    I, J, K = block_index
-    if not I >= J >= K:
-        raise ConfigurationError(f"block index {block_index} not canonical")
-    b = block.shape[0]
-    if I > J > K:
-        M = (block.reshape(b * b, b) @ x_blocks[K]).reshape(b, b)
-        N = (x_blocks[I] @ block.reshape(b, b * b)).reshape(b, b)
-        y_blocks[I] += 2.0 * (M @ x_blocks[J])
-        y_blocks[J] += 2.0 * (x_blocks[I] @ M)
-        y_blocks[K] += 2.0 * (x_blocks[J] @ N)
-    elif I == J and J > K:
-        N = (x_blocks[I] @ block.reshape(b, b * b)).reshape(b, b)
-        y_blocks[I] += 2.0 * (N @ x_blocks[K])
-        y_blocks[K] += x_blocks[I] @ N
-    elif I > J and J == K:
-        M = (block.reshape(b * b, b) @ x_blocks[K]).reshape(b, b)
-        y_blocks[I] += M @ x_blocks[K]
-        y_blocks[K] += 2.0 * (x_blocks[I] @ M)
-    else:  # I == J == K
-        y_blocks[I] += contract_mode23(block, x_blocks[I], x_blocks[I])
+    k, b, d = stack.shape[0], stack.shape[-1], stack.ndim - 1
+    if sum(case) != d or x.shape != (k, len(case), b):
+        raise ConfigurationError(
+            f"case {case} with x of shape {x.shape} does not fit a stack"
+            f" of shape {stack.shape}"
+        )
+    mode_x = [x[:, run] for run, c in enumerate(case) for _ in range(c)]
+    starts = [0, *accumulate(case[:-1])]
+    out = np.empty((k, len(case), b))
+
+    def left(partial: np.ndarray, mode: int) -> np.ndarray:
+        return (mode_x[mode][:, None, :] @ partial.reshape(k, b, -1)).reshape(k, -1)
+
+    def right(partial: np.ndarray, mode: int) -> np.ndarray:
+        return (partial.reshape(k, -1, b) @ mode_x[mode][:, :, None]).reshape(k, -1)
+
+    if case[0] > 1:
+        # One left chain: level t has modes 0..t-1 contracted.
+        chain, level = stack, 0
+        for run, (start, c) in enumerate(zip(starts, case)):
+            keep = start + c - 1
+            while level < keep:
+                chain = left(chain, level)
+                level += 1
+            partial = chain
+            for mode in range(d - 1, keep, -1):
+                partial = right(partial, mode)
+            out[:, run] = partial.reshape(k, b)
+    else:
+        # One right chain: level t has modes t..d-1 contracted.
+        chain, level = stack, d
+        for run in reversed(range(len(case))):
+            keep = starts[run]
+            while level > keep + 1:
+                level -= 1
+                chain = right(chain, level)
+            partial = chain
+            for mode in range(keep):
+                partial = left(partial, mode)
+            out[:, run] = partial.reshape(k, b)
+    out *= np.array(case_weights(case), dtype=np.float64)[:, None]
+    return out
 
 
 def block_flop_count(block_index: Tuple[int, int, int], b: int) -> int:
@@ -120,12 +160,11 @@ def block_flop_count(block_index: Tuple[int, int, int], b: int) -> int:
 
     Off-diagonal blocks do ``3 b³``; non-central diagonal blocks
     ``3 b²(b-1)/2 + 2 b²``; central ``3 b(b-1)(b-2)/6 + 2 b(b-1) + b``.
-    (:func:`apply_block` performs a different number of *elementary*
-    multiplications: it uses the symmetry of the repeated modes of a
-    non-central diagonal block to read it once, but still multiplies
-    every stored entry of the dense block, mirrored ones included. The
-    paper's cost metric counts the canonical ternary multiplications,
-    which is what this function returns.)
+    (:func:`apply_case` performs a different number of *elementary*
+    multiplications: it multiplies every stored entry of a dense
+    block, mirrored ones included. The paper's cost metric counts the
+    canonical ternary multiplications, which is what this function
+    returns.)
     """
     from repro.tensor.blocks import classify_block, ternary_multiplications
 

@@ -7,9 +7,8 @@ Phases (function ``STTSV`` of the paper):
    its holders ``Q_i``; every holder sends its shard to every other
    consumer of ``i``, so each processor ``p`` ends with the complete
    row blocks ``x[i]`` for ``i ∈ need_p``.
-2. **Local compute** (lines 23–36): a block kernel chosen by the
-   partition's order (or the sparse kernel) accumulates partial row
-   blocks ``ŷ[i]``.
+2. **Local compute** (lines 23–36): the stacked block kernel (or the
+   sparse kernel) accumulates partial row blocks ``ŷ[i]``.
 3. **Scatter-reduce y** (lines 38–50): the x pairs in reverse — each
    consumer of ``i`` sends every other holder ``p' ∈ Q_i`` the slice
    of its partial ``ŷ[i]`` covering ``p'``'s shard; holders sum what
@@ -43,15 +42,19 @@ order-3 :class:`~repro.core.partition.TetrahedralPartition` (the
 :class:`~repro.core.partition_ndim.QuadruplePartition` (greedy
 partial-permutation rounds).
 
-Storage comes from the tensor type and the kernel from the partition's
-order (:meth:`load_tensor`):
+Storage comes from the tensor type (:meth:`load_tensor`), and the
+kernel from what the machine's processors hold (:meth:`storage`):
 
 * :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` (and its
   order-3 case :class:`~repro.tensor.packed.PackedSymmetricTensor`) —
-  the zero-padded tensor's dense ``(b,)*order`` BCSS blocks, each
-  processor holding views of its own blocks; the kernel is
-  :func:`~repro.core.block_kernels.apply_block` at order 3 and
-  :func:`~repro.core.bcss_kernels.apply_block_ndim` otherwise;
+  the zero-padded tensor's dense ``(b,)*order`` blocks, in one
+  allocation ordered by (block case, owner) (:class:`BlockStack`).
+  Each processor holds, per case, a view of its own blocks; the views
+  of one case across processors tile one contiguous slice, so local
+  compute is one :func:`~repro.core.block_kernels.apply_case` pass per
+  case over every processor's blocks at once, gathering x and
+  scattering ``ŷ`` through index arrays into the full layout of the
+  :class:`~repro.core.plans.ExchangePlan` buffers;
 * :class:`~repro.tensor.sparse.SparseSymmetricTensor` — each
   processor's share as canonical COO entries (O(nnz/P) memory) and an
   O(local-nnz) bincount kernel. Only vector shards cross the network,
@@ -59,11 +62,11 @@ order (:meth:`load_tensor`):
   can concentrate nonzeros (:meth:`ParallelSTTSV.load_balance`).
 
 Everything about the exchanges that does not depend on ``x`` — the
-validated rounds, the fused batches with one
-:class:`~repro.machine.transport.fusion.FusionPlan` each, the send
-buffer, the staging and shard maps, and each batch's priced ledger
-records — is built once per engine (:class:`ExchangePhase`); a run
-only stages payloads, executes the prebuilt batches and unpacks.
+validated rounds, each phase's one fused batch and its
+:class:`~repro.machine.transport.fusion.FusionPlan`, the send buffer,
+the staging and shard maps, and the priced ledger records — is built
+once per engine (:class:`ExchangePhase`); a run only stages payloads,
+executes each phase as one fused exchange and unpacks.
 
 All data movement goes through the machine's pluggable transport
 (:mod:`repro.machine.transport`): construct the :class:`Machine` with a
@@ -103,8 +106,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core import distribution as dist
-from repro.core.bcss_kernels import apply_block_ndim
-from repro.core.block_kernels import apply_block
+from repro.core.block_kernels import BlockCase, apply_case, block_case
 from repro.core.plans import ExchangePlan
 from repro.core.schedule import ExchangeSchedule
 from repro.errors import ConfigurationError, MachineError
@@ -118,37 +120,12 @@ from repro.machine.cost import CostModel
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.machine.transport import FusionPlan, Transfer
-from repro.tensor.bcss import BCSSTensor
+from repro.tensor.bcss import gather_blocks
 from repro.tensor.ndpacked import pad_ndpacked
 from repro.tensor.sparse import SparseSymmetricTensor, sparse_scatter
 
 #: One processor's vector shards, ``{row block i: its shard of v[i]}``.
 Shards = Dict[int, np.ndarray]
-
-#: Fused batches each point-to-point exchange phase is split into:
-#: contiguous runs of permutation rounds, each executed as one fused
-#: physical exchange. Four batches per phase give 80 physical messages
-#: per q=2 run; the planner prices whatever batches the engine builds
-#: (:meth:`ParallelSTTSV.predicted_ledger`), so its α→all-to-all
-#: decision flip moves with this constant.
-FUSED_BATCHES = 4
-
-
-def fused_batch_bounds(n_rounds: int) -> List[Tuple[int, int]]:
-    """Split ``range(n_rounds)`` into up to :data:`FUSED_BATCHES`
-    contiguous, near-equal ``(lo, hi)`` index ranges."""
-    n_batches = min(n_rounds, FUSED_BATCHES)
-    if n_batches <= 0:
-        return []
-    base, extra = divmod(n_rounds, n_batches)
-    bounds = []
-    lo = 0
-    for batch in range(n_batches):
-        hi = lo + base + (1 if batch < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
 
 class CommBackend(enum.Enum):
     """Communication realization of Algorithm 5's two exchange phases."""
@@ -167,20 +144,40 @@ class CommBackend(enum.Enum):
 class ExchangePhase(NamedTuple):
     """One exchange phase, built once per engine.
 
-    ``batches`` are the phase's validated labeled rounds, split into
-    fused batches, each with its :class:`FusionPlan`; every transfer's
-    payload is a fixed slice of ``send``. A run fills ``send`` with one
-    ``np.take`` through ``gather``, executes the batches, and unpacks
-    the delivered stream through ``take``/``put`` (see
+    ``rounds`` are the phase's validated labeled rounds, executed as one
+    fused batch through ``fusion``; every transfer's payload is a fixed
+    slice of ``send``. A run fills ``send`` with one ``np.take`` through
+    ``gather``, executes the batch, and unpacks the delivered stream
+    through ``take``/``put`` (see
     :meth:`~repro.core.plans.ExchangePlan.phase_maps`).
     """
 
     tag: str
-    batches: List[Tuple[List[LabeledRound], FusionPlan]]
+    rounds: List[LabeledRound]
+    fusion: FusionPlan
     send: np.ndarray
     gather: np.ndarray
     take: np.ndarray
     put: np.ndarray
+
+
+class BlockStack(NamedTuple):
+    """Every processor's dense blocks of one case, built once per engine.
+
+    ``indices`` are the canonical block tuples in allocation order:
+    owner by owner, each owner's in canonical order; processor ``p``'s
+    are ``indices[bounds[p]:bounds[p + 1]]``, and the case occupies
+    rows ``lo + bounds[0] .. lo + bounds[-1]`` of the block allocation.
+    ``rows[s, r]`` are the full-layout positions (in
+    :attr:`~repro.core.plans.ExchangePlan.xf` and ``yp``) of block
+    ``s``'s run-``r`` row block on its owner.
+    """
+
+    case: BlockCase
+    indices: List[Tuple[int, ...]]
+    lo: int
+    bounds: List[int]
+    rows: np.ndarray
 
 
 class ParallelSTTSV:
@@ -246,9 +243,11 @@ class ParallelSTTSV:
         )
         self.phase_x = self._build_phase("x", "x-exchange", self.schedule)
         self.phase_y = self._build_phase("y", "y-exchange", self.schedule_y)
-        # Per-block kernel for dense storage; ``None`` means sparse COO
-        # storage. Set by :meth:`load_tensor`.
-        self._apply_block: Optional[Callable] = None
+        self.block_stacks = self._build_stacks()
+        self._allocated = sum(stack.bounds[-1] for stack in self.block_stacks)
+        #: Every stack's ``rows``, flattened in stack order: one gather
+        #: of x and one scatter-add of ŷ serve every case.
+        self._rows = np.concatenate([stack.rows.ravel() for stack in self.block_stacks])
 
     # -- data loading -----------------------------------------------------------
 
@@ -279,10 +278,11 @@ class ParallelSTTSV:
     def load_tensor(self, machine: Machine, tensor) -> None:
         """Place each processor's share of the padded tensor (the
         expensive, ``x``-independent half of :meth:`load`): views of
-        its dense BCSS blocks under ``tensor_blocks``, or for a sparse
-        tensor the canonical COO entries of its owned blocks under
-        ``sparse_entries``. The other key is dropped, so a processor
-        only ever holds the last tensor loaded."""
+        its dense blocks under ``tensor_blocks`` (``{case: view}``
+        into one allocation ordered by :attr:`block_stacks`), or for a
+        sparse tensor the canonical COO entries of its owned blocks
+        under ``sparse_entries``. The other key is dropped, so a
+        processor only ever holds the last tensor loaded."""
         self._check_machine(machine)
         if tensor.d != self.partition.order:
             raise ConfigurationError(
@@ -294,7 +294,6 @@ class ParallelSTTSV:
                 f"tensor dimension {tensor.n} != configured {self.n}"
             )
         if isinstance(tensor, SparseSymmetricTensor):
-            self._apply_block = None
             owner = self.partition.owner_of_block()
             blocks = map(tuple, (tensor.indices // self.b).tolist())
             owners = np.array([owner[blk] for blk in blocks], dtype=np.int64)
@@ -305,18 +304,27 @@ class ParallelSTTSV:
                     "sparse_entries", (tensor.indices[mine], tensor.values[mine])
                 )
             return
-        self._apply_block = (
-            apply_block if self.partition.order == 3 else apply_block_ndim
+        blocks = gather_blocks(
+            pad_ndpacked(tensor, self.n_padded),
+            [index for stack in self.block_stacks for index in stack.indices],
+            self.b,
         )
-        block_at = BCSSTensor.from_ndpacked(
-            pad_ndpacked(tensor, self.n_padded), self.b
-        ).block
         for p in range(machine.P):
             machine[p].discard("sparse_entries")
             machine[p].store(
                 "tensor_blocks",
-                {index: block_at(index) for index in self.partition.owned_blocks(p)},
+                {
+                    stack.case: blocks[
+                        stack.lo + stack.bounds[p] : stack.lo + stack.bounds[p + 1]
+                    ]
+                    for stack in self.block_stacks
+                },
             )
+
+    def storage(self, machine: Machine) -> str:
+        """What the machine's processors hold, and so which kernel
+        :meth:`run` uses: ``"dense"`` blocks or ``"sparse"`` entries."""
+        return "dense" if "tensor_blocks" in machine[0].memory else "sparse"
 
     def load_vector(self, machine: Machine, x: np.ndarray) -> None:
         """Distribute the vector shards ``x[R_p]^{(p)}`` (the cheap,
@@ -340,11 +348,11 @@ class ParallelSTTSV:
     ) -> ExchangePhase:
         """Lay out one phase's transfers, batches and fusion plans.
 
-        Point-to-point validates the schedule's permutation rounds
-        (labels ``{tag}:round{i}``) and splits them into
-        :data:`FUSED_BATCHES` contiguous batches. All-to-All is the
-        ``P − 1`` shift rounds (labels ``{tag}:shift{s}``) of one
-        uniform slot per ordered pair, executed as one batch.
+        Point-to-point is the schedule's validated permutation rounds
+        (labels ``{tag}:round{i}``); All-to-All is the ``P − 1`` shift
+        rounds (labels ``{tag}:shift{s}``) of one uniform slot per
+        ordered pair. Either way the phase runs as one fused batch:
+        Algorithm 5's two exchanges are two fused physical exchanges.
         Deliveries land in round order, the order the y reduction sums
         them in.
         """
@@ -356,7 +364,6 @@ class ParallelSTTSV:
                 (f"{tag}:shift{shift}", [(src, (src + shift) % P) for src in range(P)])
                 for shift in range(1, P)
             ]
-            bounds = [(0, len(rounds))] if rounds else []
         else:
             width = None
             payload_of = plan.x_payload if phase == "x" else plan.y_payload
@@ -366,7 +373,6 @@ class ParallelSTTSV:
                     schedule.rounds, payload_of, tag=tag
                 )
             ]
-            bounds = fused_batch_bounds(len(rounds))
         members = [pair for _, pairs in rounds for pair in pairs]
         gather, take, put, words = plan.phase_maps(phase, members, width)
         send = np.zeros(gather.size)
@@ -375,29 +381,59 @@ class ParallelSTTSV:
             (label, [Transfer(src, dst, next(payloads)) for src, dst in pairs])
             for label, pairs in rounds
         ]
-        batches = []
-        for lo, hi in bounds:
-            batch = labeled[lo:hi]
-            batches.append(
-                (batch, FusionPlan([t for _, ts in batch for t in ts]))
+        fusion = FusionPlan([t for _, transfers in labeled for t in transfers])
+        return ExchangePhase(tag, labeled, fusion, send, gather, take, put)
+
+    def _build_stacks(self) -> List[BlockStack]:
+        """Group every owned block by case, then owner (the allocation
+        order of :meth:`load_tensor`), with each block's row positions
+        in its owner's full layout."""
+        plan, b, P = self.exchange_plan, self.b, self.partition.P
+        by_case: Dict[BlockCase, List[List[Tuple[int, ...]]]] = {}
+        for p in range(P):
+            for index in self.partition.owned_blocks(p):
+                index = tuple(int(v) for v in index)
+                by_case.setdefault(block_case(index), [[] for _ in range(P)])[
+                    p
+                ].append(index)
+        stacks, lo = [], 0
+        for case in sorted(by_case):
+            owned = by_case[case]
+            starts = np.cumsum((0,) + case[:-1])
+            rows = np.array(
+                [
+                    [
+                        plan.full_offset[p] + plan.order[p].index(index[t]) * b
+                        for t in starts
+                    ]
+                    for p, blocks in enumerate(owned)
+                    for index in blocks
+                ],
+                dtype=np.intp,
+            ).reshape(-1, len(case), 1) + np.arange(b)
+            bounds = np.cumsum([0] + [len(blocks) for blocks in owned]).tolist()
+            stacks.append(
+                BlockStack(case, sum(owned, []), lo, bounds, rows)
             )
-        return ExchangePhase(tag, batches, send, gather, take, put)
+            lo += bounds[-1]
+        return stacks
 
     def _exchange(
         self, machine: Machine, phase: ExchangePhase, source: np.ndarray
     ) -> np.ndarray:
         """Stage one phase's payloads from ``source`` into its send
-        buffer, move them batch by batch through
+        buffer, move them as one batch through
         :func:`~repro.machine.collectives.execute_rounds_fused` (plain
         per-round execution when the machine has fusion off), and
         return the delivered payloads concatenated in delivery order."""
         np.take(source, phase.gather, out=phase.send)
-        delivered: List[np.ndarray] = []
-        for rounds, fusion_plan in phase.batches:
+        delivered = [
+            payload
             for payloads in execute_rounds_fused(
-                machine, rounds, phase.tag, plan=fusion_plan
-            ):
-                delivered.extend(payloads)
+                machine, phase.rounds, phase.tag, plan=phase.fusion
+            )
+            for payload in payloads
+        ]
         return np.concatenate(delivered) if delivered else np.empty(0)
 
     def _exchange_x(self, machine: Machine) -> None:
@@ -411,10 +447,9 @@ class ParallelSTTSV:
             machine[p].store("x_full", x_full[p])
 
     def _exchange_y(self, machine: Machine) -> None:
-        """Phase 3: scatter-reduce the partial ``ŷ[need_p]`` into shards."""
+        """Phase 3: scatter-reduce the partial ``ŷ[need_p]`` (staged in
+        ``yp`` by local compute) into shards."""
         plan = self.exchange_plan
-        for p in range(machine.P):
-            plan.stage_y(p, machine[p].load("y_partial"))
         stream = self._exchange(machine, self.phase_y, plan.yp)
         y_shards = plan.reduce_y(stream, self.phase_y.take, self.phase_y.put)
         for p in range(machine.P):
@@ -422,33 +457,68 @@ class ParallelSTTSV:
 
     # -- phase 2: local compute ----------------------------------------------------------
 
-    def _compute_processor(self, machine: Machine, p: int) -> None:
-        """Phase-2 work of one simulated processor (touches only
-        processor ``p``'s memory)."""
-        proc = machine[p]
-        x_full = proc.load("x_full")
-        b = self.b
-        if self._apply_block is None:
-            # O(local-nnz) scatter over a padded-length view of x whose
-            # only populated rows are need_p — exactly what the
-            # exchange delivered (ownership puts every entry there).
+    def _local_compute(self, machine: Machine) -> None:
+        """Phase 2 on every processor: fill each one's partial row
+        blocks ``ŷ[need_p]`` (views into the staging buffer ``yp``)."""
+        plan = self.exchange_plan
+        if self.storage(machine) == "dense":
+            self._compute_dense(machine)
+        else:
+            self._compute_sparse(machine)
+        for p, proc in enumerate(machine):
+            proc.store("y_partial", plan.y_partial[p])
+
+    def _compute_dense(self, machine: Machine) -> None:
+        """One :func:`~repro.core.block_kernels.apply_case` pass per
+        case over every processor's blocks, then one scatter-add of
+        every contribution into ``yp``, in stack order."""
+        plan = self.exchange_plan
+        held = [proc.load("tensor_blocks") for proc in machine]
+        x = plan.xf[self._rows]
+        contributions, cursor = [], 0
+        for stack in self.block_stacks:
+            size = stack.rows.size
+            contributions.append(
+                apply_case(
+                    stack.case,
+                    self._case_blocks(stack, [blocks[stack.case] for blocks in held]),
+                    x[cursor : cursor + size].reshape(stack.rows.shape),
+                ).ravel()
+            )
+            cursor += size
+        plan.yp[:] = np.bincount(
+            self._rows, np.concatenate(contributions), minlength=plan.yp.size
+        )
+
+    def _case_blocks(self, stack: BlockStack, views: List[np.ndarray]) -> np.ndarray:
+        """One case's blocks across processors, from each processor's
+        view: the contiguous slice of the machine's block allocation
+        that :meth:`load_tensor` laid the views out in, or a copy when
+        the views are not that layout's."""
+        root = views[0].base
+        if (
+            root is not None
+            and len(root) == self._allocated
+            and all(
+                view.base is root and len(view) == hi - lo
+                for view, lo, hi in zip(views, stack.bounds, stack.bounds[1:])
+            )
+        ):
+            return root[stack.lo : stack.lo + stack.bounds[-1]]
+        return np.concatenate(views)
+
+    def _compute_sparse(self, machine: Machine) -> None:
+        """O(local-nnz) scatter per processor over a padded-length view
+        of x whose only populated rows are need_p — exactly what the
+        exchange delivered (ownership puts every entry there)."""
+        plan, b = self.exchange_plan, self.b
+        for p, proc in enumerate(machine):
             local_x = np.zeros(self.n_padded)
-            for i, row in x_full.items():
+            for i, row in proc.load("x_full").items():
                 local_x[i * b : (i + 1) * b] = row
             local_y = sparse_scatter(*proc.load("sparse_entries"), local_x)
-            y_partial = {
-                i: local_y[i * b : (i + 1) * b].copy()
-                for i in self.partition.need[p]
-            }
-        else:
-            y_partial = {i: np.zeros(b) for i in self.partition.need[p]}
-            for index, block in proc.load("tensor_blocks").items():
-                self._apply_block(index, block, x_full, y_partial)
-        proc.store("y_partial", y_partial)
-
-    def _local_compute(self, machine: Machine) -> None:
-        for p in range(machine.P):
-            self._compute_processor(machine, p)
+            for i, partial in plan.y_partial[p].items():
+                partial[:] = local_y[i * b : (i + 1) * b]
 
     # -- driver --------------------------------------------------------------------------------
 
@@ -538,7 +608,7 @@ class ParallelSTTSV:
         """The exact ledger one :meth:`run` records, without moving a
         byte.
 
-        Prices the prebuilt batches of both phases through the same
+        Prices the prebuilt batch of both phases through the same
         :class:`~repro.machine.cost.CostModel` calls execution makes: a
         batch :func:`~repro.machine.collectives.execute_rounds_fused`
         fuses goes through ``price_fused_batch``, any other round
@@ -548,12 +618,11 @@ class ParallelSTTSV:
         cost = CostModel()
         ledger = CommunicationLedger(self.partition.P)
         for phase in (self.phase_x, self.phase_y):
-            for rounds, plan in phase.batches:
-                if plan.fuses(True):
-                    cost.price_fused_batch(ledger, rounds, phase.tag, plan)
-                    continue
-                for label, transfers in rounds:
-                    cost.price_round(ledger, label, transfers, phase.tag)
+            if phase.fusion.fuses(True):
+                cost.price_fused_batch(ledger, phase.rounds, phase.tag, phase.fusion)
+                continue
+            for label, transfers in phase.rounds:
+                cost.price_round(ledger, label, transfers, phase.tag)
         return ledger
 
     def expected_words_per_processor(self) -> int:
@@ -606,3 +675,4 @@ class ParallelSTTSV:
             "mean_nnz": total / machine.P,
             "imbalance": (max(counts) / (total / machine.P)) if total else 1.0,
         }
+

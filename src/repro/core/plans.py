@@ -688,16 +688,24 @@ class ExchangePlan:
         self.yp = np.zeros(self.full_offset[-1] + 1)
         self._xs = self._split(self.xs, self.shard_offset)
         self._yp = self._split(self.yp, self.full_offset)
-        xf = self._split(self.xf, self.full_offset)
         #: Per-processor x-full row blocks: views into :attr:`xf`.
-        self.x_full: List[Dict[int, np.ndarray]] = [
-            {i: xf[p][t * b : (t + 1) * b] for t, i in enumerate(rows)}
-            for p, rows in enumerate(self.order)
-        ]
+        self.x_full = self._row_blocks(self.xf)
+        #: Per-processor partial-y row blocks: views into :attr:`yp`,
+        #: which local compute fills in place.
+        self.y_partial = self._row_blocks(self.yp)
 
     @staticmethod
     def _split(flat: np.ndarray, offsets: np.ndarray) -> List[np.ndarray]:
         return [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    def _row_blocks(self, flat: np.ndarray) -> List[Dict[int, np.ndarray]]:
+        """Per-processor ``{i: row block i}`` views into a full-layout
+        array."""
+        b = self.b
+        return [
+            {i: part[t * b : (t + 1) * b] for t, i in enumerate(rows)}
+            for part, rows in zip(self._split(flat, self.full_offset), self.order)
+        ]
 
     # -- vector distribution ------------------------------------------------------
 
@@ -815,11 +823,6 @@ class ExchangePlan:
         return self.x_full
 
     # -- y phase ---------------------------------------------------------------
-
-    def stage_y(self, p: int, partial: Dict[int, np.ndarray]) -> None:
-        """Flatten processor ``p``'s partial row blocks into its slice
-        of :attr:`yp`."""
-        np.concatenate([partial[i] for i in self.order[p]], out=self._yp[p])
 
     def y_payload(self, src: int, dst: int) -> Optional[np.ndarray]:
         """The partial-y payload ``src`` sends ``dst`` (a new array),

@@ -10,9 +10,8 @@ against the matching row panels of ``X`` (each step a gemm), and the
 resulting ``s^m`` core is added once per distinct permutation of ``B``
 with the corresponding output-axis transpose.
 
-Also provides the blocked STTSV over BCSS storage (dense-block
-contractions via :mod:`repro.core.bcss_kernels`) and dense oracles for
-both.
+Also provides the blocked STTSV over BCSS storage (the stacked block
+kernel of :mod:`repro.core.block_kernels`) and dense oracles for both.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.core.bcss_kernels import apply_block_ndim
+from repro.core.block_kernels import apply_case, block_case
 from repro.errors import ConfigurationError
 from repro.tensor.bcss import BCSSTensor
 from repro.tensor.ndpacked import (
@@ -32,25 +31,31 @@ from repro.tensor.ndpacked import (
 
 
 def sttsv_bcss(bcss: BCSSTensor, x: np.ndarray) -> np.ndarray:
-    """Blocked order-m STTSV: one dense contraction set per stored block.
+    """Blocked order-m STTSV: every stored block as one stack, one
+    :func:`~repro.core.block_kernels.apply_case` pass per block case.
 
-    Blocks are visited in block-offset order and row-block partials are
-    accumulated in that order, so the result is deterministic.
+    Cases are visited in sorted order and, within a case, blocks in
+    block-offset order; one scatter-add sums every contribution in that
+    order, so the result is deterministic.
     """
-    n, b, nbar = bcss.n, bcss.block_size, bcss.nbar
+    n, b = bcss.n, bcss.block_size
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ConfigurationError(f"vector must have shape ({n},)")
-    x_blocks = [x[i * b : (i + 1) * b] for i in range(nbar)]
-    y_blocks = [np.zeros(b) for _ in range(nbar)]
-    for offset in range(bcss.num_blocks):
-        apply_block_ndim(
-            bcss.block_indices[offset],
-            bcss.blocks[offset],
-            x_blocks,
-            y_blocks,
+    indices = bcss.block_indices
+    cases = [block_case(index) for index in indices.tolist()]
+    rows, contributions = [], []
+    for case in sorted(set(cases)):
+        members = np.flatnonzero([c == case for c in cases])
+        starts = np.cumsum((0,) + case[:-1])
+        case_rows = (indices[members][:, starts] * b)[:, :, None] + np.arange(b)
+        rows.append(case_rows.ravel())
+        contributions.append(
+            apply_case(case, bcss.blocks[members], x[case_rows]).ravel()
         )
-    return np.concatenate(y_blocks)
+    return np.bincount(
+        np.concatenate(rows), np.concatenate(contributions), minlength=n
+    )
 
 
 def sttsm_dense_reference(dense: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ def sttsv_symmetric(tensor: PackedSymmetricTensor, x: np.ndarray) -> np.ndarray:
     n = tensor.n
     x = _check_vector(x, n)
     y = np.zeros(n)
-    for i, j, k, a in tensor.canonical_entries():
+    for (i, j, k), a in tensor.canonical_entries():
         if i != j and j != k:
             y[i] += 2 * a * x[j] * x[k]
             y[j] += 2 * a * x[i] * x[k]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,42 @@ def _block_entry_offsets(
     offsets = nd_packed_offsets(axes)  # axis t spans dimension t: full shape
     offsets.setflags(write=False)
     return offsets
+
+
+def gather_blocks(
+    tensor: NdPackedSymmetricTensor,
+    block_indices,
+    block_size: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The dense ``(b,)*m`` blocks of ``tensor`` at the canonical block
+    tuples ``block_indices``, in that order, gathered from packed
+    storage into ``out`` (a fresh ``(len(block_indices), b, ..., b)``
+    array if not given).
+
+    Mirrored entries of a diagonal block are the same stored word, so
+    every block is exactly symmetric in the modes a repeated block
+    index spans.
+    """
+    shape = (len(block_indices),) + (block_size,) * tensor.d
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ConfigurationError(f"out must have shape {shape}, got {out.shape}")
+    for block, index in zip(out, np.asarray(block_indices).tolist()):
+        if max(index) * block_size >= tensor.n:
+            raise ConfigurationError(
+                f"block {tuple(index)} exceeds dimension {tensor.n}"
+            )
+        # Offsets are in range by construction; "clip" lets take
+        # write straight into the block without a bounds buffer.
+        np.take(
+            tensor.data,
+            _block_entry_offsets(tuple(index), block_size),
+            out=block,
+            mode="clip",
+        )
+    return out
 
 
 class BCSSTensor:
@@ -153,15 +189,7 @@ class BCSSTensor:
         True
         """
         out = cls(tensor.n, tensor.d, block_size)
-        for block, index in zip(out.blocks, out.block_indices.tolist()):
-            # Offsets are in range by construction; "clip" lets take
-            # write straight into the block without a bounds buffer.
-            np.take(
-                tensor.data,
-                _block_entry_offsets(tuple(index), block_size),
-                out=block,
-                mode="clip",
-            )
+        gather_blocks(tensor, out.block_indices, block_size, out=out.blocks)
         return out
 
     def to_ndpacked(self) -> NdPackedSymmetricTensor:

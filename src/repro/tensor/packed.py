@@ -16,7 +16,7 @@ the paper's §1 highlights (≈ ``n³/6`` vs ``n³``).
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -74,16 +74,6 @@ class PackedSymmetricTensor(NdPackedSymmetricTensor):
 
     def __init__(self, n: int, data: np.ndarray = None):
         super().__init__(n, 3, data)
-
-    def canonical_entries(self) -> Iterator[Tuple[int, int, int, float]]:
-        """Yield ``(i, j, k, value)`` over the lower tetrahedron."""
-        offset = 0
-        data = self.data
-        for i in range(self.n):
-            for j in range(i + 1):
-                for k in range(j + 1):
-                    yield i, j, k, float(data[offset])
-                    offset += 1
 
     def to_dense(self) -> np.ndarray:
         """Expand to a full ``n × n × n`` symmetric ndarray."""

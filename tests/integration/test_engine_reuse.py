@@ -1,8 +1,8 @@
 """Algorithm 5 builds its exchanges once per engine and reuses them.
 
 ``ParallelSTTSV`` lays out each exchange phase at construction: the
-validated labeled rounds, the fused batches with one ``FusionPlan``
-each, the send buffer every transfer's payload is a slice of, and the
+validated labeled rounds, each phase's one fused batch and its
+``FusionPlan``, the send buffer every transfer's payload is a slice of, and the
 maps that stage and unpack a whole phase. Each priced batch is replayed
 into the run's ledger. These tests run several vectors through one
 engine and machine and require each run to be exactly a freshly built
@@ -232,8 +232,12 @@ class TestReusedSymkEngineMatchesFresh:
 
 class TestFaultInjectedReuse:
     #: ``(retry_rounds, retry_words, retry_messages)`` of each run, as
-    #: the per-request exchange code recorded them for this seed.
-    EXPECTED_RETRIES = [(13, 84, 46), (14, 86, 52), (18, 101, 62)]
+    #: the per-request exchange code recorded them for this seed. The
+    #: seeded injector draws once per physical message, so these moved
+    #: (from ``[(13, 84, 46), (14, 86, 52), (18, 101, 62)]``) when each
+    #: exchange phase became one fused batch instead of four: fewer,
+    #: larger physical messages meet a different fault sequence.
+    EXPECTED_RETRIES = [(3, 73, 43), (4, 95, 56), (6, 57, 35)]
 
     def test_retries_and_results_match(self):
         partition = _partition("dense", 2)
@@ -261,6 +265,45 @@ class TestFaultInjectedReuse:
                 clean_ledger.pop("retry")
                 assert faulty == clean_ledger
         assert retries == self.EXPECTED_RETRIES
+
+
+class TestOneBatchPerPhase:
+    """Algorithm 5 is two exchanges around local compute, and the
+    engine runs each as one fused physical exchange. The physical
+    message counts of one run are pinned to that structure (several
+    batches per phase would raise them: 80 at q=2, 240 at q=3, 111 at
+    SQS(8), 56 for the Fano SYMV), and the engine's predicted ledger
+    equals the executed one field for field."""
+
+    @pytest.mark.parametrize(
+        "name,fused_messages",
+        [("dense-q2", 20), ("dense-q3", 60), ("order4-sqs8", 28), ("symv-fano", 14)],
+    )
+    def test_fused_structure_and_prediction(self, name, fused_messages):
+        from repro.matrix.partition import TriangleBlockPartition
+        from repro.steiner.pairwise import projective_plane_system
+        from repro.tensor.ndpacked import nd_random_symmetric
+
+        partition, n, order = {
+            "dense-q2": (_partition("dense", 2), 30, 3),
+            "dense-q3": (_partition("dense", 3), 60, 3),
+            "order4-sqs8": (_partition("order4", 3), 56, 4),
+            "symv-fano": (TriangleBlockPartition(projective_plane_system(2)), 21, 2),
+        }[name]
+        tensor = nd_random_symmetric(n, order, seed=41)
+        x = np.random.default_rng(42).standard_normal(n)
+        with Machine(partition.P) as machine:
+            algo = ParallelSTTSV(partition, n)
+            algo.load_tensor(machine, tensor)
+            for _ in range(2):
+                machine.reset_ledger()
+                algo.load_vector(machine, x)
+                algo.run(machine)
+                assert machine.ledger.fused_rounds == 2
+                assert machine.ledger.fused_messages == fused_messages
+                assert _fingerprint(machine.ledger) == _fingerprint(
+                    algo.predicted_ledger()
+                )
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

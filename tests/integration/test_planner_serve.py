@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.sttsv_sequential import sttsv_packed
-from repro.planner import Calibration, TransportConstants
+from repro.planner import Calibration, TransportConstants, plan_sttsv
 from repro.service.client import ServiceClient
 from repro.service.protocol import ErrorCode, ServiceError
 from repro.service.server import STTSVServer
@@ -73,8 +73,12 @@ class TestAutoMode:
                         )
 
     def test_calibration_file_steers_variant(self, tmp_path):
-        """The server's auto resolution follows the calibration file:
-        α-heavy constants pick All-to-All, β-heavy pick p2p.
+        """The server's auto resolution prices the calibration file's
+        constants, and under α-heavy and β-heavy constants alike the
+        model picks point-to-point: each variant runs both phases as 2
+        fused exchanges, so the α terms tie and point-to-point's fewer
+        words decide. (α-heavy constants picked All-to-All only while
+        point-to-point split each phase into 4 fused batches.)
 
         q=3 deliberately: that is where the paper's bandwidth
         asymmetry shows (at q=2 with small n, fusion headers dominate
@@ -82,10 +86,19 @@ class TestAutoMode:
         n = 30
         tensor = random_symmetric(n, seed=5)
         for alpha, beta, expected in (
-            (1e-2, 1e-9, "all-to-all"),
+            (1e-2, 1e-9, "point-to-point"),
             (1e-9, 1e-3, "point-to-point"),
         ):
             path = _write_calibration(tmp_path, alpha, beta)
+            decision = plan_sttsv(n, qs=(3,), calibration=Calibration.load(path))
+            priced = {
+                c.candidate.variant: c
+                for c in decision.candidates
+                if c.candidate.mode == "parallel"
+            }
+            p2p, a2a = priced["point-to-point"], priced["all-to-all"]
+            assert p2p.physical_rounds == a2a.physical_rounds == 2
+            assert p2p.words_per_processor < a2a.words_per_processor
             with STTSVServer(calibration_path=path) as server:
                 host, port = server.address
                 with ServiceClient(host, port) as client:

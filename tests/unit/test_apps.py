@@ -244,6 +244,16 @@ class TestSuggestedShift:
             2.0 * suggested_shift(tensor)
         )
 
+    def test_order4_shift(self):
+        """At order d the shift is (d−1) times the largest absolute
+        row sum of the mode-1 flattening."""
+        from repro.apps.hopm import suggested_shift
+        from repro.tensor.ndpacked import nd_random_symmetric
+
+        tensor = nd_random_symmetric(6, 4, seed=0)
+        rows = np.abs(tensor.to_dense()).reshape(6, -1).sum(axis=1)
+        assert suggested_shift(tensor) == pytest.approx(3.0 * rows.max())
+
 
 class TestCrossAppPipeline:
     def test_deflation_initializes_cp(self, rng):

@@ -6,7 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from repro.core.bcss_kernels import apply_block_ndim, contract_all_but
+from repro.core.bcss_kernels import contract_all_but
+from repro.core.block_kernels import apply_case, block_case
 from repro.core.plans import BlockedPlan, SequentialPlan
 from repro.core.sttsm import (
     sttsm,
@@ -19,6 +20,15 @@ from repro.errors import ConfigurationError
 from repro.tensor.bcss import BCSSTensor, bcss_block_count
 from repro.tensor.multiplicity import nd_contribution_weights
 from repro.tensor.ndpacked import nd_packed_size, nd_random_symmetric
+
+
+def apply_one(index, block, x_blocks, y_blocks):
+    """One block as a one-block stack: gather the x row block of each
+    run of ``index``, add the contributions into ``y_blocks``."""
+    runs = list(dict.fromkeys(index))
+    x = np.stack([x_blocks[value] for value in runs])[None]
+    for value, contribution in zip(runs, apply_case(block_case(index), block[None], x)[0]):
+        y_blocks[value] += contribution
 
 
 class TestStorage:
@@ -100,7 +110,7 @@ class TestKernels:
         y_blocks = {i: np.zeros(2) for i in range(2)}
         for offset in range(bcss.num_blocks):
             index = tuple(int(v) for v in bcss.block_indices[offset])
-            apply_block_ndim(index, bcss.blocks[offset], x_blocks, y_blocks)
+            apply_one(index, bcss.blocks[offset], x_blocks, y_blocks)
         y = np.concatenate([y_blocks[0], y_blocks[1]])
         assert np.allclose(y, sttsv_ndim(tensor, x))
 
@@ -120,16 +130,17 @@ class TestApplyBlockPatterns:
 
     @pytest.mark.parametrize("pattern", list(PATTERNS))
     def test_matches_contract_all_but(self, pattern, rng):
-        """The reshape/mat-vec chains equal the weighted ``einsum``
-        contraction at each distinct value's first position, for a BCSS
-        block of every multiplicity pattern."""
+        """The batched reshape/mat-vec chains, on a one-block stack,
+        equal the weighted ``einsum`` contraction at each distinct
+        value's first position, for a BCSS block of every multiplicity
+        pattern."""
         b, nbar = 3, 4
         index = self.PATTERNS[pattern]
         tensor = nd_random_symmetric(nbar * b, 4, seed=rng.integers(1 << 30))
         block = BCSSTensor.from_ndpacked(tensor, b).block(index)
         x_blocks = [rng.standard_normal(b) for _ in range(nbar)]
         y_blocks = [np.zeros(b) for _ in range(nbar)]
-        apply_block_ndim(index, block, x_blocks, y_blocks)
+        apply_one(index, block, x_blocks, y_blocks)
         vectors = [x_blocks[value] for value in index]
         expected = [np.zeros(b) for _ in range(nbar)]
         for value, weight in nd_contribution_weights(index).items():

@@ -1,9 +1,9 @@
-"""Per-block ternary kernels (Algorithm 5 lines 24–36)."""
+"""Stacked ternary kernels (Algorithm 5 lines 24–36), order 3."""
 
 import numpy as np
 import pytest
 
-from repro.core.block_kernels import apply_block, block_flop_count, contract_mode23
+from repro.core.block_kernels import apply_case, block_case, block_flop_count
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
 from repro.tensor.bcss import BCSSTensor
@@ -11,13 +11,28 @@ from repro.tensor.blocks import lower_tetrahedral_blocks
 from repro.tensor.dense import random_symmetric
 
 
+def apply_one(index, block, x_blocks, y_blocks):
+    """One block as a one-block stack: gather the x row block of each
+    run of ``index``, add the contributions into ``y_blocks``."""
+    runs = list(dict.fromkeys(index))
+    x = np.stack([x_blocks[value] for value in runs])[None]
+    for value, contribution in zip(runs, apply_case(block_case(index), block[None], x)[0]):
+        y_blocks[value] += contribution
+
+
 class TestContractions:
     def test_mode_contractions_against_einsum(self, rng):
-        block = rng.normal(size=(3, 4, 5))
-        u4, u5 = rng.normal(size=4), rng.normal(size=5)
-        assert np.allclose(
-            contract_mode23(block, u4, u5), np.einsum("ijk,j,k->i", block, u4, u5)
-        )
+        """An off-diagonal stack needs no symmetry: every block's three
+        outputs are its weighted single-mode-kept contractions."""
+        stack = rng.normal(size=(5, 4, 4, 4))
+        x = rng.normal(size=(5, 3, 4))
+        got = apply_case((1, 1, 1), stack, x)
+        for s in range(5):
+            xi, xj, xk = x[s]
+            for run, (spec, u, v) in enumerate(
+                [("ijk,j,k->i", xj, xk), ("ijk,i,k->j", xi, xk), ("ijk,i,j->k", xi, xj)]
+            ):
+                assert np.allclose(got[s, run], 2 * np.einsum(spec, stack[s], u, v))
 
     @pytest.mark.parametrize("layout", ["strided-view", "fortran"])
     def test_non_c_contiguous_blocks_against_einsum(self, rng, layout):
@@ -27,13 +42,9 @@ class TestContractions:
             block = np.asfortranarray(rng.normal(size=(4, 4, 4)))
         assert block.shape == (4, 4, 4) and not block.flags.c_contiguous
         x = [rng.normal(size=4) for _ in range(3)]
-        assert np.allclose(
-            contract_mode23(block, x[1], x[2]),
-            np.einsum("ijk,j,k->i", block, x[1], x[2]),
-        )
         # An off-diagonal block needs no symmetry, so any block will do.
         y = {i: np.zeros(4) for i in range(3)}
-        apply_block((2, 1, 0), block, dict(enumerate(x)), y)
+        apply_one((2, 1, 0), block, dict(enumerate(x)), y)
         assert np.allclose(y[2], 2 * np.einsum("ijk,j,k->i", block, x[1], x[0]))
         assert np.allclose(y[1], 2 * np.einsum("ijk,i,k->j", block, x[2], x[0]))
         assert np.allclose(y[0], 2 * np.einsum("ijk,i,j->k", block, x[2], x[1]))
@@ -42,16 +53,25 @@ class TestContractions:
 class TestApplyBlock:
     @pytest.mark.parametrize("m,b", [(4, 2), (4, 3), (5, 2), (3, 4)])
     def test_full_block_sweep_reproduces_sttsv(self, m, b, rng):
-        """Summing apply_block over every lower-tetrahedral block equals
-        the exact symmetric STTSV — the identity Algorithm 5 relies on."""
+        """Every lower-tetrahedral block, stacked by case, one
+        ``apply_case`` pass per case: the contributions sum to the exact
+        symmetric STTSV — the identity Algorithm 5 relies on."""
         n = m * b
         tensor = random_symmetric(n, seed=rng.integers(1 << 30))
         x = rng.normal(size=n)
         x_blocks = {i: x[i * b : (i + 1) * b] for i in range(m)}
         y_blocks = {i: np.zeros(b) for i in range(m)}
         block_at = BCSSTensor.from_ndpacked(tensor, b).block
+        by_case = {}
         for index in lower_tetrahedral_blocks(m):
-            apply_block(index, block_at(index), x_blocks, y_blocks)
+            by_case.setdefault(block_case(index), []).append(index)
+        for case, indices in by_case.items():
+            runs = [list(dict.fromkeys(index)) for index in indices]
+            stack = np.stack([block_at(index) for index in indices])
+            x_stack = np.array([[x_blocks[v] for v in values] for values in runs])
+            for values, out in zip(runs, apply_case(case, stack, x_stack)):
+                for value, contribution in zip(values, out):
+                    y_blocks[value] += contribution
         y = np.concatenate([y_blocks[i] for i in range(m)])
         assert np.allclose(y, sttsv_packed(tensor, x))
 
@@ -66,7 +86,7 @@ class TestApplyBlock:
         x_blocks = {i: x[i * b : (i + 1) * b] for i in range(m)}
         y_blocks = {i: np.zeros(b) for i in range(m)}
         block = BCSSTensor.from_ndpacked(tensor, b).block((2, 1, 0))
-        apply_block((2, 1, 0), block, x_blocks, y_blocks)
+        apply_one((2, 1, 0), block, x_blocks, y_blocks)
         # Brute force: zero out everything except entries whose index
         # multiset hits all three row blocks once.
         y_expected = np.zeros(n)
@@ -92,15 +112,16 @@ class TestApplyBlock:
         ids=["off-diagonal", "i=j>k", "i>j=k", "central"],
     )
     def test_each_case_matches_weighted_einsum(self, index, weights, rng):
-        """One block of each canonical case, cut from packed storage,
-        adds the paper's weighted contractions and touches nothing else.
+        """One block of each canonical case, cut from packed storage, as
+        a one-block stack adds the paper's weighted contractions and
+        touches nothing else.
         ``weights`` maps the kept mode to its multiplicity."""
         b, m = 4, 4
         tensor = random_symmetric(m * b, seed=rng.integers(1 << 30))
         block = BCSSTensor.from_ndpacked(tensor, b).block(index)
         x_blocks = {i: rng.normal(size=b) for i in range(m)}
         y_blocks = {i: np.zeros(b) for i in range(m)}
-        apply_block(index, block, x_blocks, y_blocks)
+        apply_one(index, block, x_blocks, y_blocks)
         specs = {0: "ijk,j,k->i", 1: "ijk,i,k->j", 2: "ijk,i,j->k"}
         expected = {i: np.zeros(b) for i in range(m)}
         for mode, weight in weights.items():
@@ -113,7 +134,9 @@ class TestApplyBlock:
 
     def test_non_canonical_index_rejected(self):
         with pytest.raises(ConfigurationError):
-            apply_block((0, 1, 2), np.zeros((2, 2, 2)), {}, {})
+            block_case((0, 1, 2))
+        with pytest.raises(ConfigurationError):
+            apply_case((2, 1), np.zeros((1, 2, 2, 2)), np.zeros((1, 3, 2)))
 
 
 class TestFlopCounts:

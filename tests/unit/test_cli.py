@@ -85,9 +85,21 @@ class TestPlan:
         assert "session config:" in out
 
     def test_alpha_override_flips_to_all_to_all(self, capsys):
+        """An inflated α no longer flips the parallel variant: both
+        price 2 fused rounds (the α terms tie), and point-to-point,
+        with fewer words per processor, stays chosen."""
         assert main(["plan", "--q", "3", "--alpha", "1e-2"]) == 0
         out = capsys.readouterr().out
-        assert "variant=all-to-all" in out
+        rows = {
+            cells[6]: cells
+            for cells in map(str.split, out.splitlines())
+            if cells[1:2] == ["parallel"]
+        }
+        p2p, a2a = rows["point-to-point"], rows["all-to-all"]
+        assert p2p[9] == a2a[9] == "2"  # rounds
+        assert int(p2p[10]) < int(a2a[10])  # words/proc
+        assert "best parallel: parallel q=3 simulated point-to-point" in out
+        assert "variant=point-to-point" in out
 
     def test_beta_override_flips_to_point_to_point(self, capsys):
         assert main(
@@ -113,15 +125,15 @@ class TestPlan:
         [
             (
                 ["--q", "2"],
-                "best: parallel q=2 simulated all-to-all",
+                "best: parallel q=2 simulated point-to-point",
                 "session config: P=10, backend=simulated, batch_width=8,"
-                " n=40, q=2, strategy=gemm, variant=all-to-all",
+                " n=40, q=2, strategy=gemm, variant=point-to-point",
             ),
             (
                 ["--q", "3", "--P", "30"],
-                "best: parallel q=3 simulated all-to-all",
+                "best: parallel q=3 simulated point-to-point",
                 "session config: P=30, backend=simulated, batch_width=8,"
-                " n=120, q=3, strategy=gemm, variant=all-to-all",
+                " n=120, q=3, strategy=gemm, variant=point-to-point",
             ),
             (
                 ["--q", "2", "--rank", "4", "--n", "60"],
@@ -135,9 +147,11 @@ class TestPlan:
     def test_decision_unchanged_without_fusion_axis(
         self, args, best, config, capsys
     ):
-        """The argmin and session config are the ones the planner chose
-        while it still priced unfused candidates too, minus the
-        ``fused`` label suffix and the ``fusion=True`` config field."""
+        """The argmin and session config carry no ``fused`` label
+        suffix and no ``fusion=True`` config field. With each phase one
+        fused exchange, both variants price 2 rounds, so the dense
+        argmin is point-to-point (fewer words), not the All-to-All that
+        8 point-to-point rounds against 2 used to pick."""
         assert main(["plan", *args]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert best in lines

@@ -13,7 +13,9 @@ from repro.errors import ConfigurationError, MachineError
 from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
 from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
+from repro.tensor.hypergraph import random_hypergraph
 from repro.tensor.packed import PackedSymmetricTensor
+from repro.tensor.sparse import SparseSymmetricTensor, sttsv_sparse
 
 
 class TestPadTensor:
@@ -161,6 +163,59 @@ class TestCorrectness:
         assert threading.active_count() == before
         assert pools == [] and started == []
         assert np.allclose(algo.gather_result(machine), sttsv_packed(tensor, x))
+
+
+class TestOneEngineManyMachines:
+    """Local compute reads the blocks of the machine passed to ``run``,
+    never what the engine's last ``load_tensor`` left behind."""
+
+    N = 30
+
+    def _single(self, partition, tensor, x):
+        with Machine(partition.P) as machine:
+            algo = ParallelSTTSV(partition, self.N)
+            algo.load(machine, tensor, x)
+            algo.run(machine)
+            return algo.gather_result(machine)
+
+    def test_two_machines_interleaved(self, partition_q2, rng):
+        tensors = {"A": random_symmetric(self.N, seed=31),
+                   "B": random_symmetric(self.N, seed=32)}
+        x = rng.normal(size=self.N)
+        engine = ParallelSTTSV(partition_q2, self.N)
+        with Machine(partition_q2.P) as a, Machine(partition_q2.P) as b:
+            machines = {"A": a, "B": b}
+            for name in ("A", "B"):
+                engine.load_tensor(machines[name], tensors[name])
+            for name in ("A", "B", "A"):
+                engine.load_vector(machines[name], x)
+                engine.run(machines[name])
+                y = engine.gather_result(machines[name])
+                tensor = tensors[name]
+                assert np.array_equal(y, self._single(partition_q2, tensor, x))
+                assert np.allclose(y, sttsv_packed(tensor, x))
+
+    def test_dense_sparse_dense_on_one_machine(self, partition_q2, rng):
+        sparse = SparseSymmetricTensor.from_hyperedges(
+            self.N, random_hypergraph(self.N, 80, seed=33)
+        )
+        dense = random_symmetric(self.N, seed=34)
+        x = rng.normal(size=self.N)
+        engine = ParallelSTTSV(partition_q2, self.N)
+        keys = {"tensor_blocks", "sparse_entries"}
+        with Machine(partition_q2.P) as machine:
+            for tensor, key, oracle in (
+                (dense, "tensor_blocks", sttsv_packed),
+                (sparse, "sparse_entries", sttsv_sparse),
+                (dense, "tensor_blocks", sttsv_packed),
+            ):
+                engine.load_tensor(machine, tensor)
+                assert all(keys & set(proc.memory) == {key} for proc in machine)
+                engine.load_vector(machine, x)
+                engine.run(machine)
+                y = engine.gather_result(machine)
+                assert np.array_equal(y, self._single(partition_q2, tensor, x))
+                assert np.allclose(y, oracle(tensor, x))
 
 
 class TestCommunicationCosts:

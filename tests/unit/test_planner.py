@@ -260,14 +260,25 @@ class TestSymkPlanning:
 
 class TestPlanSelection:
     def test_alpha_inflated_prefers_all_to_all(self):
-        # High latency: All-to-All's 2 fused exchanges beat
-        # point-to-point's 2·FUSED_BATCHES despite ~2× the bandwidth.
+        # High latency no longer favours All-to-All: each variant runs
+        # Algorithm 5's two phases as 2 fused exchanges, so their α
+        # terms tie and point-to-point's fewer words decide. (All-to-All
+        # won here only while point-to-point split each phase into 4
+        # fused batches, 8 exchanges against 2.)
         decision = plan_sttsv(
             30,
             qs=(3,),
             calibration=_calibration(alpha=1e-2, beta=1e-9),
         )
-        assert decision.best_parallel.candidate.variant == "all-to-all"
+        priced = {
+            c.candidate.variant: c
+            for c in decision.candidates
+            if c.candidate.mode == "parallel"
+        }
+        p2p, a2a = priced["point-to-point"], priced["all-to-all"]
+        assert p2p.physical_rounds == a2a.physical_rounds == 2
+        assert p2p.words_per_processor < a2a.words_per_processor
+        assert decision.best_parallel.candidate.variant == "point-to-point"
 
     def test_beta_inflated_prefers_point_to_point(self):
         # Thin pipe: point-to-point's lower word volume wins back.

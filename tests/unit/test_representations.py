@@ -109,14 +109,17 @@ class TestEveryRepresentation:
 
 class TestAutoResolution:
     """Auto-mode registration resolves dense-3 and symk headers to the
-    fields it resolved to while the planner still had a fusion axis
-    (pinned to fused for the server)."""
+    fields the α-β model prices best. Dense-3 resolves to
+    point-to-point: both variants run each phase as one fused exchange,
+    so their α terms tie and point-to-point sends fewer words. (It
+    resolved to All-to-All while point-to-point split each phase into
+    4 fused batches.) The symk engine has one variant."""
 
     @pytest.mark.parametrize(
         "header,expected",
         [
-            ({"n": 30}, ("shm", "all-to-all", "gemm")),
-            ({"n": 120}, ("shm", "all-to-all", "gemm")),
+            ({"n": 30}, ("shm", "point-to-point", "gemm")),
+            ({"n": 120}, ("shm", "point-to-point", "gemm")),
             ({"n": 60, "kind": "symk", "rank": 4}, ("shm", "all-to-all", "symk")),
             ({"n": 200, "kind": "symk", "rank": 8}, ("shm", "all-to-all", "symk")),
         ],

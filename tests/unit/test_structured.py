@@ -18,13 +18,13 @@ from repro.tensor.structured import (
 class TestBanded:
     def test_support(self):
         tensor = banded_symmetric(8, 2, seed=0)
-        for i, j, k, value in tensor.canonical_entries():
+        for (i, j, k), value in tensor.canonical_entries():
             if i - k > 2:
                 assert value == 0.0
 
     def test_bandwidth_zero_is_central_only(self):
         tensor = banded_symmetric(5, 0, seed=1)
-        for i, j, k, value in tensor.canonical_entries():
+        for (i, j, k), value in tensor.canonical_entries():
             if not (i == j == k):
                 assert value == 0.0
 

@@ -70,6 +70,17 @@ class TestVectorizedKernel:
             rtol=1e-12, atol=1e-12,
         )
 
+    def test_scalar_reference_reads_order3_packed(self, rng):
+        """The scalar reference iterates ``(tuple, value)`` entries of
+        the order-3 packed type too, and agrees with Algorithm 4."""
+        from repro.core.sttsv_sequential import sttsv_packed, sttsv_symmetric
+        from repro.tensor.dense import random_symmetric
+
+        tensor = random_symmetric(4, seed=0)
+        x = rng.normal(size=4)
+        assert np.allclose(sttsv_ndim_scalar(tensor, x), sttsv_packed(tensor, x))
+        assert np.allclose(sttsv_symmetric(tensor, x), sttsv_packed(tensor, x))
+
     def test_d3_bitwise_matches_bincount_kernel(self, rng):
         """The order-3 bincount plan over ``PackedSymmetricTensor``
         storage performs the kernel's exact op sequence — per-column

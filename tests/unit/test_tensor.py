@@ -92,7 +92,7 @@ class TestPackedTensor:
         t = random_symmetric(4, seed=0)
         entries = list(t.canonical_entries())
         assert len(entries) == packed_size(4)
-        for i, j, k, value in entries:
+        for (i, j, k), value in entries:
             assert i >= j >= k
             assert t[i, j, k] == value
 
