@@ -58,6 +58,7 @@ its repeated modes gets a wrong answer.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
 from typing import Sequence, Tuple
@@ -85,6 +86,7 @@ def block_case(block_index: Sequence[int]) -> BlockCase:
     return tuple(runs)
 
 
+@lru_cache(maxsize=None)
 def case_weights(case: BlockCase) -> Tuple[int, ...]:
     """Each run's multiplicity weight: the ordered arrangements of the
     other ``d − 1`` indices, ``(d−1)! · c / Π cᵢ!`` for a run of ``c``."""
@@ -104,28 +106,34 @@ def apply_case(case: BlockCase, stack: np.ndarray, x: np.ndarray) -> np.ndarray:
         ``(k,) + (b,)*d`` dense blocks, each symmetric in the modes a
         repeated value spans.
     x:
-        ``(k, len(case), b)``: block ``s``'s x row block of each run.
+        ``(len(case), k, b)``: ``x[r, s]`` is block ``s``'s x row block
+        of run ``r``.
 
     Returns
     -------
-    ``(k, len(case), b)``: block ``s``'s weighted contribution to the
-    y row block of each run.
+    ``(len(case), k, b)``: ``[r, s]`` is block ``s``'s weighted
+    contribution to the y row block of run ``r``.
     """
     k, b, d = stack.shape[0], stack.shape[-1], stack.ndim - 1
-    if sum(case) != d or x.shape != (k, len(case), b):
+    if sum(case) != d or x.shape != (len(case), k, b):
         raise ConfigurationError(
             f"case {case} with x of shape {x.shape} does not fit a stack"
             f" of shape {stack.shape}"
         )
-    mode_x = [x[:, run] for run, c in enumerate(case) for _ in range(c)]
+    # Contiguous (k, b) operands per mode: matmul hands them to BLAS
+    # without a copy.
+    runs = np.ascontiguousarray(x)
+    mode_x = [runs[run] for run, c in enumerate(case) for _ in range(c)]
     starts = [0, *accumulate(case[:-1])]
-    out = np.empty((k, len(case), b))
+    out = np.empty((len(case), k, b))
 
     def left(partial: np.ndarray, mode: int) -> np.ndarray:
-        return (mode_x[mode][:, None, :] @ partial.reshape(k, b, -1)).reshape(k, -1)
+        row = mode_x[mode].reshape(k, 1, b)
+        return (row @ partial.reshape(k, b, -1)).reshape(k, -1)
 
     def right(partial: np.ndarray, mode: int) -> np.ndarray:
-        return (partial.reshape(k, -1, b) @ mode_x[mode][:, :, None]).reshape(k, -1)
+        column = mode_x[mode].reshape(k, b, 1)
+        return (partial.reshape(k, -1, b) @ column).reshape(k, -1)
 
     if case[0] > 1:
         # One left chain: level t has modes 0..t-1 contracted.
@@ -138,7 +146,7 @@ def apply_case(case: BlockCase, stack: np.ndarray, x: np.ndarray) -> np.ndarray:
             partial = chain
             for mode in range(d - 1, keep, -1):
                 partial = right(partial, mode)
-            out[:, run] = partial.reshape(k, b)
+            out[run] = partial.reshape(k, b)
     else:
         # One right chain: level t has modes t..d-1 contracted.
         chain, level = stack, d
@@ -150,8 +158,8 @@ def apply_case(case: BlockCase, stack: np.ndarray, x: np.ndarray) -> np.ndarray:
             partial = chain
             for mode in range(keep):
                 partial = left(partial, mode)
-            out[:, run] = partial.reshape(k, b)
-    out *= np.array(case_weights(case), dtype=np.float64)[:, None]
+            out[run] = partial.reshape(k, b)
+    out *= np.array(case_weights(case), dtype=np.float64)[:, None, None]
     return out
 
 

@@ -168,7 +168,7 @@ class BlockStack(NamedTuple):
     owner by owner, each owner's in canonical order; processor ``p``'s
     are ``indices[bounds[p]:bounds[p + 1]]``, and the case occupies
     rows ``lo + bounds[0] .. lo + bounds[-1]`` of the block allocation.
-    ``rows[s, r]`` are the full-layout positions (in
+    ``rows[r, s]`` are the full-layout positions (in
     :attr:`~repro.core.plans.ExchangePlan.xf` and ``yp``) of block
     ``s``'s run-``r`` row block on its owner.
     """
@@ -404,13 +404,13 @@ class ParallelSTTSV:
                 [
                     [
                         plan.full_offset[p] + plan.order[p].index(index[t]) * b
-                        for t in starts
+                        for p, blocks in enumerate(owned)
+                        for index in blocks
                     ]
-                    for p, blocks in enumerate(owned)
-                    for index in blocks
+                    for t in starts
                 ],
                 dtype=np.intp,
-            ).reshape(-1, len(case), 1) + np.arange(b)
+            ).reshape(len(case), -1, 1) + np.arange(b)
             bounds = np.cumsum([0] + [len(blocks) for blocks in owned]).tolist()
             stacks.append(
                 BlockStack(case, sum(owned, []), lo, bounds, rows)

@@ -48,7 +48,7 @@ def sttsv_bcss(bcss: BCSSTensor, x: np.ndarray) -> np.ndarray:
     for case in sorted(set(cases)):
         members = np.flatnonzero([c == case for c in cases])
         starts = np.cumsum((0,) + case[:-1])
-        case_rows = (indices[members][:, starts] * b)[:, :, None] + np.arange(b)
+        case_rows = (indices[members][:, starts].T * b)[:, :, None] + np.arange(b)
         rows.append(case_rows.ravel())
         contributions.append(
             apply_case(case, bcss.blocks[members], x[case_rows]).ravel()

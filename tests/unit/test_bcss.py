@@ -26,8 +26,8 @@ def apply_one(index, block, x_blocks, y_blocks):
     """One block as a one-block stack: gather the x row block of each
     run of ``index``, add the contributions into ``y_blocks``."""
     runs = list(dict.fromkeys(index))
-    x = np.stack([x_blocks[value] for value in runs])[None]
-    for value, contribution in zip(runs, apply_case(block_case(index), block[None], x)[0]):
+    x = np.stack([x_blocks[value] for value in runs])[:, None]
+    for value, contribution in zip(runs, apply_case(block_case(index), block[None], x)[:, 0]):
         y_blocks[value] += contribution
 
 

@@ -15,8 +15,8 @@ def apply_one(index, block, x_blocks, y_blocks):
     """One block as a one-block stack: gather the x row block of each
     run of ``index``, add the contributions into ``y_blocks``."""
     runs = list(dict.fromkeys(index))
-    x = np.stack([x_blocks[value] for value in runs])[None]
-    for value, contribution in zip(runs, apply_case(block_case(index), block[None], x)[0]):
+    x = np.stack([x_blocks[value] for value in runs])[:, None]
+    for value, contribution in zip(runs, apply_case(block_case(index), block[None], x)[:, 0]):
         y_blocks[value] += contribution
 
 
@@ -25,14 +25,14 @@ class TestContractions:
         """An off-diagonal stack needs no symmetry: every block's three
         outputs are its weighted single-mode-kept contractions."""
         stack = rng.normal(size=(5, 4, 4, 4))
-        x = rng.normal(size=(5, 3, 4))
+        x = rng.normal(size=(3, 5, 4))
         got = apply_case((1, 1, 1), stack, x)
         for s in range(5):
-            xi, xj, xk = x[s]
+            xi, xj, xk = x[:, s]
             for run, (spec, u, v) in enumerate(
                 [("ijk,j,k->i", xj, xk), ("ijk,i,k->j", xi, xk), ("ijk,i,j->k", xi, xj)]
             ):
-                assert np.allclose(got[s, run], 2 * np.einsum(spec, stack[s], u, v))
+                assert np.allclose(got[run, s], 2 * np.einsum(spec, stack[s], u, v))
 
     @pytest.mark.parametrize("layout", ["strided-view", "fortran"])
     def test_non_c_contiguous_blocks_against_einsum(self, rng, layout):
@@ -69,8 +69,9 @@ class TestApplyBlock:
             runs = [list(dict.fromkeys(index)) for index in indices]
             stack = np.stack([block_at(index) for index in indices])
             x_stack = np.array([[x_blocks[v] for v in values] for values in runs])
-            for values, out in zip(runs, apply_case(case, stack, x_stack)):
-                for value, contribution in zip(values, out):
+            out = apply_case(case, stack, x_stack.transpose(1, 0, 2))
+            for values, contributions in zip(runs, out.transpose(1, 0, 2)):
+                for value, contribution in zip(values, contributions):
                     y_blocks[value] += contribution
         y = np.concatenate([y_blocks[i] for i in range(m)])
         assert np.allclose(y, sttsv_packed(tensor, x))
@@ -136,7 +137,7 @@ class TestApplyBlock:
         with pytest.raises(ConfigurationError):
             block_case((0, 1, 2))
         with pytest.raises(ConfigurationError):
-            apply_case((2, 1), np.zeros((1, 2, 2, 2)), np.zeros((1, 3, 2)))
+            apply_case((2, 1), np.zeros((1, 2, 2, 2)), np.zeros((3, 1, 2)))
 
 
 class TestFlopCounts:
