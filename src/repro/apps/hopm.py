@@ -89,11 +89,9 @@ def suggested_shift(tensor: NdPackedSymmetricTensor) -> float:
     ∞-norm of the mode-1 flattening), computable in one pass over
     packed storage with permutation multiplicities.
     """
-    # Row sums of the mode-1 flattening of |A|: each canonical entry
-    # contributes to each of its rows with the count of ordered
-    # arrangements of the others — exactly |A| ×₂ 1 ··· ×_d 1, so the
-    # shared scatter kernel (with its cached index/weight arrays)
-    # computes it directly. |A| keeps the input's type and order.
+    # Row sums of the mode-1 flattening of |A| are exactly
+    # |A| ×₂ 1 ··· ×_d 1, which the shared scatter kernel computes;
+    # |A| keeps the input's type and order.
     magnitude = tensor.copy()
     np.abs(magnitude.data, out=magnitude.data)
     rows = sttsv_ndim(magnitude, np.ones(tensor.n))

@@ -93,9 +93,10 @@ def parallel_symmetric_mttkrp_batched(
     the *latency* term drops from ``2r(q³/2+3q²/2−1)`` steps to
     ``2(q³/2+3q²/2−1)`` — the standard amortization CP-ALS implementations
     rely on. Each processor runs the Algorithm-5 block kernels on
-    ``(b, r)`` row-block *matrices* via batched einsums, over the dense
-    order-3 blocks the engine holds and along its point-to-point
-    schedule; any other engine raises :class:`ConfigurationError`.
+    ``(b, r)`` row-block *matrices*, column by column through the
+    engine's stacked kernel (:meth:`ParallelSTTSV.block_products`),
+    over the dense order-3 blocks the engine holds and along its
+    point-to-point schedule; any other engine raises :class:`ConfigurationError`.
     Returns ``(Y, ledger)`` with this call's rounds only.
     """
     X = _check_factor(engine.n, X)
@@ -148,50 +149,20 @@ def parallel_symmetric_mttkrp_batched(
                 offset += hi - lo
         proc.store("X_full", full)
 
-    # Batched block kernels: the Algorithm-5 case split with matrix x.
-    for p in range(machine.P):
-        proc = machine[p]
-        X_full = proc.load("X_full")
-        partial = {i: np.zeros((b, r)) for i in partition.R[p]}
-        held = proc.load("tensor_blocks")
-        blocks = [
-            (index, block)
-            for stack in engine.block_stacks
-            for index, block in zip(
-                stack.indices[stack.bounds[p] : stack.bounds[p + 1]],
-                held[stack.case],
-            )
-        ]
-        for (I, J, K), block in blocks:
-            if I > J > K:
-                partial[I] += 2.0 * np.einsum(
-                    "ijk,jl,kl->il", block, X_full[J], X_full[K], optimize=True
-                )
-                partial[J] += 2.0 * np.einsum(
-                    "ijk,il,kl->jl", block, X_full[I], X_full[K], optimize=True
-                )
-                partial[K] += 2.0 * np.einsum(
-                    "ijk,il,jl->kl", block, X_full[I], X_full[J], optimize=True
-                )
-            elif I == J and J > K:
-                partial[I] += 2.0 * np.einsum(
-                    "ijk,jl,kl->il", block, X_full[I], X_full[K], optimize=True
-                )
-                partial[K] += np.einsum(
-                    "ijk,il,jl->kl", block, X_full[I], X_full[I], optimize=True
-                )
-            elif I > J and J == K:
-                partial[I] += np.einsum(
-                    "ijk,jl,kl->il", block, X_full[K], X_full[K], optimize=True
-                )
-                partial[K] += 2.0 * np.einsum(
-                    "ijk,il,kl->jl", block, X_full[I], X_full[K], optimize=True
-                )
-            else:
-                partial[I] += np.einsum(
-                    "ijk,jl,kl->il", block, X_full[I], X_full[I], optimize=True
-                )
-        proc.store("Y_partial", partial)
+    # Local compute: the engine's stacked block kernel, one column at a
+    # time, over the factor row blocks in the exchange plan's full layout.
+    X_full = np.concatenate(
+        [machine[p].load("X_full")[i] for p, rows in enumerate(plan.order) for i in rows]
+    )
+    Y_full = np.column_stack(
+        [engine.block_products(machine, X_full[:, col]) for col in range(r)]
+    )
+    for p, rows in enumerate(plan.order):
+        base = plan.full_offset[p]
+        machine[p].store(
+            "Y_partial",
+            {i: Y_full[base + t * b : base + (t + 1) * b] for t, i in enumerate(rows)},
+        )
 
     def y_payload(src, dst):
         common = schedule.shared.get((src, dst))

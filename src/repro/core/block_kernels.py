@@ -1,59 +1,40 @@
 """Stacked block kernels (Algorithm 5, lines 24–36), at every order.
 
-Each processor owns dense ``(b,)*d`` blocks of the virtual full
-symmetric tensor. A block at canonical tuple ``B = (I₁ ≥ ... ≥ I_d)``
-adds, for each *distinct* row block ``t ∈ B``,
+A dense ``(b,)*d`` block at canonical tuple ``B = (I₁ ≥ ... ≥ I_d)``
+adds, for each *distinct* row block ``t ∈ B``, ``w_t`` times the block
+contracted on every mode but one position of ``t`` (against the x row
+blocks of the other modes) into ``y[t]``; ``w_t`` counts the ordered
+arrangements of the other ``d − 1`` indices. At ``d = 3`` this is the
+paper's case split: ``I > J > K`` adds ``2·A ×₂ x[J] ×₃ x[K]`` to
+``y[I]`` (and likewise to ``y[J]``, ``y[K]``); ``I == J > K`` adds
+``2·A ×₂ x[I] ×₃ x[K]`` to ``y[I]`` and ``A ×₁ x[I] ×₂ x[I]`` to
+``y[K]``; ``I > J == K`` mirrors it; ``I == J == K`` adds
+``A ×₂ x[I] ×₃ x[I]``. Summed over every stored block these updates
+are the exact symmetric STTSV.
 
-    w_t · (block contracted on every mode but one position of t,
-           against the x row blocks of the other modes)
+The contractions depend only on the block's *case*, the run lengths of
+the equal values of ``B`` (:func:`block_case`): ``(1, 1, 1)``,
+``(2, 1)``, ``(1, 2)`` and ``(3,)`` at order 3. :func:`apply_case` runs
+a stack of same-case blocks at once, each contraction step one batched
+``np.matmul`` over the stack: local compute is one pass per case, not
+one Python call per block.
 
-into ``y[t]``, where ``w_t`` is the arrangement count of the remaining
-``d − 1`` indices (:func:`repro.tensor.multiplicity.nd_contribution_weights`).
-At ``d = 3`` this is the paper's case split:
+Each step contracts an end mode of the reshaped stack, from the right
+(``R.reshape(k, -1, b) @ x``) or the left (``x @ L.reshape(k, b, -1)``),
+and outputs share partials. A case whose first run repeats keeps each
+run at its last position and walks one left chain (``N = x[I] ×₁ A``
+feeds both outputs of ``I == J > K``); otherwise each run is kept at
+its first position on one right chain (``M = A ×₃ x[K]`` feeds both
+outputs of ``I > J == K``), and a case ending in a single value reads
+the stack once more for it (``I > J > K``: ``M`` for ``y[I]``,
+``y[J]``; ``N`` for ``y[K]``). So a stack is read once, or twice when
+its first and last runs are single values.
 
-* ``I > J > K`` (lines 26–28): ``y[I] += 2·A ×₂ x[J] ×₃ x[K]``,
-  ``y[J] += 2·A ×₁ x[I] ×₃ x[K]``, ``y[K] += 2·A ×₁ x[I] ×₂ x[J]``;
-* ``I == J > K`` (line 30): ``y[I] += 2·A ×₂ x[I] ×₃ x[K]``,
-  ``y[K] += A ×₁ x[I] ×₂ x[I]``;
-* ``I > J == K`` (line 32): ``y[I] += A ×₂ x[K] ×₃ x[K]``,
-  ``y[K] += 2·A ×₁ x[I] ×₂ x[K]``;
-* ``I == J == K`` (line 34): ``y[I] += A ×₂ x[I] ×₃ x[I]``.
-
-The weights are the ordered-arrangement multiplicities of the block
-positions in the full tensor; summed over every stored block these
-updates reproduce the exact symmetric STTSV.
-
-**Cases.** Which contractions a block needs depends only on its
-*case*: the run lengths of the equal values of ``B``
-(:func:`block_case`), e.g. ``(1, 1, 1)``, ``(2, 1)``, ``(1, 2)`` and
-``(3,)`` at order 3. :func:`apply_case` therefore runs a whole stack
-of same-case blocks at once: every contraction step is one batched
-``np.matmul`` over the ``(k, ...)`` stack, so a processor's (or a
-machine's) local compute is one pass per case, not one Python call per
-block.
-
-**Contraction chains.** Each step contracts one end mode of a
-reshaped stack with its x row block: from the right
-(``R.reshape(k, -1, b) @ x``) or from the left
-(``x @ L.reshape(k, b, -1)``). A kept position ``t`` needs every other
-mode contracted, and the partials are shared between outputs:
-
-* a case whose first run repeats (``I == J ...``) keeps every run at
-  its last position and walks one left chain, reading the stack once
-  (``N = x[I] ×₁ A`` feeds both outputs of ``I == J > K``);
-* otherwise a case whose last run repeats keeps every run at its first
-  position and walks one right chain, reading the stack once
-  (``M = A ×₃ x[K]`` feeds both outputs of ``I > J == K``);
-* a case whose first and last runs are single values walks the right
-  chain and reads the stack once more for its last position
-  (``I > J > K``: ``M`` for ``y[I]`` and ``y[J]``, ``N`` for ``y[K]``).
-
-Keeping a run at a position other than its first uses the block's
-symmetry in the modes a repeated value spans (``A[i,j,k] == A[j,i,k]``
-when ``I == J``). That symmetry is exact for blocks cut from packed
-storage (:func:`repro.tensor.bcss.gather_blocks`): mirrored entries
-are the same stored word. A diagonal block that is not symmetric in
-its repeated modes gets a wrong answer.
+Keeping a run anywhere but its first position uses the block's symmetry
+in the modes a repeated value spans. That symmetry is exact for blocks
+cut from packed storage (:func:`repro.tensor.bcss.gather_blocks`),
+where mirrored entries are one stored word; a diagonal block that is
+not symmetric in its repeated modes gets a wrong answer.
 """
 
 from __future__ import annotations

@@ -47,14 +47,11 @@ kernel from what the machine's processors hold (:meth:`storage`):
 
 * :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` (and its
   order-3 case :class:`~repro.tensor.packed.PackedSymmetricTensor`) —
-  the zero-padded tensor's dense ``(b,)*order`` blocks, in one
-  allocation ordered by (block case, owner) (:class:`BlockStack`).
-  Each processor holds, per case, a view of its own blocks; the views
-  of one case across processors tile one contiguous slice, so local
+  the zero-padded tensor's dense ``(b,)*order`` blocks in one
+  allocation ordered by (block case, owner) (:class:`BlockStack`),
+  each processor holding a view of its own blocks per case; local
   compute is one :func:`~repro.core.block_kernels.apply_case` pass per
-  case over every processor's blocks at once, gathering x and
-  scattering ``ŷ`` through index arrays into the full layout of the
-  :class:`~repro.core.plans.ExchangePlan` buffers;
+  case over every processor's blocks (:meth:`ParallelSTTSV.block_products`);
 * :class:`~repro.tensor.sparse.SparseSymmetricTensor` — each
   processor's share as canonical COO entries (O(nnz/P) memory) and an
   O(local-nnz) bincount kernel. Only vector shards cross the network,
@@ -164,13 +161,11 @@ class ExchangePhase(NamedTuple):
 class BlockStack(NamedTuple):
     """Every processor's dense blocks of one case, built once per engine.
 
-    ``indices`` are the canonical block tuples in allocation order:
-    owner by owner, each owner's in canonical order; processor ``p``'s
-    are ``indices[bounds[p]:bounds[p + 1]]``, and the case occupies
-    rows ``lo + bounds[0] .. lo + bounds[-1]`` of the block allocation.
-    ``rows[r, s]`` are the full-layout positions (in
-    :attr:`~repro.core.plans.ExchangePlan.xf` and ``yp``) of block
-    ``s``'s run-``r`` row block on its owner.
+    ``indices``: the block tuples in allocation order, owner by owner;
+    processor ``p``'s are ``indices[bounds[p]:bounds[p + 1]]``, at rows
+    ``lo + bounds[p]`` on of the block allocation. ``rows[r, s]``: the
+    full-layout positions (in the exchange plan's ``xf`` and ``yp``) of
+    block ``s``'s run-``r`` row block on its owner.
     """
 
     case: BlockCase
@@ -389,13 +384,12 @@ class ParallelSTTSV:
         order of :meth:`load_tensor`), with each block's row positions
         in its owner's full layout."""
         plan, b, P = self.exchange_plan, self.b, self.partition.P
+        # by_case[case][p]: processor p's blocks of that case.
         by_case: Dict[BlockCase, List[List[Tuple[int, ...]]]] = {}
         for p in range(P):
             for index in self.partition.owned_blocks(p):
                 index = tuple(int(v) for v in index)
-                by_case.setdefault(block_case(index), [[] for _ in range(P)])[
-                    p
-                ].append(index)
+                by_case.setdefault(block_case(index), [[] for _ in range(P)])[p].append(index)
         stacks, lo = [], 0
         for case in sorted(by_case):
             owned = by_case[case]
@@ -412,9 +406,8 @@ class ParallelSTTSV:
                 dtype=np.intp,
             ).reshape(len(case), -1, 1) + np.arange(b)
             bounds = np.cumsum([0] + [len(blocks) for blocks in owned]).tolist()
-            stacks.append(
-                BlockStack(case, sum(owned, []), lo, bounds, rows)
-            )
+            indices = [index for blocks in owned for index in blocks]
+            stacks.append(BlockStack(case, indices, lo, bounds, rows))
             lo += bounds[-1]
         return stacks
 
@@ -462,19 +455,21 @@ class ParallelSTTSV:
         blocks ``ŷ[need_p]`` (views into the staging buffer ``yp``)."""
         plan = self.exchange_plan
         if self.storage(machine) == "dense":
-            self._compute_dense(machine)
+            plan.yp[:-1] = self.block_products(machine, plan.xf)
         else:
             self._compute_sparse(machine)
         for p, proc in enumerate(machine):
             proc.store("y_partial", plan.y_partial[p])
 
-    def _compute_dense(self, machine: Machine) -> None:
-        """One :func:`~repro.core.block_kernels.apply_case` pass per
-        case over every processor's blocks, then one scatter-add of
-        every contribution into ``yp``, in stack order."""
-        plan = self.exchange_plan
+    def block_products(self, machine: Machine, x_full: np.ndarray) -> np.ndarray:
+        """Local compute over the dense blocks the machine's processors
+        hold, for any vector in the full layout of :attr:`exchange_plan`
+        (laid out like its ``xf``): the partial ``ŷ`` in that layout.
+        One :func:`~repro.core.block_kernels.apply_case` pass per case
+        over every processor's blocks, then one scatter-add of every
+        contribution, in stack order."""
         held = [proc.load("tensor_blocks") for proc in machine]
-        x = plan.xf[self._rows]
+        x = x_full[self._rows]
         contributions, cursor = [], 0
         for stack in self.block_stacks:
             size = stack.rows.size
@@ -486,8 +481,8 @@ class ParallelSTTSV:
                 ).ravel()
             )
             cursor += size
-        plan.yp[:] = np.bincount(
-            self._rows, np.concatenate(contributions), minlength=plan.yp.size
+        return np.bincount(
+            self._rows, np.concatenate(contributions), minlength=x_full.size
         )
 
     def _case_blocks(self, stack: BlockStack, views: List[np.ndarray]) -> np.ndarray:
@@ -499,10 +494,7 @@ class ParallelSTTSV:
         if (
             root is not None
             and len(root) == self._allocated
-            and all(
-                view.base is root and len(view) == hi - lo
-                for view, lo, hi in zip(views, stack.bounds, stack.bounds[1:])
-            )
+            and all(view.base is root for view in views)
         ):
             return root[stack.lo : stack.lo + stack.bounds[-1]]
         return np.concatenate(views)
@@ -675,4 +667,3 @@ class ParallelSTTSV:
             "mean_nnz": total / machine.P,
             "imbalance": (max(counts) / (total / machine.P)) if total else 1.0,
         }
-

@@ -6,7 +6,6 @@ from math import comb
 import numpy as np
 import pytest
 
-from repro.core.bcss_kernels import contract_all_but
 from repro.core.block_kernels import apply_case, block_case
 from repro.core.plans import BlockedPlan, SequentialPlan
 from repro.core.sttsm import (
@@ -20,6 +19,18 @@ from repro.errors import ConfigurationError
 from repro.tensor.bcss import BCSSTensor, bcss_block_count
 from repro.tensor.multiplicity import nd_contribution_weights
 from repro.tensor.ndpacked import nd_packed_size, nd_random_symmetric
+
+
+def contract_all_but(block, keep_mode, vectors):
+    """The ``einsum`` definition of one kernel contraction: every mode
+    of ``block`` except ``keep_mode`` against the matching entry of
+    ``vectors`` (``vectors[keep_mode]`` is ignored)."""
+    letters = "abcdefghij"[: block.ndim]
+    others = [mode for mode in range(block.ndim) if mode != keep_mode]
+    spec = ",".join([letters, *(letters[mode] for mode in others)])
+    return np.einsum(
+        f"{spec}->{letters[keep_mode]}", block, *(vectors[mode] for mode in others)
+    )
 
 
 def apply_one(index, block, x_blocks, y_blocks):
