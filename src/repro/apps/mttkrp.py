@@ -93,9 +93,9 @@ def parallel_symmetric_mttkrp_batched(
     the *latency* term drops from ``2r(q³/2+3q²/2−1)`` steps to
     ``2(q³/2+3q²/2−1)`` — the standard amortization CP-ALS implementations
     rely on. Each processor runs the Algorithm-5 block kernels on
-    ``(b, r)`` row-block *matrices*, column by column through the
-    engine's stacked kernel (:meth:`ParallelSTTSV.block_products`),
-    over the dense order-3 blocks the engine holds and along its
+    ``(b, r)`` row-block *matrices*: the engine's stacked kernel
+    (:meth:`ParallelSTTSV.block_products`) takes all ``r`` columns in
+    one pass over the dense order-3 blocks the engine holds, along its
     point-to-point schedule; any other engine raises :class:`ConfigurationError`.
     Returns ``(Y, ledger)`` with this call's rounds only.
     """
@@ -132,37 +132,25 @@ def parallel_symmetric_mttkrp_batched(
     received = point_to_point_rounds(
         machine, schedule.rounds, x_payload, tag="mttkrp-x"
     )
-    for p in range(machine.P):
-        proc = machine[p]
-        full = {i: np.zeros((b, r)) for i in partition.R[p]}
-        for i, shard_block in proc.load("X_shards").items():
+    # Factor row blocks in the exchange plan's full layout, each
+    # processor's as views.
+    X_full = np.zeros((plan.full_offset[-1], r))
+    for p, full in enumerate(plan.row_blocks(X_full)):
+        for i, shard_block in machine[p].load("X_shards").items():
             lo, hi = shard_bounds(partition, i, p, b)
             full[i][lo:hi] = shard_block
         for src, payload in received[p].items():
-            common = schedule.shared.get((src, p))
-            if not common:
-                continue
             offset = 0
-            for i in sorted(common):
+            for i in sorted(schedule.shared.get((src, p)) or ()):
                 lo, hi = shard_bounds(partition, i, src, b)
                 full[i][lo:hi] = payload[offset : offset + (hi - lo)]
                 offset += hi - lo
-        proc.store("X_full", full)
+        machine[p].store("X_full", full)
 
-    # Local compute: the engine's stacked block kernel, one column at a
-    # time, over the factor row blocks in the exchange plan's full layout.
-    X_full = np.concatenate(
-        [machine[p].load("X_full")[i] for p, rows in enumerate(plan.order) for i in rows]
-    )
-    Y_full = np.column_stack(
-        [engine.block_products(machine, X_full[:, col]) for col in range(r)]
-    )
-    for p, rows in enumerate(plan.order):
-        base = plan.full_offset[p]
-        machine[p].store(
-            "Y_partial",
-            {i: Y_full[base + t * b : base + (t + 1) * b] for t, i in enumerate(rows)},
-        )
+    # Local compute: the engine's stacked block kernel on all r columns.
+    Y_full = engine.block_products(machine, X_full)
+    for p, partial in enumerate(plan.row_blocks(Y_full)):
+        machine[p].store("Y_partial", partial)
 
     def y_payload(src, dst):
         common = schedule.shared.get((src, dst))
@@ -186,13 +174,9 @@ def parallel_symmetric_mttkrp_batched(
             lo, hi = shard_bounds(partition, i, p, b)
             final = partial[i][lo:hi].copy()
             for src, payload in received[p].items():
-                common = schedule.shared.get((src, p))
-                if not common:
-                    continue
-                offset = 0
-                for shared_i in sorted(common):
-                    if shared_i == i:
-                        final += payload[offset : offset + shard]
-                    offset += shard
+                common = sorted(schedule.shared.get((src, p)) or ())
+                if i in common:
+                    at = common.index(i) * shard
+                    final += payload[at : at + shard]
             Y[i * b + lo : i * b + hi] = final
     return Y[:n], machine.reset_ledger()

@@ -103,7 +103,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.core import distribution as dist
-from repro.core.block_kernels import BlockCase, apply_case, block_case
+from repro.core.block_kernels import BlockCase, apply_stacks, case_stacks
 from repro.core.plans import ExchangePlan
 from repro.core.schedule import ExchangeSchedule
 from repro.errors import ConfigurationError, MachineError
@@ -240,9 +240,6 @@ class ParallelSTTSV:
         self.phase_y = self._build_phase("y", "y-exchange", self.schedule_y)
         self.block_stacks = self._build_stacks()
         self._allocated = sum(stack.bounds[-1] for stack in self.block_stacks)
-        #: Every stack's ``rows``, flattened in stack order: one gather
-        #: of x and one scatter-add of ŷ serve every case.
-        self._rows = np.concatenate([stack.rows.ravel() for stack in self.block_stacks])
 
     # -- data loading -----------------------------------------------------------
 
@@ -384,30 +381,23 @@ class ParallelSTTSV:
         order of :meth:`load_tensor`), with each block's row positions
         in its owner's full layout."""
         plan, b, P = self.exchange_plan, self.b, self.partition.P
-        # by_case[case][p]: processor p's blocks of that case.
-        by_case: Dict[BlockCase, List[List[Tuple[int, ...]]]] = {}
-        for p in range(P):
-            for index in self.partition.owned_blocks(p):
-                index = tuple(int(v) for v in index)
-                by_case.setdefault(block_case(index), [[] for _ in range(P)])[p].append(index)
+        owned = [
+            [tuple(int(v) for v in index) for index in self.partition.owned_blocks(p)]
+            for p in range(P)
+        ]
+        owners = np.repeat(np.arange(P), [len(blocks) for blocks in owned])
+        indices = [index for blocks in owned for index in blocks]
+        offsets = np.array(
+            [
+                [plan.full_offset[p] + plan.order[p].index(v) * b for v in index]
+                for p, index in zip(owners, indices)
+            ],
+            dtype=np.intp,
+        )
         stacks, lo = [], 0
-        for case in sorted(by_case):
-            owned = by_case[case]
-            starts = np.cumsum((0,) + case[:-1])
-            rows = np.array(
-                [
-                    [
-                        plan.full_offset[p] + plan.order[p].index(index[t]) * b
-                        for p, blocks in enumerate(owned)
-                        for index in blocks
-                    ]
-                    for t in starts
-                ],
-                dtype=np.intp,
-            ).reshape(len(case), -1, 1) + np.arange(b)
-            bounds = np.cumsum([0] + [len(blocks) for blocks in owned]).tolist()
-            indices = [index for blocks in owned for index in blocks]
-            stacks.append(BlockStack(case, indices, lo, bounds, rows))
+        for case, members, rows in case_stacks(indices, offsets, b):
+            bounds = np.cumsum([0, *np.bincount(owners[members], minlength=P)]).tolist()
+            stacks.append(BlockStack(case, [indices[s] for s in members], lo, bounds, rows))
             lo += bounds[-1]
         return stacks
 
@@ -463,41 +453,28 @@ class ParallelSTTSV:
 
     def block_products(self, machine: Machine, x_full: np.ndarray) -> np.ndarray:
         """Local compute over the dense blocks the machine's processors
-        hold, for any vector in the full layout of :attr:`exchange_plan`
-        (laid out like its ``xf``): the partial ``ŷ`` in that layout.
-        One :func:`~repro.core.block_kernels.apply_case` pass per case
-        over every processor's blocks, then one scatter-add of every
-        contribution, in stack order."""
-        held = [proc.load("tensor_blocks") for proc in machine]
-        x = x_full[self._rows]
-        contributions, cursor = [], 0
-        for stack in self.block_stacks:
-            size = stack.rows.size
-            contributions.append(
-                apply_case(
-                    stack.case,
-                    self._case_blocks(stack, [blocks[stack.case] for blocks in held]),
-                    x[cursor : cursor + size].reshape(stack.rows.shape),
-                ).ravel()
-            )
-            cursor += size
-        return np.bincount(
-            self._rows, np.concatenate(contributions), minlength=x_full.size
-        )
-
-    def _case_blocks(self, stack: BlockStack, views: List[np.ndarray]) -> np.ndarray:
-        """One case's blocks across processors, from each processor's
-        view: the contiguous slice of the machine's block allocation
-        that :meth:`load_tensor` laid the views out in, or a copy when
-        the views are not that layout's."""
-        root = views[0].base
-        if (
-            root is not None
-            and len(root) == self._allocated
-            and all(view.base is root for view in views)
+        hold, for a vector ``(N,)`` or ``c`` columns ``(N, c)`` in the
+        full layout of :attr:`exchange_plan` (laid out like its ``xf``):
+        the partial ``ŷ`` in that layout.
+        :func:`~repro.core.block_kernels.apply_stacks` runs one pass per
+        case over every processor's blocks: the contiguous slice of the
+        machine's block allocation (:meth:`load_tensor`) that each
+        processor's views point into."""
+        views = [proc.load("tensor_blocks") for proc in machine]
+        root = views[0][self.block_stacks[0].case].base
+        if root is None or len(root) != self._allocated or any(
+            view.base is not root for held in views for view in held.values()
         ):
-            return root[stack.lo : stack.lo + stack.bounds[-1]]
-        return np.concatenate(views)
+            raise MachineError(
+                "tensor_blocks are not views of one load_tensor allocation"
+            )
+        return apply_stacks(
+            (
+                (stack.case, root[stack.lo : stack.lo + stack.bounds[-1]], stack.rows)
+                for stack in self.block_stacks
+            ),
+            x_full,
+        )
 
     def _compute_sparse(self, machine: Machine) -> None:
         """O(local-nnz) scatter per processor over a padded-length view

@@ -689,18 +689,18 @@ class ExchangePlan:
         self._xs = self._split(self.xs, self.shard_offset)
         self._yp = self._split(self.yp, self.full_offset)
         #: Per-processor x-full row blocks: views into :attr:`xf`.
-        self.x_full = self._row_blocks(self.xf)
+        self.x_full = self.row_blocks(self.xf)
         #: Per-processor partial-y row blocks: views into :attr:`yp`,
         #: which local compute fills in place.
-        self.y_partial = self._row_blocks(self.yp)
+        self.y_partial = self.row_blocks(self.yp)
 
     @staticmethod
     def _split(flat: np.ndarray, offsets: np.ndarray) -> List[np.ndarray]:
         return [flat[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
-    def _row_blocks(self, flat: np.ndarray) -> List[Dict[int, np.ndarray]]:
+    def row_blocks(self, flat: np.ndarray) -> List[Dict[int, np.ndarray]]:
         """Per-processor ``{i: row block i}`` views into a full-layout
-        array."""
+        array (rows of a 2-D one)."""
         b = self.b
         return [
             {i: part[t * b : (t + 1) * b] for t, i in enumerate(rows)}

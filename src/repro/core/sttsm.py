@@ -20,7 +20,7 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.core.block_kernels import apply_case, block_case
+from repro.core.block_kernels import apply_stacks, case_stacks
 from repro.errors import ConfigurationError
 from repro.tensor.bcss import BCSSTensor
 from repro.tensor.ndpacked import (
@@ -43,18 +43,12 @@ def sttsv_bcss(bcss: BCSSTensor, x: np.ndarray) -> np.ndarray:
     if x.shape != (n,):
         raise ConfigurationError(f"vector must have shape ({n},)")
     indices = bcss.block_indices
-    cases = [block_case(index) for index in indices.tolist()]
-    rows, contributions = [], []
-    for case in sorted(set(cases)):
-        members = np.flatnonzero([c == case for c in cases])
-        starts = np.cumsum((0,) + case[:-1])
-        case_rows = (indices[members][:, starts].T * b)[:, :, None] + np.arange(b)
-        rows.append(case_rows.ravel())
-        contributions.append(
-            apply_case(case, bcss.blocks[members], x[case_rows]).ravel()
-        )
-    return np.bincount(
-        np.concatenate(rows), np.concatenate(contributions), minlength=n
+    return apply_stacks(
+        (
+            (case, bcss.blocks[members], rows)
+            for case, members, rows in case_stacks(indices, indices * b, b)
+        ),
+        x,
     )
 
 

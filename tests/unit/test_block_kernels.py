@@ -34,6 +34,18 @@ class TestContractions:
             ):
                 assert np.allclose(got[run, s], 2 * np.einsum(spec, stack[s], u, v))
 
+    @pytest.mark.parametrize(
+        "case", [(1, 1), (2,), (1, 1, 1), (2, 1), (1, 2), (3,), (1, 2, 1), (2, 2), (4,)]
+    )
+    def test_columns_match_vectors(self, rng, case):
+        """``c`` columns through one pass equal ``c`` vector passes."""
+        stack = rng.normal(size=(3,) + (4,) * sum(case))
+        x = rng.normal(size=(len(case), 3, 4, 5))
+        got = apply_case(case, stack, x)
+        assert got.shape == x.shape
+        for col in range(5):
+            assert np.allclose(got[..., col], apply_case(case, stack, x[..., col]))
+
     @pytest.mark.parametrize("layout", ["strided-view", "fortran"])
     def test_non_c_contiguous_blocks_against_einsum(self, rng, layout):
         if layout == "strided-view":

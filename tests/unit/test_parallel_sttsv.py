@@ -217,6 +217,29 @@ class TestOneEngineManyMachines:
                 assert np.array_equal(y, self._single(partition_q2, tensor, x))
                 assert np.allclose(y, oracle(tensor, x))
 
+    def test_blocks_not_from_load_tensor_rejected(self, partition_q2):
+        """Local compute slices the one allocation every processor's
+        views share; blocks stored any other way are refused, not
+        silently copied."""
+        engine = ParallelSTTSV(partition_q2, self.N)
+        with Machine(partition_q2.P) as machine:
+            engine.load(machine, random_symmetric(self.N, seed=35), np.ones(self.N))
+            held = machine[1].load("tensor_blocks")
+            machine[1].store("tensor_blocks", {c: v.copy() for c, v in held.items()})
+            with pytest.raises(MachineError, match="load_tensor"):
+                engine.run(machine)
+
+    def test_columns_match_vectors(self, partition_q2, rng):
+        """``block_products`` on ``(N, c)`` columns is, column by column,
+        its run on each vector."""
+        engine = ParallelSTTSV(partition_q2, self.N)
+        with Machine(partition_q2.P) as machine:
+            engine.load_tensor(machine, random_symmetric(self.N, seed=36))
+            X = rng.normal(size=(engine.exchange_plan.xf.size, 3))
+            Y = engine.block_products(machine, X)
+            for col in range(3):
+                assert np.allclose(Y[:, col], engine.block_products(machine, X[:, col]))
+
 
 class TestCommunicationCosts:
     def test_point_to_point_exact_cost_q2(self, partition_q2):
