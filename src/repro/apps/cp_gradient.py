@@ -82,16 +82,17 @@ def cp_objective(tensor: PackedSymmetricTensor, X: np.ndarray) -> float:
 def parallel_cp_gradient(
     engine: ParallelSTTSV, machine: Machine, X: np.ndarray
 ) -> Tuple[np.ndarray, CommunicationLedger]:
-    """Algorithm 2 with the r STTSVs executed in parallel, on an engine
-    holding the tensor (``engine.load_tensor(machine, tensor)`` has
-    run; the caller owns ``machine``).
+    """Algorithm 2 with the r STTSVs executed in parallel, on any
+    order-3 engine holding the tensor (``engine.load_tensor(machine,
+    tensor)`` has run; the caller owns ``machine``).
 
     Returns ``(gradient, ledger)``. The communication is exactly ``r``
     Algorithm-5 exchanges' worth of words (the paper's claim that STTSV
-    dominates CP gradient communication), shipped column-batched by
-    :func:`~repro.apps.mttkrp.parallel_symmetric_mttkrp_batched` so the
-    step count stays that of a *single* exchange; the small ``r × r``
-    Gram algebra is replicated, as in practice ``r << n``.
+    dominates CP gradient communication), shipped as one engine run on
+    the ``(n, r)`` factor matrix
+    (:func:`~repro.apps.mttkrp.parallel_symmetric_mttkrp_batched`), so
+    the step count stays that of a *single* exchange; the small
+    ``r × r`` Gram algebra is replicated, as in practice ``r << n``.
     """
     X = _check_factor(engine.n, X)
     Y, ledger = parallel_symmetric_mttkrp_batched(engine, machine, X)

@@ -4,8 +4,9 @@ The matricized-tensor-times-Khatri-Rao product for a symmetric 3-D
 tensor is, column by column, an STTSV with the corresponding factor
 column (the paper's closing observation). This module exposes it as a
 first-class operation with a sequential kernel, a batched vectorized
-kernel, and a parallel variant whose communication is exactly ``r``
-optimal STTSV exchanges.
+kernel, and two parallel variants whose communication is exactly ``r``
+optimal STTSV exchanges: ``r`` runs of the Algorithm-5 engine, or one
+run of it on the ``(n, r)`` factor matrix.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.distribution import shard_bounds
-from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.plans import sequential_plan
 from repro.core.sttsv_sequential import sttsv
 from repro.errors import ConfigurationError
-from repro.machine.collectives import point_to_point_rounds
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.tensor.packed import PackedSymmetricTensor
@@ -86,97 +85,19 @@ def parallel_symmetric_mttkrp(
 def parallel_symmetric_mttkrp_batched(
     engine: ParallelSTTSV, machine: Machine, X: np.ndarray
 ) -> Tuple[np.ndarray, CommunicationLedger]:
-    """Column-batched parallel MTTKRP: one exchange for all ``r`` columns.
+    """Column-batched parallel MTTKRP: one Algorithm-5 run on all ``r``
+    columns (``X`` loaded as the engine's ``(n, r)`` x), on any engine
+    holding the tensor.
 
-    Same total words as :func:`parallel_symmetric_mttkrp` (``r`` shards
-    per neighbor message instead of a shard per message per column) but
-    the *latency* term drops from ``2r(q³/2+3q²/2−1)`` steps to
-    ``2(q³/2+3q²/2−1)`` — the standard amortization CP-ALS implementations
-    rely on. Each processor runs the Algorithm-5 block kernels on
-    ``(b, r)`` row-block *matrices*: the engine's stacked kernel
-    (:meth:`ParallelSTTSV.block_products`) takes all ``r`` columns in
-    one pass over the dense order-3 blocks the engine holds, along its
-    point-to-point schedule; any other engine raises :class:`ConfigurationError`.
-    Returns ``(Y, ledger)`` with this call's rounds only.
+    Same total words as :func:`parallel_symmetric_mttkrp` (each message
+    carries ``r`` columns instead of one per run) but the *latency*
+    term drops from ``2r(q³/2+3q²/2−1)`` steps to ``2(q³/2+3q²/2−1)`` —
+    the standard amortization CP-ALS implementations rely on; the
+    ledger is ``engine.predicted_ledger(r)``. Returns ``(Y, ledger)``
+    with this call's rounds only.
     """
     X = _check_factor(engine.n, X)
-    if (
-        engine.backend is not CommBackend.POINT_TO_POINT
-        or engine.partition.order != 3
-        or engine.storage(machine) != "dense"
-    ):
-        raise ConfigurationError(
-            "column-batched MTTKRP needs a point-to-point engine holding a"
-            " dense order-3 tensor; use parallel_symmetric_mttkrp"
-        )
-    n, r = X.shape
-    partition, b, shard = engine.partition, engine.b, engine.shard
-    plan = engine.exchange_plan
     machine.reset_ledger()
-
-    # Factor shards as (shard, r) row slices, laid out like x's.
-    X_padded = np.zeros((engine.n_padded, r))
-    X_padded[:n] = X
-    for p, shards in enumerate(plan.split_shards(X_padded[plan.load_index])):
-        machine[p].store("X_shards", shards)
-
-    schedule = engine.schedule
-
-    def x_payload(src, dst):
-        common = schedule.shared.get((src, dst))
-        if not common:
-            return None
-        shards = machine[src].load("X_shards")
-        return np.concatenate([shards[i] for i in sorted(common)], axis=0)
-
-    received = point_to_point_rounds(
-        machine, schedule.rounds, x_payload, tag="mttkrp-x"
-    )
-    # Factor row blocks in the exchange plan's full layout, each
-    # processor's as views.
-    X_full = np.zeros((plan.full_offset[-1], r))
-    for p, full in enumerate(plan.row_blocks(X_full)):
-        for i, shard_block in machine[p].load("X_shards").items():
-            lo, hi = shard_bounds(partition, i, p, b)
-            full[i][lo:hi] = shard_block
-        for src, payload in received[p].items():
-            offset = 0
-            for i in sorted(schedule.shared.get((src, p)) or ()):
-                lo, hi = shard_bounds(partition, i, src, b)
-                full[i][lo:hi] = payload[offset : offset + (hi - lo)]
-                offset += hi - lo
-        machine[p].store("X_full", full)
-
-    # Local compute: the engine's stacked block kernel on all r columns.
-    Y_full = engine.block_products(machine, X_full)
-    for p, partial in enumerate(plan.row_blocks(Y_full)):
-        machine[p].store("Y_partial", partial)
-
-    def y_payload(src, dst):
-        common = schedule.shared.get((src, dst))
-        if not common:
-            return None
-        partial = machine[src].load("Y_partial")
-        pieces = []
-        for i in sorted(common):
-            lo, hi = shard_bounds(partition, i, dst, b)
-            pieces.append(partial[i][lo:hi])
-        return np.concatenate(pieces, axis=0)
-
-    received = point_to_point_rounds(
-        machine, schedule.rounds, y_payload, tag="mttkrp-y"
-    )
-    Y = np.full((engine.n_padded, r), np.nan)
-    for p in range(machine.P):
-        proc = machine[p]
-        partial = proc.load("Y_partial")
-        for i in partition.R[p]:
-            lo, hi = shard_bounds(partition, i, p, b)
-            final = partial[i][lo:hi].copy()
-            for src, payload in received[p].items():
-                common = sorted(schedule.shared.get((src, p)) or ())
-                if i in common:
-                    at = common.index(i) * shard
-                    final += payload[at : at + shard]
-            Y[i * b + lo : i * b + hi] = final
-    return Y[:n], machine.reset_ledger()
+    engine.load_vector(machine, X)
+    engine.run(machine)
+    return engine.gather_result(machine), machine.reset_ledger()

@@ -58,12 +58,19 @@ kernel from what the machine's processors hold (:meth:`storage`):
   so communication is identical to the dense run; a skewed hypergraph
   can concentrate nonzeros (:meth:`ParallelSTTSV.load_balance`).
 
-Everything about the exchanges that does not depend on ``x`` — the
-validated rounds, each phase's one fused batch and its
-:class:`~repro.machine.transport.fusion.FusionPlan`, the send buffer,
-the staging and shard maps, and the priced ledger records — is built
-once per engine (:class:`ExchangePhase`); a run only stages payloads,
-executes each phase as one fused exchange and unpacks.
+``x`` is a vector ``(n,)`` or ``c`` columns ``(n, c)`` (SYMM is SYMV
+with ``B`` as ``x``, symmetric MTTKRP is STTSV with the factor matrix):
+every shard, row block and message then carries ``(rows, c)`` values
+through the same rounds, so a ``c``-column run moves ``c`` times the
+words in the same rounds and physical messages.
+
+Everything about the exchanges that does not depend on ``x`` is built
+once: the validated rounds and staging and shard maps once per engine
+(:class:`ExchangePhase`); each phase's send buffer, its one fused
+batch's :class:`~repro.machine.transport.fusion.FusionPlan` and the
+priced ledger records once per trailing shape of ``x``, on first use
+(:class:`Batch`). A run only stages payloads, executes each phase as
+one fused exchange and unpacks.
 
 All data movement goes through the machine's pluggable transport
 (:mod:`repro.machine.transport`): construct the :class:`Machine` with a
@@ -72,7 +79,8 @@ both exchange phases across ``multiprocessing`` workers over shared
 memory. Ledger accounting is schedule-derived and therefore identical
 under every transport.
 
-Two communication backends:
+Two communication backends (word counts per vector; ``c`` columns
+move ``c`` times as many):
 
 * ``CommBackend.POINT_TO_POINT`` — messages only between processors
   with overlapping row blocks, packed one message per neighbor. At
@@ -97,14 +105,14 @@ drivers (:mod:`repro.apps`) use them only through ``reduce_shards``,
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core import distribution as dist
 from repro.core.block_kernels import BlockCase, apply_stacks, case_stacks
-from repro.core.plans import ExchangePlan
+from repro.core.plans import ExchangePlan, Staging
 from repro.core.schedule import ExchangeSchedule
 from repro.errors import ConfigurationError, MachineError
 from repro.machine.collectives import (
@@ -138,24 +146,54 @@ class CommBackend(enum.Enum):
         )
 
 
-class ExchangePhase(NamedTuple):
-    """One exchange phase, built once per engine.
+class Batch(NamedTuple):
+    """One phase bound to values of one trailing shape: the phase's
+    rounds with every transfer's payload a fixed 1-D slice of ``send``
+    (``(len(gather), *shape)``, the members' rows back to back), run
+    as one fused batch through ``fusion``."""
 
-    ``rounds`` are the phase's validated labeled rounds, executed as one
-    fused batch through ``fusion``; every transfer's payload is a fixed
-    slice of ``send``. A run fills ``send`` with one ``np.take`` through
-    ``gather``, executes the batch, and unpacks the delivered stream
-    through ``take``/``put`` (see
-    :meth:`~repro.core.plans.ExchangePlan.phase_maps`).
-    """
-
-    tag: str
     rounds: List[LabeledRound]
     fusion: FusionPlan
     send: np.ndarray
+
+
+class ExchangePhase(NamedTuple):
+    """One exchange phase, built once per engine.
+
+    ``rounds`` are the phase's validated rounds as ``(label, [(src,
+    dst), ...])``; ``words`` is each transfer's payload length in rows.
+    A run fills its shape's :class:`Batch` send buffer with one
+    ``np.take`` through ``gather``, executes the batch, and unpacks the
+    delivered stream through ``take``/``put`` (see
+    :meth:`~repro.core.plans.ExchangePlan.phase_maps`). ``batches``
+    holds the phase bound to each trailing shape run so far.
+    """
+
+    tag: str
+    rounds: List[Tuple[str, List[Tuple[int, int]]]]
+    words: List[int]
     gather: np.ndarray
     take: np.ndarray
     put: np.ndarray
+    batches: Dict[Tuple[int, ...], Batch]
+
+    def bind(self, shape: Tuple[int, ...]) -> Batch:
+        """The phase bound to values of trailing shape ``shape``: its
+        send buffer, each transfer's payload a 1-D view of its rows
+        there, and the batch's fusion plan — built on the shape's first
+        use, then reused."""
+        batch = self.batches.get(shape)
+        if batch is None:
+            send = np.zeros((self.gather.size, *shape))
+            bounds = np.cumsum(self.words)[:-1] * math.prod(shape)
+            payloads = iter(np.split(send.reshape(-1), bounds))
+            rounds: List[LabeledRound] = [
+                (label, [Transfer(src, dst, next(payloads)) for src, dst in pairs])
+                for label, pairs in self.rounds
+            ]
+            fusion = FusionPlan([t for _, transfers in rounds for t in transfers])
+            batch = self.batches[shape] = Batch(rounds, fusion, send)
+        return batch
 
 
 class BlockStack(NamedTuple):
@@ -176,7 +214,9 @@ class BlockStack(NamedTuple):
 
 
 class ParallelSTTSV:
-    """Executable Algorithm 5 on a simulated machine.
+    """Executable Algorithm 5 on a simulated machine, for a vector
+    ``x`` or ``c`` columns of it at once (:meth:`load_vector`): SYMM on
+    an order-2 partition, symmetric MTTKRP at order 3.
 
     Parameters
     ----------
@@ -320,15 +360,19 @@ class ParallelSTTSV:
 
     def load_vector(self, machine: Machine, x: np.ndarray) -> None:
         """Distribute the vector shards ``x[R_p]^{(p)}`` (the cheap,
-        per-request half of :meth:`load`; tensor blocks stay resident)."""
+        per-request half of :meth:`load`; tensor blocks stay resident).
+        ``x`` is a vector ``(n,)`` or ``c ≥ 1`` columns ``(n, c)``;
+        :meth:`run` and :meth:`gather_result` keep its shape."""
         self._check_machine(machine)
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
+        if x.ndim not in (1, 2) or x.shape[0] != self.n or 0 in x.shape:
             raise ConfigurationError(
-                f"vector must have shape ({self.n},), got {x.shape}"
+                f"x must have shape ({self.n},) or ({self.n}, c) with"
+                f" c >= 1, got {x.shape}"
             )
         plan = self.exchange_plan
-        x_padded = dist.pad_vector(x, self.n_padded)
+        x_padded = np.zeros((self.n_padded, *x.shape[1:]))
+        x_padded[: self.n] = x
         shards = plan.split_shards(x_padded[plan.load_index])
         for p in range(machine.P):
             machine[p].store("x_shards", shards[p])
@@ -346,7 +390,8 @@ class ParallelSTTSV:
         ordered pair. Either way the phase runs as one fused batch:
         Algorithm 5's two exchanges are two fused physical exchanges.
         Deliveries land in round order, the order the y reduction sums
-        them in.
+        them in. Send buffers and fusion plans wait for a trailing
+        shape (:meth:`ExchangePhase.bind`).
         """
         plan = self.exchange_plan
         P = self.partition.P
@@ -367,14 +412,7 @@ class ParallelSTTSV:
             ]
         members = [pair for _, pairs in rounds for pair in pairs]
         gather, take, put, words = plan.phase_maps(phase, members, width)
-        send = np.zeros(gather.size)
-        payloads = iter(np.split(send, np.cumsum(words)[:-1]))
-        labeled: List[LabeledRound] = [
-            (label, [Transfer(src, dst, next(payloads)) for src, dst in pairs])
-            for label, pairs in rounds
-        ]
-        fusion = FusionPlan([t for _, transfers in labeled for t in transfers])
-        return ExchangePhase(tag, labeled, fusion, send, gather, take, put)
+        return ExchangePhase(tag, rounds, words, gather, take, put, {})
 
     def _build_stacks(self) -> List[BlockStack]:
         """Group every owned block by case, then owner (the allocation
@@ -404,57 +442,61 @@ class ParallelSTTSV:
     def _exchange(
         self, machine: Machine, phase: ExchangePhase, source: np.ndarray
     ) -> np.ndarray:
-        """Stage one phase's payloads from ``source`` into its send
-        buffer, move them as one batch through
+        """Stage one phase's payloads from ``source`` into the send
+        buffer of its trailing shape, move them as one batch through
         :func:`~repro.machine.collectives.execute_rounds_fused` (plain
         per-round execution when the machine has fusion off), and
-        return the delivered payloads concatenated in delivery order."""
-        np.take(source, phase.gather, out=phase.send)
+        return the delivered payloads' rows in delivery order."""
+        shape = source.shape[1:]
+        batch = phase.bind(shape)
+        np.take(source, phase.gather, axis=0, out=batch.send)
         delivered = [
             payload
             for payloads in execute_rounds_fused(
-                machine, phase.rounds, phase.tag, plan=phase.fusion
+                machine, batch.rounds, phase.tag, plan=batch.fusion
             )
             for payload in payloads
         ]
-        return np.concatenate(delivered) if delivered else np.empty(0)
+        stream = np.concatenate(delivered) if delivered else np.empty(0)
+        return stream.reshape(-1, *shape)
 
-    def _exchange_x(self, machine: Machine) -> None:
-        """Phase 1: gather the full row blocks ``x[need_p]`` everywhere."""
+    def _exchange_x(self, machine: Machine) -> Staging:
+        """Phase 1: gather the full row blocks ``x[need_p]`` everywhere;
+        returns the staging of ``x``'s trailing shape."""
         plan = self.exchange_plan
-        for p in range(machine.P):
-            plan.stage_x(p, machine[p].load("x_shards"))
-        stream = self._exchange(machine, self.phase_x, plan.xs)
-        x_full = plan.unpack_x(stream, self.phase_x.take, self.phase_x.put)
+        staging = plan.stage_x([proc.load("x_shards") for proc in machine])
+        stream = self._exchange(machine, self.phase_x, staging.xs)
+        x_full = plan.unpack_x(staging, stream, self.phase_x.take, self.phase_x.put)
         for p in range(machine.P):
             machine[p].store("x_full", x_full[p])
+        return staging
 
-    def _exchange_y(self, machine: Machine) -> None:
+    def _exchange_y(self, machine: Machine, staging: Staging) -> None:
         """Phase 3: scatter-reduce the partial ``ŷ[need_p]`` (staged in
         ``yp`` by local compute) into shards."""
         plan = self.exchange_plan
-        stream = self._exchange(machine, self.phase_y, plan.yp)
-        y_shards = plan.reduce_y(stream, self.phase_y.take, self.phase_y.put)
+        stream = self._exchange(machine, self.phase_y, staging.yp)
+        y_shards = plan.reduce_y(staging, stream, self.phase_y.take, self.phase_y.put)
         for p in range(machine.P):
             machine[p].store("y_shards", y_shards[p])
 
     # -- phase 2: local compute ----------------------------------------------------------
 
-    def _local_compute(self, machine: Machine) -> None:
+    def _local_compute(self, machine: Machine, staging: Staging) -> None:
         """Phase 2 on every processor: fill each one's partial row
         blocks ``ŷ[need_p]`` (views into the staging buffer ``yp``)."""
-        plan = self.exchange_plan
         if self.storage(machine) == "dense":
-            plan.yp[:-1] = self.block_products(machine, plan.xf)
+            staging.yp[:-1] = self.block_products(machine, staging.xf)
         else:
-            self._compute_sparse(machine)
+            self._compute_sparse(machine, staging)
         for p, proc in enumerate(machine):
-            proc.store("y_partial", plan.y_partial[p])
+            proc.store("y_partial", staging.y_partial[p])
 
     def block_products(self, machine: Machine, x_full: np.ndarray) -> np.ndarray:
         """Local compute over the dense blocks the machine's processors
         hold, for a vector ``(N,)`` or ``c`` columns ``(N, c)`` in the
-        full layout of :attr:`exchange_plan` (laid out like its ``xf``):
+        full layout of :attr:`exchange_plan` (laid out like a staging's
+        ``xf``):
         the partial ``ŷ`` in that layout.
         :func:`~repro.core.block_kernels.apply_stacks` runs one pass per
         case over every processor's blocks: the contiguous slice of the
@@ -476,25 +518,25 @@ class ParallelSTTSV:
             x_full,
         )
 
-    def _compute_sparse(self, machine: Machine) -> None:
+    def _compute_sparse(self, machine: Machine, staging: Staging) -> None:
         """O(local-nnz) scatter per processor over a padded-length view
         of x whose only populated rows are need_p — exactly what the
         exchange delivered (ownership puts every entry there)."""
-        plan, b = self.exchange_plan, self.b
+        b = self.b
         for p, proc in enumerate(machine):
-            local_x = np.zeros(self.n_padded)
+            local_x = np.zeros((self.n_padded, *staging.xf.shape[1:]))
             for i, row in proc.load("x_full").items():
                 local_x[i * b : (i + 1) * b] = row
             local_y = sparse_scatter(*proc.load("sparse_entries"), local_x)
-            for i, partial in plan.y_partial[p].items():
+            for i, partial in staging.y_partial[p].items():
                 partial[:] = local_y[i * b : (i + 1) * b]
 
     # -- driver --------------------------------------------------------------------------------
 
     def run(self, machine: Machine) -> None:
         """Execute all three phases, in order, on the calling thread;
-        results stay distributed as ``y_shards`` in each processor's
-        memory.
+        results stay distributed as ``y_shards`` (shaped like the
+        ``x_shards`` loaded) in each processor's memory.
 
         Each phase is wrapped in an instrumentation span (nested under
         one ``sttsv:run`` parent), so traces and the backend benchmarks
@@ -506,16 +548,17 @@ class ParallelSTTSV:
         """
         with machine.instrument.span("sttsv:run"):
             with machine.instrument.span("sttsv:exchange-x"):
-                self._exchange_x(machine)
+                staging = self._exchange_x(machine)
             with machine.instrument.span("sttsv:local-compute"):
-                self._local_compute(machine)
+                self._local_compute(machine, staging)
             with machine.instrument.span("sttsv:exchange-y"):
-                self._exchange_y(machine)
+                self._exchange_y(machine, staging)
 
     def gather_result(self, machine: Machine) -> np.ndarray:
-        """Reassemble the distributed ``y`` (verification step, outside
-        the communication model — the algorithm's contract ends with
-        ``y`` distributed exactly like ``x`` was)."""
+        """Reassemble the distributed ``y``, ``(n,)`` or ``(n, c)`` like
+        the ``x`` loaded (verification step, outside the communication
+        model — the algorithm's contract ends with ``y`` distributed
+        exactly like ``x`` was)."""
         return self._gather(machine, "y_shards")
 
     def gather_x(self, machine: Machine) -> np.ndarray:
@@ -560,9 +603,9 @@ class ParallelSTTSV:
     # -- accounting ---------------------------------------------------------------------------
 
     def words_per_processor(self) -> List[int]:
-        """Exact per-processor send volume over both phases (the
-        ledger's ``words_sent``) for any partition: the pair maps'
-        message sizes, or the uniform All-to-All slots."""
+        """Exact per-processor send volume of a vector run over both
+        phases (the ledger's ``words_sent``) for any partition: the
+        pair maps' message sizes, or the uniform All-to-All slots."""
         P = self.partition.P
         if self.backend is CommBackend.ALL_TO_ALL:
             return [self.expected_words_per_processor()] * P
@@ -573,24 +616,28 @@ class ParallelSTTSV:
                 words[src] += len(blocks) * self.shard
         return words
 
-    def predicted_ledger(self) -> CommunicationLedger:
-        """The exact ledger one :meth:`run` records, without moving a
-        byte.
+    def predicted_ledger(self, columns: int = 1) -> CommunicationLedger:
+        """The exact ledger one :meth:`run` on ``columns`` columns of
+        ``x`` records (``1``: a vector), without moving a byte.
 
-        Prices the prebuilt batch of both phases through the same
+        Prices the batch of both phases for that shape through the same
         :class:`~repro.machine.cost.CostModel` calls execution makes: a
         batch :func:`~repro.machine.collectives.execute_rounds_fused`
         fuses goes through ``price_fused_batch``, any other round
         through ``price_round``. Labels, per-round words, ``fused``
         tags and the ``fused_*`` side-channel all match the run's.
         """
+        if columns < 1:
+            raise ConfigurationError(f"need columns >= 1, got {columns}")
+        shape = () if columns == 1 else (columns,)
         cost = CostModel()
         ledger = CommunicationLedger(self.partition.P)
         for phase in (self.phase_x, self.phase_y):
-            if phase.fusion.fuses(True):
-                cost.price_fused_batch(ledger, phase.rounds, phase.tag, phase.fusion)
+            batch = phase.bind(shape)
+            if batch.fusion.fuses(True):
+                cost.price_fused_batch(ledger, batch.rounds, phase.tag, batch.fusion)
                 continue
-            for label, transfers in phase.rounds:
+            for label, transfers in batch.rounds:
                 cost.price_round(ledger, label, transfers, phase.tag)
         return ledger
 

@@ -572,6 +572,26 @@ def configure_cache(
     )
 
 
+class Staging(NamedTuple):
+    """One trailing shape's staging buffers of an :class:`ExchangePlan`
+    (layouts in its docstring).
+
+    ``xs``: staged x shards (shard layout, plus a zero row); ``xf``:
+    assembled x row blocks (full layout); ``yp``: partial y (full
+    layout, plus a zero row), which local compute fills in place.
+    ``shards[p]`` is processor ``p``'s slice of ``xs``; ``x_full[p]``
+    and ``y_partial[p]`` are its ``{i: row block i}`` views into
+    ``xf`` and ``yp``.
+    """
+
+    xs: np.ndarray
+    xf: np.ndarray
+    yp: np.ndarray
+    shards: List[np.ndarray]
+    x_full: List[Dict[int, np.ndarray]]
+    y_partial: List[Dict[int, np.ndarray]]
+
+
 class ExchangePlan:
     """Compiled gather/scatter structure for Algorithm 5's exchanges.
 
@@ -590,16 +610,18 @@ class ExchangePlan:
 
     Buffer layout. *Shard layout* concatenates, over processors ``p``
     and then ``held[p] = sorted(R_p)``, each owned shard; it is the
-    layout of :attr:`xs` (staged x shards), of the shards
-    :meth:`split_shards` hands out, and of :attr:`load_index` (the
-    padded-vector position of every shard word, checked at build time
-    to cover each position exactly once). *Full layout* concatenates,
-    over ``p`` and then ``order[p] = sorted(need_p)``, full row blocks;
-    it is the layout of :attr:`xf` (assembled x blocks) and :attr:`yp`
-    (staged partial y). :attr:`xs` and :attr:`yp` carry one trailing
-    zero word, the source of the All-to-All's zero padding. Every
-    :attr:`xf` slot is overwritten each run: the own shard plus one
-    shard from every other holder of each row block.
+    layout of a :class:`Staging`'s ``xs`` (staged x shards), of the
+    shards :meth:`split_shards` hands out, and of :attr:`load_index`
+    (the padded-vector position of every shard word, checked at build
+    time to cover each position exactly once). *Full layout*
+    concatenates, over ``p`` and then ``order[p] = sorted(need_p)``,
+    full row blocks; it is the layout of ``xf`` (assembled x blocks)
+    and ``yp`` (staged partial y). Every layout position is one *row*:
+    a word for a vector, ``c`` words for ``c`` columns (the trailing
+    shape of the staged values, :meth:`staging`). ``xs`` and ``yp``
+    carry one trailing zero row, the source of the All-to-All's zero
+    padding. Every ``xf`` row is overwritten each run: the own shard
+    plus one shard from every other holder of each row block.
 
     The plan is purely an execution detail: payload contents, sizes,
     message counts, and round structure are identical to the direct
@@ -683,16 +705,7 @@ class ExchangePlan:
             self.y_gather[(consumer, holder)] = scatter
             self.y_scatter[(consumer, holder)] = gather
 
-        self.xs = np.zeros(self.shard_offset[-1] + 1)
-        self.xf = np.zeros(self.full_offset[-1])
-        self.yp = np.zeros(self.full_offset[-1] + 1)
-        self._xs = self._split(self.xs, self.shard_offset)
-        self._yp = self._split(self.yp, self.full_offset)
-        #: Per-processor x-full row blocks: views into :attr:`xf`.
-        self.x_full = self.row_blocks(self.xf)
-        #: Per-processor partial-y row blocks: views into :attr:`yp`,
-        #: which local compute fills in place.
-        self.y_partial = self.row_blocks(self.yp)
+        self._staging: Dict[Tuple[int, ...], Staging] = {}
 
     @staticmethod
     def _split(flat: np.ndarray, offsets: np.ndarray) -> List[np.ndarray]:
@@ -706,6 +719,25 @@ class ExchangePlan:
             {i: part[t * b : (t + 1) * b] for t, i in enumerate(rows)}
             for part, rows in zip(self._split(flat, self.full_offset), self.order)
         ]
+
+    def staging(self, shape: Tuple[int, ...] = ()) -> Staging:
+        """The staging buffers for values of trailing shape ``shape``
+        (``()`` for a vector, ``(c,)`` for ``c`` columns), made on
+        first use and reused by every later run of that shape."""
+        staging = self._staging.get(shape)
+        if staging is None:
+            xs = np.zeros((self.shard_offset[-1] + 1, *shape))
+            xf = np.zeros((self.full_offset[-1], *shape))
+            yp = np.zeros((self.full_offset[-1] + 1, *shape))
+            staging = self._staging[shape] = Staging(
+                xs,
+                xf,
+                yp,
+                self._split(xs, self.shard_offset),
+                self.row_blocks(xf),
+                self.row_blocks(yp),
+            )
+        return staging
 
     # -- vector distribution ------------------------------------------------------
 
@@ -725,9 +757,9 @@ class ExchangePlan:
         return out
 
     def assemble(self, shards: List[Dict[int, np.ndarray]]) -> np.ndarray:
-        """The padded vector whose shards are ``shards[p][i]``: the
-        inverse of ``split_shards(x[load_index])``. Every processor
-        must hold exactly its row blocks' shards."""
+        """The padded vector (or ``(n', c)`` columns) whose shards are
+        ``shards[p][i]``: the inverse of ``split_shards(x[load_index])``.
+        Every processor must hold exactly its row blocks' shards."""
         pieces = []
         for p, (rows, owned) in enumerate(zip(self.held, shards)):
             if len(owned) != len(rows) or any(i not in owned for i in rows):
@@ -737,11 +769,11 @@ class ExchangePlan:
                 )
             pieces.extend(owned[i] for i in rows)
         flat = np.concatenate(pieces)
-        if flat.shape != self.load_index.shape:
+        if len(flat) != self.load_index.size:
             raise PartitionError(
-                f"shards hold {flat.size} words, expected {self.load_index.size}"
+                f"shards hold {len(flat)} rows, expected {self.load_index.size}"
             )
-        out = np.empty(self.partition.m * self.b)
+        out = np.empty((self.partition.m * self.b, *flat.shape[1:]))
         out[self.load_index] = flat
         return out
 
@@ -761,22 +793,22 @@ class ExchangePlan:
         All-to-All's uniform slot: zero padding after the payload, and
         only padding for a pair with nothing to send).
 
-        Returns ``(gather, take, put, words)``: ``np.take(source,
-        gather)`` fills the send buffer from the phase's source staging
-        (:attr:`xs` or :attr:`yp`); ``take`` picks every payload word
-        out of the delivered stream (the delivered payloads
-        concatenated in member order) and ``put`` is that word's
-        position in the destination (:attr:`xf`, or the shard-layout y
-        shards); ``words`` is each member's length in the send buffer.
+        Returns ``(gather, take, put, words)``, all in rows of the
+        staged values: ``np.take(source, gather, axis=0)`` fills the
+        send buffer from the phase's source staging (``xs`` or ``yp``);
+        ``take`` picks every payload row out of the delivered stream
+        (the delivered payloads concatenated in member order) and
+        ``put`` is that row's position in the destination (``xf``, or
+        the shard-layout y shards); ``words`` is each member's length
+        in the send buffer.
         """
         if phase == "x":
             gathers, scatters = self.x_gather, self.x_scatter
             src_offset, dst_offset = self.shard_offset, self.full_offset
-            zero = self.xs.size - 1
         else:
             gathers, scatters = self.y_gather, self.y_scatter
             src_offset, dst_offset = self.full_offset, self.shard_offset
-            zero = self.yp.size - 1
+        zero = src_offset[-1]
         empty = np.zeros(0, dtype=np.intp)
         gather, take, put = [empty], [empty], [empty]
         words: List[int] = []
@@ -798,48 +830,53 @@ class ExchangePlan:
 
     # -- x phase ---------------------------------------------------------------
 
-    def stage_x(self, p: int, shards: Dict[int, np.ndarray]) -> None:
-        """Flatten processor ``p``'s own shard dict into its slice of
-        :attr:`xs`."""
-        np.concatenate([shards[i] for i in self.held[p]], out=self._xs[p])
+    def stage_x(self, shards: Sequence[Dict[int, np.ndarray]]) -> Staging:
+        """Flatten every processor's own shard dict (``shards[p]``)
+        into its slice of ``xs``, in the staging of the shards'
+        trailing shape; returns that staging."""
+        staging = self.staging(shards[0][self.held[0][0]].shape[1:])
+        for held, own, out in zip(self.held, shards, staging.shards):
+            np.concatenate([own[i] for i in held], out=out)
+        return staging
 
     def x_payload(self, src: int, dst: int) -> Optional[np.ndarray]:
-        """The x payload ``src`` sends ``dst`` (a new array), or
-        ``None`` for a pair with nothing to send: one pair's slice of
-        the phase gather."""
+        """The x payload ``src`` sends ``dst`` from the vector staging
+        (a new array), or ``None`` for a pair with nothing to send: one
+        pair's slice of the phase gather."""
         idx = self.x_gather.get((src, dst))
         if idx is None:
             return None
-        return np.take(self._xs[src], idx)
+        return np.take(self.staging().shards[src], idx)
 
     def unpack_x(
-        self, stream: np.ndarray, take: np.ndarray, put: np.ndarray
+        self, staging: Staging, stream: np.ndarray, take: np.ndarray, put: np.ndarray
     ) -> List[Dict[int, np.ndarray]]:
         """Assemble every processor's full row blocks from its own
         shards plus the delivered stream (maps from :meth:`phase_maps`);
-        returns :attr:`x_full`."""
-        self.xf[self.own_full] = self.xs[:-1]
-        self.xf[put] = stream[take]
-        return self.x_full
+        returns the staging's ``x_full``."""
+        staging.xf[self.own_full] = staging.xs[:-1]
+        staging.xf[put] = stream[take]
+        return staging.x_full
 
     # -- y phase ---------------------------------------------------------------
 
     def y_payload(self, src: int, dst: int) -> Optional[np.ndarray]:
-        """The partial-y payload ``src`` sends ``dst`` (a new array),
-        or ``None``."""
+        """The partial-y payload ``src`` sends ``dst`` from the vector
+        staging (a new array), or ``None``."""
         idx = self.y_gather.get((src, dst))
         if idx is None:
             return None
-        return np.take(self._yp[src], idx)
+        full = self.staging().yp
+        return np.take(full[self.full_offset[src] : self.full_offset[src + 1]], idx)
 
     def reduce_y(
-        self, stream: np.ndarray, take: np.ndarray, put: np.ndarray
+        self, staging: Staging, stream: np.ndarray, take: np.ndarray, put: np.ndarray
     ) -> List[Dict[int, np.ndarray]]:
         """Every processor's final y shards: own partial slices plus
         the delivered contributions, summed into fresh storage in
         stream order (``np.add.at`` is unbuffered and in index order,
-        so each word's additions happen in delivery order, as a
+        so each row's additions happen in delivery order, as a
         per-payload loop would do them)."""
-        ys = self.yp[self.own_full]
+        ys = staging.yp[self.own_full]
         np.add.at(ys, put, stream[take])
         return self.split_shards(ys)

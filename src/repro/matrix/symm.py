@@ -1,4 +1,4 @@
-"""Parallel SYMM and SYR2K on the triangle partition.
+"""SYMM and SYR2K on the triangle partition.
 
 Completes the symmetric-matrix kernel family of the works the paper
 builds on (Al Daas et al. 2025 give communication-optimal SYRK, SYR2K
@@ -7,12 +7,13 @@ SYMM arithmetic-intensity gain):
 
 * **SYMM** — ``C = A B`` with symmetric ``A`` (an order-2
   :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor`, triangle
-  blocks) and dense ``B`` (n×k): structurally SYMV — Algorithm 5 at
-  order 2 (:class:`~repro.core.parallel_sttsv.ParallelSTTSV` on a
-  :class:`~repro.matrix.partition.TriangleBlockPartition`) — with
-  k-column panels instead of vectors; two exchange phases (gather B
-  panels, reduce C partials), ``2 r (λ₁ − 1) · shard · k`` words per
-  processor.
+  blocks) and dense ``B`` (n×k) is SYMV with ``k`` columns, so it has
+  no class of its own: Algorithm 5 at order 2
+  (:class:`~repro.core.parallel_sttsv.ParallelSTTSV` on a
+  :class:`~repro.matrix.partition.TriangleBlockPartition`) loaded with
+  ``B`` as its ``(n, k)`` x. Two exchange phases (gather B panels,
+  reduce C partials) in SYMV's rounds, ``2 r (λ₁ − 1) · shard · k``
+  words per processor; :func:`symm_reference` is the oracle.
 * **SYR2K** — ``C = A Bᵀ + B Aᵀ`` (symmetric output, dense n×k
   inputs): like SYRK but gathering *two* panel families; single
   exchange phase, ``2 r (λ₁ − 1) · shard · k`` words, no output
@@ -21,7 +22,7 @@ SYMM arithmetic-intensity gain):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,8 +31,7 @@ from repro.machine.collectives import point_to_point_rounds
 from repro.machine.machine import Machine
 from repro.matrix.partition import TriangleBlockPartition
 from repro.matrix.syrk import ParallelSYRK
-from repro.tensor.bcss import BCSSTensor
-from repro.tensor.ndpacked import NdPackedSymmetricTensor, pad_ndpacked
+from repro.tensor.ndpacked import NdPackedSymmetricTensor
 
 
 def symm_reference(matrix: NdPackedSymmetricTensor, B: np.ndarray) -> np.ndarray:
@@ -44,156 +44,6 @@ def syr2k_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
     return A @ B.T + B @ A.T
-
-
-class ParallelSYMM:
-    """Triangle-partitioned ``C = A B`` (A symmetric, B dense n×k).
-
-    ``A`` is an order-2 :class:`~repro.tensor.ndpacked.
-    NdPackedSymmetricTensor`; its owned blocks load as the Algorithm-5
-    engine loads them (BCSS blocks of the zero-padded matrix). At
-    ``k = 1`` this is the engine's SYMV with one column per message.
-
-    Examples
-    --------
-    >>> from repro.steiner.pairwise import projective_plane_system
-    >>> part = TriangleBlockPartition(projective_plane_system(2))
-    >>> algo = ParallelSYMM(part, n=21, k=2)
-    >>> algo.expected_words_per_processor()
-    24
-    """
-
-    def __init__(self, partition: TriangleBlockPartition, n: int, k: int):
-        self.partition = partition
-        self.n = n
-        self.k = k
-        # Reuse SYRK's sizing/schedule (same row-panel distribution).
-        self._geometry = ParallelSYRK(partition, n, k)
-        self.b = self._geometry.b
-        self.n_padded = self._geometry.n_padded
-        self.shard = self._geometry.shard
-        self.shared = self._geometry.shared
-        self.rounds = self._geometry.rounds
-
-    def _shard_rows(self, i: int, p: int):
-        return self._geometry._shard_rows(i, p)
-
-    def load(
-        self, machine: Machine, matrix: NdPackedSymmetricTensor, B: np.ndarray
-    ) -> None:
-        """Distribute A's triangle blocks and B's row-panel shards."""
-        if machine.P != self.partition.P:
-            raise MachineError(
-                f"machine P={machine.P} != partition P={self.partition.P}"
-            )
-        if matrix.n != self.n:
-            raise ConfigurationError(f"A dimension {matrix.n} != {self.n}")
-        B = np.asarray(B, dtype=np.float64)
-        if B.shape != (self.n, self.k):
-            raise ConfigurationError(
-                f"B must have shape ({self.n}, {self.k}), got {B.shape}"
-            )
-        block_at = BCSSTensor.from_ndpacked(
-            pad_ndpacked(matrix, self.n_padded), self.b
-        ).block
-        padded_B = np.zeros((self.n_padded, self.k))
-        padded_B[: self.n] = B
-        for p in range(machine.P):
-            blocks = {
-                index: block_at(index)
-                for index in self.partition.owned_blocks(p)
-            }
-            shards: Dict[int, np.ndarray] = {}
-            for i in self.partition.R[p]:
-                lo, hi = self._shard_rows(i, p)
-                shards[i] = padded_B[i * self.b + lo : i * self.b + hi].copy()
-            machine[p].store("A_blocks", blocks)
-            machine[p].store("B_shards", shards)
-
-    def run(self, machine: Machine) -> None:
-        """Gather B panels, multiply blocks, reduce C partials."""
-        partition = self.partition
-
-        def gather_payload(src, dst) -> Optional[np.ndarray]:
-            common = self.shared.get((src, dst))
-            if not common:
-                return None
-            shards = machine[src].load("B_shards")
-            return np.concatenate([shards[i] for i in sorted(common)], axis=0)
-
-        received = point_to_point_rounds(
-            machine, self.rounds, gather_payload, tag="symm-gather"
-        )
-        for p in range(machine.P):
-            proc = machine[p]
-            panels = {i: np.zeros((self.b, self.k)) for i in partition.R[p]}
-            for i, shard in proc.load("B_shards").items():
-                lo, hi = self._shard_rows(i, p)
-                panels[i][lo:hi] = shard
-            for src, data in received[p].items():
-                common = self.shared.get((src, p))
-                if not common:
-                    continue
-                offset = 0
-                for i in sorted(common):
-                    lo, hi = self._shard_rows(i, src)
-                    panels[i][lo:hi] = data[offset : offset + (hi - lo)]
-                    offset += hi - lo
-            partial = {i: np.zeros((self.b, self.k)) for i in partition.R[p]}
-            for (I, J), block in proc.load("A_blocks").items():
-                if I == J:
-                    partial[I] += block @ panels[I]
-                else:
-                    partial[I] += block @ panels[J]
-                    partial[J] += block.T @ panels[I]
-            proc.store("C_partial", partial)
-
-        def reduce_payload(src, dst) -> Optional[np.ndarray]:
-            common = self.shared.get((src, dst))
-            if not common:
-                return None
-            partial = machine[src].load("C_partial")
-            pieces = []
-            for i in sorted(common):
-                lo, hi = self._shard_rows(i, dst)
-                pieces.append(partial[i][lo:hi])
-            return np.concatenate(pieces, axis=0)
-
-        received = point_to_point_rounds(
-            machine, self.rounds, reduce_payload, tag="symm-reduce"
-        )
-        for p in range(machine.P):
-            proc = machine[p]
-            partial = proc.load("C_partial")
-            final = {}
-            for i in partition.R[p]:
-                lo, hi = self._shard_rows(i, p)
-                final[i] = partial[i][lo:hi].copy()
-            for src, data in received[p].items():
-                common = self.shared.get((src, p))
-                if not common:
-                    continue
-                offset = 0
-                for i in sorted(common):
-                    final[i] += data[offset : offset + self.shard]
-                    offset += self.shard
-            proc.store("C_shards", final)
-
-    def gather_result(self, machine: Machine) -> np.ndarray:
-        """Assemble the distributed ``C`` (verification step)."""
-        C = np.full((self.n_padded, self.k), np.nan)
-        for p in range(machine.P):
-            for i, shard in machine[p].load("C_shards").items():
-                lo, hi = self._shard_rows(i, p)
-                C[i * self.b + lo : i * self.b + hi] = shard
-        if np.any(np.isnan(C)):
-            raise MachineError("missing C shards in SYMM result")
-        return C[: self.n]
-
-    def expected_words_per_processor(self) -> int:
-        """Two phases: ``2 r (λ₁ − 1) · shard · k``."""
-        replication = self.partition.steiner.point_replication()
-        return 2 * self.partition.r * (replication - 1) * self.shard * self.k
 
 
 class ParallelSYR2K:

@@ -152,15 +152,25 @@ def sparse_scatter(
     indices: np.ndarray, values: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """The weighted three-scatter over canonical COO entries; ``y`` has
-    ``x``'s length (Algorithm 5's per-processor sparse kernel too)."""
-    n = x.size
+    ``x``'s shape, a vector ``(n,)`` or ``c`` columns ``(n, c)``, each
+    column scattered exactly as a vector would be (Algorithm 5's
+    per-processor sparse kernel too)."""
     if values.size == 0:
-        return np.zeros(n)
+        return np.zeros(x.shape)
+    rows = x.reshape(len(x), -1)
+    c = rows.shape[1]
     I = indices[:, 0]
     J = indices[:, 1]
     K = indices[:, 2]
     w_i, w_j, w_k = contribution_weights(I, J, K)
-    y = np.bincount(I, weights=w_i * values * x[J] * x[K], minlength=n)
-    y += np.bincount(J, weights=w_j * values * x[I] * x[K], minlength=n)
-    y += np.bincount(K, weights=w_k * values * x[I] * x[J], minlength=n)
-    return y
+
+    def scatter(out, w, a, b):
+        # Bin row·c + column: each column's sum keeps the entry order.
+        bins = (out[:, None] * c + np.arange(c)).ravel()
+        weights = ((w * values)[:, None] * rows[a] * rows[b]).ravel()
+        return np.bincount(bins, weights=weights, minlength=x.size)
+
+    y = scatter(I, w_i, J, K)
+    y += scatter(J, w_j, I, K)
+    y += scatter(K, w_k, I, J)
+    return y.reshape(x.shape)

@@ -28,9 +28,10 @@ def _ledger_fingerprint(ledger):
     }
 
 
-def _run_sttsv(partition, n, seed, backend, transport, fusion=True):
+def _run_sttsv(partition, n, seed, backend, transport, fusion=True, columns=None):
     tensor = random_symmetric(n, seed=seed)
-    x = np.random.default_rng(seed + 1).normal(size=n)
+    shape = n if columns is None else (n, columns)
+    x = np.random.default_rng(seed + 1).normal(size=shape)
     machine = Machine(partition.P, transport=transport, fusion=fusion)
     algo = ParallelSTTSV(partition, n, backend)
     algo.load(machine, tensor, x)
@@ -144,6 +145,29 @@ class TestInstrumentationAcrossBackends:
                 "sttsv:local-compute",
                 "sttsv:exchange-y",
             } <= names
+
+
+class TestColumnEquivalence:
+    def test_columns_bitwise_across_transports_and_fusion(
+        self, partition_q2, shm_q2
+    ):
+        """``(n, c)`` x: simulated == shm and fused == ``fusion=False``,
+        bitwise, with one algorithmic ledger."""
+        n, backend = 30, CommBackend.POINT_TO_POINT
+        runs = [
+            _run_sttsv(partition_q2, n, 19, backend, transport, fusion, columns=4)
+            for transport, fusion in (
+                (SimulatedTransport(partition_q2.P), True),
+                (shm_q2, True),
+                (SimulatedTransport(partition_q2.P), False),
+            )
+        ]
+        (y, ledger, fused), *others = runs
+        assert y.shape == (n, 4)
+        for y_other, ledger_other, _ in others:
+            assert np.array_equal(y.view(np.uint64), y_other.view(np.uint64))
+            assert ledger == ledger_other
+        assert fused["messages_fused"] < fused["messages_logical"]
 
 
 class TestFusionEquivalence:

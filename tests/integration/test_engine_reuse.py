@@ -306,6 +306,72 @@ class TestOneBatchPerPhase:
                 )
 
 
+def _engine_case(name):
+    """``(partition, tensor, backend)`` of one engine kind."""
+    from repro.matrix.partition import TriangleBlockPartition
+    from repro.steiner.pairwise import projective_plane_system
+    from repro.tensor.ndpacked import nd_random_symmetric
+
+    rng = np.random.default_rng(51)
+    p2p, a2a = CommBackend.POINT_TO_POINT, CommBackend.ALL_TO_ALL
+    return {
+        "dense-q2": (_partition("dense", 2), _tensor("dense", 30, rng), p2p),
+        "dense-q3": (_partition("dense", 3), _tensor("dense", 60, rng), p2p),
+        "dense-q2-all-to-all": (_partition("dense", 2), _tensor("dense", 30, rng), a2a),
+        "sparse-q2": (_partition("dense", 2), _tensor("sparse", 30, rng), p2p),
+        "order4-sqs8": (_partition("order4", 3), _tensor("order4", 56, rng), p2p),
+        "symv-fano": (
+            TriangleBlockPartition(projective_plane_system(2)),
+            nd_random_symmetric(21, 2, seed=52),
+            p2p,
+        ),
+    }[name]
+
+
+class TestColumnContract:
+    """``x`` of shape ``(n, c)`` runs through the same phases as a
+    vector: each column is the vector run's result (bitwise at
+    ``c = 1``), the ledger is ``predicted_ledger(c)``, and the words are
+    ``c`` times the vector run's in the same logical rounds and
+    physical messages."""
+
+    C = 3
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dense-q2", "dense-q3", "dense-q2-all-to-all", "sparse-q2",
+         "order4-sqs8", "symv-fano"],
+    )
+    def test_columns_are_vector_runs(self, name):
+        partition, tensor, backend = _engine_case(name)
+        n = tensor.n
+        rng = np.random.default_rng(53)
+        # Integer-valued, so order 4's columns compare exactly too.
+        X = rng.integers(-3, 4, (n, self.C)).astype(float)
+
+        def run(value):
+            machine.reset_ledger()
+            algo.load_vector(machine, value)
+            algo.run(machine)
+            return algo.gather_result(machine), machine.reset_ledger()
+
+        with Machine(partition.P) as machine:
+            algo = ParallelSTTSV(partition, n, backend)
+            algo.load_tensor(machine, tensor)
+            loop = [run(X[:, col]) for col in range(self.C)]
+            Y, ledger = run(X)
+            y1, ledger1 = run(X[:, :1])
+        y, vector = loop[0]
+        assert Y.shape == (n, self.C) and y1.shape == (n, 1)
+        assert np.allclose(Y, np.stack([yc for yc, _ in loop], axis=1))
+        assert np.array_equal(y1[:, 0].view(np.uint64), y.view(np.uint64))
+        assert _fingerprint(ledger1) == _fingerprint(vector)
+        assert _fingerprint(ledger) == _fingerprint(algo.predicted_ledger(self.C))
+        assert ledger.words_sent == [self.C * w for w in vector.words_sent]
+        assert ledger.round_count() == vector.round_count()
+        assert ledger.fused_messages == vector.fused_messages
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNonFiniteVectors:
     """A NaN or infinity in ``x`` reaches ``y`` like any other value;

@@ -1,14 +1,15 @@
 """Property tests: the 2-D kernel family (SYRK / SYR2K / SYMM) across
-random shapes, ranks, and seeds, with exact cost assertions."""
+random shapes, ranks, and seeds, with exact cost assertions. SYMM is
+the order-2 Algorithm-5 engine run on ``B``'s ``k`` columns."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.machine.machine import Machine
 from repro.matrix.partition import TriangleBlockPartition
 from repro.matrix.symm import (
-    ParallelSYMM,
     ParallelSYR2K,
     symm_reference,
     syr2k_reference,
@@ -76,12 +77,12 @@ def test_symm_correct(params):
     matrix = NdPackedSymmetricTensor(n, 2, rng.normal(size=nd_packed_size(n, 2)))
     B = rng.normal(size=(n, k))
     machine = Machine(partition.P)
-    algo = ParallelSYMM(partition, n, k)
+    algo = ParallelSTTSV(partition, n)
     algo.load(machine, matrix, B)
     algo.run(machine)
     assert np.allclose(
         algo.gather_result(machine), symm_reference(matrix, B), atol=1e-9
     )
     assert machine.ledger.words_sent == (
-        [algo.expected_words_per_processor()] * partition.P
+        [k * algo.expected_words_per_processor()] * partition.P
     )

@@ -98,17 +98,34 @@ class TestBatchedParallel:
     @pytest.mark.parametrize("sparse,backend", [
         (False, CommBackend.ALL_TO_ALL), (True, CommBackend.POINT_TO_POINT)
     ])
-    def test_rejects_engine_it_cannot_serve(
-        self, partition_q2, loaded_engine, sparse, backend
+    def test_serves_all_to_all_and_sparse_engines(
+        self, partition_q2, loaded_engine, sparse, backend, rng
     ):
-        """The batched kernels need dense order-3 blocks exchanged along
-        the point-to-point schedule: an all-to-all engine has no such
-        schedule, a sparse one holds no blocks."""
+        """The batch is one engine run on the factor matrix, so every
+        engine serves it: an all-to-all engine and a sparse one give the
+        reference result with the column loop's words."""
         tensor = random_symmetric(30, seed=9)
         if sparse:
             tensor = SparseSymmetricTensor.from_hyperedges(
                 30, random_hypergraph(30, 60, seed=1)
             )
+        X = rng.normal(size=(30, 2))
         engine, machine = loaded_engine(partition_q2, tensor, backend)
-        with pytest.raises(ConfigurationError, match="point-to-point"):
-            parallel_symmetric_mttkrp_batched(engine, machine, np.ones((30, 2)))
+        Y, batched = parallel_symmetric_mttkrp_batched(engine, machine, X)
+        _, columnwise = parallel_symmetric_mttkrp(engine, machine, X)
+        reference = tensor.to_packed() if sparse else tensor
+        assert np.allclose(Y, symmetric_mttkrp(reference, X))
+        assert batched.words_sent == columnwise.words_sent
+        assert batched.round_count() * 2 == columnwise.round_count()
+
+    def test_q2_ledger_pin(self, partition_q2, loaded_engine, rng):
+        """n=120, r=16 at q=2: 16 × 120 words per processor in one
+        run's 18 rounds, the engine's predicted ledger."""
+        n, r = 120, 16
+        engine, machine = loaded_engine(partition_q2, random_symmetric(n, seed=10))
+        _, ledger = parallel_symmetric_mttkrp_batched(
+            engine, machine, rng.normal(size=(n, r))
+        )
+        assert ledger.words_sent == [1920] * partition_q2.P
+        assert ledger.round_count() == 18
+        assert ledger.words_sent == engine.predicted_ledger(r).words_sent

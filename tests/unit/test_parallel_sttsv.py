@@ -235,10 +235,26 @@ class TestOneEngineManyMachines:
         engine = ParallelSTTSV(partition_q2, self.N)
         with Machine(partition_q2.P) as machine:
             engine.load_tensor(machine, random_symmetric(self.N, seed=36))
-            X = rng.normal(size=(engine.exchange_plan.xf.size, 3))
+            X = rng.normal(size=(engine.exchange_plan.full_offset[-1], 3))
             Y = engine.block_products(machine, X)
             for col in range(3):
                 assert np.allclose(Y[:, col], engine.block_products(machine, X[:, col]))
+
+
+class TestLoadVectorValidation:
+    N = 30
+
+    @pytest.mark.parametrize("shape", [(29,), (31, 2), (30, 0), (30, 2, 2), ()])
+    def test_rejects_bad_shapes(self, partition_q2, shape):
+        """``x`` must be ``(n,)`` or ``(n, c)`` with ``c >= 1``."""
+        engine = ParallelSTTSV(partition_q2, self.N)
+        with Machine(partition_q2.P) as machine:
+            with pytest.raises(ConfigurationError, match="shape"):
+                engine.load_vector(machine, np.ones(shape))
+
+    def test_predicted_ledger_needs_a_column(self, partition_q2):
+        with pytest.raises(ConfigurationError):
+            ParallelSTTSV(partition_q2, self.N).predicted_ledger(0)
 
 
 class TestCommunicationCosts:

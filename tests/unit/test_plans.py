@@ -239,8 +239,7 @@ class TestExchangePlan:
         algo = ParallelSTTSV(partition_q2, n)
         algo.load(machine, tensor, x)
         plan = algo.exchange_plan
-        for p in range(machine.P):
-            plan.stage_x(p, machine[p].load("x_shards"))
+        plan.stage_x([proc.load("x_shards") for proc in machine])
         for (src, dst), common in algo.schedule.shared.items():
             shards = machine[src].load("x_shards")
             reference = np.concatenate([shards[i] for i in sorted(common)])

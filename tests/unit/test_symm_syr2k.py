@@ -1,13 +1,14 @@
-"""Parallel SYMM and SYR2K (the cited kernel family, §2)."""
+"""Parallel SYMM and SYR2K (the cited kernel family, §2). SYMM is the
+order-2 Algorithm-5 engine (SYMV) loaded with ``B``'s ``k`` columns."""
 
 import numpy as np
 import pytest
 
+from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.matrix.partition import TriangleBlockPartition
 from repro.matrix.symm import (
-    ParallelSYMM,
     ParallelSYR2K,
     symm_reference,
     syr2k_reference,
@@ -29,42 +30,43 @@ class TestSYMM:
         matrix = nd_random_symmetric(n, 2, seed=n)
         B = rng.normal(size=(n, k))
         machine = Machine(fano.P)
-        algo = ParallelSYMM(fano, n, k)
+        algo = ParallelSTTSV(fano, n)
         algo.load(machine, matrix, B)
         algo.run(machine)
         assert np.allclose(algo.gather_result(machine), symm_reference(matrix, B))
 
     def test_two_phase_cost(self, fano, rng):
+        """SYMM cost == k × SYMV cost: the same two phases and rounds,
+        k columns per message."""
         n, k = 21, 4
         machine = Machine(fano.P)
-        algo = ParallelSYMM(fano, n, k)
+        algo = ParallelSTTSV(fano, n)
         algo.load(machine, nd_random_symmetric(n, 2, seed=0), rng.normal(size=(n, k)))
         algo.run(machine)
-        expected = algo.expected_words_per_processor()
+        expected = k * algo.expected_words_per_processor()
         assert machine.ledger.words_sent == [expected] * fano.P
-        # SYMM cost == k × SYMV cost (same two-phase pattern, k columns).
-        from repro.core.parallel_sttsv import ParallelSTTSV
-
-        symv_words = ParallelSTTSV(fano, n).expected_words_per_processor()
-        assert expected == k * symv_words
+        assert machine.ledger.words_sent == algo.predicted_ledger(k).words_sent
+        assert machine.ledger.round_count() == algo.predicted_ledger().round_count()
 
     def test_k1_equals_symv(self, fano, rng):
-        """SYMM with one column reproduces SYMV exactly."""
-        from repro.core.sttsv_ndim import sttsv_ndim
-
+        """SYMM with one column is bitwise the SYMV run."""
         n = 21
         matrix = nd_random_symmetric(n, 2, seed=1)
         x = rng.normal(size=n)
-        machine = Machine(fano.P)
-        algo = ParallelSYMM(fano, n, 1)
-        algo.load(machine, matrix, x[:, None])
-        algo.run(machine)
-        assert np.allclose(algo.gather_result(machine)[:, 0], sttsv_ndim(matrix, x))
+        algo = ParallelSTTSV(fano, n)
+        results = []
+        for value in (x, x[:, None]):
+            with Machine(fano.P) as machine:
+                algo.load(machine, matrix, value)
+                algo.run(machine)
+                results.append(algo.gather_result(machine))
+        assert results[1].shape == (n, 1)
+        assert np.array_equal(results[1][:, 0], results[0])
 
     def test_shape_validation(self, fano):
-        algo = ParallelSYMM(fano, 21, 2)
+        algo = ParallelSTTSV(fano, 21)
         with pytest.raises(ConfigurationError):
-            algo.load(Machine(7), nd_random_symmetric(21, 2, seed=0), np.ones((21, 3)))
+            algo.load(Machine(7), nd_random_symmetric(21, 2, seed=0), np.ones((20, 2)))
 
 
 class TestSYR2K:
