@@ -8,8 +8,8 @@ Two comparisons the plan layer is built for:
 * **batch-vs-loop**: ``apply_batch(X)`` for ``X ∈ R^{n×s}`` against
   ``s`` independent kernel calls — the multi-vector engine's payoff.
 
-``benchmarks/run_plans_bench.py`` runs the same comparisons standalone
-and records machine-readable numbers in ``BENCH_sttsv.json``.
+``pytest benchmarks/bench_plans.py -s --benchmark-only`` prints the
+four timings side by side; ``--benchmark-json=FILE`` records them.
 """
 
 import numpy as np

@@ -62,7 +62,7 @@ def part1_storage_and_kernels() -> None:
         plan.apply(x)
     planned = (time.perf_counter() - start) / 20
     print(f"  {plan.strategy} plan: {scalar / planned:.0f}x over the scalar "
-          f"packed loop (see BENCH_ndim.json for the committed sweep)")
+          f"packed loop (benchmarks/bench_ndim.py gates it at >= 5x)")
 
 
 def part2_parallel_order4() -> None:

@@ -21,24 +21,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.core.partition import TetrahedralPartition
-from repro.errors import PartitionError
-
-
-def pad_vector(x: np.ndarray, padded_length: int) -> np.ndarray:
-    """Zero-pad ``x`` to ``padded_length`` (identity if already there)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size > padded_length:
-        raise PartitionError(
-            f"cannot pad shape {x.shape} to length {padded_length}"
-        )
-    if x.size == padded_length:
-        return x
-    out = np.zeros(padded_length)
-    out[: x.size] = x
-    return out
 
 
 def shard_bounds(

@@ -69,8 +69,9 @@ once: the validated rounds and staging and shard maps once per engine
 (:class:`ExchangePhase`); each phase's send buffer, its one fused
 batch's :class:`~repro.machine.transport.fusion.FusionPlan` and the
 priced ledger records once per trailing shape of ``x``, on first use
-(:class:`Batch`). A run only stages payloads, executes each phase as
-one fused exchange and unpacks.
+(:class:`Batch`; the vector's are kept, and one column shape at a
+time). A run only stages payloads, executes each phase as one fused
+exchange and unpacks.
 
 All data movement goes through the machine's pluggable transport
 (:mod:`repro.machine.transport`): construct the :class:`Machine` with a
@@ -166,7 +167,8 @@ class ExchangePhase(NamedTuple):
     ``np.take`` through ``gather``, executes the batch, and unpacks the
     delivered stream through ``take``/``put`` (see
     :meth:`~repro.core.plans.ExchangePlan.phase_maps`). ``batches``
-    holds the phase bound to each trailing shape run so far.
+    holds the phase bound to the vector shape ``()`` and to the latest
+    column shape run.
     """
 
     tag: str
@@ -181,9 +183,13 @@ class ExchangePhase(NamedTuple):
         """The phase bound to values of trailing shape ``shape``: its
         send buffer, each transfer's payload a 1-D view of its rows
         there, and the batch's fusion plan — built on the shape's first
-        use, then reused."""
+        use, then reused. A new column shape replaces the previous one;
+        the vector binding stays."""
         batch = self.batches.get(shape)
         if batch is None:
+            if shape:
+                for old in [key for key in self.batches if key]:
+                    del self.batches[old]
             send = np.zeros((self.gather.size, *shape))
             bounds = np.cumsum(self.words)[:-1] * math.prod(shape)
             payloads = iter(np.split(send.reshape(-1), bounds))

@@ -723,9 +723,13 @@ class ExchangePlan:
     def staging(self, shape: Tuple[int, ...] = ()) -> Staging:
         """The staging buffers for values of trailing shape ``shape``
         (``()`` for a vector, ``(c,)`` for ``c`` columns), made on
-        first use and reused by every later run of that shape."""
+        first use and reused by every later run of that shape. A new
+        column shape replaces the previous one; the vector's stay."""
         staging = self._staging.get(shape)
         if staging is None:
+            if shape:
+                for old in [key for key in self._staging if key]:
+                    del self._staging[old]
             xs = np.zeros((self.shard_offset[-1] + 1, *shape))
             xf = np.zeros((self.full_offset[-1], *shape))
             yp = np.zeros((self.full_offset[-1] + 1, *shape))

@@ -2,10 +2,9 @@
 
 This is the observability-layer home of :class:`Instrumentation`
 (grown out of the machine layer; the old ``repro/machine/instrument``
-path has been removed). The public surface is unchanged — ``span`` /
-``add_hook`` /
-``warn`` / ``timings`` / ``as_dict`` / ``reset`` — so every existing
-driver, benchmark, and test keeps working. What is new:
+path has been removed). Its surface is ``span`` / ``warn`` /
+``timings`` / ``total_seconds`` / ``as_dict`` / ``reset``. On top of
+the per-machine totals:
 
 * every :meth:`Instrumentation.span` additionally records a trace span
   into the process-wide :class:`~repro.obs.tracing.Tracer` **when
@@ -28,12 +27,9 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List
+from typing import Dict, Iterator, List
 
 from repro.obs.tracing import get_tracer
-
-SpanHook = Callable[[str, float], None]
-WarningHook = Callable[[str], None]
 
 
 @dataclass
@@ -51,7 +47,7 @@ class PhaseTiming:
 
 
 class Instrumentation:
-    """Per-phase timer registry with span hooks and trace emission.
+    """Per-phase timer registry with trace emission.
 
     Examples
     --------
@@ -64,8 +60,6 @@ class Instrumentation:
 
     def __init__(self):
         self._timings: Dict[str, PhaseTiming] = {}
-        self._hooks: List[SpanHook] = []
-        self._warning_hooks: List[WarningHook] = []
         #: Degradation messages recorded by :meth:`warn`, in order.
         self.warnings: List[str] = []
 
@@ -91,19 +85,9 @@ class Instrumentation:
                     record = self._timings[name] = PhaseTiming(name)
                 record.count += 1
                 record.total_seconds += elapsed
-                for hook in self._hooks:
-                    hook(name, elapsed)
-
-    def add_hook(self, hook: SpanHook) -> None:
-        """Subscribe ``hook(name, seconds)`` to every span close."""
-        self._hooks.append(hook)
-
-    def add_warning_hook(self, hook: WarningHook) -> None:
-        """Subscribe ``hook(message)`` to every :meth:`warn` call."""
-        self._warning_hooks.append(hook)
 
     def warn(self, message: str) -> None:
-        """Record a degradation event and notify warning hooks.
+        """Record a degradation event.
 
         Used by the machine's transport failover: the run continues on
         the fallback transport, but the event is never silent. With
@@ -114,8 +98,6 @@ class Instrumentation:
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("warning", kind="warning", attrs={"message": message})
-        for hook in self._warning_hooks:
-            hook(message)
 
     def timings(self) -> Dict[str, PhaseTiming]:
         """Aggregated timings keyed by span name (insertion-ordered)."""
@@ -127,7 +109,7 @@ class Instrumentation:
         return record.total_seconds if record else 0.0
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """JSON-friendly summary used by the benchmark reports."""
+        """JSON-friendly summary (the session stats' ``phases``)."""
         return {
             name: {
                 "count": record.count,
@@ -138,7 +120,7 @@ class Instrumentation:
         }
 
     def reset(self) -> None:
-        """Drop all recorded timings and warnings (hooks stay registered)."""
+        """Drop all recorded timings and warnings."""
         self._timings.clear()
         self.warnings.clear()
 

@@ -198,21 +198,21 @@ class TestFusionEquivalence:
 
     def test_fused_shm_vs_unfused_simulated(self, partition_q2, shm_q2):
         n = 30
-        backend = CommBackend.POINT_TO_POINT
-        y_shm, ledger_shm, fused = _run_sttsv(
-            partition_q2, n, 13, backend, shm_q2
-        )
-        y_sim, ledger_sim, _ = _run_sttsv(
-            partition_q2,
-            n,
-            13,
-            backend,
-            SimulatedTransport(partition_q2.P),
-            fusion=False,
-        )
-        assert np.array_equal(y_shm.view(np.uint64), y_sim.view(np.uint64))
-        assert ledger_shm == ledger_sim
-        assert fused["messages_fused"] < fused["messages_logical"]
+        for backend in CommBackend:
+            y_shm, ledger_shm, fused = _run_sttsv(
+                partition_q2, n, 13, backend, shm_q2
+            )
+            y_sim, ledger_sim, _ = _run_sttsv(
+                partition_q2,
+                n,
+                13,
+                backend,
+                SimulatedTransport(partition_q2.P),
+                fusion=False,
+            )
+            assert np.array_equal(y_shm.view(np.uint64), y_sim.view(np.uint64))
+            assert ledger_shm == ledger_sim
+            assert fused["messages_fused"] < fused["messages_logical"]
 
     def test_fused_under_faults_bitwise_identical(self, partition_q2):
         from repro.machine.transport import (

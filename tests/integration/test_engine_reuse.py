@@ -371,6 +371,38 @@ class TestColumnContract:
         assert ledger.round_count() == vector.round_count()
         assert ledger.fused_messages == vector.fused_messages
 
+    def test_width_sweep_keeps_one_column_binding(self):
+        """Batched MTTKRP at r = 2..16 on one engine leaves each phase
+        bound to the vector and to the last width only, and the
+        staging likewise; a vector run after the sweep is bitwise the
+        run before it, with the same ledger."""
+        from repro.apps.mttkrp import parallel_symmetric_mttkrp_batched
+
+        partition, n = _partition("dense", 2), 120
+        rng = np.random.default_rng(54)
+        x = rng.standard_normal(n)
+
+        def run():
+            machine.reset_ledger()
+            algo.load_vector(machine, x)
+            algo.run(machine)
+            return algo.gather_result(machine), _fingerprint(machine.ledger)
+
+        with Machine(partition.P) as machine:
+            algo = ParallelSTTSV(partition, n)
+            algo.load_tensor(machine, random_symmetric(n, seed=55))
+            y_before, ledger_before = run()
+            for r in range(2, 17):
+                parallel_symmetric_mttkrp_batched(
+                    algo, machine, rng.standard_normal((n, r))
+                )
+            y_after, ledger_after = run()
+        for phase in (algo.phase_x, algo.phase_y):
+            assert sorted(phase.batches) == [(), (16,)]
+        assert sorted(algo.exchange_plan._staging) == [(), (16,)]
+        assert np.array_equal(y_after.view(np.uint64), y_before.view(np.uint64))
+        assert ledger_after == ledger_before
+
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 class TestNonFiniteVectors:

@@ -6,29 +6,11 @@ padding and shard-bound conventions, and the engine's shard layout
 import numpy as np
 import pytest
 
-from repro.core.distribution import pad_vector, shard_bounds
+from repro.core.distribution import shard_bounds
 from repro.core.parallel_sttsv import ParallelSTTSV
 from repro.core.plans import ExchangePlan
 from repro.errors import PartitionError
 from repro.machine.machine import Machine
-
-
-class TestPadVector:
-    def test_identity(self):
-        x = np.arange(4.0)
-        assert pad_vector(x, 4) is x
-
-    def test_zero_fill(self):
-        padded = pad_vector(np.array([1.0, 2.0]), 5)
-        assert np.array_equal(padded, [1, 2, 0, 0, 0])
-
-    def test_rejects_shrink(self):
-        with pytest.raises(PartitionError):
-            pad_vector(np.ones(5), 3)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(PartitionError):
-            pad_vector(np.ones((2, 2)), 8)
 
 
 class TestShardRoundtrip:

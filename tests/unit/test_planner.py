@@ -280,6 +280,18 @@ class TestPlanSelection:
         assert p2p.words_per_processor < a2a.words_per_processor
         assert decision.best_parallel.candidate.variant == "point-to-point"
 
+    def test_mode_flips_with_communication_cost(self):
+        # α-heavy constants price any exchange above the whole
+        # sequential plan; cheap ones hand the choice to Algorithm 5.
+        def best_mode(alpha, beta):
+            decision = plan_sttsv(
+                90, qs=(3,), calibration=_calibration(alpha=alpha, beta=beta)
+            )
+            return decision.best.candidate.mode
+
+        assert best_mode(1e-2, 1e-9) == "plan"
+        assert best_mode(1e-9, 1e-12) == "parallel"
+
     def test_beta_inflated_prefers_point_to_point(self):
         # Thin pipe: point-to-point's lower word volume wins back.
         decision = plan_sttsv(
