@@ -76,3 +76,40 @@ def test_batched_apply(benchmark, workload, gemm_plan):
         f" strategy={gemm_plan.strategy}"
     )
 
+
+
+LARGE_N = 300
+LARGE_S = 32
+
+
+@pytest.fixture(scope="module")
+def large_workload():
+    tensor = random_symmetric(LARGE_N, seed=0)
+    rng = np.random.default_rng(2)
+    x, X = rng.normal(size=LARGE_N), rng.normal(size=(LARGE_N, LARGE_S))
+    return tensor, x, X, SequentialPlan(tensor, strategy="gemm")
+
+
+def test_cut_operator_apply(benchmark, large_workload):
+    """n = 300: the unfolding cut into row blocks, under half the
+    whole ``n × n(n+1)/2`` one (a size check, not a timing gate)."""
+    tensor, x, _, plan = large_workload
+    whole = 8 * LARGE_N * (LARGE_N * (LARGE_N + 1) // 2)
+    assert plan.nbytes() <= 0.5 * whole
+    y = benchmark(lambda: plan.apply(x))
+    want = sttsv_ndim(tensor, x)
+    assert np.max(np.abs(y - want)) <= 1e-13 * np.max(np.abs(want))
+    print(
+        f"\n[P1 — cut operator at n={LARGE_N}]"
+        f" {plan.nbytes() / 1e6:.1f} MB of {whole / 1e6:.1f} MB whole"
+    )
+
+
+def test_cut_operator_batch(benchmark, large_workload):
+    """n = 300, a 32-column batch through the cut unfolding."""
+    tensor, _, X, plan = large_workload
+    Y = benchmark(lambda: plan.apply_batch(X))
+    reference = np.column_stack(
+        [sttsv_ndim(tensor, X[:, c]) for c in range(LARGE_S)]
+    )
+    assert np.max(np.abs(Y - reference)) <= 1e-13 * np.max(np.abs(reference))

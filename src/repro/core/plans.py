@@ -9,13 +9,14 @@ work once and reuses it:
 * :class:`SequentialPlan` — bound to one packed symmetric tensor of
   any order ``m`` (:class:`~repro.tensor.packed.PackedSymmetricTensor`
   or :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor`).
-  Precomputes either the symmetric unfolding (``gemm`` strategy: each
-  distinct entry's contribution stored once per output row, then one
-  BLAS matrix-vector / matrix-matrix product per STTSV) or the fused
-  weight-times-data scatter arrays (``bincount`` strategy: the packed
-  scatter kernel minus all per-call weight recomputation). Exposes
-  ``apply(x)`` and the batched ``apply_batch(X)`` for ``X ∈ R^{n×s}``
-  — one GEMM-shaped reduction instead of ``s`` independent passes.
+  Precomputes either the symmetric unfolding (``gemm`` strategy: one
+  BLAS matrix-vector / matrix-matrix product per row block, a large
+  unfolding cut so that it stores each distinct entry about once) or
+  the fused weight-times-data scatter arrays (``bincount`` strategy:
+  the packed scatter kernel minus all per-call weight recomputation).
+  Exposes ``apply(x)`` and the batched ``apply_batch(X)`` for
+  ``X ∈ R^{n×s}`` — GEMM-shaped reductions instead of ``s``
+  independent passes.
 * :class:`ExchangePlan` — compiled once per
   :class:`~repro.core.parallel_sttsv.ParallelSTTSV` from the
   partition's holder/consumer pair maps. Replaces the per-call dict
@@ -39,9 +40,13 @@ in BLAS summation order — results agree with the scatter kernels to
 machine-precision rounding (``~1e-13`` relative) but are not bitwise
 identical, and individual batch columns may differ from single-vector
 products in the last ulp (BLAS kernels for GEMV and multi-column GEMM
-block differently). ``auto`` picks ``gemm`` when the operator fits the
-memory budget (``n·C(n+m−2, m−1)`` doubles; 32 MB at n = 200, m = 3)
-and ``bincount`` otherwise.
+block differently). ``auto`` picks ``gemm`` when its compiled state
+fits the memory budget and ``bincount`` otherwise. The whole unfolding
+is ``n·C(n+m−2, m−1)`` doubles, 32 MB at n = 200, m = 3; above
+32 MiB it is cut into row blocks (:meth:`SequentialPlan._compile_gemm`)
+and takes about ``n^m / m!`` doubles: 47.5 MB at n = 300 instead of
+108 MB, so ``auto`` keeps ``gemm`` at order 3 up to n = 554 under the
+default 256 MiB budget.
 """
 
 from __future__ import annotations
@@ -264,6 +269,87 @@ class LRUByteCache:
             self._on_evict(key, value)
 
 
+#: Largest gemm unfolding kept whole, as one row block (32 MiB: the
+#: order-3 operator up to n = 200).
+_GEMM_WHOLE_BYTES = 32 * 1024 * 1024
+
+#: Row-block edge of a larger unfolding's cut.
+_GEMM_BLOCK_EDGE = 32
+
+
+def _multisets(j: int, d: int) -> int:
+    """``d``-multisets of indices below ``j``: the packed-order prefix
+    ``C(j + d − 1, d)`` they occupy."""
+    return comb(j + d - 1, d)
+
+
+def _width(columns: slice) -> int:
+    return columns.stop - columns.start
+
+
+def _gemm_layout(n: int, m: int) -> List[Tuple[int, int, slice, slice]]:
+    """``(j0, j1, columns, tail_columns)`` of each row block of the
+    order-``m`` gemm operator (see :meth:`SequentialPlan._compile_gemm`).
+
+    One block while the whole unfolding fits :data:`_GEMM_WHOLE_BYTES`,
+    else ``K = ⌈n / 32⌉`` near-equal ones. Block ``[j0, j1)`` owns the
+    columns whose largest index it holds; its head, ``j1 − j0`` rows of
+    the ``(m−2)``-multisets below ``j0``, comes first, then its tail.
+    """
+    whole = n * _multisets(n, m - 1) * 8
+    count = 1 if whole <= _GEMM_WHOLE_BYTES else -(-n // _GEMM_BLOCK_EDGE)
+    cuts = [a * n // count for a in range(count + 1)]
+    layout = []
+    for j0, j1 in zip(cuts, cuts[1:]):
+        c0, c1 = _multisets(j0, m - 1), _multisets(j1, m - 1)
+        head = (j1 - j0) * (_multisets(j0, m - 2) if m > 2 else 1)
+        layout.append((j0, j1, slice(c0, c1), slice(c0 + head, c1)))
+    return layout
+
+
+def _product(X: np.ndarray, columns: List[np.ndarray]):
+    """``Π_s X[columns[s]]``, left to right (``1.0`` for none)."""
+    Z = 1.0
+    for column in columns:
+        Z = Z * X[column]
+    return Z
+
+
+def _lower_triangle(packed: np.ndarray, b: int) -> np.ndarray:
+    """The ``b × b`` lower triangles (last two axes) whose rows, in
+    order, are ``packed``'s last axis."""
+    out = np.zeros(packed.shape[:-1] + (b, b))
+    out[(...,) + np.tril_indices(b)] = packed
+    return out
+
+
+def gemm_multiply_adds(n: int, m: int) -> int:
+    """Multiply-adds of one gemm-strategy product at order ``m``: each
+    column block and tail once forward, each column block's rows below
+    its row block once transposed, and ``m − 1`` per entry of the
+    order-``(m−1)`` term (see :meth:`SequentialPlan._compile_gemm`)."""
+    layout = _gemm_layout(n, m)
+    _, _, last, _ = layout[-1]
+    total = (m - 1) * last.start  # the order-(m-1) term's entries
+    for j0, j1, columns, tail in layout:
+        total += (2 * n - j0 - j1) * _width(columns) + j0 * _width(tail)
+    return total
+
+
+class _ColumnBlock(NamedTuple):
+    """The gemm operator's columns whose largest index lies in row
+    block ``[lo, hi)`` (see :meth:`SequentialPlan._compile_gemm`):
+    ``block`` is ``B[lo:, columns]``, ``tail`` is
+    ``B[:lo, tail_columns]``."""
+
+    lo: int
+    hi: int
+    columns: slice
+    tail_columns: slice
+    block: np.ndarray
+    tail: np.ndarray
+
+
 class SequentialPlan:
     """A compiled sequential/batched STTSV executor for one tensor.
 
@@ -329,45 +415,103 @@ class SequentialPlan:
 
     @staticmethod
     def _gemm_bytes(n: int, m: int) -> int:
-        """Bytes of the symmetric unfolding of an order-``m`` tensor."""
-        return n * comb(n + m - 2, m - 1) * 8
+        """Bytes of the gemm strategy's compiled state (what
+        :meth:`nbytes` reports): the cut unfolding's blocks and tails
+        (:meth:`_compile_gemm`) and its monomial column indices."""
+        words = (m - 1) * _multisets(n, m - 1)
+        for j0, _, columns, tail in _gemm_layout(n, m):
+            words += (n - j0) * _width(columns) + j0 * _width(tail)
+        return 8 * words
 
     # -- compilation -----------------------------------------------------------
 
     def _compile_gemm(self) -> None:
-        """Build the symmetric unfolding ``B``.
+        """Build the symmetric unfolding ``B``, cut into row blocks.
 
-        Over the canonical ``(m−1)``-multisets ``M_t`` in packed order,
+        Over the canonical ``(m−1)``-multisets ``M_t``,
         ``B[i, t] = a[canon(i ∪ M_t)] · mult(M_t)``, with ``mult(M_t)``
         the distinct arrangements of ``M_t``, so that
-        ``y = B · Π_s x[M_t,s]``: one ``n × C(n+m−2, m−1)`` GEMV per
-        product, and a GEMM for a batch. At order 3 the columns are the
-        pairs ``j >= k``, ``mult`` is ``2 − [j = k]``, and ``B`` holds
-        about half the dense cube.
+        ``y = B · Π_s x[M_t,s]``. At order 3 the columns are the pairs
+        ``j >= k``, ``mult`` is ``2 − [j = k]``, and the whole ``B``
+        holds about half the dense cube: every distinct entry up to
+        three times.
 
-        Row ``i`` is built without the order-``m`` index table: column
-        ``c`` of ``canon(i ∪ M_t)`` is ``i`` clamped to
-        ``[M_t,c, M_t,c−1]``, and the packed offset sums one binomial
-        per column.
+        A large ``B`` is cut into row blocks ``J = [j0, j1)``
+        (:func:`_gemm_layout`), and row block ``J`` keeps only the
+        columns whose largest index is below ``j1``: about
+        ``n^m / m!`` words, each distinct entry about once. The kept
+        entries are stored by column block: :class:`_ColumnBlock`
+        ``a`` holds the columns whose largest index lies in ``J_a``,
+        over rows ``j0_a..n−1``. A row ``i < j0_a`` recovers the
+        dropped entry ``B[i, t]`` in one of two ways:
+
+        * ``t`` has one index in ``J_a`` (the block's *head*): the
+          entry is also ``B[k, t']`` with ``k ∈ J_a`` and ``t'`` below
+          ``j0_a``, a stored entry of an earlier column block. The
+          transposed products ``u[t'] = Σ_{k ≥ j1} B[k, t'] x_k`` over
+          each column block's rows below its own row block form an
+          order-``(m−1)`` tensor (weighted by ``mult``), whose part of
+          ``y`` is ``(m−1)·STTSV_{m−1}(u, x)`` (:meth:`_lower_order`):
+          at order 3, ``2·U·x``.
+        * ``t`` has two or more indices in ``J_a``: the block's
+          *tail*, ``B[:j0_a, {t : top two of t in J_a}]``, is stored
+          too (``b(b+1)/2`` columns at order 3).
+
+        Within a column block the head comes first, ordered by largest
+        index and then in packed order (a ``b × C(j0+m−3, m−2)``
+        matrix), and the tail follows in packed order; with one block
+        (``K = 1``) that is packed order, and the operator is ``B``
+        itself, element for element. Each block is built row by row
+        from packed data, never through a full ``B``: column ``c`` of
+        ``canon(i ∪ M_t)`` is ``i`` clamped to ``[M_t,c, M_t,c−1]``,
+        and the packed offset sums one binomial per column.
         """
         n, m = self.n, self.m
         M, weights = _ndim_scatter_plan(n, m - 1)
+        layout = _gemm_layout(n, m)
+        order = np.arange(len(M))
+        if m > 2:
+            for j0, _, columns, _ in layout:
+                head = M[columns, 1] < j0
+                order[columns] = np.concatenate(
+                    [order[columns][head], order[columns][~head]]
+                )
+        self._columns = [np.ascontiguousarray(column[order]) for column in M.T]
+        # Each weight row sums to the multiplicity of its multiset.
+        mult = weights.sum(axis=1)[order]
         binomials = [
             np.array([comb(v + m - 1 - c, m - c) for v in range(n)])
             for c in range(m)
         ]
-        bounds = [n - 1, *M.T, 0]
-        B = np.empty((n, M.shape[0]))
-        for i in range(n):
-            offsets = sum(
-                binomials[c][np.clip(i, bounds[c + 1], bounds[c])]
-                for c in range(m)
+        bounds = [n - 1, *self._columns, 0]
+
+        def unfolding(rows: range, columns: slice) -> np.ndarray:
+            """``B[rows, columns]``."""
+            window = [
+                bound if isinstance(bound, int) else bound[columns]
+                for bound in bounds
+            ]
+            out = np.empty((len(rows), _width(columns)))
+            for r, i in enumerate(rows):
+                offsets = sum(
+                    binomials[c][np.minimum(np.maximum(window[c + 1], i), window[c])]
+                    for c in range(m)
+                )
+                np.take(self._data, offsets, out=out[r])
+            out *= mult[columns]
+            return out
+
+        self._blocks = [
+            _ColumnBlock(
+                j0,
+                j1,
+                columns,
+                tail,
+                unfolding(range(j0, n), columns),
+                unfolding(range(j0), tail),
             )
-            np.take(self._data, offsets, out=B[i])
-        # Each weight row sums to the multiplicity of its multiset.
-        B *= weights.sum(axis=1)
-        self._columns = list(M.T)
-        self._operator = B
+            for j0, j1, columns, tail in layout
+        ]
 
     def _compile_bincount(self) -> None:
         """Hoist :func:`~repro.core.sttsv_ndim.sttsv_ndim`'s per-column
@@ -404,35 +548,105 @@ class SequentialPlan:
 
     # -- execution -------------------------------------------------------------
 
-    def _monomials(self, X: np.ndarray) -> np.ndarray:
-        """``Π_s X[M_t,s]`` over the operator's columns (rows of ``X``)."""
-        Z = X[self._columns[0]]
-        for column in self._columns[1:]:
-            Z *= X[column]
+    def _monomials(self, block: _ColumnBlock, X: np.ndarray) -> np.ndarray:
+        """``Π_s X[M_t,s]`` over one column block's columns (rows of
+        ``X``). The head is an outer product: its rows ``t0`` times the
+        monomials of its first row's lower indices, which every row of
+        the head repeats."""
+        start, stop = block.columns.start, block.tail_columns.start
+        rows = block.hi - block.lo
+        Z = np.empty((_width(block.columns),) + X.shape[1:])
+        lower = [
+            column[start : start + (stop - start) // rows]
+            for column in self._columns[1:]
+        ]
+        np.multiply(
+            X[block.lo : block.hi, None],
+            _product(X, lower),
+            out=Z[: stop - start].reshape((rows, -1) + X.shape[1:]),
+        )
+        Z[stop - start :] = _product(
+            X, [column[block.tail_columns] for column in self._columns]
+        )
         return Z
+
+    def _gemm(self, X: np.ndarray) -> np.ndarray:
+        """The gemm strategy on a vector ``(n,)`` or columns ``(n, s)``:
+        each column block's product and tail, then the order-``(m−1)``
+        term of :meth:`_compile_gemm`."""
+        first, *rest = self._blocks
+        Y = first.block @ self._monomials(first, X)  # K = 1: all of B
+        if not rest:
+            return Y
+        # The order-(m-1) term runs on rows of X and Y (one per column).
+        Xt = np.ascontiguousarray(X.T)
+        for block in self._blocks:
+            if block.lo:
+                Z = self._monomials(block, X)
+                Y[block.lo :] += block.block @ Z
+                tail = Z[block.tail_columns.start - block.columns.start :]
+                Y[: block.lo] += block.tail @ tail
+            if block.hi < self.n:
+                below = block.block[block.hi - block.lo :]
+                self._lower_order(block, Xt[..., block.hi :] @ below, Xt, Y.T)
+        return Y
+
+    def _lower_order(
+        self, block: _ColumnBlock, u: np.ndarray, Xt: np.ndarray, Yt: np.ndarray
+    ) -> None:
+        """Add one column block's share of ``(m−1)·STTSV_{m−1}(u, x)``
+        to ``Yt``, for the ``mult``-weighted ``u`` over the block's
+        columns: each ``t`` adds ``u[t]·Π_{q≠p} x[t_q]`` to output
+        ``t_p`` for every position ``p``.
+
+        At order 3 that is two small matrices per vector: the head
+        ``u[t0, t1]`` (``t0`` in the block, ``t1 < j0``) and the tail,
+        expanded to the lower triangle of a ``b × b`` block. Other
+        orders scatter every position of ``u`` with ``bincount``.
+        """
+        if self.m != 3:
+            columns = [column[block.columns] for column in self._columns]
+            for p, column in enumerate(columns):
+                W = u
+                for q, other in enumerate(columns):
+                    if q != p:
+                        W = W * Xt[..., other]
+                for w, y in zip(W.reshape(-1, len(column)), Yt.reshape(-1, self.n)):
+                    y += np.bincount(column, weights=w, minlength=self.n)
+            return
+        lo, hi = block.lo, block.hi
+        split = block.tail_columns.start - block.columns.start
+        x = Xt[..., lo:hi]
+        for square, start in (
+            (u[..., :split].reshape(u.shape[:-1] + (hi - lo, lo)), 0),
+            (_lower_triangle(u[..., split:], hi - lo), lo),
+        ):
+            t1 = slice(start, start + square.shape[-1])
+            Yt[..., lo:hi] += (square @ Xt[..., t1, None])[..., 0]
+            Yt[..., t1] += (x[..., None, :] @ square)[..., 0, :]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``y = A ×₂ x ··· ×ₘ x`` through the compiled structures."""
         x = self._check_vector(x)
         if self.strategy == "gemm":
-            return self._operator @ self._monomials(x)
+            return self._gemm(x)
         return _weighted_scatter(self._columns, self._wa, x, self.n)
 
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
         """``Y[:, ℓ] = A ×₂ X[:, ℓ] ··· ×ₘ X[:, ℓ]`` for all columns at once.
 
-        The gemm strategy evaluates one multi-column GEMM — a single
-        pass over the operator regardless of ``s`` — which is how a
-        production multi-vector engine amortizes tensor traffic (cf.
-        BCSS and Multi-TTM). The bincount strategy falls back to a
-        column loop over :meth:`apply` (bitwise equal to it) since no
+        The gemm strategy evaluates multi-column GEMMs — the same
+        passes over the operator regardless of ``s`` — which is how a production
+        multi-vector engine amortizes tensor traffic (cf. BCSS and
+        Multi-TTM). The bincount strategy falls back to a column loop
+        over :meth:`apply` (bitwise equal to it) since no
         memory-bounded batched scatter exists in pure NumPy.
         """
         X = self._check_matrix(X)
         if X.shape[1] == 0:
             return np.zeros((self.n, 0))
         if self.strategy == "gemm":
-            return self._operator @ self._monomials(X)
+            return self._gemm(X)
         return np.column_stack(
             [self.apply(X[:, col]) for col in range(X.shape[1])]
         )
@@ -455,9 +669,10 @@ class SequentialPlan:
     def nbytes(self) -> int:
         """Bytes of compiled plan state (excluding the tensor itself)."""
         if self.strategy == "gemm":
-            return self._operator.nbytes + sum(
-                column.nbytes for column in self._columns
-            )
+            arrays = list(self._columns)
+            for block in self._blocks:
+                arrays += [block.block, block.tail]
+            return sum(array.nbytes for array in arrays)
         return sum(a.nbytes for a in self._wa)
 
     def __repr__(self) -> str:
@@ -470,10 +685,10 @@ class SequentialPlan:
 class BlockedPlan(SequentialPlan):
     """The name of the former order-m plan over BCSS blocks, kept for
     code that imports it. :class:`SequentialPlan`'s symmetric unfolding
-    serves every order with less memory, so this class adds nothing. It
-    is a subclass rather than an alias so that tooling wrapping the
-    methods of both names (``servebench``'s layer tracer) wraps each
-    class once.
+    serves every order, cut into row blocks once it is large, in less
+    memory, so this class adds nothing. It is a subclass rather than an
+    alias so that tooling wrapping the methods of both names
+    (``servebench``'s layer tracer) wraps each class once.
     """
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.parallel_sttsv import CommBackend
+from repro.core.plans import gemm_multiply_adds
 
 #: Comm-variant names (string forms of ``CommBackend`` values).
 VARIANTS = tuple(backend.value for backend in CommBackend)
@@ -24,9 +25,10 @@ STRATEGIES = ("gemm", "bincount")
 
 
 def gemm_plan_flops(n: int) -> float:
-    """Per-vector flops of the ``gemm`` plan strategy: one product of
-    the ``n × n(n+1)/2`` symmetry-reduced unfolding."""
-    return 2.0 * n * (n * (n + 1) // 2)
+    """Per-vector flops of the ``gemm`` plan strategy at order 3: two
+    per multiply-add of the cut symmetric unfolding's products
+    (:func:`~repro.core.plans.gemm_multiply_adds`)."""
+    return 2.0 * gemm_multiply_adds(n, 3)
 
 
 def scatter_plan_ops(n: int) -> float:

@@ -17,9 +17,8 @@ weights are :func:`repro.tensor.multiplicity.nd_contribution_weights`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from repro.tensor.ndpacked import (
     NdPackedSymmetricTensor,
     nd_index_arrays,
     nd_packed_index,
-    nd_packed_offsets,
+    nd_packed_term,
     nd_packed_size,
 )
 from repro.util.validation import check_positive_int
@@ -41,40 +40,52 @@ def bcss_block_count(nbar: int, m: int) -> int:
     return comb(nbar + m - 1, m)
 
 
-@lru_cache(maxsize=4096)
-def _block_entry_offsets(
-    block_index: Tuple[int, ...], block_size: int
-) -> np.ndarray:
-    """Packed offsets of every entry of one dense ``(b,)*m`` block.
+def _local_axes(pattern: Tuple[bool, ...], block_size: int):
+    """Within-block indices of every entry of a dense ``(b,)*m`` block,
+    sorted descending entry by entry: broadcast arrays whose axis ``t``
+    spans dimension ``t``. ``pattern[t]`` says whether the block's
+    indices ``t`` and ``t + 1`` are equal.
 
-    Each entry's global index tuple is sorted descending by
-    compare-exchanges on broadcast axes, then mapped through
-    :func:`~repro.tensor.ndpacked.nd_packed_offsets`. Only axes whose
-    block indices are equal need exchanging — a canonical block tuple
-    already orders the others — so an off-diagonal block's offsets are
-    one broadcast sum of per-axis terms.
-
-    Cached (4096 entries, read-only arrays): offsets depend only on the
-    block tuple and block size, never on ``n`` (the combinatorial
-    number system is n-independent), so reloads — HOPM restarts,
-    deflation stages, re-registrations — skip recomputing them.
+    Each entry's index tuple is sorted by compare-exchanges on
+    broadcast axes. Only axes whose block indices are equal need
+    exchanging — a canonical block tuple already orders the others —
+    so an off-diagonal block's axes stay one-dimensional.
     """
-    b, m = block_size, len(block_index)
+    b, m = block_size, len(pattern) + 1
     axes = [
-        np.arange(index * b, (index + 1) * b, dtype=np.int64).reshape(
-            (1,) * t + (b,) + (1,) * (m - t - 1)
-        )
-        for t, index in enumerate(block_index)
+        np.arange(b, dtype=np.int64).reshape((1,) * t + (b,) + (1,) * (m - t - 1))
+        for t in range(m)
     ]
     for end in range(m - 1, 0, -1):  # bubble network, descending
         for t in range(end):
-            if block_index[t] == block_index[t + 1]:
+            if pattern[t]:
                 hi = np.maximum(axes[t], axes[t + 1])
                 axes[t + 1] = np.minimum(axes[t], axes[t + 1])
                 axes[t] = hi
-    offsets = nd_packed_offsets(axes)  # axis t spans dimension t: full shape
-    offsets.setflags(write=False)
-    return offsets
+    return axes
+
+
+def _equal_neighbours(block_index: Sequence[int]) -> Tuple[bool, ...]:
+    return tuple(a == b for a, b in zip(block_index, block_index[1:]))
+
+
+def _offsets(block_index: Sequence[int], block_size: int, axes) -> np.ndarray:
+    """Packed offsets of one block's entries at sorted within-block
+    ``axes`` (:func:`_local_axes`, or a leading subset of them for a
+    partial sum): each axis looks its term up in a ``b``-long table."""
+    b = block_size
+    return sum(
+        nd_packed_term(np.arange(index * b, (index + 1) * b), axis.ndim - t)[axis]
+        for t, (index, axis) in enumerate(zip(block_index, axes))
+    )
+
+
+def _block_entry_offsets(
+    block_index: Tuple[int, ...], block_size: int
+) -> np.ndarray:
+    """Packed offsets of every entry of one dense ``(b,)*m`` block."""
+    axes = _local_axes(_equal_neighbours(block_index), block_size)
+    return _offsets(block_index, block_size, axes)
 
 
 def gather_blocks(
@@ -88,18 +99,45 @@ def gather_blocks(
     storage into ``out`` (a fresh ``(len(block_indices), b, ..., b)``
     array if not given). Mirrored entries of a diagonal block are one
     stored word, so every block is exactly symmetric in the modes a
-    repeated block index spans."""
+    repeated block index spans.
+
+    Nothing outlives the call, so a load keeps only its blocks. The
+    sorted within-block axes are built once per pattern of equal block
+    indices. When a block's last two block indices differ its last
+    axis is never exchanged, so each line along it is a contiguous
+    ``b``-long run of packed storage: such a block gathers ``b^(m−1)``
+    runs through a strided view of every run. When only the last two
+    are equal, the same runs are right wherever the last index is the
+    smaller of the two, and the rest is their mirror. The other blocks
+    gather entry by entry.
+    """
+    b = block_size
     if out is None:
-        out = np.empty((len(block_indices),) + (block_size,) * tensor.d)
+        out = np.empty((len(block_indices),) + (b,) * tensor.d)
+    runs = np.lib.stride_tricks.sliding_window_view(tensor.data, b)
+    lower = np.tri(b, dtype=bool)
+    local = {}
     for block, index in zip(out, np.asarray(block_indices).tolist()):
-        # Offsets are in range by construction; "clip" lets take
-        # write straight into the block without a bounds buffer.
-        np.take(
-            tensor.data,
-            _block_entry_offsets(tuple(index), block_size),
-            out=block,
-            mode="clip",
-        )
+        pattern = _equal_neighbours(index)
+        # Only the last two equal: gather as if they differed, then mirror.
+        mirror = pattern[-2:] in ((True,), (False, True))
+        if mirror:
+            pattern = pattern[:-1] + (False,)
+        if pattern not in local:
+            local[pattern] = _local_axes(pattern, b)
+        axes = local[pattern]
+        if pattern and not pattern[-1]:
+            # The last index's term is the index itself: a run's start.
+            starts = _offsets(index[:-1], b, axes[:-1]) + index[-1] * b
+            block[...] = runs[starts[..., 0]]
+            if mirror:
+                block[...] = np.where(lower, block, block.swapaxes(-1, -2))
+        else:
+            # Offsets are in range by construction; "clip" lets take
+            # write straight into the block without a bounds buffer.
+            np.take(
+                tensor.data, _offsets(index, b, axes), out=block, mode="clip"
+            )
     return out
 
 

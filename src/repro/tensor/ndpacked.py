@@ -77,12 +77,18 @@ def nd_packed_offsets(columns: Sequence[np.ndarray]) -> np.ndarray:
     d = len(columns)
     offsets = np.zeros((), dtype=np.int64)
     for t, values in enumerate(columns, start=1):
-        k = d - t + 1
-        term = values
-        for s in range(1, k):
-            term = term * (values + s)
-        offsets = offsets + term // factorial(k)
+        offsets = offsets + nd_packed_term(values, d - t + 1)
     return offsets
+
+
+def nd_packed_term(values: np.ndarray, k: int) -> np.ndarray:
+    """``C(values + k − 1, k)``: the part of a packed offset that an
+    index contributes from the ``k``-th-to-last position (see
+    :func:`nd_packed_offsets`)."""
+    term = values
+    for s in range(1, k):
+        term = term * (values + s)
+    return term // factorial(k)
 
 
 def nd_index_arrays(n: int, d: int) -> np.ndarray:

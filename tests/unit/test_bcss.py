@@ -62,6 +62,22 @@ class TestStorage:
         bcss = BCSSTensor.from_ndpacked(tensor, b)
         assert np.array_equal(bcss.to_ndpacked().data, tensor.data)
 
+    @pytest.mark.parametrize(
+        "n,m,b", [(12, 2, 3), (12, 3, 3), (12, 3, 4), (12, 4, 3), (10, 5, 2)]
+    )
+    def test_every_block_is_its_dense_cube(self, n, m, b):
+        """Each gather path — runs, runs plus mirror, entry by entry —
+        cuts exactly the dense cube's block."""
+        tensor = nd_random_symmetric(n, m, seed=2)
+        dense = tensor.to_dense()
+        bcss = BCSSTensor.from_ndpacked(tensor, b)
+        patterns = set()
+        for block, index in zip(bcss.blocks, bcss.block_indices.tolist()):
+            cube = dense[tuple(slice(i * b, (i + 1) * b) for i in index)]
+            assert np.array_equal(block, cube)
+            patterns.add(tuple(a == c for a, c in zip(index, index[1:])))
+        assert len(patterns) == 2 ** (m - 1)
+
     def test_dense_roundtrip(self):
         tensor = nd_random_symmetric(6, 4, seed=2)
         bcss = BCSSTensor.from_ndpacked(tensor, 2)

@@ -1,10 +1,12 @@
 """Compiled execution plans: correctness, caching, and the invariance
 of communication accounting under the exchange-plan rewrite."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
-from repro.core import bounds
+from repro.core import bounds, plans
 from repro.core.parallel_sttsv import CommBackend, ParallelSTTSV
 from repro.core.plans import (
     DEFAULT_GEMM_BUDGET_BYTES,
@@ -15,6 +17,7 @@ from repro.core.plans import (
     cache_clear,
     cache_info,
     configure_cache,
+    gemm_multiply_adds,
     invalidate_plan,
     sequential_plan,
 )
@@ -23,7 +26,11 @@ from repro.core.sttsv_sequential import sttsv, sttsv_packed
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
 from repro.tensor.dense import random_symmetric
-from repro.tensor.ndpacked import nd_index_arrays, nd_random_symmetric
+from repro.tensor.ndpacked import (
+    nd_index_arrays,
+    nd_packed_index_array,
+    nd_random_symmetric,
+)
 
 
 class TestSequentialPlanCorrectness:
@@ -59,7 +66,8 @@ class TestSequentialPlanCorrectness:
         offsets = hi * (hi + 1) * (hi + 2) // 6 + mid * (mid + 1) // 2 + lo
         want = tensor.data[offsets] * np.where(Jp == Kp, 1.0, 2.0)
         plan = SequentialPlan(tensor, strategy="gemm")
-        assert np.array_equal(plan._operator, want)
+        (whole,) = plan._blocks
+        assert np.array_equal(whole.block, want)
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("strategy", ["auto", "gemm", "bincount"])
@@ -158,8 +166,126 @@ class TestStrategySelection:
         assert plan.strategy == "bincount"
 
     def test_gemm_bytes_formula(self):
-        assert SequentialPlan._gemm_bytes(200, 3) == 200 * (200 * 201 // 2) * 8
-        assert SequentialPlan._gemm_bytes(40, 4) == 40 * (40 * 41 * 42 // 6) * 8
+        """One row block up to 32 MiB of unfolding: ``n·C(n+m−2, m−1)``
+        operator words plus ``m−1`` monomial index columns. Beyond it,
+        row block ``[j0, j1)`` of width ``b`` keeps its column block
+        over rows ``j0..n−1`` and a ``j0 × b(b+1)/2`` tail (order 3).
+        """
+        assert SequentialPlan._gemm_bytes(200, 3) == (200 + 2) * (200 * 201 // 2) * 8
+        assert SequentialPlan._gemm_bytes(40, 4) == (40 + 3) * (40 * 41 * 42 // 6) * 8
+
+        def pairs(j):
+            return j * (j + 1) // 2
+
+        words = 2 * pairs(300)
+        for a in range(10):
+            j0, j1 = 30 * a, 30 * (a + 1)
+            words += (300 - j0) * (pairs(j1) - pairs(j0)) + j0 * pairs(30)
+        assert SequentialPlan._gemm_bytes(300, 3) == 8 * words
+        assert SequentialPlan._gemm_bytes(300, 3) <= 0.5 * 300 * pairs(300) * 8
+
+    def test_multiply_adds(self):
+        """One GEMV of the whole unfolding up to n = 200; the cut one at
+        n = 300 reads its blocks forward and below-block transposed,
+        under three quarters of the whole GEMV."""
+        assert gemm_multiply_adds(200, 3) == 200 * (200 * 201 // 2)
+        assert gemm_multiply_adds(300, 3) < 0.75 * 300 * (300 * 301 // 2)
+
+    def test_auto_keeps_gemm_to_larger_n(self):
+        """The cut unfolding fits the default budget to n = 554 at
+        order 3 (the whole one stopped at n = 406)."""
+        assert SequentialPlan._gemm_bytes(554, 3) <= DEFAULT_GEMM_BUDGET_BYTES
+        assert SequentialPlan._gemm_bytes(555, 3) > DEFAULT_GEMM_BUDGET_BYTES
+
+
+def _unfolding(tensor):
+    """The whole symmetric unfolding from its definition:
+    ``B[i, t] = a[canon(i ∪ M_t)] · mult(M_t)``."""
+    n, m = tensor.n, tensor.d
+    columns = nd_index_arrays(n, m - 1)
+    mult = np.array(
+        [
+            factorial(m - 1)
+            / np.prod([factorial(c) for c in np.unique(t, return_counts=True)[1]])
+            for t in columns
+        ]
+    )
+    B = np.empty((n, len(columns)))
+    for i in range(n):
+        entries = -np.sort(-np.column_stack([np.full(len(columns), i), columns]))
+        B[i] = tensor.data[nd_packed_index_array(entries)]
+    return B * mult
+
+
+@pytest.fixture
+def cut_small(monkeypatch):
+    """Cut every gemm unfolding into row blocks of ``edge`` rows."""
+
+    def cut(edge):
+        monkeypatch.setattr(plans, "_GEMM_WHOLE_BYTES", 0)
+        monkeypatch.setattr(plans, "_GEMM_BLOCK_EDGE", edge)
+
+    return cut
+
+
+class TestCutUnfolding:
+    """The gemm operator cut into row blocks (``K > 1``) against the
+    order-m kernel, and the whole one (``K = 1``) against ``B``."""
+
+    @pytest.mark.parametrize(
+        "order, n, edge",
+        [(2, 11, 3), (3, 11, 3), (3, 41, 7), (3, 13, 2), (4, 13, 4), (4, 10, 3)],
+    )
+    def test_cut_matches_ndim_kernel(self, order, n, edge, cut_small, rng):
+        cut_small(edge)
+        tensor = nd_random_symmetric(n, order, seed=n)
+        plan = SequentialPlan(tensor, strategy="gemm")
+        assert len(plan._blocks) == -(-n // edge) > 1
+        assert n % len(plan._blocks)  # uneven row blocks
+        x = rng.normal(size=n)
+        want = sttsv_ndim(tensor, x)
+        assert np.max(np.abs(plan.apply(x) - want)) <= 1e-13 * np.max(np.abs(want))
+        for s in (1, 5):
+            X = rng.normal(size=(n, s))
+            want = np.column_stack([sttsv_ndim(tensor, X[:, c]) for c in range(s)])
+            got = plan.apply_batch(X)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("order, n", [(2, 9), (3, 11), (4, 7)])
+    def test_whole_operator_is_the_unfolding(self, order, n):
+        tensor = nd_random_symmetric(n, order, seed=order)
+        plan = SequentialPlan(tensor, strategy="gemm")
+        (whole,) = plan._blocks
+        assert np.array_equal(whole.block, _unfolding(tensor))
+
+    @pytest.mark.parametrize("order, n, edge", [(2, 11, 3), (3, 17, 4), (4, 13, 4)])
+    def test_cut_keeps_the_unfolding_entries(self, order, n, edge, cut_small):
+        """Each column block is ``B[j0:, columns]`` and each tail
+        ``B[:j0, tail columns]``, up to the column order the plan's
+        monomial columns record."""
+        tensor = nd_random_symmetric(n, order, seed=order)
+        B = _unfolding(tensor)
+        cut_small(edge)
+        plan = SequentialPlan(tensor, strategy="gemm")
+        packed = nd_packed_index_array(np.column_stack(plan._columns))
+        for block in plan._blocks:
+            assert np.array_equal(block.block, B[block.lo :, packed[block.columns]])
+            assert np.array_equal(block.tail, B[: block.lo, packed[block.tail_columns]])
+
+    @pytest.mark.parametrize("order, n, edge", [(2, 11, 3), (3, 41, 7), (4, 13, 4)])
+    def test_nbytes_is_priced(self, order, n, edge, cut_small):
+        cut_small(edge)
+        plan = SequentialPlan(nd_random_symmetric(n, order, seed=0), strategy="gemm")
+        assert plan.nbytes() == SequentialPlan._gemm_bytes(n, order)
+
+    def test_n300_is_cut_by_default(self, rng):
+        tensor = random_symmetric(300, seed=0)
+        plan = SequentialPlan(tensor, strategy="gemm")
+        assert len(plan._blocks) == 10
+        assert plan.nbytes() == SequentialPlan._gemm_bytes(300, 3)
+        x = rng.normal(size=300)
+        want = sttsv_ndim(tensor, x)
+        assert np.max(np.abs(plan.apply(x) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestPlanCache:

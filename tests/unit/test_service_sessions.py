@@ -1,5 +1,8 @@
 """Warm engine sessions and the LRU session pool."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,33 @@ class TestEngineSessionExecution:
         session = EngineSession(key, tensor)
         try:
             assert session.plan is plan
+        finally:
+            session.close()
+
+
+class TestResidentMemory:
+    def test_registration_retains_only_its_state(self):
+        """A registration keeps the tensor, the engine's blocks and the
+        plan (as ``plan.nbytes()`` prices it), and nothing else of
+        size: no per-block offset tables outlive the load. A smaller
+        session first warms the process-wide structures, with a
+        different block size."""
+        _session(n=30).close()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            session = _session(n=120)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        try:
+            stored = session.machine[0].memory["tensor_blocks"].values()
+            blocks = next(iter(stored)).base
+            expected = (
+                session.tensor.data.nbytes + blocks.nbytes + session.plan.nbytes()
+            )
+            assert retained <= expected + 2**20
         finally:
             session.close()
 
