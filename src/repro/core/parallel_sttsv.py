@@ -359,6 +359,11 @@ class ParallelSTTSV:
                 },
             )
 
+    def tensor_nbytes(self) -> int:
+        """Bytes of the one block allocation a dense :meth:`load_tensor`
+        makes: every owned block, ``b^m`` words each."""
+        return 8 * self._allocated * self.b**self.partition.order
+
     def storage(self, machine: Machine) -> str:
         """What the machine's processors hold, and so which kernel
         :meth:`run` uses: ``"dense"`` blocks or ``"sparse"`` entries."""

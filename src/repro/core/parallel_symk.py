@@ -180,6 +180,13 @@ class ParallelSymKTTSV:
             raise ConfigurationError("no factors loaded")
         return int(self._lambda.shape[0])
 
+    def tensor_nbytes(self) -> int:
+        """Bytes of the resident factors: every processor's ``V`` row
+        block and the replicated ``λ``."""
+        if self._lambda is None or self._V_blocks is None:
+            return 0
+        return self._lambda.nbytes + sum(V.nbytes for V in self._V_blocks)
+
     # -- streaming updates -------------------------------------------------------
 
     def rank1_update(self, weight: float, vector: np.ndarray) -> int:

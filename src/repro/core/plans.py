@@ -358,11 +358,12 @@ class SequentialPlan:
     tensor:
         The bound tensor: a :class:`PackedSymmetricTensor` or an
         :class:`~repro.tensor.ndpacked.NdPackedSymmetricTensor` of any
-        order ``m >= 2``. The plan snapshots nothing — it references
-        ``tensor.data`` directly — but precomputed products bake the
-        *current* values in, so the plan is only valid while the data
-        is unmodified (see :func:`sequential_plan` for the cache that
-        tracks this).
+        order ``m >= 2``. The compiled structures are built from
+        ``tensor.data`` and bake its *current* values in, so the plan
+        is only valid while the data is unmodified (see
+        :func:`sequential_plan` for the cache that tracks this). The
+        plan keeps only a weak reference to ``tensor.data``: it never
+        keeps the packed tensor alive.
     strategy:
         ``"auto"`` (default), ``"gemm"``, or ``"bincount"``.
     gemm_budget_bytes:
@@ -397,7 +398,7 @@ class SequentialPlan:
             )
         self.n = tensor.n
         self.m = tensor.d
-        self._data = tensor.data
+        self._data = weakref.ref(tensor.data)
         self._mutations = tensor._mutations
         self.requested_strategy = strategy
         if strategy == "auto":
@@ -409,9 +410,9 @@ class SequentialPlan:
         self.strategy = strategy
         self._norm_sq: Optional[float] = None
         if strategy == "gemm":
-            self._compile_gemm()
+            self._compile_gemm(tensor.data)
         else:
-            self._compile_bincount()
+            self._compile_bincount(tensor.data)
 
     @staticmethod
     def _gemm_bytes(n: int, m: int) -> int:
@@ -425,7 +426,7 @@ class SequentialPlan:
 
     # -- compilation -----------------------------------------------------------
 
-    def _compile_gemm(self) -> None:
+    def _compile_gemm(self, data: np.ndarray) -> None:
         """Build the symmetric unfolding ``B``, cut into row blocks.
 
         Over the canonical ``(m−1)``-multisets ``M_t``,
@@ -467,7 +468,8 @@ class SequentialPlan:
         and the packed offset sums one binomial per column.
         """
         n, m = self.n, self.m
-        M, weights = _ndim_scatter_plan(n, m - 1)
+        # Uncached: the plan keeps its own permuted copy of the table.
+        M, weights = _ndim_scatter_plan.__wrapped__(n, m - 1)
         layout = _gemm_layout(n, m)
         order = np.arange(len(M))
         if m > 2:
@@ -497,7 +499,7 @@ class SequentialPlan:
                     binomials[c][np.minimum(np.maximum(window[c + 1], i), window[c])]
                     for c in range(m)
                 )
-                np.take(self._data, offsets, out=out[r])
+                np.take(data, offsets, out=out[r])
             out *= mult[columns]
             return out
 
@@ -513,12 +515,12 @@ class SequentialPlan:
             for j0, j1, columns, tail in layout
         ]
 
-    def _compile_bincount(self) -> None:
+    def _compile_bincount(self, data: np.ndarray) -> None:
         """Hoist :func:`~repro.core.sttsv_ndim.sttsv_ndim`'s per-column
         ``weight · a`` products."""
         indices, weights = _ndim_scatter_plan(self.n, self.m)
         self._columns = list(indices.T)
-        self._wa = [w * self._data for w in weights.T]
+        self._wa = [w * data for w in weights.T]
 
     # -- validation ------------------------------------------------------------
 
@@ -526,7 +528,7 @@ class SequentialPlan:
         """True iff the plan was compiled against this tensor's current
         data (same array object, no element writes since)."""
         return (
-            self._data is tensor.data
+            self._data() is tensor.data
             and self._mutations == tensor._mutations
         )
 
@@ -657,13 +659,18 @@ class SequentialPlan:
         """``||A||²`` over the full hypercube, from packed storage.
 
         Each canonical entry counts with its permutation multiplicity,
-        which equals the sum of its scatter weights.
+        which equals the sum of its scatter weights. Needs the bound
+        tensor's data alive on the first call.
         """
         if self._norm_sq is None:
+            data = self._data()
+            if data is None:
+                raise ConfigurationError(
+                    "the plan's tensor data is gone; compute the norm"
+                    " while the tensor is alive"
+                )
             weights = _ndim_scatter_plan(self.n, self.m)[1]
-            self._norm_sq = float(
-                np.sum(weights.sum(axis=1) * self._data**2)
-            )
+            self._norm_sq = float(np.sum(weights.sum(axis=1) * data**2))
         return self._norm_sq
 
     def nbytes(self) -> int:

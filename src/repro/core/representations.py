@@ -185,9 +185,6 @@ class _SteinerRepresentation(Representation):
     def plan(self, tensor, strategy: str) -> SequentialPlan:
         return sequential_plan(tensor, strategy=strategy)
 
-    def nbytes(self, tensor) -> int:
-        return int(tensor.data.nbytes)
-
 
 class Dense3(_SteinerRepresentation):
     """``P = q(q²+1)``; body = packed upper-tetrahedral entries."""
@@ -359,9 +356,6 @@ class SymK(Representation):
                 f" strategy, got {strategy!r}"
             )
         return SymKPlan(tensor)
-
-    def nbytes(self, tensor) -> int:
-        return int(tensor.nbytes)
 
     def rank(self, tensor) -> Optional[int]:
         return tensor.r

@@ -167,7 +167,9 @@ class _Backend:
 class _TensorRecord:
     """One registration the gateway can replay: routing identity, the
     original frame payload, and — for streamed-update tensors — every
-    accepted ``UPDATE`` frame in epoch order.
+    accepted ``UPDATE`` frame in epoch order. Payloads are the received
+    body objects themselves, not copies: each frame owns its body
+    buffer, and nothing writes to it after the frame is parsed.
 
     The update log is what makes failover exact: a shard that inherits
     the tensor receives the registration replay (epoch 0) followed by
@@ -473,7 +475,7 @@ class STTSVGateway(FrameLoopServer):
         with self._state:
             owners = tuple(self._ring.nodes_for(key, self.replication))
             self._tensors[registration.tensor_id] = _TensorRecord(
-                registration, key, dict(header), bytes(body), owners
+                registration, key, dict(header), body, owners
             )
         self.metrics.incr("registrations")
         reply_header = dict(reply_header)
@@ -635,7 +637,7 @@ class STTSVGateway(FrameLoopServer):
                 # replayed instead — registration plus every update,
                 # this one included.
                 with self._state:
-                    record.updates.append((dict(header), bytes(body)))
+                    record.updates.append((dict(header), body))
                 for replica in healthy[1:]:
                     try:
                         r_type, r_header, _ = self._forward_to(

@@ -40,7 +40,8 @@ import enum
 import json
 import socket
 import struct
-from typing import Dict, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -111,26 +112,30 @@ class ErrorCode(enum.Enum):
     INTERNAL = "internal"
 
 
-def pack_frame(
-    msg_type: MessageType, header: Dict, body: bytes = b""
-) -> bytes:
-    """Serialize one frame (the inverse of :func:`unpack_frame`)."""
+def _frame_head(msg_type: MessageType, header: Dict, body_len: int) -> bytes:
+    """Prefix + header of a frame whose body is ``body_len`` bytes."""
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     if len(header_bytes) > MAX_HEADER_BYTES:
         raise ProtocolError(f"header too large ({len(header_bytes)} bytes)")
-    if len(body) > MAX_BODY_BYTES:
-        raise ProtocolError(f"body too large ({len(body)} bytes)")
+    if body_len > MAX_BODY_BYTES:
+        raise ProtocolError(f"body too large ({body_len} bytes)")
     return (
         _PREFIX.pack(
             MAGIC,
             PROTOCOL_VERSION,
             int(msg_type),
             len(header_bytes),
-            len(body),
+            body_len,
         )
         + header_bytes
-        + body
     )
+
+
+def pack_frame(
+    msg_type: MessageType, header: Dict, body: bytes = b""
+) -> bytes:
+    """Serialize one frame (the inverse of :func:`unpack_frame`)."""
+    return _frame_head(msg_type, header, len(body)) + body
 
 
 def unpack_frame(data: bytes) -> Tuple[MessageType, Dict, bytes]:
@@ -157,19 +162,35 @@ def write_frame(
     header: Dict,
     body: bytes = b"",
 ) -> None:
-    """Send one frame over a connected socket."""
-    sock.sendall(pack_frame(msg_type, header, body))
+    """Send one frame over a connected socket.
+
+    Prefix and header go out with the body in each ``sendmsg`` call,
+    the body straight from its own buffer (any bytes-like object,
+    e.g. :func:`encode_array`'s view of an array): no joined copy of
+    the frame is made, and a small frame is still one segment.
+    """
+    body = memoryview(body).cast("B")
+    pending = [memoryview(_frame_head(msg_type, header, len(body)))]
+    if len(body):
+        pending.append(body)
+    while pending:
+        sent = sock.sendmsg(pending)
+        while pending and sent >= len(pending[0]):
+            sent -= len(pending.pop(0))
+        if sent:
+            pending[0] = pending[0][sent:]
 
 
-def read_frame(sock: socket.socket) -> Tuple[MessageType, Dict, bytes]:
+def read_frame(sock: socket.socket) -> Tuple[MessageType, Dict, bytearray]:
     """Read exactly one frame; raises ``ConnectionError`` on clean EOF
-    before any prefix byte, :class:`ProtocolError` on malformed input."""
+    before any prefix byte, :class:`ProtocolError` on malformed input.
+    The body is its own writable, aligned ``bytearray``, so
+    :func:`decode_array` wraps it without a copy."""
     prefix = _recv_exact(sock, _PREFIX.size)
     magic, version, msg_type, header_len, body_len = _PREFIX.unpack(prefix)
     _check_prefix(magic, version, msg_type, header_len, body_len)
     header = _decode_header(_recv_exact(sock, header_len))
-    body = _recv_exact(sock, body_len) if body_len else b""
-    return MessageType(msg_type), header, body
+    return MessageType(msg_type), header, _recv_exact(sock, body_len)
 
 
 def _check_prefix(
@@ -204,21 +225,21 @@ def _decode_header(raw: bytes) -> Dict:
     return header
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if remaining == count and not chunks:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    filled = 0
+    while filled < count:
+        received = sock.recv_into(view[filled:])
+        if not received:
+            if not filled:
                 raise ConnectionError("connection closed")
             raise ConnectionClosedMidFrame(
-                f"connection closed mid-frame ({count - remaining} of"
+                f"connection closed mid-frame ({filled} of"
                 f" {count} bytes read)"
             )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        filled += received
+    return buffer
 
 
 # -- incremental parsing --------------------------------------------------------
@@ -243,24 +264,46 @@ class FrameReader:
     a hostile peer can make the server buffer. A raised reader is
     poisoned: the stream has no recoverable frame boundary, so every
     later call re-raises.
+
+    Once a frame's header is in, its body gets its own ``bytearray``,
+    and fed bytes are copied into it once, as they arrive. The frame
+    hands that buffer out and owns it: it starts 8-byte aligned and is
+    writable, so :func:`decode_array` wraps it without a copy, and
+    nothing else refers to it. The buffer is not sized to the
+    advertised length up front, which would let 16 bytes reserve
+    :data:`MAX_BODY_BYTES`: it starts at most 64 KiB and doubles as
+    bytes arrive, so it holds at most twice what the peer sent, and a
+    complete body carries less than 16 KiB of spare capacity.
     """
 
     def __init__(self):
-        self._buffer = bytearray()
+        #: Fed bytes not parsed yet, as views of the fed chunks.
+        self._unread: Deque[memoryview] = deque()
+        self._unread_bytes = 0
+        #: Prefix, then header, of the frame in progress.
+        self._head = bytearray()
         #: Parsed prefix of the in-progress frame, or None between frames.
         self._pending: Optional[Tuple[int, int, int]] = None
+        #: Header and partly filled body of the in-progress frame, once
+        #: the header is complete.
+        self._header: Optional[Dict] = None
+        self._body: Optional[bytearray] = None
+        self._filled = 0
         self._error: Optional[ProtocolError] = None
 
     def feed(self, data: bytes) -> None:
-        """Buffer bytes as they arrive off the socket."""
-        self._buffer.extend(data)
+        """Queue bytes as they arrive off the socket. A ``bytes`` chunk
+        (what ``recv`` returns) is kept by reference until parsed."""
+        if data:
+            self._unread.append(memoryview(bytes(data)))
+            self._unread_bytes += len(data)
 
     @property
     def buffered(self) -> int:
         """Bytes held but not yet returned as a frame."""
-        return len(self._buffer)
+        return self._unread_bytes + len(self._head) + self._filled
 
-    def next_frame(self) -> Optional[Tuple[MessageType, Dict, bytes]]:
+    def next_frame(self) -> Optional[Tuple[MessageType, Dict, bytearray]]:
         """The next complete frame, or None until more bytes arrive."""
         if self._error is not None:
             raise self._error
@@ -270,33 +313,80 @@ class FrameReader:
             self._error = error
             raise
 
-    def _parse(self) -> Optional[Tuple[MessageType, Dict, bytes]]:
+    def _take(self, count: int) -> memoryview:
+        """Pop up to ``count`` fed bytes of the first fed chunk (the
+        caller checks that one is queued), as a view of it."""
+        chunk = self._unread.popleft()
+        if len(chunk) > count:
+            self._unread.appendleft(chunk[count:])
+            chunk = chunk[:count]
+        self._unread_bytes -= len(chunk)
+        return chunk
+
+    def _fill_head(self, size: int) -> bool:
+        """Grow the head to ``size`` bytes; True once it holds them."""
+        while len(self._head) < size and self._unread:
+            self._head += self._take(size - len(self._head))
+        return len(self._head) == size
+
+    def _fill_body(self, body_len: int) -> bool:
+        """Copy fed bytes into the body; True once it is complete."""
+        while self._filled < body_len and self._unread:
+            chunk = self._take(body_len - self._filled)
+            end = self._filled + len(chunk)
+            while len(self._body) < end:
+                # An exact reallocation: CPython over-allocates only
+                # growth below 1/8.
+                self._body *= 2
+            self._body[self._filled : end] = chunk
+            self._filled = end
+        if self._filled < body_len:
+            return False
+        del self._body[body_len:]
+        return True
+
+    def _parse(self) -> Optional[Tuple[MessageType, Dict, bytearray]]:
         if self._pending is None:
-            if len(self._buffer) < _PREFIX.size:
+            if not self._fill_head(_PREFIX.size):
                 return None
             magic, version, msg_type, header_len, body_len = (
-                _PREFIX.unpack_from(self._buffer)
+                _PREFIX.unpack(self._head)
             )
             _check_prefix(magic, version, msg_type, header_len, body_len)
-            del self._buffer[: _PREFIX.size]
             self._pending = (msg_type, header_len, body_len)
+            self._head.clear()
         msg_type, header_len, body_len = self._pending
-        if len(self._buffer) < header_len + body_len:
+        if self._body is None:
+            if not self._fill_head(header_len):
+                return None
+            self._header = _decode_header(self._head)
+            self._head.clear()
+            self._body = bytearray(_first_capacity(body_len))
+        if not self._fill_body(body_len):
             return None
-        header = _decode_header(bytes(self._buffer[:header_len]))
-        body = bytes(self._buffer[header_len : header_len + body_len])
-        del self._buffer[: header_len + body_len]
-        self._pending = None
-        return MessageType(msg_type), header, body
+        frame = (MessageType(msg_type), self._header, self._body)
+        self._pending = self._header = self._body = None
+        self._filled = 0
+        return frame
+
+
+def _first_capacity(body_len: int) -> int:
+    """A body buffer's size before its doublings: ``body_len / 2^k``
+    rounded up, for the least ``k`` that makes it at most 64 KiB, so
+    ``k`` doublings overshoot ``body_len`` by less than ``2^k``."""
+    return -(-body_len >> max(0, (body_len - 1) >> 16).bit_length())
 
 
 # -- array payloads ------------------------------------------------------------
 
 
-def encode_array(array: np.ndarray) -> Tuple[Dict, bytes]:
-    """Header fields + raw bytes for a float64 payload (C order)."""
+def encode_array(array: np.ndarray) -> Tuple[Dict, memoryview]:
+    """Header fields + the bytes of a float64 payload (C order): a
+    byte view of the array itself when it already is contiguous
+    little-endian float64, so sending it copies nothing."""
     array = np.ascontiguousarray(np.asarray(array, dtype="<f8"))
-    return {"shape": list(array.shape), "dtype": "<f8"}, array.tobytes()
+    header = {"shape": list(array.shape), "dtype": "<f8"}
+    return header, memoryview(array.reshape(-1)).cast("B")
 
 
 def decode_array(
@@ -304,7 +394,13 @@ def decode_array(
     body: bytes,
     expected_ndim: Optional[int] = None,
 ) -> np.ndarray:
-    """Reconstruct the payload array; validates shape/length/dtype."""
+    """The payload array; validates shape/length/dtype.
+
+    A writable, aligned body (what :class:`FrameReader` and
+    :func:`read_frame` hand out) is wrapped as is: the array is a view
+    of the frame's own buffer. A read-only body (``bytes``) is copied,
+    so the array is always writable.
+    """
     shape = header.get("shape")
     if (
         not isinstance(shape, list)
@@ -326,7 +422,10 @@ def decode_array(
             f"body carries {len(body)} bytes, shape {shape} needs"
             f" {8 * count}"
         )
-    return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+    array = np.frombuffer(body, dtype="<f8").reshape(shape)
+    if array.flags.writeable and array.flags.aligned:
+        return array
+    return array.copy()
 
 
 def error_header(code: ErrorCode, message: str) -> Dict:

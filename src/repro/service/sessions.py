@@ -88,6 +88,10 @@ class EngineSession:
     are single-stream); :attr:`exec_lock` serializes them. The
     micro-batcher owns the lock for batched work; direct callers must
     take it too.
+
+    Once the engine holds its blocks and the plan is compiled, a dense
+    session drops the packed tensor: :attr:`tensor` is kept only by
+    versioned (symk) sessions, whose updates extend their factors.
     """
 
     def __init__(
@@ -100,7 +104,7 @@ class EngineSession:
     ):
         self.representation = key.representation
         self.key = key
-        self.tensor = tensor
+        self.tensor = tensor if self.representation.versioned else None
         self.n = tensor.n
         self.faults = faults
         self.variant = CommBackend(variant)
@@ -200,9 +204,10 @@ class EngineSession:
     # -- accounting ------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Resident bytes the pool budgets for: stored tensor data plus
-        compiled plan state (machine buffers are proportional)."""
-        return self.representation.nbytes(self.tensor) + self.plan.nbytes()
+        """Resident bytes the pool budgets for: the engine's loaded
+        tensor state plus the compiled plan (a symk plan is the
+        factors themselves; machine buffers are lower order)."""
+        return self.algo.tensor_nbytes() + self.plan.nbytes()
 
     def snapshot(self) -> Dict:
         """Stats-endpoint view: serving counters + machine-layer

@@ -88,6 +88,19 @@ def _block_entry_offsets(
     return _offsets(block_index, block_size, axes)
 
 
+def _run_layout(pattern: Tuple[bool, ...], block_size: int):
+    """How :func:`gather_blocks` fills a block whose equal block indices
+    follow ``pattern``: the sorted within-block axes of its leading
+    ``m − 1`` indices (the last one is left unsorted, so each line
+    along it is one packed run), and the first position of the
+    trailing run of positions that share the last block index."""
+    axes = _local_axes(pattern[:-1] + (False,), block_size)[:-1]
+    first = len(pattern)
+    while first and pattern[first - 1]:
+        first -= 1
+    return axes, first
+
+
 def gather_blocks(
     tensor: NdPackedSymmetricTensor,
     block_indices,
@@ -101,43 +114,45 @@ def gather_blocks(
     stored word, so every block is exactly symmetric in the modes a
     repeated block index spans.
 
-    Nothing outlives the call, so a load keeps only its blocks. The
-    sorted within-block axes are built once per pattern of equal block
-    indices. When a block's last two block indices differ its last
-    axis is never exchanged, so each line along it is a contiguous
-    ``b``-long run of packed storage: such a block gathers ``b^(m−1)``
-    runs through a strided view of every run. When only the last two
-    are equal, the same runs are right wherever the last index is the
-    smaller of the two, and the rest is their mirror. The other blocks
-    gather entry by entry.
+    Nothing outlives the call, so a load keeps only its blocks. Every
+    block is filled from ``b``-long runs of packed storage: with the
+    last axis left unsorted, each line along it is a contiguous run,
+    gathered through a strided view of every run. The within-block
+    axes are built once per pattern of equal block indices
+    (:func:`_run_layout`). A run is right wherever the last index is
+    the smallest of the trailing equal block indices, which is
+    everywhere when the last two block indices differ; the rest of the
+    block is mirrored from those entries by swapping the last axis
+    with the one holding the smallest index.
     """
     b = block_size
     if out is None:
         out = np.empty((len(block_indices),) + (b,) * tensor.d)
     runs = np.lib.stride_tricks.sliding_window_view(tensor.data, b)
-    lower = np.tri(b, dtype=bool)
-    local = {}
+    layouts = {}
     for block, index in zip(out, np.asarray(block_indices).tolist()):
         pattern = _equal_neighbours(index)
-        # Only the last two equal: gather as if they differed, then mirror.
-        mirror = pattern[-2:] in ((True,), (False, True))
-        if mirror:
-            pattern = pattern[:-1] + (False,)
-        if pattern not in local:
-            local[pattern] = _local_axes(pattern, b)
-        axes = local[pattern]
-        if pattern and not pattern[-1]:
-            # The last index's term is the index itself: a run's start.
-            starts = _offsets(index[:-1], b, axes[:-1]) + index[-1] * b
-            block[...] = runs[starts[..., 0]]
-            if mirror:
-                block[...] = np.where(lower, block, block.swapaxes(-1, -2))
-        else:
-            # Offsets are in range by construction; "clip" lets take
-            # write straight into the block without a bounds buffer.
-            np.take(
-                tensor.data, _offsets(index, b, axes), out=block, mode="clip"
-            )
+        if not pattern:  # order 1: the block is one run
+            block[...] = runs[index[0] * b]
+            continue
+        if pattern not in layouts:
+            layouts[pattern] = _run_layout(pattern, b)
+        axes, first = layouts[pattern]
+        # The last index's term is the index itself: a run's start.
+        starts = _offsets(index[:-1], b, axes) + index[-1] * b
+        block[...] = runs[starts[..., 0]]
+        # Where position p holds the smallest index v of the trailing
+        # run and the last index exceeds it, the entry is the gathered
+        # one with axes p and m−1 swapped. Those have v last, so no
+        # mirror writes what another reads.
+        m = len(index)
+        for p in range(first, m - 1):
+            swapped = block.swapaxes(p, -1)
+            for v in range(b - 1):
+                region = [slice(None)] * first + [slice(v, None)] * (m - first)
+                region[p], region[-1] = v, slice(v + 1, None)
+                region = tuple(region)
+                block[region] = swapped[region]
     return out
 
 

@@ -38,6 +38,7 @@ from repro.service.protocol import (
     ErrorCode,
     MessageType,
     ServiceError,
+    encode_array,
     pack_frame,
     read_frame,
     write_frame,
@@ -181,6 +182,32 @@ class TestGatewayShardAgreement:
                 assert tid + label in shard["sessions"]
                 routed = client.apply(tid, x, mode="plan")
         assert routed.tobytes() == plan(tensor).apply(x).tobytes()
+
+
+class TestGatewayKeepsOneCopy:
+    def test_replay_log_holds_the_received_bodies(self):
+        """The gateway's replay log keeps each REGISTER and UPDATE body
+        object it received, not a copy of it."""
+        tensor = random_symk(40, 3, seed=6)
+        header, payload = encode_array(
+            np.concatenate([tensor.lambda_, tensor.V.ravel()])
+        )
+        header.update(tensor_id="log", kind="symk", rank=3, n=40, q=2, order=3)
+        body = bytearray(payload)
+        update_header, update_payload = encode_array(np.arange(41.0))
+        update_header["tensor_id"] = "log"
+        update_body = bytearray(update_payload)
+        with _InProcessPair() as pair:
+            gateway = pair.gateway
+            reply = gateway.handle_request(MessageType.REGISTER, header, body)
+            assert reply.msg_type == MessageType.OK
+            reply = gateway.handle_request(
+                MessageType.UPDATE, update_header, update_body
+            )
+            assert reply.msg_type == MessageType.OK
+            record = gateway._tensors["log"]
+            assert record.body is body
+            assert record.updates[-1][1] is update_body
 
 
 @pytest.mark.slow

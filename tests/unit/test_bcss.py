@@ -16,7 +16,7 @@ from repro.core.sttsm import (
 )
 from repro.core.sttsv_ndim import sttsv_ndim
 from repro.errors import ConfigurationError
-from repro.tensor.bcss import BCSSTensor, bcss_block_count
+from repro.tensor.bcss import BCSSTensor, _block_entry_offsets, bcss_block_count
 from repro.tensor.multiplicity import nd_contribution_weights
 from repro.tensor.ndpacked import nd_packed_size, nd_random_symmetric
 
@@ -66,8 +66,8 @@ class TestStorage:
         "n,m,b", [(12, 2, 3), (12, 3, 3), (12, 3, 4), (12, 4, 3), (10, 5, 2)]
     )
     def test_every_block_is_its_dense_cube(self, n, m, b):
-        """Each gather path — runs, runs plus mirror, entry by entry —
-        cuts exactly the dense cube's block."""
+        """Each gather path — runs, runs plus mirrors — cuts exactly
+        the dense cube's block."""
         tensor = nd_random_symmetric(n, m, seed=2)
         dense = tensor.to_dense()
         bcss = BCSSTensor.from_ndpacked(tensor, b)
@@ -77,6 +77,17 @@ class TestStorage:
             assert np.array_equal(block, cube)
             patterns.add(tuple(a == c for a, c in zip(index, index[1:])))
         assert len(patterns) == 2 ** (m - 1)
+
+    @pytest.mark.parametrize("n,m,b", [(12, 3, 4), (30, 3, 6), (12, 4, 3)])
+    def test_runs_gather_is_the_entry_gather_bitwise(self, n, m, b):
+        """Every block, all-diagonal ones included, gathered from runs
+        plus mirrors holds bitwise the words an entry-by-entry gather
+        at its packed offsets takes."""
+        tensor = nd_random_symmetric(n, m, seed=5)
+        bcss = BCSSTensor.from_ndpacked(tensor, b)
+        for block, index in zip(bcss.blocks, bcss.block_indices.tolist()):
+            entries = tensor.data[_block_entry_offsets(tuple(index), b)]
+            assert block.tobytes() == entries.tobytes()
 
     def test_dense_roundtrip(self):
         tensor = nd_random_symmetric(6, 4, seed=2)

@@ -1,6 +1,8 @@
 """Compiled execution plans: correctness, caching, and the invariance
 of communication accounting under the exchange-plan rewrite."""
 
+import gc
+import weakref
 from math import factorial
 
 import numpy as np
@@ -21,7 +23,7 @@ from repro.core.plans import (
     invalidate_plan,
     sequential_plan,
 )
-from repro.core.sttsv_ndim import sttsv_ndim
+from repro.core.sttsv_ndim import _ndim_scatter_plan, sttsv_ndim
 from repro.core.sttsv_sequential import sttsv, sttsv_packed
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
@@ -350,6 +352,31 @@ class TestPlanCache:
         forced = sequential_plan(tensor, strategy="bincount")
         assert forced.strategy == "bincount"
         assert forced is not auto
+
+    def test_gemm_compile_leaves_the_scatter_cache_alone(self):
+        """The gemm plan keeps its own permuted copy of the
+        ``(n, m−1)`` index table, so compiling it puts nothing in the
+        process-wide ``_ndim_scatter_plan`` cache."""
+        _ndim_scatter_plan.cache_clear()
+        SequentialPlan(random_symmetric(16, seed=15), strategy="gemm")
+        assert _ndim_scatter_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("strategy", ["gemm", "bincount"])
+    def test_plan_does_not_pin_the_packed_data(self, strategy, rng):
+        """A plan outlives its tensor: it keeps only a weak reference to
+        ``tensor.data`` (for :meth:`matches`), so a caller that keeps the
+        plan alone frees the packed array."""
+        tensor = random_symmetric(12, seed=14)
+        x = rng.normal(size=12)
+        want = sttsv_packed(tensor, x)
+        plan = SequentialPlan(tensor, strategy=strategy)
+        data = weakref.ref(tensor.data)
+        del tensor
+        gc.collect()
+        assert data() is None
+        assert np.allclose(plan.apply(x), want, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ConfigurationError, match="gone"):
+            plan.frobenius_norm_sq()
 
 
 class TestExchangePlan:

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,56 @@ class TestFrameRoundTrip:
             server.close()
             client.close()
 
+    def test_large_body_arrives_aligned_writable_and_uncopied(self):
+        """A body larger than the socket buffers goes out over several
+        ``sendmsg`` calls and comes back as one aligned, writable
+        buffer that ``decode_array`` wraps without a copy."""
+        server, client = socket.socketpair()
+        try:
+            x = np.random.default_rng(3).standard_normal(1 << 17)
+            header, body = encode_array(x)
+            thread = threading.Thread(
+                target=write_frame,
+                args=(client, MessageType.REGISTER, header, body),
+            )
+            thread.start()
+            _, got_header, got_body = read_frame(server)
+            thread.join()
+            assert isinstance(got_body, bytearray)
+            decoded = decode_array(got_header, got_body, expected_ndim=1)
+            assert decoded.tobytes() == x.tobytes()
+            assert decoded.flags.aligned and decoded.flags.writeable
+            assert np.shares_memory(decoded, np.frombuffer(got_body))
+        finally:
+            server.close()
+            client.close()
+
+    def test_write_frame_sends_header_and_body_together(self):
+        """A small frame is one ``sendmsg`` of prefix+header and body
+        (never two sends, which Nagle plus delayed ACK can stall), and
+        partial sends resume where the kernel stopped."""
+
+        class Recorder:
+            def __init__(self, limit):
+                self.limit, self.calls, self.sent = limit, [], bytearray()
+
+            def sendmsg(self, buffers):
+                self.calls.append(len(buffers))
+                data = b"".join(bytes(buffer) for buffer in buffers)
+                self.sent += data[: self.limit]
+                return min(len(data), self.limit)
+
+        header, body = encode_array(np.arange(6.0))
+        frame = pack_frame(MessageType.APPLY, header, body)
+        whole = Recorder(1 << 20)
+        write_frame(whole, MessageType.APPLY, header, body)
+        assert whole.calls == [2]
+        assert bytes(whole.sent) == frame
+        trickle = Recorder(7)
+        write_frame(trickle, MessageType.APPLY, header, body)
+        assert bytes(trickle.sent) == frame
+        assert len(trickle.calls) == -(-len(frame) // 7)
+
     def test_clean_eof_is_connection_error(self):
         server, client = socket.socketpair()
         client.close()
@@ -124,6 +175,86 @@ class TestFrameReader:
         assert header["tensor_id"] == "T"
         assert body == np.arange(7.0).tobytes()
         assert reader.buffered == 0
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 16, None], ids=["1B", "64KiB", "whole"])
+    def test_chunked_body_is_one_aligned_writable_buffer(self, chunk):
+        """However the bytes arrive, the body is handed out as its own
+        buffer: equal to what was sent, and wrapped by
+        ``decode_array`` as an aligned, writable view."""
+        x = np.random.default_rng(4).standard_normal(9000)  # > 64 KiB
+        header, body = encode_array(x)
+        frame = pack_frame(MessageType.REGISTER, header, body)
+        chunk = chunk or len(frame)
+        reader = FrameReader()
+        frames = []
+        for start in range(0, len(frame), chunk):
+            reader.feed(frame[start : start + chunk])
+            frames.extend(iter(reader.next_frame, None))
+        [(msg_type, got_header, got_body)] = frames
+        assert msg_type == MessageType.REGISTER
+        assert isinstance(got_body, bytearray)
+        assert got_body == body
+        decoded = decode_array(got_header, got_body, expected_ndim=1)
+        assert decoded.tobytes() == x.tobytes()
+        assert decoded.flags.aligned and decoded.flags.writeable
+        assert np.shares_memory(decoded, np.frombuffer(got_body))
+        assert reader.buffered == 0
+
+    def test_register_parse_keeps_one_body_copy(self):
+        """Reading a REGISTER in 64 KiB chunks and decoding it holds
+        the body once: no receive buffer, slice or decode copy."""
+        x = np.random.default_rng(5).standard_normal(1 << 19)  # 4 MiB
+        header, body = encode_array(x)
+        frame = pack_frame(MessageType.REGISTER, header, body)
+        reader = FrameReader()
+        tracemalloc.start()
+        try:
+            for start in range(0, len(frame), 1 << 16):
+                reader.feed(frame[start : start + (1 << 16)])
+                parsed = reader.next_frame()
+            decoded = decode_array(parsed[1], parsed[2], expected_ndim=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded.tobytes() == x.tobytes()
+        assert peak <= len(body) + 2**20
+
+    def test_advertised_body_is_not_reserved_up_front(self):
+        """A peer that advertises a large body but sends a little of it
+        makes the reader hold about what it sent, not the advertised
+        length."""
+        header = b'{"tensor_id":"T"}'
+        reader = FrameReader()
+        tracemalloc.start()
+        try:
+            reader.feed(self._prefix(msg_type=1, header_len=len(header), body_len=1 << 28))
+            reader.feed(header + bytes(100_000))
+            assert reader.next_frame() is None
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert reader.buffered == 100_000
+        assert held <= 2**20
+
+    def test_two_frames_and_part_of_a_third_in_one_chunk(self):
+        bodies = [np.full(5, float(i)).tobytes() for i in range(3)]
+        frames = [
+            pack_frame(MessageType.APPLY, {"tensor_id": str(i)}, body)
+            for i, body in enumerate(bodies)
+        ]
+        reader = FrameReader()
+        reader.feed(frames[0] + frames[1] + frames[2][:20])
+        got = list(iter(reader.next_frame, None))
+        assert [frame[1]["tensor_id"] for frame in got] == ["0", "1"]
+        assert [frame[2] for frame in got] == bodies[:2]
+        assert reader.buffered > 0
+        reader.feed(frames[2][20:])
+        _, header, body = reader.next_frame()
+        assert header["tensor_id"] == "2" and body == bodies[2]
+        for _, header, body in got:
+            decoded = decode_array({"shape": [5]}, body)
+            assert decoded.flags.aligned and decoded.flags.writeable
+            assert np.shares_memory(decoded, np.frombuffer(body))
 
     def test_pipelined_frames_in_one_chunk(self):
         reader = FrameReader()
@@ -279,6 +410,26 @@ class TestArrayPayloads:
         header, body = encode_array(np.ones(3))
         decoded = decode_array(header, body)
         decoded[0] = 2.0  # frombuffer alone would be read-only
+
+    def test_read_only_body_is_copied(self):
+        """A ``bytes`` body cannot be written, so the array is a copy;
+        a writable buffer is wrapped as is."""
+        x = np.arange(4.0)
+        header, body = encode_array(x)
+        copied = decode_array(header, bytes(body))
+        assert copied.flags.writeable
+        assert not np.shares_memory(copied, x)
+        buffer = bytearray(body)
+        wrapped = decode_array(header, buffer)
+        assert np.shares_memory(wrapped, np.frombuffer(buffer))
+
+    def test_encode_array_is_a_view_of_contiguous_data(self):
+        x = np.arange(6.0).reshape(2, 3)
+        header, body = encode_array(x)
+        assert header["shape"] == [2, 3]
+        assert np.shares_memory(np.frombuffer(body), x)
+        assert len(body) == x.nbytes
+        assert len(encode_array(np.zeros((0, 4)))[1]) == 0
 
     def test_ndim_mismatch_rejected(self):
         header, body = encode_array(np.ones(3))

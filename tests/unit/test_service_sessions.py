@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from repro.core.plans import sequential_plan
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
 from repro.service.sessions import EngineSession, SessionKey, SessionPool
+from repro.steiner.boolean import boolean_block_count
 from repro.tensor.dense import random_symmetric
+from repro.tensor.ndpacked import nd_random_symmetric
+from repro.tensor.symk import random_symk
 
 
 def _session(n=20, q=2, backend="simulated", tensor_id="T", seed=0, **kwargs):
@@ -32,12 +36,13 @@ class TestSessionKey:
 
 class TestEngineSessionExecution:
     def test_plan_mode_matches_sequential_reference(self, rng):
-        session = _session()
+        tensor = random_symmetric(20, seed=0)
+        session = EngineSession(SessionKey("T", 2, 10, "simulated"), tensor)
         try:
             x = rng.normal(size=20)
             assert np.allclose(
                 session.apply(x, mode="plan"),
-                sttsv_packed(session.tensor, x),
+                sttsv_packed(tensor, x),
                 rtol=1e-12,
                 atol=1e-12,
             )
@@ -45,12 +50,13 @@ class TestEngineSessionExecution:
             session.close()
 
     def test_parallel_mode_matches_sequential_reference(self, rng):
-        session = _session()
+        tensor = random_symmetric(20, seed=0)
+        session = EngineSession(SessionKey("T", 2, 10, "simulated"), tensor)
         try:
             x = rng.normal(size=20)
             assert np.allclose(
                 session.apply(x, mode="parallel"),
-                sttsv_packed(session.tensor, x),
+                sttsv_packed(tensor, x),
                 rtol=1e-12,
                 atol=1e-12,
             )
@@ -137,29 +143,76 @@ class TestEngineSessionExecution:
             session.close()
 
 
+def _retained(key, make):
+    """A session of ``make(False)`` and the bytes tracemalloc sees it
+    retain. A smaller session of ``make(True)`` first warms the
+    process-wide structures, with a different block size."""
+    EngineSession(key, make(True)).close()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session = EngineSession(key, make(False))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return session, retained
+
+
 class TestResidentMemory:
     def test_registration_retains_only_its_state(self):
-        """A registration keeps the tensor, the engine's blocks and the
-        plan (as ``plan.nbytes()`` prices it), and nothing else of
-        size: no per-block offset tables outlive the load. A smaller
-        session first warms the process-wide structures, with a
-        different block size."""
-        _session(n=30).close()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            session = _session(n=120)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        """A dense registration keeps the engine's blocks and the plan
+        (as ``plan.nbytes()`` prices it), and nothing else of size: no
+        per-block offset tables outlive the load, and the packed tensor
+        is gone once blocks and plan exist."""
+        session, retained = _retained(
+            SessionKey("T", 2, 10, "simulated"),
+            lambda small: random_symmetric(30 if small else 120, seed=0),
+        )
         try:
             stored = session.machine[0].memory["tensor_blocks"].values()
             blocks = next(iter(stored)).base
-            expected = (
-                session.tensor.data.nbytes + blocks.nbytes + session.plan.nbytes()
-            )
-            assert retained <= expected + 2**20
+            assert session.tensor is None
+            assert retained <= blocks.nbytes + session.plan.nbytes() + 2**20
+        finally:
+            session.close()
+
+    def test_packed_tensor_is_released(self):
+        tensor = random_symmetric(60, seed=0)
+        released = weakref.ref(tensor.data)
+        session = EngineSession(SessionKey("T", 2, 10, "simulated"), tensor)
+        try:
+            del tensor
+            gc.collect()
+            assert released() is None
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize(
+        "key,make",
+        [
+            (
+                SessionKey("T", 2, 10, "simulated"),
+                lambda small: random_symmetric(30 if small else 120, seed=0),
+            ),
+            (
+                SessionKey("T", 3, boolean_block_count(3), "simulated", order=4),
+                lambda small: nd_random_symmetric(16 if small else 48, 4, seed=0),
+            ),
+            (
+                SessionKey("T", 2, 10, "simulated", kind="symk"),
+                lambda small: random_symk(40 if small else 4000, 32, seed=0),
+            ),
+        ],
+        ids=["dense-3", "BCSS-4", "symk"],
+    )
+    def test_nbytes_is_what_the_session_retains(self, key, make):
+        """The pool's byte budget prices a session as it lives: the
+        engine's tensor state plus the plan (for symk, the factors)."""
+        session, retained = _retained(key, make)
+        try:
+            assert abs(retained - session.nbytes()) <= 2**20
+            assert session.nbytes() >= session.algo.tensor_nbytes() > 0
         finally:
             session.close()
 
