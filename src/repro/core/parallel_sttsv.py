@@ -313,15 +313,9 @@ class ParallelSTTSV:
         self.load_tensor(machine, tensor)
         self.load_vector(machine, x)
 
-    def load_tensor(self, machine: Machine, tensor) -> None:
-        """Place each processor's share of the padded tensor (the
-        expensive, ``x``-independent half of :meth:`load`): views of
-        its dense blocks under ``tensor_blocks`` (``{case: view}``
-        into one allocation ordered by :attr:`block_stacks`), or for a
-        sparse tensor the canonical COO entries of its owned blocks
-        under ``sparse_entries``. The other key is dropped, so a
-        processor only ever holds the last tensor loaded."""
-        self._check_machine(machine)
+    def check_tensor(self, tensor) -> None:
+        """Raise unless ``tensor`` has this engine's order and ``n``
+        (what :meth:`load_tensor` checks before placing anything)."""
         if tensor.d != self.partition.order:
             raise ConfigurationError(
                 f"order-{tensor.d} tensor on an order-{self.partition.order}"
@@ -331,6 +325,17 @@ class ParallelSTTSV:
             raise ConfigurationError(
                 f"tensor dimension {tensor.n} != configured {self.n}"
             )
+
+    def load_tensor(self, machine: Machine, tensor) -> None:
+        """Place each processor's share of the padded tensor (the
+        expensive, ``x``-independent half of :meth:`load`): views of
+        its dense blocks under ``tensor_blocks`` (``{case: view}``
+        into one allocation ordered by :attr:`block_stacks`), or for a
+        sparse tensor the canonical COO entries of its owned blocks
+        under ``sparse_entries``. The other key is dropped, so a
+        processor only ever holds the last tensor loaded."""
+        self._check_machine(machine)
+        self.check_tensor(tensor)
         if isinstance(tensor, SparseSymmetricTensor):
             owner = self.partition.owner_of_block()
             blocks = map(tuple, (tensor.indices // self.b).tolist())

@@ -138,14 +138,19 @@ class ParallelSymKTTSV:
 
     # -- loading (out of the communication model) ---------------------------------
 
-    def load_tensor(self, machine: Machine, tensor: SymKTensor) -> None:
-        """Distribute ``V``'s row blocks and replicate ``λ``."""
-        self._check_machine(machine)
+    def check_tensor(self, tensor: SymKTensor) -> None:
+        """Raise unless ``tensor`` has this engine's ``n`` and order
+        (what :meth:`load_tensor` checks before placing anything)."""
         if tensor.n != self.n or tensor.m != self.m:
             raise ConfigurationError(
                 f"tensor is n={tensor.n}, m={tensor.m}; algorithm built for"
                 f" n={self.n}, m={self.m}"
             )
+
+    def load_tensor(self, machine: Machine, tensor: SymKTensor) -> None:
+        """Distribute ``V``'s row blocks and replicate ``λ``."""
+        self._check_machine(machine)
+        self.check_tensor(tensor)
         padded = np.zeros((self.n_padded, tensor.r))
         padded[: self.n] = tensor.V
         self._lambda = tensor.lambda_.copy()
@@ -181,11 +186,14 @@ class ParallelSymKTTSV:
         return int(self._lambda.shape[0])
 
     def tensor_nbytes(self) -> int:
-        """Bytes of the resident factors: every processor's ``V`` row
-        block and the replicated ``λ``."""
-        if self._lambda is None or self._V_blocks is None:
-            return 0
-        return self._lambda.nbytes + sum(V.nbytes for V in self._V_blocks)
+        """Bytes of the resident factors (0 before a load)."""
+        return 0 if self._lambda is None else self.factor_nbytes(self.r)
+
+    def factor_nbytes(self, rank: int) -> int:
+        """Bytes of rank-``rank`` resident factors: every processor's
+        ``V`` row block (``n_padded`` rows in all) and the replicated
+        ``λ``."""
+        return 8 * rank * (self.n_padded + 1)
 
     # -- streaming updates -------------------------------------------------------
 

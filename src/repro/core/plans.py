@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.core.sttsv_ndim import _ndim_scatter_plan, _weighted_scatter
 from repro.errors import ConfigurationError, PartitionError
-from repro.tensor.ndpacked import NdPackedSymmetricTensor
+from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_packed_size
 
 #: Any packed tensor (``PackedSymmetricTensor`` is its order-3 case).
 Tensor = NdPackedSymmetricTensor
@@ -350,6 +350,43 @@ class _ColumnBlock(NamedTuple):
     tail: np.ndarray
 
 
+def resolve_strategy(
+    tensor: Tensor,
+    strategy: str = "auto",
+    gemm_budget_bytes: int = DEFAULT_GEMM_BUDGET_BYTES,
+) -> str:
+    """The strategy a :class:`SequentialPlan` of ``tensor`` compiles,
+    without compiling it: ``auto`` becomes ``gemm`` while its operator
+    fits ``gemm_budget_bytes``, else ``bincount``. Rejects what the
+    plan rejects (an unknown strategy, a tensor that is not packed of
+    order >= 2)."""
+    if strategy not in _STRATEGIES:
+        raise ConfigurationError(
+            f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
+        )
+    if not isinstance(tensor, NdPackedSymmetricTensor) or tensor.d < 2:
+        raise ConfigurationError(
+            "SequentialPlan needs a PackedSymmetricTensor or"
+            f" NdPackedSymmetricTensor of order >= 2, got"
+            f" {type(tensor).__name__}"
+        )
+    if strategy != "auto":
+        return strategy
+    if SequentialPlan._gemm_bytes(tensor.n, tensor.d) <= gemm_budget_bytes:
+        return "gemm"
+    return "bincount"
+
+
+def plan_nbytes(n: int, m: int, strategy: str) -> int:
+    """What :meth:`SequentialPlan.nbytes` reports for an order-``m``
+    plan of the resolved ``strategy``, without compiling it: the gemm
+    operator, or ``bincount``'s ``m`` weight-times-data columns over
+    the packed entries."""
+    if strategy == "gemm":
+        return SequentialPlan._gemm_bytes(n, m)
+    return 8 * m * nd_packed_size(n, m)
+
+
 class SequentialPlan:
     """A compiled sequential/batched STTSV executor for one tensor.
 
@@ -386,30 +423,14 @@ class SequentialPlan:
         strategy: str = "auto",
         gemm_budget_bytes: int = DEFAULT_GEMM_BUDGET_BYTES,
     ):
-        if strategy not in _STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be one of {_STRATEGIES}, got {strategy!r}"
-            )
-        if not isinstance(tensor, NdPackedSymmetricTensor) or tensor.d < 2:
-            raise ConfigurationError(
-                f"{type(self).__name__} needs a PackedSymmetricTensor or"
-                f" NdPackedSymmetricTensor of order >= 2, got"
-                f" {type(tensor).__name__}"
-            )
+        self.requested_strategy = strategy
+        self.strategy = resolve_strategy(tensor, strategy, gemm_budget_bytes)
         self.n = tensor.n
         self.m = tensor.d
         self._data = weakref.ref(tensor.data)
         self._mutations = tensor._mutations
-        self.requested_strategy = strategy
-        if strategy == "auto":
-            strategy = (
-                "gemm"
-                if self._gemm_bytes(self.n, self.m) <= gemm_budget_bytes
-                else "bincount"
-            )
-        self.strategy = strategy
         self._norm_sq: Optional[float] = None
-        if strategy == "gemm":
+        if self.strategy == "gemm":
             self._compile_gemm(tensor.data)
         else:
             self._compile_bincount(tensor.data)
@@ -481,6 +502,7 @@ class SequentialPlan:
         self._columns = [np.ascontiguousarray(column[order]) for column in M.T]
         # Each weight row sums to the multiplicity of its multiset.
         mult = weights.sum(axis=1)[order]
+        del M, weights, order  # not held while the blocks are built
         binomials = [
             np.array([comb(v + m - 1 - c, m - c) for v in range(n)])
             for c in range(m)

@@ -29,7 +29,12 @@ from repro.core.parallel_symk import (
 )
 from repro.core.partition import TetrahedralPartition
 from repro.core.partition_ndim import QuadruplePartition
-from repro.core.plans import SequentialPlan, sequential_plan
+from repro.core.plans import (
+    SequentialPlan,
+    plan_nbytes,
+    resolve_strategy,
+    sequential_plan,
+)
 from repro.core.sttsv_ndim import sttsv_ndim, sttsv_ndim_lower_bound
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
@@ -182,8 +187,24 @@ class _SteinerRepresentation(Representation):
     def encode(self, tensor, order: int) -> Tuple[np.ndarray, Dict]:
         return tensor.data, {}  # the server checks the size vs ``order``
 
+    def resolve_plan(self, engine, tensor, strategy: str) -> str:
+        """The plan strategy ``tensor`` compiles to, checked against
+        ``engine`` without building either's state."""
+        resolved = resolve_strategy(tensor, strategy)
+        engine.check_tensor(tensor)
+        return resolved
+
     def plan(self, tensor, strategy: str) -> SequentialPlan:
         return sequential_plan(tensor, strategy=strategy)
+
+    def session_nbytes(self, engine, tensor, strategy: str) -> int:
+        """The engine's blocks plus the plan: a session with both, which
+        has dropped its packed tensor. Each earlier state holds the
+        packed tensor instead of one of them, and the packed entries
+        fit in either."""
+        return engine.tensor_nbytes() + plan_nbytes(
+            engine.n, engine.partition.order, strategy
+        )
 
 
 class Dense3(_SteinerRepresentation):
@@ -349,13 +370,22 @@ class SymK(Representation):
     def plan_label(self, strategy: str, batch_width: int, rank) -> str:
         return f"plan r={rank}"
 
-    def plan(self, tensor, strategy: str) -> SymKPlan:
+    def resolve_plan(self, engine, tensor, strategy: str) -> str:
         if strategy not in ("auto", "symk"):
             raise ConfigurationError(
                 f"{self.name} sessions support only the 'symk' plan"
                 f" strategy, got {strategy!r}"
             )
+        engine.check_tensor(tensor)
+        return SymKPlan.strategy
+
+    def plan(self, tensor, strategy: str) -> SymKPlan:
         return SymKPlan(tensor)
+
+    def session_nbytes(self, engine, tensor, strategy: str) -> int:
+        """The factors (the plan serves them in place) plus the
+        engine's copy, at the current rank."""
+        return tensor.nbytes + engine.factor_nbytes(tensor.r)
 
     def rank(self, tensor) -> Optional[int]:
         return tensor.r

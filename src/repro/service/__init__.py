@@ -5,8 +5,9 @@ The serving stack composes, bottom to top:
 * :mod:`repro.service.protocol` — versioned length-prefixed frames
   with typed error replies;
 * :mod:`repro.service.sessions` — warm :class:`EngineSession` pool
-  (resident tensor blocks + compiled plan per
-  ``(tensor_id, q, P, backend)``), LRU-bounded;
+  (resident tensor blocks and compiled plan per
+  ``(tensor_id, q, P, backend)``, each built by the first request of
+  its mode), LRU-bounded;
 * :mod:`repro.service.batcher` — :class:`DynamicBatcher`, coalescing
   concurrent applies into batched executions with explicit
   backpressure;

@@ -177,7 +177,8 @@ class ServiceClient:
         order: int = 3,
         P: Optional[int] = None,
     ) -> Dict:
-        """Upload a tensor and warm an engine session for it; its
+        """Upload a tensor and open an engine session for it (the first
+        apply of each mode builds that mode's state); its
         representation encodes the body and the fields it adds.
 
         Pass ``backend="auto"`` and/or ``variant="auto"`` to let the

@@ -309,7 +309,8 @@ class STTSVServer(FrameLoopServer):
     # -- request handlers ------------------------------------------------------
 
     def _handle_register(self, header: Dict, body: bytes) -> Reply:
-        """Validate the header, decode the body and warm a session. The
+        """Validate the header, decode the body and open a session,
+        whose first request of each mode builds that mode's state. The
         representation the header selects
         (:mod:`repro.service.representations`) decides the field rules,
         ``P``, the body layout, ``auto`` resolution and the engine."""
@@ -338,8 +339,6 @@ class STTSVServer(FrameLoopServer):
             order=registration.order,
             kind=representation.kind,
         )
-        # Build outside all locks: block extraction + plan compilation
-        # is the expensive part registration exists to amortize.
         session = EngineSession(
             key,
             tensor,
@@ -362,7 +361,7 @@ class STTSVServer(FrameLoopServer):
                 "backend": key.backend,
                 "variant": session.variant.value,
                 "planned": planned,
-                "plan_strategy": session.plan.strategy,
+                "plan_strategy": session.plan_strategy,
                 "session_bytes": session.nbytes(),
                 **representation.reply_fields(session),
             },

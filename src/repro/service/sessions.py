@@ -1,18 +1,20 @@
-"""Warm engine sessions: resident tensors with compiled state.
+"""Warm engine sessions: registered tensors on live machines.
 
-A *session* is everything the serving layer keeps hot for one
-registered tensor on one machine configuration, keyed by
+A *session* is everything the serving layer keeps for one registered
+tensor on one machine configuration, keyed by
 ``SessionKey(tensor_id, q, P, backend, order, kind)``, as built by the
 key's representation (:mod:`repro.service.representations`):
 
-* the compiled plan (e.g. a :class:`~repro.core.plans.SequentialPlan`
-  from the bounded module cache) — the fast batched executor behind
-  ``mode="plan"`` requests;
 * a live :class:`~repro.machine.machine.Machine` on the requested
-  transport with the tensor's blocks (or factors) already resident in
-  processor memories (loaded once at registration), so a
-  ``mode="parallel"`` request pays only shard distribution + the
-  parallel run + gather — never block extraction;
+  transport and the parallel engine with its layouts, built at
+  registration along with the validated tensor;
+* the compiled plan behind ``mode="plan"`` requests (e.g. a
+  :class:`~repro.core.plans.SequentialPlan` from the bounded module
+  cache), compiled by the first such request;
+* the tensor's blocks (or factors) resident in processor memories
+  behind ``mode="parallel"`` requests, placed by the first such
+  request; later ones pay only shard distribution + the parallel run
+  + gather;
 * per-session :class:`~repro.service.metrics.SessionMetrics`.
 
 :class:`SessionPool` bounds the warm set with the same
@@ -80,18 +82,22 @@ class SessionKey(NamedTuple):
 
 
 class EngineSession:
-    """One resident tensor with its compiled plan and warm machine.
+    """One registered tensor on a warm machine, with the execution
+    state its requests have needed so far.
 
-    The key's representation builds the engine, loads the tensor and
-    compiles the plan. ``execute`` / ``apply_batch`` are *not*
+    The key's representation builds the engine and checks the tensor
+    and plan strategy at construction. The two execution structures are
+    built by the first request of their mode: ``mode="plan"`` compiles
+    :attr:`plan`, ``mode="parallel"`` loads the tensor onto the
+    machine (:attr:`loaded`). ``execute`` / ``apply_batch`` are *not*
     re-entrant (the simulated machine and the plan's reusable buffers
-    are single-stream); :attr:`exec_lock` serializes them. The
-    micro-batcher owns the lock for batched work; direct callers must
-    take it too.
+    are single-stream); :attr:`exec_lock` serializes them, builds
+    included. The micro-batcher owns the lock for batched work; direct
+    callers must take it too.
 
-    Once the engine holds its blocks and the plan is compiled, a dense
-    session drops the packed tensor: :attr:`tensor` is kept only by
-    versioned (symk) sessions, whose updates extend their factors.
+    Once both structures exist, a dense session drops the packed
+    tensor: :attr:`tensor` stays only in versioned (symk) sessions,
+    whose updates extend their factors.
     """
 
     def __init__(
@@ -104,7 +110,7 @@ class EngineSession:
     ):
         self.representation = key.representation
         self.key = key
-        self.tensor = tensor if self.representation.versioned else None
+        self.tensor = tensor
         self.n = tensor.n
         self.faults = faults
         self.variant = CommBackend(variant)
@@ -116,11 +122,17 @@ class EngineSession:
             self.algo = self.representation.engine(
                 key.q, key.P, tensor.n, key.order, self.variant
             )
-            self.algo.load_tensor(self.machine, tensor)
-            self.plan = self.representation.plan(tensor, strategy)
+            self.plan_strategy = self.representation.resolve_plan(
+                self.algo, tensor, strategy
+            )
         except BaseException:
             self.machine.close()
             raise
+        self._strategy = strategy
+        #: The compiled plan, once a ``mode="plan"`` request needed it.
+        self.plan = None
+        #: Whether the engine's tensor state is on the machine.
+        self.loaded = False
         self.metrics = SessionMetrics()
         self.update_epoch = 0
         self.exec_lock = threading.Lock()
@@ -139,8 +151,12 @@ class EngineSession:
         """Serve one vector (single-request path; caller holds
         :attr:`exec_lock`)."""
         if mode == "plan":
+            if self.plan is None:
+                self._build_plan()
             return self.plan.apply(x)
         if mode == "parallel":
+            if not self.loaded:
+                self._load()
             return self._parallel_apply(x)
         raise ConfigurationError(
             f"mode must be one of {MODES}, got {mode!r}"
@@ -157,6 +173,8 @@ class EngineSession:
         last ulp — see :mod:`repro.core.plans`).
         """
         if mode == "plan":
+            if self.plan is None:
+                self._build_plan()
             return self.plan.apply_batch(X)
         if mode == "parallel":
             X = np.asarray(X, dtype=np.float64)
@@ -164,6 +182,8 @@ class EngineSession:
                 raise ConfigurationError(
                     f"batch must have shape ({self.n}, s), got {X.shape}"
                 )
+            if not self.loaded:
+                self._load()
             return np.column_stack(
                 [self._parallel_apply(X[:, col]) for col in range(X.shape[1])]
             )
@@ -175,10 +195,11 @@ class EngineSession:
         """Fold one streamed rank-1 term into the resident factors
         (caller holds :attr:`exec_lock`) and advance the update epoch.
 
-        Both the serial plan's tensor and the warm machine's
-        distributed blocks are extended, so the very next apply — on
-        either path — reflects the update, bitwise identical to a
-        rebuild from scratch. Returns the new epoch.
+        The factors (which the plan serves in place) are extended, and
+        so are the machine's distributed blocks once loaded; a later
+        load reads the extended factors. Either way the very next
+        apply — on either path — reflects the update, bitwise
+        identical to a rebuild from scratch. Returns the new epoch.
         """
         if not self.representation.versioned:
             raise ConfigurationError(
@@ -186,10 +207,30 @@ class EngineSession:
                 f" session is {self.representation.name}"
             )
         self.tensor.rank1_update(weight, vector)
-        self.algo.rank1_update(weight, vector)
+        if self.loaded:
+            self.algo.rank1_update(weight, vector)
         self.update_epoch += 1
         self.metrics.incr("updates")
         return self.update_epoch
+
+    def _build_plan(self) -> None:
+        self.plan = self.representation.plan(self.tensor, self._strategy)
+        self._release_tensor()
+
+    def _load(self) -> None:
+        self.algo.load_tensor(self.machine, self.tensor)
+        self.loaded = True
+        self._release_tensor()
+
+    def _release_tensor(self) -> None:
+        """Drop a dense session's packed tensor once nothing is left
+        to build from it."""
+        if (
+            self.plan is not None
+            and self.loaded
+            and not self.representation.versioned
+        ):
+            self.tensor = None
 
     def _parallel_apply(self, x: np.ndarray) -> np.ndarray:
         self.algo.load_vector(self.machine, x)
@@ -204,10 +245,14 @@ class EngineSession:
     # -- accounting ------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Resident bytes the pool budgets for: the engine's loaded
-        tensor state plus the compiled plan (a symk plan is the
-        factors themselves; machine buffers are lower order)."""
-        return self.algo.tensor_nbytes() + self.plan.nbytes()
+        """Resident bytes the pool budgets for, priced without building
+        anything: the engine's tensor state plus the plan, as a session
+        holds them once both modes have run (a symk plan is the factors
+        themselves; machine buffers are lower order). Earlier states
+        hold less."""
+        return self.representation.session_nbytes(
+            self.algo, self.tensor, self.plan_strategy
+        )
 
     def snapshot(self) -> Dict:
         """Stats-endpoint view: serving counters + machine-layer
@@ -224,7 +269,7 @@ class EngineSession:
             "update_epoch": self.update_epoch,
             "backend": self.key.backend,
             "variant": self.variant.value,
-            "plan_strategy": self.plan.strategy,
+            "plan_strategy": self.plan_strategy,
             "session_bytes": self.nbytes(),
             **self.metrics.snapshot(),
             "phases": self.machine.instrument.as_dict(),

@@ -21,6 +21,8 @@ from repro.core.plans import (
     configure_cache,
     gemm_multiply_adds,
     invalidate_plan,
+    plan_nbytes,
+    resolve_strategy,
     sequential_plan,
 )
 from repro.core.sttsv_ndim import _ndim_scatter_plan, sttsv_ndim
@@ -192,6 +194,35 @@ class TestStrategySelection:
         under three quarters of the whole GEMV."""
         assert gemm_multiply_adds(200, 3) == 200 * (200 * 201 // 2)
         assert gemm_multiply_adds(300, 3) < 0.75 * 300 * (300 * 301 // 2)
+
+    @pytest.mark.parametrize("n,m", [(12, 3), (30, 3), (9, 4), (7, 2)])
+    @pytest.mark.parametrize("strategy", ["auto", "gemm", "bincount"])
+    @pytest.mark.parametrize("budget", [1, DEFAULT_GEMM_BUDGET_BYTES])
+    def test_resolved_strategy_and_bytes_match_the_compiled_plan(
+        self, n, m, strategy, budget
+    ):
+        """What sessions price and report at REGISTER, before any plan
+        exists, is what the compiled plan reports."""
+        tensor = nd_random_symmetric(n, m, seed=n)
+        resolved = resolve_strategy(tensor, strategy, budget)
+        plan = SequentialPlan(tensor, strategy, gemm_budget_bytes=budget)
+        assert resolved == plan.strategy
+        assert plan_nbytes(n, m, resolved) == plan.nbytes()
+
+    @pytest.mark.parametrize(
+        "tensor,strategy",
+        [
+            (random_symmetric(6, seed=0), "blocked-gemm"),
+            (random_symmetric(6, seed=0), "nope"),
+            (np.zeros((3, 3, 3)), "auto"),
+        ],
+    )
+    def test_resolve_strategy_rejects_what_the_plan_rejects(
+        self, tensor, strategy
+    ):
+        for build in (resolve_strategy, SequentialPlan):
+            with pytest.raises(ConfigurationError):
+                build(tensor, strategy)
 
     def test_auto_keeps_gemm_to_larger_n(self):
         """The cut unfolding fits the default budget to n = 554 at
