@@ -26,52 +26,52 @@ True
 True
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.errors import (
-    ReproError,
-    ConfigurationError,
-    FieldError,
-    SteinerError,
-    MatchingError,
-    PartitionError,
-    MachineError,
-    ConvergenceError,
-)
-from repro.fields import GF, is_prime_power
-from repro.steiner import (
-    SteinerSystem,
-    spherical_steiner_system,
-    boolean_steiner_system,
-    steiner_system_for_processors,
-    admissible_processor_counts,
-)
-from repro.tensor import (
-    PackedSymmetricTensor,
-    random_symmetric,
-    symmetrize,
-    odeco_tensor,
-)
-from repro.machine import Machine, CommunicationLedger, CostModel
-from repro.core import (
-    sttsv_naive,
-    sttsv_symmetric,
-    sttsv_packed,
-    TetrahedralPartition,
-    ParallelSTTSV,
-    CommBackend,
-    sttsv_lower_bound,
-    optimal_bandwidth_cost,
-    all_to_all_bandwidth_cost,
-    build_exchange_schedule,
-)
-from repro.core.sttsv_sequential import sttsv
-from repro.core.plans import SequentialPlan, sequential_plan
-from repro.apps import (
-    hopm,
-    parallel_hopm,
-    cp_gradient,
-    symmetric_cp_decompose,
-)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.errors": (
+        "ReproError",
+        "ConfigurationError",
+        "FieldError",
+        "SteinerError",
+        "MatchingError",
+        "PartitionError",
+        "MachineError",
+        "ConvergenceError",
+    ),
+    "repro.fields.gf": ("GF",),
+    "repro.fields.primes": ("is_prime_power",),
+    "repro.steiner.system": ("SteinerSystem",),
+    "repro.steiner.spherical": ("spherical_steiner_system",),
+    "repro.steiner.boolean": ("boolean_steiner_system",),
+    "repro.steiner.catalog": (
+        "steiner_system_for_processors",
+        "admissible_processor_counts",
+    ),
+    "repro.tensor.packed": ("PackedSymmetricTensor",),
+    "repro.tensor.dense": ("random_symmetric", "symmetrize", "odeco_tensor"),
+    "repro.machine.machine": ("Machine",),
+    "repro.machine.ledger": ("CommunicationLedger",),
+    "repro.machine.cost": ("CostModel",),
+    "repro.core.sttsv_sequential": (
+        "sttsv",
+        "sttsv_naive",
+        "sttsv_symmetric",
+        "sttsv_packed",
+    ),
+    "repro.core.plans": ("SequentialPlan", "sequential_plan"),
+    "repro.core.partition": ("TetrahedralPartition",),
+    "repro.core.parallel_sttsv": ("ParallelSTTSV", "CommBackend"),
+    "repro.core.bounds": (
+        "sttsv_lower_bound",
+        "optimal_bandwidth_cost",
+        "all_to_all_bandwidth_cost",
+    ),
+    "repro.core.schedule": ("build_exchange_schedule",),
+    "repro.apps.hopm": ("hopm", "parallel_hopm"),
+    "repro.apps.cp_gradient": ("cp_gradient", "symmetric_cp_decompose"),
+})
 
 __all__ = [
     "__version__",

@@ -15,25 +15,29 @@ closes it (``with`` block). A driver resets the machine's ledger on
 entry and returns the rounds it recorded.
 """
 
-from repro.apps.hopm import HOPMResult, hopm, parallel_hopm
-from repro.apps.cp_gradient import (
-    cp_gradient,
-    cp_objective,
-    parallel_cp_gradient,
-    symmetric_cp_decompose,
-    CPDecompositionResult,
-)
-from repro.apps.eigen import (
-    z_eigen_residual,
-    rayleigh_quotient,
-    is_z_eigenpair,
-)
-from repro.apps.mttkrp import (
-    symmetric_mttkrp,
-    symmetric_mttkrp_batched,
-    parallel_symmetric_mttkrp,
-)
-from repro.apps.deflation import DeflationResult, deflated_eigenpairs
+from repro._lazy import lazy_exports
+
+# Functions named after their own submodules, so bound eagerly (see
+# repro._lazy).
+from repro.apps.hopm import hopm
+from repro.apps.cp_gradient import cp_gradient
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.apps.hopm": ("HOPMResult", "parallel_hopm"),
+    "repro.apps.cp_gradient": (
+        "cp_objective",
+        "parallel_cp_gradient",
+        "symmetric_cp_decompose",
+        "CPDecompositionResult",
+    ),
+    "repro.apps.eigen": ("z_eigen_residual", "rayleigh_quotient", "is_z_eigenpair"),
+    "repro.apps.mttkrp": (
+        "symmetric_mttkrp",
+        "symmetric_mttkrp_batched",
+        "parallel_symmetric_mttkrp",
+    ),
+    "repro.apps.deflation": ("DeflationResult", "deflated_eigenpairs"),
+})
 
 __all__ = [
     "symmetric_mttkrp",

@@ -49,15 +49,9 @@ from repro.core.schedule import build_exchange_schedule
 from repro.core.sttsv_ndim import sttsv_ndim_lower_bound
 from repro.errors import ReproError
 from repro.machine.machine import Machine
-from repro.machine.transport import TRANSPORTS, FaultPolicy, make_transport
+from repro.machine.transport import TRANSPORTS, make_transport
+from repro.machine.transport.faults import FaultPolicy
 from repro.planner.pricing import VARIANTS
-from repro.reporting.tables import (
-    render_processor_table,
-    render_row_block_table,
-    render_schedule,
-    summary_statistics,
-)
-from repro.steiner import admissible_processor_counts
 
 
 def _knob(args) -> int:
@@ -92,6 +86,12 @@ def _add_system_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _command_tables(args) -> int:
+    from repro.reporting.tables import (
+        render_processor_table,
+        render_row_block_table,
+        summary_statistics,
+    )
+
     partition = _partition_from_args(args)
     print(render_processor_table(partition))
     print()
@@ -102,6 +102,8 @@ def _command_tables(args) -> int:
 
 
 def _command_schedule(args) -> int:
+    from repro.reporting.tables import render_schedule
+
     partition = _partition_from_args(args)
     schedule = build_exchange_schedule(partition)
     print(render_schedule(schedule))
@@ -242,6 +244,8 @@ def _run_analyze(args, trace_id: str) -> int:
 
 
 def _command_admissible(args) -> int:
+    from repro.steiner.catalog import admissible_processor_counts
+
     counts = admissible_processor_counts(args.limit)
     print(f"constructible processor counts <= {args.limit}:")
     print("  " + ", ".join(str(c) for c in counts))

@@ -2,58 +2,58 @@
 partitioning, the communication-optimal parallel algorithm, lower
 bounds, and baselines."""
 
-from repro.core.sttsv_sequential import (
-    sttsv,
-    sttsv_naive,
-    sttsv_symmetric,
-    sttsv_packed,
-    sttsv_dense_reference,
-    ttv_all_modes,
-)
-from repro.core.plans import (
-    CacheInfo,
-    ExchangePlan,
-    LRUByteCache,
-    SequentialPlan,
-    cache_clear,
-    cache_info,
-    configure_cache,
-    invalidate_plan,
-    sequential_plan,
-)
-from repro.core.partition import TetrahedralPartition
-from repro.core.partition_ndim import (
-    QuadruplePartition,
-    greedy_partial_permutation_rounds,
-)
-from repro.core.parallel_sttsv import ParallelSTTSV, CommBackend
-from repro.core.sttsm import (
-    sttsm,
-    sttsm_dense_reference,
-    sttsm_ndpacked,
-    sttsv_bcss,
-)
-from repro.core.sttsv_ndim import (
-    sttsv_ndim,
-    sttsv_ndim_dense_reference,
-    sttsv_ndim_lower_bound,
-    sttsv_ndim_scalar,
-)
-from repro.core.bounds import (
-    sttsv_lower_bound,
-    minimal_access_solution,
-    optimal_bandwidth_cost,
-    all_to_all_bandwidth_cost,
-    computation_cost_leading,
-    schedule_step_count,
-)
-from repro.core.schedule import ExchangeSchedule, build_exchange_schedule
-from repro.core.verification import RunVerdict, verify_sttsv_run
-from repro.core.serialization import save_partition, load_partition
-from repro.core.baselines import (
-    sequence_baseline_sttsv,
-    grid_baseline_sttsv,
-)
+from repro._lazy import lazy_exports
+
+# Each a function named after its own submodule, so bound eagerly (see
+# repro._lazy); neither loads more than the serving path already does.
+from repro.core.sttsm import sttsm
+from repro.core.sttsv_ndim import sttsv_ndim
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.sttsv_sequential": (
+        "sttsv",
+        "sttsv_naive",
+        "sttsv_symmetric",
+        "sttsv_packed",
+        "sttsv_dense_reference",
+        "ttv_all_modes",
+    ),
+    "repro.core.plans": (
+        "CacheInfo",
+        "ExchangePlan",
+        "LRUByteCache",
+        "SequentialPlan",
+        "cache_clear",
+        "cache_info",
+        "configure_cache",
+        "invalidate_plan",
+        "sequential_plan",
+    ),
+    "repro.core.partition": ("TetrahedralPartition",),
+    "repro.core.partition_ndim": (
+        "QuadruplePartition",
+        "greedy_partial_permutation_rounds",
+    ),
+    "repro.core.parallel_sttsv": ("ParallelSTTSV", "CommBackend"),
+    "repro.core.sttsm": ("sttsm_dense_reference", "sttsm_ndpacked", "sttsv_bcss"),
+    "repro.core.sttsv_ndim": (
+        "sttsv_ndim_dense_reference",
+        "sttsv_ndim_lower_bound",
+        "sttsv_ndim_scalar",
+    ),
+    "repro.core.bounds": (
+        "sttsv_lower_bound",
+        "minimal_access_solution",
+        "optimal_bandwidth_cost",
+        "all_to_all_bandwidth_cost",
+        "computation_cost_leading",
+        "schedule_step_count",
+    ),
+    "repro.core.schedule": ("ExchangeSchedule", "build_exchange_schedule"),
+    "repro.core.verification": ("RunVerdict", "verify_sttsv_run"),
+    "repro.core.serialization": ("save_partition", "load_partition"),
+    "repro.core.baselines": ("sequence_baseline_sttsv", "grid_baseline_sttsv"),
+})
 
 __all__ = [
     "sttsv",

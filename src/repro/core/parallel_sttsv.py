@@ -125,7 +125,8 @@ from repro.machine.collectives import (
 from repro.machine.cost import CostModel
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
-from repro.machine.transport import FusionPlan, Transfer
+from repro.machine.transport.base import Transfer
+from repro.machine.transport.fusion import FusionPlan
 from repro.tensor.bcss import gather_blocks
 from repro.tensor.ndpacked import pad_ndpacked
 from repro.tensor.sparse import SparseSymmetricTensor, sparse_scatter
@@ -217,6 +218,20 @@ class BlockStack(NamedTuple):
     lo: int
     bounds: List[int]
     rows: np.ndarray
+
+
+def _store_views(
+    machine: Machine, key: str, views: List[Dict[int, np.ndarray]]
+) -> None:
+    """Store each processor's ``{i: row block}`` dict of staging views
+    under ``key``, unless that processor already holds that very dict.
+    A staging's view dicts are fixed for the staging's life, so a
+    repeated run's store would rebind the same object at the same word
+    count; another engine's run on the machine binds different dicts,
+    which this stores again."""
+    for proc, held in zip(machine, views):
+        if proc.memory.get(key) is not held:
+            proc.store(key, held)
 
 
 class ParallelSTTSV:
@@ -483,8 +498,7 @@ class ParallelSTTSV:
         staging = plan.stage_x([proc.load("x_shards") for proc in machine])
         stream = self._exchange(machine, self.phase_x, staging.xs)
         x_full = plan.unpack_x(staging, stream, self.phase_x.take, self.phase_x.put)
-        for p in range(machine.P):
-            machine[p].store("x_full", x_full[p])
+        _store_views(machine, "x_full", x_full)
         return staging
 
     def _exchange_y(self, machine: Machine, staging: Staging) -> None:
@@ -505,8 +519,7 @@ class ParallelSTTSV:
             staging.yp[:-1] = self.block_products(machine, staging.xf)
         else:
             self._compute_sparse(machine, staging)
-        for p, proc in enumerate(machine):
-            proc.store("y_partial", staging.y_partial[p])
+        _store_views(machine, "y_partial", staging.y_partial)
 
     def block_products(self, machine: Machine, x_full: np.ndarray) -> np.ndarray:
         """Local compute over the dense blocks the machine's processors

@@ -57,7 +57,7 @@ from repro.machine.collectives import (
 )
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
-from repro.machine.transport import FusionPlan
+from repro.machine.transport.fusion import FusionPlan
 from repro.tensor.symk import SymKTensor
 
 __all__ = [

@@ -380,11 +380,11 @@ def resolve_strategy(
 def plan_nbytes(n: int, m: int, strategy: str) -> int:
     """What :meth:`SequentialPlan.nbytes` reports for an order-``m``
     plan of the resolved ``strategy``, without compiling it: the gemm
-    operator, or ``bincount``'s ``m`` weight-times-data columns over
-    the packed entries."""
+    operator, or ``bincount``'s ``m`` weight-times-data columns and
+    ``m`` int64 index columns over the packed entries."""
     if strategy == "gemm":
         return SequentialPlan._gemm_bytes(n, m)
-    return 8 * m * nd_packed_size(n, m)
+    return 16 * m * nd_packed_size(n, m)
 
 
 class SequentialPlan:
@@ -540,7 +540,9 @@ class SequentialPlan:
     def _compile_bincount(self, data: np.ndarray) -> None:
         """Hoist :func:`~repro.core.sttsv_ndim.sttsv_ndim`'s per-column
         ``weight · a`` products."""
-        indices, weights = _ndim_scatter_plan(self.n, self.m)
+        # Uncached: the plan owns its index table, so evicting the plan
+        # frees it and nbytes() counts it.
+        indices, weights = _ndim_scatter_plan.__wrapped__(self.n, self.m)
         self._columns = list(indices.T)
         self._wa = [w * data for w in weights.T]
 
@@ -691,7 +693,7 @@ class SequentialPlan:
                     "the plan's tensor data is gone; compute the norm"
                     " while the tensor is alive"
                 )
-            weights = _ndim_scatter_plan(self.n, self.m)[1]
+            weights = _ndim_scatter_plan.__wrapped__(self.n, self.m)[1]
             self._norm_sq = float(np.sum(weights.sum(axis=1) * data**2))
         return self._norm_sq
 
@@ -702,7 +704,7 @@ class SequentialPlan:
             for block in self._blocks:
                 arrays += [block.block, block.tail]
             return sum(array.nbytes for array in arrays)
-        return sum(a.nbytes for a in self._wa)
+        return sum(a.nbytes for a in (*self._columns, *self._wa))
 
     def __repr__(self) -> str:
         return (

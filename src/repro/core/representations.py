@@ -38,16 +38,11 @@ from repro.core.plans import (
 from repro.core.sttsv_ndim import sttsv_ndim, sttsv_ndim_lower_bound
 from repro.core.sttsv_sequential import sttsv_packed
 from repro.errors import ConfigurationError
-from repro.steiner import spherical_steiner_system
 from repro.steiner.boolean import boolean_block_count, boolean_steiner_system
-from repro.tensor.dense import random_symmetric
-from repro.tensor.ndpacked import (
-    NdPackedSymmetricTensor,
-    nd_packed_size,
-    nd_random_symmetric,
-)
+from repro.steiner.spherical import spherical_steiner_system
+from repro.tensor.ndpacked import NdPackedSymmetricTensor, nd_packed_size
 from repro.tensor.packed import PackedSymmetricTensor, packed_size
-from repro.tensor.symk import MAX_DENSE_ORDER, SymKPlan, SymKTensor, random_symk
+from repro.tensor.symk import MAX_DENSE_ORDER, SymKPlan, SymKTensor
 
 #: Flops per ternary multiplication (one multiply-accumulate).
 _FLOPS_PER_TERNARY = 2
@@ -230,6 +225,8 @@ class Dense3(_SteinerRepresentation):
         return PackedSymmetricTensor(n, data)
 
     def random_tensor(self, n, order, rank, seed) -> PackedSymmetricTensor:
+        from repro.tensor.dense import random_symmetric
+
         return random_symmetric(n, seed=seed)
 
     def expected_words(self, engine, rank) -> List[int]:
@@ -271,6 +268,8 @@ class BCSS4(_SteinerRepresentation):
         return NdPackedSymmetricTensor(n, 4, data)
 
     def random_tensor(self, n, order, rank, seed) -> NdPackedSymmetricTensor:
+        from repro.tensor.ndpacked import nd_random_symmetric
+
         return nd_random_symmetric(n, 4, seed=seed)
 
     def flops(self, engine, rank) -> float:
@@ -336,6 +335,8 @@ class SymK(Representation):
         )
 
     def random_tensor(self, n, order, rank, seed) -> SymKTensor:
+        from repro.tensor.symk import random_symk
+
         return random_symk(n, rank, order=order, seed=seed)
 
     def engine(self, q, P, n, order, variant) -> ParallelSymKTTSV:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.machine.auditing import AuditReport, audit_ledger
 from repro.machine.machine import Machine
 from repro.machine.recovery import RecoveryPolicy
-from repro.machine.transport import Transport
+from repro.machine.transport.base import Transport
 
 
 @dataclass

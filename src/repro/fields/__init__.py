@@ -12,14 +12,18 @@ This package provides:
   base p), supporting +, -, *, /, powers and inverses.
 """
 
-from repro.fields.primes import (
-    is_prime,
-    is_prime_power,
-    prime_power_decomposition,
-    prime_powers_up_to,
-    next_prime_power,
-)
-from repro.fields.gf import GF, GFElement
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fields.primes": (
+        "is_prime",
+        "is_prime_power",
+        "prime_power_decomposition",
+        "prime_powers_up_to",
+        "next_prime_power",
+    ),
+    "repro.fields.gf": ("GF", "GFElement"),
+})
 
 __all__ = [
     "is_prime",

@@ -35,43 +35,46 @@ word count below the proven lower bound, which a test asserts cannot
 happen).
 """
 
-from repro.machine.message import Message
-from repro.machine.ledger import CommunicationLedger, RoundRecord
-from repro.machine.processor import Processor
-from repro.machine.machine import Machine
-from repro.machine.cost import CostModel
-from repro.obs.instrument import Instrumentation, PhaseTiming
-from repro.machine.recovery import RecoveryPolicy
-from repro.machine.transport import (
-    FaultInjectingTransport,
-    FaultPolicy,
-    FaultStats,
-    FusedGroup,
-    FusionPlan,
-    FusionStats,
-    fusible_payload,
-    SharedMemoryTransport,
-    SimulatedTransport,
-    Transfer,
-    Transport,
-    TRANSPORTS,
-    make_transport,
-    payload_checksum,
-)
-from repro.machine.auditing import AuditReport, audit_ledger
-from repro.machine.collectives import (
-    all_to_all,
-    all_to_all_words,
-    execute_round,
-    execute_rounds_fused,
-    reduce_scatter,
-    all_reduce_vector,
-    point_to_point_rounds,
-    schedule_point_to_point,
-    all_gather,
-    all_reduce_scalar,
-    broadcast,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.machine.message": ("Message",),
+    "repro.machine.ledger": ("CommunicationLedger", "RoundRecord"),
+    "repro.machine.processor": ("Processor",),
+    "repro.machine.machine": ("Machine",),
+    "repro.machine.cost": ("CostModel",),
+    "repro.obs.instrument": ("Instrumentation", "PhaseTiming"),
+    "repro.machine.recovery": ("RecoveryPolicy",),
+    "repro.machine.transport.base": ("Transfer", "Transport", "payload_checksum"),
+    "repro.machine.transport.faults": (
+        "FaultInjectingTransport",
+        "FaultPolicy",
+        "FaultStats",
+    ),
+    "repro.machine.transport.fusion": (
+        "FusedGroup",
+        "FusionPlan",
+        "FusionStats",
+        "fusible_payload",
+    ),
+    "repro.machine.transport.shm": ("SharedMemoryTransport",),
+    "repro.machine.transport.simulated": ("SimulatedTransport",),
+    "repro.machine.transport": ("TRANSPORTS", "make_transport"),
+    "repro.machine.auditing": ("AuditReport", "audit_ledger"),
+    "repro.machine.collectives": (
+        "all_to_all",
+        "all_to_all_words",
+        "execute_round",
+        "execute_rounds_fused",
+        "reduce_scatter",
+        "all_reduce_vector",
+        "point_to_point_rounds",
+        "schedule_point_to_point",
+        "all_gather",
+        "all_reduce_scalar",
+        "broadcast",
+    ),
+})
 
 __all__ = [
     "AuditReport",

@@ -62,7 +62,7 @@ from repro.errors import MachineError
 from repro.machine.ledger import CommunicationLedger
 from repro.machine.machine import Machine
 from repro.machine.message import word_count
-from repro.machine.transport import Transfer, payload_checksum
+from repro.machine.transport.base import Transfer, payload_checksum
 from repro.machine.transport.fusion import FusionPlan
 from repro.obs.tracing import get_tracer
 

@@ -10,7 +10,8 @@ from repro.machine.ledger import CommunicationLedger
 from repro.obs.instrument import Instrumentation
 from repro.machine.processor import Processor
 from repro.machine.recovery import RecoveryPolicy
-from repro.machine.transport import SimulatedTransport, Transport
+from repro.machine.transport.base import Transport
+from repro.machine.transport.simulated import SimulatedTransport
 from repro.util.validation import check_positive_int
 
 

@@ -13,31 +13,37 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
+from repro._lazy import lazy_exports
 from repro.errors import ConfigurationError
-from repro.machine.transport.base import (
-    Transfer,
-    Transport,
-    check_transfers,
-    payload_checksum,
-)
-from repro.machine.transport.faults import (
-    FaultInjectingTransport,
-    FaultPolicy,
-    FaultStats,
-)
-from repro.machine.transport.fusion import (
-    FusedGroup,
-    FusionPlan,
-    FusionStats,
-    fusible_payload,
-)
-from repro.machine.transport.shm import SharedMemoryTransport
+from repro.machine.transport.base import Transport
+from repro.machine.transport.faults import FaultInjectingTransport, FaultPolicy
 from repro.machine.transport.simulated import SimulatedTransport
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.machine.transport.base": ("Transfer", "check_transfers", "payload_checksum"),
+    "repro.machine.transport.faults": ("FaultStats",),
+    "repro.machine.transport.fusion": (
+        "FusedGroup",
+        "FusionPlan",
+        "FusionStats",
+        "fusible_payload",
+    ),
+    "repro.machine.transport.shm": ("SharedMemoryTransport",),
+})
+
+
+def _shared_memory_transport(n_processors: int, **kwargs) -> Transport:
+    """The ``"shm"`` backend, built by its first user: ``multiprocessing``
+    and its shared memory load only in a process that runs one."""
+    from repro.machine.transport.shm import SharedMemoryTransport
+
+    return SharedMemoryTransport(n_processors, **kwargs)
+
 
 #: Registry of constructible backends, keyed by CLI name.
 TRANSPORTS: Dict[str, Callable[..., Transport]] = {
     "simulated": SimulatedTransport,
-    "shm": SharedMemoryTransport,
+    "shm": _shared_memory_transport,
 }
 
 

@@ -14,14 +14,22 @@ all implemented here from first principles:
 * Hall-condition verification for diagnostics.
 """
 
-from repro.matching.hopcroft_karp import hopcroft_karp, maximum_matching
-from repro.matching.dinic import Dinic
-from repro.matching.bmatching import bipartite_b_matching, disjoint_matchings
-from repro.matching.edge_coloring import (
-    decompose_regular_bipartite,
-    permutation_rounds,
-)
-from repro.matching.hall import hall_condition_holds, hall_violating_set
+from repro._lazy import lazy_exports
+
+# A function named after its own submodule, so bound eagerly (see
+# repro._lazy).
+from repro.matching.hopcroft_karp import hopcroft_karp
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.matching.hopcroft_karp": ("maximum_matching",),
+    "repro.matching.dinic": ("Dinic",),
+    "repro.matching.bmatching": ("bipartite_b_matching", "disjoint_matchings"),
+    "repro.matching.edge_coloring": (
+        "decompose_regular_bipartite",
+        "permutation_rounds",
+    ),
+    "repro.matching.hall": ("hall_condition_holds", "hall_violating_set"),
+})
 
 __all__ = [
     "hopcroft_karp",

@@ -23,12 +23,13 @@ pattern the paper's introduction sketches: symmetry saves a factor
 communication in both cases.
 """
 
-from repro.matrix.partition import TriangleBlockPartition
-from repro.matrix.syrk import ParallelSYRK, syrk_bandwidth, syrk_reference
-from repro.matrix.bounds import (
-    symv_lower_bound,
-    symv_optimal_bandwidth_projective,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.matrix.partition": ("TriangleBlockPartition",),
+    "repro.matrix.syrk": ("ParallelSYRK", "syrk_bandwidth", "syrk_reference"),
+    "repro.matrix.bounds": ("symv_lower_bound", "symv_optimal_bandwidth_projective"),
+})
 
 __all__ = [
     "ParallelSYRK",

@@ -22,27 +22,31 @@ disabled-mode overhead is negligible; ledger counts are read, never
 written — the paper's exact communication accounting is untouched.
 """
 
-from repro.obs.export import prometheus_text, spans_from_jsonl, spans_to_jsonl
-from repro.obs.instrument import Instrumentation, PhaseTiming
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricsRegistry,
-    Sample,
-    default_registry,
-)
-from repro.obs.tracing import (
-    Span,
-    Tracer,
-    current_trace_ids,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    new_trace_id,
-    trace_context,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": ("prometheus_text", "spans_from_jsonl", "spans_to_jsonl"),
+    "repro.obs.instrument": ("Instrumentation", "PhaseTiming"),
+    "repro.obs.metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricFamily",
+        "MetricsRegistry",
+        "Sample",
+        "default_registry",
+    ),
+    "repro.obs.tracing": (
+        "Span",
+        "Tracer",
+        "current_trace_ids",
+        "disable_tracing",
+        "enable_tracing",
+        "get_tracer",
+        "new_trace_id",
+        "trace_context",
+    ),
+})
 
 __all__ = [
     "Counter",

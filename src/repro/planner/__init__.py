@@ -14,25 +14,29 @@ Four layers:
   table.
 """
 
-from repro.planner.calibration import (
-    DEFAULT_CALIBRATION_FILE,
-    Calibration,
-    ComputeConstants,
-    TransportConstants,
-    calibrate,
-    calibrate_compute,
-    calibrate_transport,
-)
-from repro.planner.planner import (
-    Candidate,
-    PlanDecision,
-    PricedCandidate,
-    auto_config,
-    measure_candidate,
-    plan_sttsv,
-)
-from repro.planner.pricing import STRATEGIES, VARIANTS
-from repro.planner.report import render_decision_table
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.planner.calibration": (
+        "DEFAULT_CALIBRATION_FILE",
+        "Calibration",
+        "ComputeConstants",
+        "TransportConstants",
+        "calibrate",
+        "calibrate_compute",
+        "calibrate_transport",
+    ),
+    "repro.planner.planner": (
+        "Candidate",
+        "PlanDecision",
+        "PricedCandidate",
+        "auto_config",
+        "measure_candidate",
+        "plan_sttsv",
+    ),
+    "repro.planner.pricing": ("STRATEGIES", "VARIANTS"),
+    "repro.planner.report": ("render_decision_table",),
+})
 
 __all__ = [
     "Calibration",

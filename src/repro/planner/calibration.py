@@ -34,7 +34,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.machine.cost import CostModel
-from repro.machine.transport import TRANSPORTS, Transfer, make_transport
+from repro.machine.transport import TRANSPORTS, make_transport
+from repro.machine.transport.base import Transfer
 
 #: On-disk schema version (bump when the JSON layout changes).
 CALIBRATION_VERSION = 1

@@ -7,7 +7,11 @@ orbit of the naturally embedded sub-line ``F_q ∪ {∞}`` inside
 linear (Möbius) transformations over any GF(p^k), and orbit machinery.
 """
 
-from repro.projective.line import ProjectiveLine, INFINITY
-from repro.projective.moebius import MoebiusMap
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.projective.line": ("ProjectiveLine", "INFINITY"),
+    "repro.projective.moebius": ("MoebiusMap",),
+})
 
 __all__ = ["ProjectiveLine", "INFINITY", "MoebiusMap"]

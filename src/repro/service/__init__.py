@@ -24,27 +24,31 @@ The serving stack composes, bottom to top:
   with replicated registrations and graceful drain.
 """
 
-from repro.service.batcher import DynamicBatcher
-from repro.service.client import ServiceClient, run_load
-from repro.service.eventloop import FrameLoopServer, Reply
-from repro.service.gateway import LocalFleet, STTSVGateway
-from repro.service.metrics import (
-    BatchSizeHistogram,
-    LatencyRecorder,
-    ServerMetrics,
-    SessionMetrics,
-)
-from repro.service.protocol import (
-    ConnectionClosedMidFrame,
-    ErrorCode,
-    FrameReader,
-    MessageType,
-    ProtocolError,
-    ServiceError,
-)
-from repro.service.ring import HashRing, ring_key
-from repro.service.server import STTSVServer
-from repro.service.sessions import EngineSession, SessionKey, SessionPool
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.batcher": ("DynamicBatcher",),
+    "repro.service.client": ("ServiceClient", "run_load"),
+    "repro.service.eventloop": ("FrameLoopServer", "Reply"),
+    "repro.service.gateway": ("LocalFleet", "STTSVGateway"),
+    "repro.service.metrics": (
+        "BatchSizeHistogram",
+        "LatencyRecorder",
+        "ServerMetrics",
+        "SessionMetrics",
+    ),
+    "repro.service.protocol": (
+        "ConnectionClosedMidFrame",
+        "ErrorCode",
+        "FrameReader",
+        "MessageType",
+        "ProtocolError",
+        "ServiceError",
+    ),
+    "repro.service.ring": ("HashRing", "ring_key"),
+    "repro.service.server": ("STTSVServer",),
+    "repro.service.sessions": ("EngineSession", "SessionKey", "SessionPool"),
+})
 
 __all__ = [
     "BatchSizeHistogram",

@@ -23,7 +23,6 @@ from repro.core.representations import (  # the registry, re-exported
 )
 from repro.errors import ConfigurationError
 from repro.machine.transport import TRANSPORTS
-from repro.planner import Calibration, auto_config
 from repro.planner.pricing import VARIANTS
 
 
@@ -55,6 +54,11 @@ class Registration(NamedTuple):
         break in enumeration order, so every shard behind the gateway
         resolves a replayed registration identically.
         """
+        # Only an ``auto`` REGISTER needs the planner; a server that
+        # never gets one never loads it.
+        from repro.planner.calibration import Calibration
+        from repro.planner.planner import auto_config
+
         config = auto_config(
             self.representation, self.n, self.q, self.P, self.rank,
             self.order,

@@ -38,7 +38,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from contextlib import nullcontext
 from typing import Dict, Optional, Tuple
 
-from repro.machine.transport import FaultPolicy
+from repro.machine.transport.faults import FaultPolicy
 from repro.obs.export import prometheus_text, spans_to_jsonl
 from repro.obs.metrics import (
     MetricFamily,

@@ -35,7 +35,8 @@ from repro.core.parallel_sttsv import CommBackend
 from repro.core.plans import LRUByteCache
 from repro.errors import ConfigurationError
 from repro.machine.machine import Machine
-from repro.machine.transport import FaultPolicy, make_transport
+from repro.machine.transport import make_transport
+from repro.machine.transport.faults import FaultPolicy
 from repro.obs.tracing import get_tracer
 from repro.service.metrics import SessionMetrics
 from repro.service.representations import (

@@ -13,14 +13,18 @@ distribution from two infinite families:
   Appendix A example (Table 3, ``m = 8``, ``P = 14``).
 """
 
-from repro.steiner.system import SteinerSystem
-from repro.steiner.spherical import spherical_steiner_system
-from repro.steiner.boolean import boolean_steiner_system
-from repro.steiner.catalog import (
-    wilson_divisibility_ok,
-    steiner_system_for_processors,
-    admissible_processor_counts,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.steiner.system": ("SteinerSystem",),
+    "repro.steiner.spherical": ("spherical_steiner_system",),
+    "repro.steiner.boolean": ("boolean_steiner_system",),
+    "repro.steiner.catalog": (
+        "wilson_divisibility_ok",
+        "steiner_system_for_processors",
+        "admissible_processor_counts",
+    ),
+})
 
 __all__ = [
     "SteinerSystem",

@@ -16,41 +16,45 @@ needs storage. This package provides:
 * permutation multiplicity weights (:mod:`repro.tensor.multiplicity`).
 """
 
-from repro.tensor.packed import PackedSymmetricTensor, packed_index, packed_size
-from repro.tensor.dense import (
-    symmetrize,
-    is_symmetric,
-    random_symmetric,
-    dense_from_packed,
-    packed_from_dense,
-    rank_one_symmetric,
-    odeco_tensor,
-)
-from repro.tensor.blocks import (
-    BlockKind,
-    classify_block,
-    block_slice,
-    lower_tetrahedral_blocks,
-)
-from repro.tensor.multiplicity import (
-    nd_contribution_weights,
-    permutation_multiplicity,
-    remaining_pair_multiplicity,
-)
-from repro.tensor.ndpacked import (
-    NdPackedSymmetricTensor,
-    nd_index_arrays,
-    nd_packed_size,
-    nd_random_symmetric,
-    pad_ndpacked,
-)
-from repro.tensor.bcss import BCSSTensor, bcss_block_count
-from repro.tensor.sparse import SparseSymmetricTensor, sttsv_sparse
-from repro.tensor.hypergraph import (
-    adjacency_tensor,
-    random_hypergraph,
-    vertex_degrees,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tensor.packed": ("PackedSymmetricTensor", "packed_index", "packed_size"),
+    "repro.tensor.dense": (
+        "symmetrize",
+        "is_symmetric",
+        "random_symmetric",
+        "dense_from_packed",
+        "packed_from_dense",
+        "rank_one_symmetric",
+        "odeco_tensor",
+    ),
+    "repro.tensor.blocks": (
+        "BlockKind",
+        "classify_block",
+        "block_slice",
+        "lower_tetrahedral_blocks",
+    ),
+    "repro.tensor.multiplicity": (
+        "nd_contribution_weights",
+        "permutation_multiplicity",
+        "remaining_pair_multiplicity",
+    ),
+    "repro.tensor.ndpacked": (
+        "NdPackedSymmetricTensor",
+        "nd_index_arrays",
+        "nd_packed_size",
+        "nd_random_symmetric",
+        "pad_ndpacked",
+    ),
+    "repro.tensor.bcss": ("BCSSTensor", "bcss_block_count"),
+    "repro.tensor.sparse": ("SparseSymmetricTensor", "sttsv_sparse"),
+    "repro.tensor.hypergraph": (
+        "adjacency_tensor",
+        "random_hypergraph",
+        "vertex_degrees",
+    ),
+})
 
 __all__ = [
     "BCSSTensor",

@@ -12,7 +12,9 @@ from typing import Union
 
 import numpy as np
 
-SeedLike = Union[None, int, np.random.Generator]
+#: ``numpy.random`` is named as a string: it loads only when a generator is
+#: first built, not with every module that accepts a seed.
+SeedLike = Union[None, int, "np.random.Generator"]
 
 
 def as_generator(seed: SeedLike = None) -> np.random.Generator:

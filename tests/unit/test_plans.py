@@ -2,6 +2,7 @@
 of communication accounting under the exchange-plan rewrite."""
 
 import gc
+import tracemalloc
 import weakref
 from math import factorial
 
@@ -392,6 +393,35 @@ class TestPlanCache:
         SequentialPlan(random_symmetric(16, seed=15), strategy="gemm")
         assert _ndim_scatter_plan.cache_info().currsize == 0
 
+    def test_bincount_plan_owns_and_counts_its_index_table(self):
+        """A bincount plan compiles its index table uncached: the bytes
+        it retains are what ``nbytes()`` reports (weighted columns plus
+        the table its ``_columns`` view), and deleting the plan frees
+        them all. ``sttsv_ndim`` keeps using the cache."""
+        n = 100
+        tensor = random_symmetric(n, seed=21)
+        x = np.linspace(-1.0, 1.0, n)
+        _ndim_scatter_plan.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            plan = SequentialPlan(tensor, strategy="bincount")
+            plan.apply(x)
+            plan.frobenius_norm_sq()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - baseline
+            assert plan.nbytes() == plan_nbytes(n, 3, "bincount") > 4 * 2**20
+            assert abs(held - plan.nbytes()) <= 2**20
+            del plan
+            gc.collect()
+            assert abs(tracemalloc.get_traced_memory()[0] - baseline) <= 2**20
+        finally:
+            tracemalloc.stop()
+        assert _ndim_scatter_plan.cache_info().currsize == 0
+        sttsv_ndim(tensor, x)
+        assert _ndim_scatter_plan.cache_info().currsize == 1
+
     @pytest.mark.parametrize("strategy", ["gemm", "bincount"])
     def test_plan_does_not_pin_the_packed_data(self, strategy, rng):
         """A plan outlives its tensor: it keeps only a weak reference to
@@ -570,6 +600,33 @@ class TestRepeatedRuns:
         algo.load(machine, tensor, x1)
         algo.run(machine)
         assert np.array_equal(algo.gather_result(machine), first)
+
+    def test_repeated_runs_keep_resident_and_peak_words(self, partition_q2, rng):
+        """A run stores the staging's fixed ``x_full``/``y_partial`` view
+        dicts only when the processor does not already hold them: word
+        counts are the same on every run, also after another engine ran
+        on the machine and bound its own dicts."""
+        n = 30
+        tensor = random_symmetric(n, seed=22)
+        x = rng.normal(size=n)
+        machine = Machine(partition_q2.P)
+        algo = ParallelSTTSV(partition_q2, n)
+
+        def run(engine):
+            engine.load(machine, tensor, x)
+            engine.run(machine)
+            return [(proc.resident_words(), proc.peak_words()) for proc in machine]
+
+        counts = run(algo)
+        assert run(algo) == counts and run(algo) == counts
+        other = ParallelSTTSV(partition_q2, n)
+        assert run(other) == counts
+        assert machine[0].load("x_full") is other.exchange_plan.staging().x_full[0]
+        assert run(algo) == counts
+        staging = algo.exchange_plan.staging()
+        for p, proc in enumerate(machine):
+            assert proc.load("x_full") is staging.x_full[p]
+            assert proc.load("y_partial") is staging.y_partial[p]
 
 
 class TestLRUByteCache:
